@@ -30,9 +30,9 @@ from .ensemble import (
     AggregatorSpec,
     BootstrapPlan,
     Ensemble,
-    aggregate,
     bootstrap_indices,
     load_ensemble,
+    loo_aggregate,
     loo_predict,
     save_ensemble,
     train_ensemble,

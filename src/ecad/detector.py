@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ensemble import Ensemble
+from .ensemble import Ensemble, loo_aggregate
 
 __all__ = [
     "nearest_rank_index",
@@ -34,7 +34,7 @@ __all__ = [
     "detect_stream",
 ]
 
-LOCALITY_VARIANTS = ("neighbor_sensors", "all_scores")
+LOCALITY_VARIANTS = ("neighbor_sensors", "as_printed")
 
 
 def nearest_rank_index(level: float, n: int) -> int:
@@ -210,24 +210,11 @@ def loo_prediction_matrix(ensemble: Ensemble, X: np.ndarray, chunk: int = 512) -
     mask = ensemble.usable_loo_mask  # (n_usable, B)
     if mask.shape[0] == 0:
         raise ValueError("no leave-one-out predictor available: every time index is in every bag")
-    agg = ensemble.aggregator
-    counts = mask.sum(axis=1)
     out = np.empty((mask.shape[0], X.shape[0]))
     for start in range(0, X.shape[0], chunk):
         stop = min(start + chunk, X.shape[0])
         preds = ensemble.predict_all_models(X[start:stop])  # (B, c)
-        if agg.kind == "mean":
-            out[:, start:stop] = (mask @ preds) / counts[:, None]
-        elif agg.kind == "median":
-            expanded = np.where(mask[:, :, None], preds[None, :, :], np.nan)
-            out[:, start:stop] = np.nanmedian(expanded, axis=1)
-        else:
-            for i in range(mask.shape[0]):
-                sub = preds[mask[i]]
-                cut = int(np.floor(agg.trim_fraction * sub.shape[0]))
-                out[i, start:stop] = np.mean(
-                    np.sort(sub, axis=0)[cut : sub.shape[0] - cut], axis=0
-                )
+        out[:, start:stop] = loo_aggregate(preds, mask, ensemble.aggregator)
     return out
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import io
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,7 +24,7 @@ from .panel import FeatureRow
 
 __all__ = [
     "AggregatorSpec",
-    "aggregate",
+    "loo_aggregate",
     "BootstrapPlan",
     "bootstrap_indices",
     "train_ensemble",
@@ -56,23 +57,34 @@ class AggregatorSpec:
         if self.kind == "trimmed_mean" and not 0.0 <= self.trim_fraction < 0.5:
             raise ValueError(f"trim_fraction must be in [0, 0.5), got {self.trim_fraction}")
 
+    def rank_window(self, count: int) -> tuple[int, int]:
+        """Ranks [lo, hi) of ``count`` sorted predictions whose mean is the aggregate."""
+        if self.kind == "mean":
+            return 0, count
+        if self.kind == "median":
+            return (count - 1) // 2, count // 2 + 1
+        cut = int(np.floor(self.trim_fraction * count))
+        return cut, count - cut
 
-def aggregate(values: np.ndarray, agg: AggregatorSpec) -> float:
-    """Apply the aggregator to a vector of model predictions."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("cannot aggregate an empty prediction set")
+
+def loo_aggregate(preds: np.ndarray, excluded: np.ndarray, agg: AggregatorSpec) -> np.ndarray:
+    """(m, n) aggregates of (B, n) model predictions over m leave-one-out model sets.
+
+    Row i combines the models that ``excluded[i]`` (an (m, B) boolean matrix)
+    marks: the mean of the rank window ``agg.rank_window`` of their sorted
+    predictions at each point.
+    """
+    agg.validate()
+    counts = excluded.sum(axis=1)
+    if (counts == 0).any():
+        raise ValueError("cannot aggregate an empty leave-one-out model set")
     if agg.kind == "mean":
-        return float(np.mean(values))
-    if agg.kind == "median":
-        return float(np.median(values))
-    cut = int(np.floor(agg.trim_fraction * values.size))
-    if values.size - 2 * cut < 1:
-        raise ValueError(
-            f"trim_fraction {agg.trim_fraction} removes all {values.size} predictions"
-        )
-    trimmed = np.sort(values)[cut : values.size - cut]
-    return float(np.mean(trimmed))
+        return (excluded @ preds) / counts[:, None]
+    out = np.empty((excluded.shape[0], preds.shape[1]))
+    for i, models in enumerate(excluded):
+        lo, hi = agg.rank_window(int(counts[i]))
+        out[i] = np.mean(np.sort(preds[models], axis=0)[lo:hi], axis=0)
+    return out
 
 
 @dataclass
@@ -87,25 +99,34 @@ class BootstrapPlan:
     available: np.ndarray
     in_bag: np.ndarray
     seed: int
-    _membership: np.ndarray | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def membership(self) -> np.ndarray:
         """(n_models, n_available) boolean matrix: bag b contains available[i]."""
-        if self._membership is None:
-            member = np.zeros((self.n_models, self.available.size), dtype=bool)
-            for b in range(self.n_models):
-                pos = np.searchsorted(self.available, self.in_bag[b])
-                member[b, pos] = True
-            self._membership = member
-        return self._membership
+        member = np.zeros((self.n_models, self.available.size), dtype=bool)
+        member[np.arange(self.n_models)[:, None], np.searchsorted(self.available, self.in_bag)] = True
+        return member
 
-    def loo_models(self, t: int) -> np.ndarray:
-        """Model ids whose bag excludes time t (the usable LOO set)."""
+    @cached_property
+    def excluded(self) -> np.ndarray:
+        """(n_available, n_models) boolean matrix: row i is the LOO model set of available[i]."""
+        return ~self.membership.T
+
+    @cached_property
+    def usable(self) -> np.ndarray:
+        """Mask over ``available`` of the times whose leave-one-out set is nonempty."""
+        return ~self.membership.all(axis=0)
+
+    def loo_set(self, t: int) -> np.ndarray:
+        """(n_models,) boolean mask of the models whose bag excludes time t."""
         pos = int(np.searchsorted(self.available, t))
         if pos >= self.available.size or self.available[pos] != t:
             raise ValueError(f"time index {t} is not in the available set")
-        return np.flatnonzero(~self.membership[:, pos])
+        return self.excluded[pos]
+
+    def loo_models(self, t: int) -> np.ndarray:
+        """Model ids whose bag excludes time t (the usable LOO set)."""
+        return np.flatnonzero(self.loo_set(t))
 
 
 def bootstrap_indices(available: Iterable[int], n_models: int, seed: int) -> BootstrapPlan:
@@ -142,13 +163,23 @@ class Ensemble:
     score_times: np.ndarray
     score_sensors: np.ndarray
     score_values: np.ndarray
-    usable_times: np.ndarray
-    usable_loo_mask: np.ndarray
-    dropped_empty_loo: int
 
     @property
     def n_models(self) -> int:
         return self.plan.n_models
+
+    @property
+    def usable_times(self) -> np.ndarray:
+        return self.plan.available[self.plan.usable]
+
+    @property
+    def usable_loo_mask(self) -> np.ndarray:
+        """(n_usable, n_models) boolean matrix: the LOO model set of each usable time."""
+        return self.plan.excluded[self.plan.usable]
+
+    @property
+    def dropped_empty_loo(self) -> int:
+        return int(np.count_nonzero(~self.plan.usable))
 
     def training_score_map(self) -> dict[tuple[int, int], float]:
         return {
@@ -198,7 +229,7 @@ def train_ensemble(
     n_sensors = int(sensors.max()) + 1
     plan = bootstrap_indices(np.unique(times), n_models, seed)
 
-    order = np.argsort(times, kind="stable")
+    order = np.lexsort((sensors, times))
     sorted_times = times[order]
     block_starts = np.searchsorted(sorted_times, plan.available, side="left")
     block_stops = np.searchsorted(sorted_times, plan.available, side="right")
@@ -215,48 +246,18 @@ def train_ensemble(
             raise RuntimeError(f"bootstrap model {b} failed to fit: {exc}") from exc
 
     predictions = np.stack([m.predict(X) for m in models])  # (B, n_rows)
-    member = plan.membership
-    time_pos = np.searchsorted(plan.available, times)
-    loo_counts = (~member).sum(axis=0)
-
-    usable = loo_counts > 0
-    usable_times = plan.available[usable]
-    usable_loo_mask = (~member[:, usable]).T  # (n_usable, B), True = model excludes time
-    dropped = int(np.count_nonzero(~usable))
-    if dropped:
+    usable, excluded = plan.usable, plan.excluded
+    if not usable.all():
         logger.warning(
             "dropped %d of %d time indices with empty leave-one-out model sets",
-            dropped,
-            plan.available.size,
+            np.count_nonzero(~usable), usable.size,
         )
-
-    row_usable = usable[time_pos]
-    agg_pred = np.full(len(rows), np.nan)
-    if aggregator.kind == "mean":
-        loo = ~member[:, time_pos]  # (B, n_rows)
-        sums = np.sum(np.where(loo, predictions, 0.0), axis=0)
-        with np.errstate(invalid="ignore"):
-            agg_pred = sums / loo_counts[time_pos]
-    else:
-        for p in np.flatnonzero(usable):
-            cols = np.flatnonzero(time_pos == p)
-            sub = predictions[~member[:, p]][:, cols]
-            if aggregator.kind == "median":
-                agg_pred[cols] = np.median(sub, axis=0)
-            else:
-                cut = int(np.floor(aggregator.trim_fraction * sub.shape[0]))
-                if sub.shape[0] - 2 * cut < 1:
-                    raise ValueError(
-                        f"trim_fraction {aggregator.trim_fraction} removes all "
-                        f"{sub.shape[0]} LOO predictions at time {plan.available[p]}"
-                    )
-                agg_pred[cols] = np.mean(
-                    np.sort(sub, axis=0)[cut : sub.shape[0] - cut], axis=0
-                )
-
-    scores = np.abs(y - agg_pred)
-    keep = np.flatnonzero(row_usable)
-    keep = keep[np.lexsort((sensors[keep], times[keep]))]
+    scores = np.empty(len(rows))
+    for p in np.flatnonzero(usable):
+        block = order[block_starts[p] : block_stops[p]]
+        loo = loo_aggregate(predictions[:, block], excluded[p : p + 1], aggregator)[0]
+        scores[block] = np.abs(y[block] - loo)
+    keep = order[np.repeat(usable, block_stops - block_starts)]  # ascending (time, sensor)
 
     return Ensemble(
         plan=plan,
@@ -267,20 +268,14 @@ def train_ensemble(
         score_times=times[keep],
         score_sensors=sensors[keep],
         score_values=scores[keep],
-        usable_times=usable_times,
-        usable_loo_mask=usable_loo_mask,
-        dropped_empty_loo=dropped,
     )
 
 
 def loo_predict(ensemble: Ensemble, t: int, x: np.ndarray) -> float:
     """Aggregate the predictions at x of exactly the models whose bag excludes t."""
-    model_ids = ensemble.plan.loo_models(t)
-    if model_ids.size == 0:
-        raise ValueError(f"time index {t} has an empty leave-one-out model set")
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    preds = np.array([ensemble.models[b].predict(x)[0] for b in model_ids])
-    return aggregate(preds, ensemble.aggregator)
+    excluded = ensemble.plan.loo_set(t)[None, :]
+    return float(loo_aggregate(ensemble.predict_all_models(x), excluded, ensemble.aggregator)[0, 0])
 
 
 def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
@@ -325,32 +320,34 @@ def load_ensemble(path: str | Path) -> Ensemble:
         backend = BackendSpec(**backend_fields)
         aggregator = AggregatorSpec(**meta["aggregator"])
         n_models = int(meta["n_models"])
-        plan = BootstrapPlan(
-            n_models=n_models,
-            available=data["available"],
-            in_bag=data["in_bag"],
-            seed=int(meta["seed"]),
-        )
+        n_sensors = int(meta["n_sensors"])
+        available, in_bag = data["available"], data["in_bag"]
+        if in_bag.shape != (n_models, available.size) or not np.isin(in_bag, available).all():
+            raise ValueError(
+                f"ensemble array in_bag must be a {(n_models, available.size)} "
+                f"matrix of available times, got shape {in_bag.shape}"
+            )
+        scores = {key: data[key] for key in ("score_times", "score_sensors", "score_values")}
+        if len({a.shape for a in scores.values()}) != 1:
+            shapes = {key: a.shape for key, a in scores.items()}
+            raise ValueError(f"ensemble arrays score_* differ in shape: {shapes}")
+        if ((scores["score_sensors"] < 0) | (scores["score_sensors"] >= n_sensors)).any():
+            raise ValueError(f"ensemble array score_sensors falls outside [0, {n_sensors})")
         models = []
         for b in range(n_models):
             prefix = f"model{b}_"
             state = {
                 key[len(prefix) :]: data[key] for key in data.files if key.startswith(prefix)
             }
-            models.append(model_from_state(backend, state))
-        member = plan.membership
-        loo_counts = (~member).sum(axis=0)
-        usable = loo_counts > 0
+            try:
+                models.append(model_from_state(backend, state))
+            except KeyError as exc:
+                raise ValueError(f"ensemble array {prefix}{exc.args[0]} is missing") from None
         return Ensemble(
-            plan=plan,
+            plan=BootstrapPlan(n_models, available, in_bag, seed=int(meta["seed"])),
             models=tuple(models),
             aggregator=aggregator,
             backend=backend,
-            n_sensors=int(meta["n_sensors"]),
-            score_times=data["score_times"],
-            score_sensors=data["score_sensors"],
-            score_values=data["score_values"],
-            usable_times=plan.available[usable],
-            usable_loo_mask=(~member[:, usable]).T,
-            dropped_empty_loo=int(meta["dropped_empty_loo"]),
+            n_sensors=n_sensors,
+            **scores,
         )

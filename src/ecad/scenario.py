@@ -280,7 +280,9 @@ def inject_missing(
 
     Only the first ``n_train_rows`` rows are eligible (defaults to the whole
     panel); later rows are never masked.  Columns draw independently, so
-    distinct columns almost surely lose different time sets.
+    distinct columns almost surely lose different time sets.  A row the draws
+    leave fully masked swaps one cell, within its column, with an observed cell
+    of a row that keeps another, so per-column counts stay exact.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"missing fraction must be in [0, 1), got {fraction}")
@@ -292,6 +294,8 @@ def inject_missing(
         raise ValueError(
             f"masking {n_mask} of {rows} training rows leaves fewer than 2 observed per column"
         )
+    if n_mask and panel.n_sensors * (rows - n_mask) < rows:
+        raise ValueError(f"{panel.n_sensors} columns of {rows - n_mask} cells cannot cover every row")
     out = panel.copy()
     if n_mask == 0:
         return out
@@ -299,4 +303,12 @@ def inject_missing(
     for k in range(panel.n_sensors):
         idx = rng.choice(rows, size=n_mask, replace=False)
         out.mask[idx, k] = False
+    mask = out.mask[:rows]
+    for r in np.flatnonzero(~mask.any(axis=1)):
+        # observed cells of rows with >= 2 of them, in columns where row r was observed
+        donors = np.argwhere(mask & (mask.sum(axis=1) >= 2)[:, None] & panel.mask[r])
+        if donors.size == 0:
+            raise ValueError(f"row {r} cannot be left an observed cell")
+        s, k = donors[rng.integers(len(donors))]
+        mask[s, k], mask[r, k] = False, True
     return out

@@ -109,6 +109,16 @@ def test_stages_are_idempotent(tmp_path):
             assert (tmp_path / "run" / fname).read_bytes() == before[name], fname
 
 
+def test_impute_accepts_default_missingness_on_small_panel(tmp_path):
+    # the independent per-column draws at this size and seed leave training
+    # row 354 with all 10 cells masked; inject_missing repairs that row
+    cfg = _small_cfg(
+        tmp_path / "run", seed=22, n_sensors=10, n_train=400, n_test=300, missing_fraction=0.4
+    )
+    assert generate_stage(cfg)["missing_per_column"] == 160
+    assert impute_stage(cfg)["missing_cells"] == 1600
+
+
 def test_run_all_deterministic_across_directories(tmp_path):
     cfg_a = _small_cfg(tmp_path / "a", seed=42)
     cfg_b = _small_cfg(tmp_path / "b", seed=42)

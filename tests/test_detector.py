@@ -10,10 +10,11 @@ from ecad.detector import (
     empirical_quantile,
     flag_decision,
     local_window,
+    loo_prediction_matrix,
     p_value,
 )
 from ecad.detector import test_score as detection_score
-from ecad.ensemble import AggregatorSpec, BootstrapPlan, Ensemble, train_ensemble
+from ecad.ensemble import AggregatorSpec, BootstrapPlan, Ensemble, loo_predict, train_ensemble
 from ecad.panel import FeatureRow
 
 
@@ -33,8 +34,6 @@ def _manual_ensemble(predictions, dim=2):
         [[t for t in range(n) if t != b] + [(b + 1) % n] for b in range(n)]
     )
     plan = BootstrapPlan(n, available, in_bag, seed=0)
-    member = plan.membership
-    usable = (~member).sum(axis=0) > 0
     models = tuple(_constant_model(p, dim) for p in predictions)
     score_times = np.repeat(available, 1)
     score_sensors = np.zeros(n, dtype=np.int64)
@@ -48,9 +47,6 @@ def _manual_ensemble(predictions, dim=2):
         score_times=score_times,
         score_sensors=score_sensors,
         score_values=score_values,
-        usable_times=available[usable],
-        usable_loo_mask=(~member[:, usable]).T,
-        dropped_empty_loo=0,
     )
 
 
@@ -149,6 +145,34 @@ def test_test_score_hand_quantile():
     # 0.75 nearest-rank quantile of {1,2,3,4} is 3, so the score is |10 - 3|
     ens = _manual_ensemble([1.0, 2.0, 3.0, 4.0])
     assert detection_score(ens, np.zeros(2), 10.0, alpha=0.25) == 7.0
+
+
+@pytest.mark.parametrize("kind", ["mean", "median", "trimmed_mean"])
+def test_loo_kernel_matches_loo_predict(kind):
+    # training scores and the detection matrix both equal the scalar LOO predictor
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(30, 2))
+    rows = [
+        FeatureRow(t, k, values[t - 2 : t, k].copy(), float(values[t, k]))
+        for t in range(2, 30)
+        for k in range(2)
+    ]
+    ens = train_ensemble(rows, BackendSpec(kind="ridge"), 6, AggregatorSpec(kind), seed=0)
+    sizes = set(ens.usable_loo_mask.sum(axis=1).tolist())
+    assert {1, 2, 3, 4} <= sizes
+
+    scores = ens.training_score_map()
+    for row in rows:
+        if (row.t, row.k) in scores:
+            expected = abs(row.y - loo_predict(ens, row.t, row.x))
+            assert scores[(row.t, row.k)] == pytest.approx(expected, abs=1e-12)
+
+    X = rng.normal(size=(5, 2))
+    matrix = loo_prediction_matrix(ens, X, chunk=3)
+    assert matrix.shape == (ens.usable_times.size, 5)
+    for i, t in enumerate(ens.usable_times):
+        for j in range(5):
+            assert matrix[i, j] == pytest.approx(loo_predict(ens, int(t), X[j]), abs=1e-12)
 
 
 def test_test_score_rejects_bad_alpha():

@@ -4,14 +4,27 @@ import pytest
 from ecad.backends import BackendSpec
 from ecad.ensemble import (
     AggregatorSpec,
-    aggregate,
     bootstrap_indices,
     load_ensemble,
+    loo_aggregate,
     loo_predict,
     save_ensemble,
     train_ensemble,
 )
 from ecad.panel import FeatureRow
+
+
+def _aggregate_all(values, agg):
+    """loo_aggregate at one point over a single LOO set holding every model."""
+    values = np.asarray(values, dtype=np.float64)
+    excluded = np.ones((1, values.size), dtype=bool)
+    return float(loo_aggregate(values[:, None], excluded, agg)[0, 0])
+
+
+def _trimmed_mean_oracle(values, fraction):
+    cut = int(np.floor(fraction * len(values)))
+    kept = sorted(values)[cut : len(values) - cut]
+    return sum(kept) / len(kept)
 
 
 def _rows_from_matrix(values, n_lags=1):
@@ -121,6 +134,8 @@ def test_loo_predict_mean_and_median():
     for agg, combine in [
         (AggregatorSpec("mean"), np.mean),
         (AggregatorSpec("median"), np.median),
+        # the first usable time has 3 LOO models, so 0.4 trims one from each end
+        (AggregatorSpec("trimmed_mean", 0.4), lambda v: _trimmed_mean_oracle(v, 0.4)),
     ]:
         ens = train_ensemble(rows, BackendSpec(kind="ridge"), 6, aggregator=agg, seed=4)
         t = int(ens.usable_times[0])
@@ -132,15 +147,16 @@ def test_loo_predict_mean_and_median():
 
 
 def test_aggregate_examples():
-    assert aggregate(np.array([1.0, 3.0]), AggregatorSpec("mean")) == 2.0
-    assert aggregate(np.array([1.0, 2.0, 100.0]), AggregatorSpec("median")) == 2.0
+    assert _aggregate_all([1.0, 3.0], AggregatorSpec("mean")) == 2.0
+    assert _aggregate_all([1.0, 2.0, 100.0], AggregatorSpec("median")) == 2.0
+    assert _aggregate_all([100.0, 1.0, 4.0, 2.0], AggregatorSpec("median")) == 3.0
 
 
 def test_trimmed_mean_matches_hand_oracle():
     rng = np.random.default_rng(3)
     for n in [10, 23, 40]:
         values = rng.normal(size=n)
-        got = aggregate(values, AggregatorSpec("trimmed_mean", trim_fraction=0.1))
+        got = _aggregate_all(values, AggregatorSpec("trimmed_mean", trim_fraction=0.1))
         cut = int(np.floor(0.1 * n))
         expected = sorted(values.tolist())[cut : n - cut]
         assert got == pytest.approx(sum(expected) / len(expected), abs=1e-12)
@@ -148,9 +164,9 @@ def test_trimmed_mean_matches_hand_oracle():
 
 def test_aggregate_errors():
     with pytest.raises(ValueError, match="empty"):
-        aggregate(np.array([]), AggregatorSpec("mean"))
+        _aggregate_all([], AggregatorSpec("mean"))
     with pytest.raises(ValueError, match="trim_fraction"):
-        aggregate(np.array([1.0, 2.0]), AggregatorSpec("trimmed_mean", trim_fraction=0.5))
+        _aggregate_all([1.0, 2.0], AggregatorSpec("trimmed_mean", trim_fraction=0.5))
 
 
 def test_mean_over_identical_models_equals_single_model():
@@ -166,7 +182,7 @@ def test_mean_over_identical_models_equals_single_model():
     x = rows[5].x[None, :]
     single = model.predict(x)[0]
     preds = np.array([single] * 4)
-    assert aggregate(preds, AggregatorSpec("mean")) == single
+    assert _aggregate_all(preds, AggregatorSpec("mean")) == single
 
 
 def test_loo_predict_empty_set_errors():
@@ -209,6 +225,32 @@ def test_ensemble_version_refusal(tmp_path):
     arrays["meta"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match="format version"):
+        load_ensemble(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, name",
+    [
+        (lambda a: a.update(in_bag=a["in_bag"][:, :-1]), "in_bag"),
+        (lambda a: a.update(in_bag=a["in_bag"][:-1]), "in_bag"),
+        (lambda a: a.update(in_bag=a["in_bag"] + 1000), "in_bag"),
+        (lambda a: a.update(score_values=a["score_values"][:-1]), "score_"),
+        (lambda a: a.update(score_sensors=a["score_sensors"] + 1), "score_sensors"),
+        (lambda a: a.update(score_sensors=a["score_sensors"] - 1), "score_sensors"),
+        (lambda a: a.pop("model2_weights"), "model2_weights"),
+    ],
+)
+def test_ensemble_shape_refusal(tmp_path, corrupt, name):
+    rng = np.random.default_rng(6)
+    rows = _rows_from_matrix(rng.normal(size=(12, 2)))
+    ens = train_ensemble(rows, BackendSpec(kind="ridge"), 3, seed=0)
+    path = tmp_path / "ensemble.npz"
+    save_ensemble(ens, path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    corrupt(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=name):
         load_ensemble(path)
 
 

@@ -195,6 +195,29 @@ def test_inject_missing_errors():
         inject_missing(panel, 1.0, seed=0)
     with pytest.raises(ValueError, match="fewer than 2"):
         inject_missing(panel, 0.8, seed=0)
+    # 3 columns keeping 4 of 10 rows each hold 12 observed cells: enough;
+    # 2 columns hold 8, which cannot give each of 10 rows a cell
+    inject_missing(TimeSeriesPanel(np.ones((10, 3)), np.ones((10, 3), dtype=bool)), 0.6, seed=0)
+    with pytest.raises(ValueError, match="every row"):
+        inject_missing(TimeSeriesPanel(np.ones((10, 2)), np.ones((10, 2), dtype=bool)), 0.6, seed=0)
+
+
+def test_inject_missing_never_masks_a_whole_row():
+    repaired = 0
+    for seed in range(300):
+        rows, sensors = 12, 2 + seed % 3
+        panel = TimeSeriesPanel(np.ones((rows + 5, sensors)), np.ones((rows + 5, sensors), dtype=bool))
+        out = inject_missing(panel, 0.5, seed=seed, n_train_rows=rows)
+        assert out.mask.any(axis=1).all()
+        assert np.all(out.mask[:rows].sum(axis=0) == rows - 6)
+        assert out.mask[rows:].all()
+        # the independent draws alone leave some row fully masked on these panels
+        rng = np.random.default_rng(seed)
+        drawn = np.ones((rows, sensors), dtype=bool)
+        for k in range(sensors):
+            drawn[rng.choice(rows, size=6, replace=False), k] = False
+        repaired += int((~drawn.any(axis=1)).any())
+    assert repaired > 50
 
 
 def test_scenario_config_validation():
