@@ -26,6 +26,7 @@ from .evaluation import SensorReport, evaluate_sensors
 from .imputation import impute
 from .panel import (
     TimeSeriesPanel,
+    build_feature_arrays,
     build_features,
     load_panel,
     load_sensors,
@@ -198,28 +199,32 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     test = load_panel(test_path, cfg.missing_token)
     if not test.is_complete:
         raise StageError("config", f"test panel {test_path} has missing entries")
-    n_train = train.n_times
 
-    combined = TimeSeriesPanel(
-        np.vstack([train.values, test.values]),
-        np.ones((train.n_times + test.n_times, train.n_sensors), dtype=bool),
-        sensors,
+    # the test rows' lags reach back n_lags hours into the training panel
+    n_lags = cfg.features.n_lags
+    if train.n_times < n_lags:
+        raise StageError(
+            "config", f"training panel {train_path} is shorter than the lag depth {n_lags}"
+        )
+    history = train.values[train.n_times - n_lags :]
+    times, sensor_ids, X, y = build_feature_arrays(
+        TimeSeriesPanel(
+            np.vstack([history, test.values]),
+            np.ones((n_lags + test.n_times, train.n_sensors), dtype=bool),
+            sensors,
+        ),
+        neighbor_sets(sensors, cfg.features.neighbor_size),
+        n_lags,
     )
-    feature_neighbors = neighbor_sets(sensors, cfg.features.neighbor_size)
-    rows = [
-        r
-        for r in build_features(combined, feature_neighbors, cfg.features.n_lags)
-        if r.t >= n_train
-    ]
     locality_neighbors = None
     if cfg.detector.locality.enabled:
         locality_neighbors = neighbor_sets(sensors, cfg.detector.locality.neighbor_size)
     detections = detect_stream(
         ensemble,
-        [r.t for r in rows],
-        [r.k for r in rows],
-        np.stack([r.x for r in rows]),
-        [r.y for r in rows],
+        times + (train.n_times - n_lags),
+        sensor_ids,
+        X,
+        y,
         cfg.detector.alpha,
         locality=cfg.detector.locality,
         neighbors=locality_neighbors,
@@ -239,23 +244,42 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     }
 
 
+def _read_columns(path: Path, *names: str) -> list[list[str]]:
+    """The named columns of a CSV file with a header row, as lists of cells."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise StageError("config", f"{path} lacks the column(s) {missing}")
+    if set(map(len, rows)) - {len(header)}:
+        raise StageError("config", f"{path} has rows of unequal length")
+    index = [header.index(name) for name in names]
+    return [[row[i] for row in rows] for i in index]
+
+
+def _ints(cells: list[str]) -> np.ndarray:
+    return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
+
+
 def _read_detections(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    if not rows:
+    t, k, p, flagged = _read_columns(path, "t", "k", "p_value", "flagged")
+    if not t:
         raise StageError("config", f"no detection rows in {path}")
-    t = np.array([int(r["t"]) for r in rows])
-    k = np.array([int(r["k"]) for r in rows])
-    p = np.array([float(r["p_value"]) for r in rows])
-    flags = np.array([r["flagged"] == "1" for r in rows])
-    return t, k, p, flags
+    p = np.fromiter(map(float, p), dtype=np.float64, count=len(p))
+    return _ints(t), _ints(k), p, np.array(flagged, dtype=str) == "1"
 
 
-def _read_truth(path: Path) -> dict[tuple[int, int], bool]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return {(int(r["t"]), int(r["k"])): r["label"] == "1" for r in reader}
+def _read_truth(path: Path) -> np.ndarray:
+    """(T, K) grid of ground-truth labels: 1 anomalous, 0 normal, -1 unlabeled."""
+    t, k, label = _read_columns(path, "t", "k", "label")
+    t, k = _ints(t), _ints(k)
+    if (t < 0).any() or (k < 0).any():
+        raise StageError("config", f"{path} has a negative time or sensor index")
+    grid = np.full((t.max() + 1, k.max() + 1) if t.size else (0, 0), -1, dtype=np.int8)
+    grid[t, k] = np.array(label, dtype=str) == "1"
+    return grid
 
 
 def evaluate_stage(cfg: PipelineConfig) -> dict:
@@ -263,13 +287,16 @@ def evaluate_stage(cfg: PipelineConfig) -> dict:
     det_path = _require(cfg, "detections", "detect")
     truth_path = _require(cfg, "truth", "generate")
     t, k, p, flags = _read_detections(det_path)
-    truth = _read_truth(truth_path)
+    grid = _read_truth(truth_path)
 
-    labeled = np.array([(int(ti), int(ki)) in truth for ti, ki in zip(t, k)])
+    label = np.full(t.shape, -1, dtype=np.int8)
+    inside = (t >= 0) & (t < grid.shape[0]) & (k >= 0) & (k < grid.shape[1])
+    label[inside] = grid[t[inside], k[inside]]
+    labeled = label >= 0
     if not labeled.any():
         raise StageError("config", "no detection rows have ground-truth labels")
     t, k, p, flags = t[labeled], k[labeled], p[labeled], flags[labeled]
-    labels = np.array([truth[(int(ti), int(ki))] for ti, ki in zip(t, k)])
+    labels = label[labeled] == 1
 
     reports = evaluate_sensors(k, labels, flags)
     _write_report(cfg, reports)

@@ -2,8 +2,11 @@
 
 Each test point's score is the absolute gap between the observation and the
 (1 - alpha) nearest-rank quantile of all leave-one-out ensemble predictions at
-its features.  The p-value ranks that score against a retained window of past
-scores; a point is flagged when p <= alpha, and the window then slides
+its features.  Scoring streams over chunks of test points: each chunk's
+(n_usable_times, chunk) block of LOO predictions is built, reduced to its
+quantiles and dropped before the next, so peak memory does not grow with the
+number of test points.  The p-value ranks that score against a retained window
+of past scores; a point is flagged when p <= alpha, and the window then slides
 unconditionally (the flagged score still enters) unless configured otherwise.
 
 Window state mutates per sensor, so detection is sequential; the default
@@ -200,7 +203,13 @@ def local_window(
     return np.concatenate(parts)
 
 
-def loo_prediction_matrix(ensemble: Ensemble, X: np.ndarray, chunk: int = 512) -> np.ndarray:
+# points per model-prediction call in loo_prediction_matrix and per scoring block
+_PREDICT_CHUNK = 512
+
+
+def loo_prediction_matrix(
+    ensemble: Ensemble, X: np.ndarray, chunk: int = _PREDICT_CHUNK
+) -> np.ndarray:
     """(n_usable_times, n_points) matrix of leave-one-out ensemble predictions.
 
     Row i holds the aggregated prediction at each point of the models that
@@ -221,10 +230,25 @@ def loo_prediction_matrix(ensemble: Ensemble, X: np.ndarray, chunk: int = 512) -
 def batch_test_scores(
     ensemble: Ensemble, X: np.ndarray, y: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """Test scores for a batch of points: |y - (1-alpha) quantile of LOO predictions|."""
-    loo_preds = loo_prediction_matrix(ensemble, X)
-    idx = nearest_rank_index(1.0 - alpha, loo_preds.shape[0])
-    quantiles = np.partition(loo_preds, idx, axis=0)[idx]
+    """Test scores for a batch of points: |y - (1-alpha) quantile of LOO predictions|.
+
+    One (n_usable_times, chunk) matrix of LOO predictions and its point-major
+    copy are alive at a time.  A block is exactly one prediction chunk, so
+    every model prediction and LOO aggregate covers the same points as in one
+    dense ``loo_prediction_matrix`` call over the batch, and the scores are
+    bit-identical to it.  The point-major copy makes the quantile a contiguous
+    partition per point.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    quantiles = np.empty(X.shape[0])
+    # an empty batch still makes one call, which rejects an ensemble without LOO sets
+    for start in range(0, max(1, X.shape[0]), _PREDICT_CHUNK):
+        stop = start + _PREDICT_CHUNK
+        rows = loo_prediction_matrix(ensemble, X[start:stop]).T.copy()
+        idx = nearest_rank_index(1.0 - alpha, rows.shape[1])
+        rows.partition(idx, axis=1)
+        quantiles[start:stop] = rows[:, idx]
+        del rows  # free this block before the next one is built
     return np.abs(np.asarray(y, dtype=np.float64) - quantiles)
 
 

@@ -117,6 +117,11 @@ class BootstrapPlan:
         """Mask over ``available`` of the times whose leave-one-out set is nonempty."""
         return ~self.membership.all(axis=0)
 
+    @cached_property
+    def usable_excluded(self) -> np.ndarray:
+        """(n_usable, n_models) boolean matrix: the LOO model sets of the usable times."""
+        return self.excluded[self.usable]
+
     def loo_set(self, t: int) -> np.ndarray:
         """(n_models,) boolean mask of the models whose bag excludes time t."""
         pos = int(np.searchsorted(self.available, t))
@@ -175,7 +180,7 @@ class Ensemble:
     @property
     def usable_loo_mask(self) -> np.ndarray:
         """(n_usable, n_models) boolean matrix: the LOO model set of each usable time."""
-        return self.plan.excluded[self.plan.usable]
+        return self.plan.usable_excluded
 
     @property
     def dropped_empty_loo(self) -> int:

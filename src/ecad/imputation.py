@@ -106,7 +106,8 @@ def impute(panel: TimeSeriesPanel, cfg: ImputerConfig = ImputerConfig()) -> tupl
         if sweep_delta < cfg.tol:
             break
 
-    # observed entries were never written; reassert the contract cheaply
-    assert np.array_equal(values[mask], panel.values[mask])
+    # observed entries were never written; check the contract even under python -O
+    if not np.array_equal(values[mask], panel.values[mask]):
+        raise RuntimeError("imputation overwrote observed entries")
     completed = TimeSeriesPanel(values, np.ones_like(mask), panel.sensors)
     return completed, ImputeReport(sweeps, delta_trace[-1], delta_trace, missing_per_column)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import ecad.cli
 from ecad.cli import (
     ARTIFACTS,
     StageError,
@@ -16,6 +17,7 @@ from ecad.cli import (
     train_stage,
 )
 from ecad.config import PipelineConfig, config_from_dict, load_config, resolve_seeds
+from ecad.panel import TimeSeriesPanel, build_features, load_panel, load_sensors, neighbor_sets
 
 
 def _small_cfg(out_dir, seed=0, **scenario_overrides):
@@ -93,6 +95,69 @@ def test_evaluate_on_perfect_flags_scores_one(tmp_path):
     for sensor in report["per_sensor"]:
         assert sensor["f1"] == 1.0
     assert summary["mean_f1"] == 1.0
+
+
+def test_evaluate_joins_only_labeled_detections(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    truth = {(t, k): int((t * 3 + k) % 4 == 0) for t in range(5, 9) for k in range(2)}
+    truth_lines = ["t,k,label,injected"] + [f"{t},{k},{v},0" for (t, k), v in truth.items()]
+    (out / ARTIFACTS["truth"]).write_text("\n".join(truth_lines) + "\n")
+    # detections before, inside and after the labeled times, and at an unknown sensor
+    det = [(t, k) for t in range(3, 11) for k in range(3)]
+    det_lines = ["t,k,test_score,p_value,flagged"] + [
+        f"{t},{k},1.0,{(t + k) / 20!r},{(t + k) % 2}" for t, k in det
+    ]
+    (out / ARTIFACTS["detections"]).write_text("\n".join(det_lines) + "\n")
+    cfg = _small_cfg(out)
+    assert evaluate_stage(cfg)["points"] == len(truth)
+    joined = [line.split(",") for line in (out / ARTIFACTS["pvalues"]).read_text().split()[1:]]
+    assert [(int(t), int(k), int(label)) for t, k, _, label in joined] == [
+        (t, k, truth[(t, k)]) for t, k in det if (t, k) in truth
+    ]
+
+    det_lines = ["t,k,test_score,p_value,flagged", "2,0,1.0,0.5,0", "6,7,1.0,0.5,0"]
+    (out / ARTIFACTS["detections"]).write_text("\n".join(det_lines) + "\n")
+    with pytest.raises(StageError, match="no detection rows have ground-truth labels"):
+        evaluate_stage(cfg)
+
+    # a negative index in truth.csv must not wrap around onto the last row or column
+    for bad in ("-1,0,1,0", "5,-1,1,0"):
+        (out / ARTIFACTS["truth"]).write_text("\n".join(truth_lines + [bad]) + "\n")
+        with pytest.raises(StageError, match="negative time or sensor index"):
+            evaluate_stage(cfg)
+
+
+def test_detect_features_equal_full_panel_rows(tmp_path, monkeypatch):
+    cfg = _small_cfg(tmp_path / "run")
+    generate_stage(cfg)
+    impute_stage(cfg)
+    train_stage(cfg)
+    seen = {}
+    detect_stream = ecad.cli.detect_stream
+
+    def recording_detect_stream(ensemble, times, sensors, X, y, *args, **kwargs):
+        seen.update(times=times, sensors=sensors, X=X, y=y)
+        return detect_stream(ensemble, times, sensors, X, y, *args, **kwargs)
+
+    monkeypatch.setattr(ecad.cli, "detect_stream", recording_detect_stream)
+    detect_stage(cfg)
+
+    run = tmp_path / "run"
+    train = load_panel(run / ARTIFACTS["completed_panel"])
+    test = load_panel(run / ARTIFACTS["test_panel"])
+    sensors = load_sensors(run / ARTIFACTS["sensors"])
+    full = TimeSeriesPanel(
+        np.vstack([train.values, test.values]),
+        np.ones((train.n_times + test.n_times, train.n_sensors), dtype=bool),
+        sensors,
+    )
+    neighbors = neighbor_sets(sensors, cfg.features.neighbor_size)
+    rows = [r for r in build_features(full, neighbors, cfg.features.n_lags) if r.t >= train.n_times]
+    assert np.array_equal(seen["times"], [r.t for r in rows])
+    assert np.array_equal(seen["sensors"], [r.k for r in rows])
+    assert np.array_equal(seen["X"], np.stack([r.x for r in rows]))
+    assert np.array_equal(seen["y"], [r.y for r in rows])
 
 
 def test_stages_are_idempotent(tmp_path):

@@ -1,16 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ecad.backends import BackendSpec, RidgeModel
 from ecad.detector import (
+    _PREDICT_CHUNK,
     Detection,
     LocalityConfig,
     ScoreStore,
+    batch_test_scores,
     detect_stream,
     empirical_quantile,
     flag_decision,
     local_window,
     loo_prediction_matrix,
+    nearest_rank_index,
     p_value,
 )
 from ecad.detector import test_score as detection_score
@@ -179,6 +184,65 @@ def test_test_score_rejects_bad_alpha():
     ens = _manual_ensemble([1.0, 2.0])
     with pytest.raises(ValueError, match="alpha"):
         detection_score(ens, np.zeros(2), 1.0, alpha=0.0)
+
+
+@pytest.fixture(scope="module", params=["mean", "median", "trimmed_mean"])
+def scoring_ensemble(request):
+    # about 700 usable times; with 25 models, scoring blocks not aligned to
+    # prediction chunks change some scores
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(700, 10))
+    rows = [
+        FeatureRow(t, 0, values[t - 2 : t].ravel(), float(values[t, 0])) for t in range(2, 700)
+    ]
+    return train_ensemble(rows, BackendSpec(kind="ridge"), 25, AggregatorSpec(request.param), seed=0)
+
+
+def test_batch_test_scores_equal_dense_quantile(scoring_ensemble):
+    ens, alpha = scoring_ensemble, 0.05
+    block = _PREDICT_CHUNK
+    idx = nearest_rank_index(1.0 - alpha, ens.usable_loo_mask.shape[0])
+    rng = np.random.default_rng(12)
+    for n_points in (1, block - 1, block, block + 1, 3 * block + 7):
+        X, y = rng.normal(size=(n_points, 20)), rng.normal(size=n_points)
+        dense = np.partition(loo_prediction_matrix(ens, X), idx, axis=0)[idx]
+        assert np.array_equal(batch_test_scores(ens, X, y, alpha), np.abs(y - dense))
+
+
+def test_batch_test_scores_edge_batches():
+    ens = _manual_ensemble([1.0, 2.0, 3.0, 4.0])
+    assert batch_test_scores(ens, np.empty((0, 2)), np.empty(0), 0.25).shape == (0,)
+
+    # every time is in every bag: no leave-one-out predictor exists
+    plan = BootstrapPlan(2, np.arange(2), np.array([[0, 1], [1, 0]]), seed=0)
+    ens = Ensemble(
+        plan=plan,
+        models=(_constant_model(1.0), _constant_model(2.0)),
+        aggregator=AggregatorSpec("mean"),
+        backend=BackendSpec(kind="ridge"),
+        n_sensors=1,
+        score_times=np.arange(2),
+        score_sensors=np.zeros(2, dtype=np.int64),
+        score_values=np.ones(2),
+    )
+    for n_points in (0, 3):
+        with pytest.raises(ValueError, match="no leave-one-out predictor available"):
+            batch_test_scores(ens, np.zeros((n_points, 2)), np.zeros(n_points), 0.05)
+
+
+def test_batch_test_scores_memory_is_bounded():
+    # the dense (n_usable x n_points) float64 matrix would take 80 MB
+    ens = _manual_ensemble(np.linspace(-1.0, 1.0, 200))
+    n_points = 50_000
+    X = np.random.default_rng(13).normal(size=(n_points, 2))
+    y = np.zeros(n_points)
+    tracemalloc.start()
+    try:
+        batch_test_scores(ens, X, y, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * n_points * 8 / 4
 
 
 def _store(entries):
