@@ -131,34 +131,80 @@ def _fit_ridge(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> RidgeModel:
     return RidgeModel(spec, weights, x_mean, y_mean)
 
 
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+def _forward(
+    weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray, outputs: list[np.ndarray]
+) -> np.ndarray:
+    """Forward pass into preallocated buffers: ReLU hidden layers, identity output.
 
-
-def mlp_forward(
-    weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass: ReLU hidden layers, identity output.
-
-    Returns the flat predictions and the pre-activations of every layer (the
-    memory the backward pass needs).
+    ``outputs[i]`` receives layer i's output on X (shape ``(n_rows, width_i)``);
+    returns the flat predictions, a view of the last buffer.
     """
     a = X
-    pre = []
-    activations = [X]
-    for W, b in zip(weights[:-1], biases[:-1]):
-        z = a @ W + b
-        pre.append(z)
-        a = _relu(z)
-        activations.append(a)
-    z = a @ weights[-1] + biases[-1]
-    pre.append(z)
-    return z[:, 0], activations
+    for W, b, out in zip(weights, biases, outputs):
+        np.matmul(a, W, out=out)
+        out += b
+        if out is not outputs[-1]:
+            np.maximum(out, 0.0, out=out)
+        a = out
+    return outputs[-1][:, 0]
+
+
+def _layer_buffers(weights: list[np.ndarray], n_rows: int) -> list[np.ndarray]:
+    return [np.empty((n_rows, W.shape[1])) for W in weights]
+
+
+def mlp_forward(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray) -> np.ndarray:
+    """Flat predictions of the net (ReLU hidden layers, identity output) on X."""
+    return _forward(weights, biases, X, _layer_buffers(weights, X.shape[0]))
 
 
 def mlp_loss(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray, y: np.ndarray) -> float:
-    pred, _ = mlp_forward(weights, biases, X)
+    pred = mlp_forward(weights, biases, X)
     return float(np.mean((pred - y) ** 2))
+
+
+class _MLPWorkspace:
+    """Every buffer of one full-batch gradient step for a net over ``n_rows`` rows.
+
+    A fit allocates one and each epoch writes into it, so training allocates
+    no arrays per epoch.  ``grad_w``/``grad_b`` hold the gradients of the last
+    `_backprop` call and ``resid`` its predictions minus targets.
+    """
+
+    def __init__(self, weights: list[np.ndarray], n_rows: int) -> None:
+        self.outputs = _layer_buffers(weights, n_rows)
+        self.deltas = _layer_buffers(weights, n_rows)
+        self.masks = [np.empty(out.shape, dtype=bool) for out in self.outputs[:-1]]
+        self.resid = np.empty(n_rows)
+        self.grad_w = [np.empty_like(W) for W in weights]
+        self.grad_b = [np.empty(W.shape[1]) for W in weights]
+
+
+def _backprop(
+    ws: _MLPWorkspace,
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    X: np.ndarray,
+    y: np.ndarray,
+) -> None:
+    """Gradients of the mean squared error on (X, y) into ``ws`` by backpropagation."""
+    pred = _forward(weights, biases, X, ws.outputs)
+    np.subtract(pred, y, out=ws.resid)
+    last = len(weights) - 1
+    np.multiply(2.0 / X.shape[0], ws.resid[:, None], out=ws.deltas[last])
+    inputs = [X, *ws.outputs[:-1]]
+    for layer in range(last, -1, -1):
+        delta = ws.deltas[layer]
+        if layer < last:
+            # the ReLU derivative: an output is positive exactly where its input was
+            mask = ws.masks[layer]
+            np.greater(ws.outputs[layer], 0, out=mask)
+            np.multiply(delta, mask, out=delta)
+        np.matmul(inputs[layer].T, delta, out=ws.grad_w[layer])
+        np.sum(delta, axis=0, out=ws.grad_b[layer])
+        if layer > 0:
+            np.matmul(delta, weights[layer].T, out=ws.deltas[layer - 1])
+
 
 def mlp_loss_and_gradients(
     weights: list[np.ndarray],
@@ -166,32 +212,13 @@ def mlp_loss_and_gradients(
     X: np.ndarray,
     y: np.ndarray,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean-squared-error loss and its gradients via backpropagation."""
-    n = X.shape[0]
-    a = X
-    activations = [X]
-    pre = []
-    for W, b in zip(weights[:-1], biases[:-1]):
-        z = a @ W + b
-        pre.append(z)
-        a = _relu(z)
-        activations.append(a)
-    out = activations[-1] @ weights[-1] + biases[-1]
-    pred = out[:, 0]
-    loss = float(np.mean((pred - y) ** 2))
+    """Mean-squared-error loss and its gradients via backpropagation.
 
-    grad_w = [np.zeros_like(W) for W in weights]
-    grad_b = [np.zeros_like(b) for b in biases]
-    delta = (2.0 / n) * (pred - y)[:, None]
-    grad_w[-1] = activations[-1].T @ delta
-    grad_b[-1] = delta.sum(axis=0)
-    upstream = delta @ weights[-1].T
-    for layer in range(len(weights) - 2, -1, -1):
-        dz = upstream * (pre[layer] > 0)
-        grad_w[layer] = activations[layer].T @ dz
-        grad_b[layer] = dz.sum(axis=0)
-        upstream = dz @ weights[layer].T
-    return loss, grad_w, grad_b
+    The gradient arrays are new on every call.
+    """
+    ws = _MLPWorkspace(weights, X.shape[0])
+    _backprop(ws, weights, biases, X, y)
+    return float(np.mean(ws.resid**2)), ws.grad_w, ws.grad_b
 
 
 @dataclass(frozen=True)
@@ -218,7 +245,7 @@ class MLPModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = _check_predict_input(X, self.input_dim)
         Xs = (X - self.x_mean) / self.x_std
-        pred, _ = mlp_forward(self.weights, self.biases, Xs)
+        pred = mlp_forward(self.weights, self.biases, Xs)
         return self.y_mean + self.y_std * pred
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -276,11 +303,12 @@ def _fit_mlp(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> MLPModel:
     rng = np.random.default_rng(0 if spec.seed is None else spec.seed)
     weights, biases = init_mlp_params(X.shape[1], spec.mlp_hidden, rng)
     lr = spec.mlp_learning_rate
+    ws = _MLPWorkspace(weights, X.shape[0])
     for _ in range(spec.mlp_epochs):
-        _, grad_w, grad_b = mlp_loss_and_gradients(weights, biases, Xs, ys)
-        for i in range(len(weights)):
-            weights[i] = weights[i] - lr * grad_w[i]
-            biases[i] = biases[i] - lr * grad_b[i]
+        _backprop(ws, weights, biases, Xs, ys)
+        for param, grad in zip(weights + biases, ws.grad_w + ws.grad_b):
+            grad *= lr
+            param -= grad
     return MLPModel(spec, weights, biases, x_mean, x_std, y_mean, y_std)
 
 

@@ -302,7 +302,7 @@ def evaluate_stage(cfg: PipelineConfig) -> dict:
     _write_report(cfg, reports)
 
     lines = ["t,k,p_value,label"]
-    for ti, ki, pi, li in zip(t, k, p, labels):
+    for ti, ki, pi, li in zip(t.tolist(), k.tolist(), p.tolist(), labels.tolist()):
         lines.append(f"{ti},{ki},{pi!r},{int(li)}")
     _artifact(cfg, "pvalues").write_text("\n".join(lines) + "\n")
 

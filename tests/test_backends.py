@@ -9,6 +9,8 @@ from ecad.backends import (
     mlp_loss_and_gradients,
     predict,
 )
+from ecad.ensemble import AggregatorSpec, train_ensemble
+from ecad.panel import FeatureRow
 
 
 def _gauss_solve(A, b):
@@ -168,3 +170,103 @@ def test_backend_spec_validation():
         BackendSpec(kind="mlp", mlp_hidden=(0,)).validate()
     with pytest.raises(ValueError):
         BackendSpec(kind="mlp", mlp_learning_rate=0.0).validate()
+
+
+def _reference_loss_and_gradients(weights, biases, X, y):
+    """The allocating backpropagation the in-place kernel must reproduce bit for bit."""
+    n = X.shape[0]
+    a = X
+    activations = [X]
+    pre = []
+    for W, b in zip(weights[:-1], biases[:-1]):
+        z = a @ W + b
+        pre.append(z)
+        a = np.maximum(z, 0.0)
+        activations.append(a)
+    out = activations[-1] @ weights[-1] + biases[-1]
+    pred = out[:, 0]
+    loss = float(np.mean((pred - y) ** 2))
+
+    grad_w = [np.zeros_like(W) for W in weights]
+    grad_b = [np.zeros_like(b) for b in biases]
+    delta = (2.0 / n) * (pred - y)[:, None]
+    grad_w[-1] = activations[-1].T @ delta
+    grad_b[-1] = delta.sum(axis=0)
+    upstream = delta @ weights[-1].T
+    for layer in range(len(weights) - 2, -1, -1):
+        dz = upstream * (pre[layer] > 0)
+        grad_w[layer] = activations[layer].T @ dz
+        grad_b[layer] = dz.sum(axis=0)
+        upstream = dz @ weights[layer].T
+    return loss, grad_w, grad_b
+
+
+def _reference_fit_mlp(spec, X, y):
+    """(weights, biases) of the allocating training loop, one new array per step."""
+    x_std = X.std(axis=0)
+    Xs = (X - X.mean(axis=0)) / np.where(x_std < 1e-12, 1.0, x_std)
+    y_std = float(y.std())
+    ys = (y - float(y.mean())) / (1.0 if y_std < 1e-12 else y_std)
+    rng = np.random.default_rng(0 if spec.seed is None else spec.seed)
+    weights, biases = init_mlp_params(X.shape[1], spec.mlp_hidden, rng)
+    lr = spec.mlp_learning_rate
+    for _ in range(spec.mlp_epochs):
+        _, grad_w, grad_b = _reference_loss_and_gradients(weights, biases, Xs, ys)
+        for i in range(len(weights)):
+            weights[i] = weights[i] - lr * grad_w[i]
+            biases[i] = biases[i] - lr * grad_b[i]
+    return weights, biases
+
+
+@pytest.mark.parametrize("hidden", [(16, 16), (32,), (4,)])
+@pytest.mark.parametrize("n_rows", [1, 7, 3950])
+@pytest.mark.parametrize("lr", [1e-3, 0.05])
+def test_mlp_fit_bit_identical_to_allocating_reference(hidden, n_rows, lr):
+    rng = np.random.default_rng(n_rows)
+    X = rng.normal(size=(n_rows, 25))
+    y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=n_rows)
+    spec = BackendSpec(kind="mlp", mlp_hidden=hidden, mlp_epochs=40, mlp_learning_rate=lr, seed=3)
+    model = fit(spec, X, y)
+    ref_w, ref_b = _reference_fit_mlp(spec, X, y)
+    assert len(model.weights) == len(ref_w) == len(hidden) + 1
+    for got, want in zip(model.weights + model.biases, ref_w + ref_b):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_mlp_loss_and_gradients_equal_reference_and_are_not_reused():
+    rng = np.random.default_rng(8)
+    weights, biases = init_mlp_params(6, (5, 3), rng)
+    X, y = rng.normal(size=(11, 6)), rng.normal(size=11)
+    loss, grad_w, grad_b = mlp_loss_and_gradients(weights, biases, X, y)
+    ref_loss, ref_w, ref_b = _reference_loss_and_gradients(weights, biases, X, y)
+    assert loss == ref_loss
+    for got, want in zip(grad_w + grad_b, ref_w + ref_b):
+        assert np.array_equal(got, want)
+    kept = [g.copy() for g in grad_w + grad_b]
+    mlp_loss_and_gradients(weights, biases, 2.0 * X, -y)
+    for got, want in zip(grad_w + grad_b, kept):
+        assert np.array_equal(got, want)
+
+
+def test_mlp_ensemble_models_share_no_memory_and_equal_standalone_fits():
+    rng = np.random.default_rng(9)
+    n_times, n_sensors = 30, 3
+    rows = [
+        FeatureRow(t, k, rng.normal(size=4), float(rng.normal()))
+        for t in range(n_times)
+        for k in range(n_sensors)
+    ]
+    spec = BackendSpec(kind="mlp", mlp_hidden=(5, 3), mlp_epochs=15, mlp_learning_rate=0.05, seed=4)
+    ens = train_ensemble(rows, spec, n_models=6, aggregator=AggregatorSpec("mean"), seed=2)
+    arrays = [a for m in ens.models for a in m.weights + m.biases]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+    X = np.stack([r.x for r in rows])
+    y = np.array([r.y for r in rows])
+    for b, model in enumerate(ens.models):
+        bag = [t * n_sensors + k for t in ens.plan.in_bag[b] for k in range(n_sensors)]
+        alone = fit(model.spec, X[bag], y[bag])
+        for got, want in zip(model.weights + model.biases, alone.weights + alone.biases):
+            assert np.array_equal(got, want)

@@ -20,7 +20,7 @@ from ecad.config import PipelineConfig, config_from_dict, load_config, resolve_s
 from ecad.panel import TimeSeriesPanel, build_features, load_panel, load_sensors, neighbor_sets
 
 
-def _small_cfg(out_dir, seed=0, **scenario_overrides):
+def _small_cfg(out_dir, seed=0, backend=None, **scenario_overrides):
     scenario = {
         "n_sensors": 4,
         "n_train": 120,
@@ -35,6 +35,8 @@ def _small_cfg(out_dir, seed=0, **scenario_overrides):
         "features": {"n_lags": 2, "neighbor_size": 3},
         "ensemble": {"n_models": 8},
     }
+    if backend is not None:
+        payload["backend"] = backend
     cfg = resolve_seeds(config_from_dict(payload))
     cfg.validate()
     return cfg
@@ -95,6 +97,19 @@ def test_evaluate_on_perfect_flags_scores_one(tmp_path):
     for sensor in report["per_sensor"]:
         assert sensor["f1"] == 1.0
     assert summary["mean_f1"] == 1.0
+
+
+def test_pvalues_csv_holds_the_detection_p_values_as_plain_floats(tmp_path):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    det = (tmp_path / "run" / ARTIFACTS["detections"]).read_text().strip().split("\n")[1:]
+    p_of = {tuple(r.split(",")[:2]): r.split(",")[3] for r in det}
+    rows = (tmp_path / "run" / ARTIFACTS["pvalues"]).read_text().strip().split("\n")
+    assert rows[0] == "t,k,p_value,label"
+    assert len(rows) > 1
+    for row in rows[1:]:
+        t, k, p, _ = row.split(",")
+        assert float(p) == float(p_of[t, k])
 
 
 def test_evaluate_joins_only_labeled_detections(tmp_path):
@@ -184,9 +199,17 @@ def test_impute_accepts_default_missingness_on_small_panel(tmp_path):
     assert impute_stage(cfg)["missing_cells"] == 1600
 
 
-def test_run_all_deterministic_across_directories(tmp_path):
-    cfg_a = _small_cfg(tmp_path / "a", seed=42)
-    cfg_b = _small_cfg(tmp_path / "b", seed=42)
+@pytest.mark.parametrize(
+    "backend",
+    [
+        {"kind": "ridge"},
+        {"kind": "mlp", "mlp_hidden": [4], "mlp_epochs": 20, "mlp_learning_rate": 0.05},
+    ],
+    ids=["ridge", "mlp"],
+)
+def test_run_all_deterministic_across_directories(tmp_path, backend):
+    cfg_a = _small_cfg(tmp_path / "a", seed=42, backend=backend)
+    cfg_b = _small_cfg(tmp_path / "b", seed=42, backend=backend)
     run_all(cfg_a)
     run_all(cfg_b)
     for fname in [ARTIFACTS["detections"], ARTIFACTS["report_csv"]]:
