@@ -3,7 +3,8 @@
 Each test point's score is the absolute gap between the observation and the
 (1 - alpha) nearest-rank quantile of all leave-one-out ensemble predictions at
 its features.  Scoring streams over chunks of test points: each chunk's
-(n_usable_times, chunk) block of LOO predictions is built, reduced to its
+point-major (chunk, n_usable_times) block of LOO predictions is built straight
+from the leave-one-out kernel, partitioned in place row by row to its
 quantiles and dropped before the next, so peak memory does not grow with the
 number of test points.  The p-value ranks that score against a retained window
 of past scores; a point is flagged when p <= alpha, and the window then slides
@@ -210,20 +211,23 @@ _PREDICT_CHUNK = 512
 def loo_prediction_matrix(
     ensemble: Ensemble, X: np.ndarray, chunk: int = _PREDICT_CHUNK
 ) -> np.ndarray:
-    """(n_usable_times, n_points) matrix of leave-one-out ensemble predictions.
+    """(n_points, n_usable_times) matrix of leave-one-out ensemble predictions.
 
-    Row i holds the aggregated prediction at each point of the models that
-    exclude usable time i; times with empty LOO sets are already dropped.
+    Point-major: row j holds point j's aggregated prediction over the LOO set
+    of each usable time, so column i comes from the models that exclude usable
+    time i; times with empty LOO sets are already dropped.  A batch of at most
+    ``chunk`` points is returned as the kernel builds it, without a copy.
     """
     X = np.asarray(X, dtype=np.float64)
     mask = ensemble.usable_loo_mask  # (n_usable, B)
     if mask.shape[0] == 0:
         raise ValueError("no leave-one-out predictor available: every time index is in every bag")
-    out = np.empty((mask.shape[0], X.shape[0]))
+    if X.shape[0] <= chunk:
+        return loo_aggregate(ensemble.predict_all_models(X), mask, ensemble.aggregator)
+    out = np.empty((X.shape[0], mask.shape[0]))
     for start in range(0, X.shape[0], chunk):
-        stop = min(start + chunk, X.shape[0])
-        preds = ensemble.predict_all_models(X[start:stop])  # (B, c)
-        out[:, start:stop] = loo_aggregate(preds, mask, ensemble.aggregator)
+        preds = ensemble.predict_all_models(X[start : start + chunk])  # (B, c)
+        out[start : start + chunk] = loo_aggregate(preds, mask, ensemble.aggregator)
     return out
 
 
@@ -232,30 +236,30 @@ def batch_test_scores(
 ) -> np.ndarray:
     """Test scores for a batch of points: |y - (1-alpha) quantile of LOO predictions|.
 
-    One (n_usable_times, chunk) matrix of LOO predictions and its point-major
-    copy are alive at a time.  A block is exactly one prediction chunk, so
-    every model prediction and LOO aggregate covers the same points as in one
-    dense ``loo_prediction_matrix`` call over the batch, and the scores are
-    bit-identical to it.  The point-major copy makes the quantile a contiguous
-    partition per point.
+    One point-major (chunk, n_usable_times) block of LOO predictions is alive
+    at a time, and each point's quantile is a contiguous partition of its row,
+    done in place.  A block is exactly one prediction chunk, so every model
+    prediction and LOO aggregate covers the same points as in one dense
+    ``loo_prediction_matrix`` call over the batch, and the scores are
+    bit-identical to it.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     X = np.asarray(X, dtype=np.float64)
     quantiles = np.empty(X.shape[0])
     # an empty batch still makes one call, which rejects an ensemble without LOO sets
     for start in range(0, max(1, X.shape[0]), _PREDICT_CHUNK):
         stop = start + _PREDICT_CHUNK
-        rows = loo_prediction_matrix(ensemble, X[start:stop]).T.copy()
-        idx = nearest_rank_index(1.0 - alpha, rows.shape[1])
-        rows.partition(idx, axis=1)
-        quantiles[start:stop] = rows[:, idx]
-        del rows  # free this block before the next one is built
+        block = loo_prediction_matrix(ensemble, X[start:stop])
+        idx = nearest_rank_index(1.0 - alpha, block.shape[1])
+        block.partition(idx, axis=1)
+        quantiles[start:stop] = block[:, idx]
+        del block  # free this block before the next one is built
     return np.abs(np.asarray(y, dtype=np.float64) - quantiles)
 
 
 def test_score(ensemble: Ensemble, x: np.ndarray, y: float, alpha: float) -> float:
     """Distance from y to the (1 - alpha) quantile of all LOO predictions at x."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     return float(batch_test_scores(ensemble, x, np.array([y]), alpha)[0])
 

@@ -68,22 +68,33 @@ class AggregatorSpec:
 
 
 def loo_aggregate(preds: np.ndarray, excluded: np.ndarray, agg: AggregatorSpec) -> np.ndarray:
-    """(m, n) aggregates of (B, n) model predictions over m leave-one-out model sets.
+    """(n, m) aggregates of (B, n) model predictions over m leave-one-out model sets.
 
-    Row i combines the models that ``excluded[i]`` (an (m, B) boolean matrix)
-    marks: the mean of the rank window ``agg.rank_window`` of their sorted
-    predictions at each point.
+    The result is point-major: row j holds point j's aggregate over each LOO
+    set, and column i combines the models that ``excluded[i]`` (an (m, B)
+    boolean matrix) marks: the mean of the rank window ``agg.rank_window`` of
+    their sorted predictions at each point.  The window is summed one rank at
+    a time in ascending order, so the median and trimmed mean do not depend on
+    the number of points.
     """
     agg.validate()
     counts = excluded.sum(axis=1)
     if (counts == 0).any():
         raise ValueError("cannot aggregate an empty leave-one-out model set")
     if agg.kind == "mean":
-        return (excluded @ preds) / counts[:, None]
-    out = np.empty((excluded.shape[0], preds.shape[1]))
+        out = preds.T @ excluded.T.astype(np.float64)
+        out /= counts
+        return out
+    out = np.empty((preds.shape[1], excluded.shape[0]))
     for i, models in enumerate(excluded):
+        ranked = preds[models].T.copy()  # (n, count): each point's predictions contiguous
+        ranked.sort(axis=1)
         lo, hi = agg.rank_window(int(counts[i]))
-        out[i] = np.mean(np.sort(preds[models], axis=0)[lo:hi], axis=0)
+        column = out[:, i]
+        column[:] = ranked[:, lo]
+        for r in range(lo + 1, hi):
+            column += ranked[:, r]
+        column /= hi - lo
     return out
 
 
@@ -260,7 +271,7 @@ def train_ensemble(
     scores = np.empty(len(rows))
     for p in np.flatnonzero(usable):
         block = order[block_starts[p] : block_stops[p]]
-        loo = loo_aggregate(predictions[:, block], excluded[p : p + 1], aggregator)[0]
+        loo = loo_aggregate(predictions[:, block], excluded[p : p + 1], aggregator)[:, 0]
         scores[block] = np.abs(y[block] - loo)
     keep = order[np.repeat(usable, block_stops - block_starts)]  # ascending (time, sensor)
 

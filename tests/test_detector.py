@@ -174,16 +174,19 @@ def test_loo_kernel_matches_loo_predict(kind):
 
     X = rng.normal(size=(5, 2))
     matrix = loo_prediction_matrix(ens, X, chunk=3)
-    assert matrix.shape == (ens.usable_times.size, 5)
+    assert matrix.shape == (5, ens.usable_times.size)
     for i, t in enumerate(ens.usable_times):
         for j in range(5):
-            assert matrix[i, j] == pytest.approx(loo_predict(ens, int(t), X[j]), abs=1e-12)
+            assert matrix[j, i] == pytest.approx(loo_predict(ens, int(t), X[j]), abs=1e-12)
 
 
 def test_test_score_rejects_bad_alpha():
     ens = _manual_ensemble([1.0, 2.0])
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
         detection_score(ens, np.zeros(2), 1.0, alpha=0.0)
+    for alpha in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            batch_test_scores(ens, np.zeros((3, 2)), np.zeros(3), alpha)
 
 
 @pytest.fixture(scope="module", params=["mean", "median", "trimmed_mean"])
@@ -205,7 +208,7 @@ def test_batch_test_scores_equal_dense_quantile(scoring_ensemble):
     rng = np.random.default_rng(12)
     for n_points in (1, block - 1, block, block + 1, 3 * block + 7):
         X, y = rng.normal(size=(n_points, 20)), rng.normal(size=n_points)
-        dense = np.partition(loo_prediction_matrix(ens, X), idx, axis=0)[idx]
+        dense = np.partition(loo_prediction_matrix(ens, X), idx, axis=1)[:, idx]
         assert np.array_equal(batch_test_scores(ens, X, y, alpha), np.abs(y - dense))
 
 

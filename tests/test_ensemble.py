@@ -169,6 +169,50 @@ def test_aggregate_errors():
         _aggregate_all([1.0, 2.0], AggregatorSpec("trimmed_mean", trim_fraction=0.5))
 
 
+def _reference_loo_aggregate(preds, excluded, agg):
+    """The LOO-set-major kernel: (m, n) aggregates, each window averaged with np.mean(axis=0)."""
+    agg.validate()
+    counts = excluded.sum(axis=1)
+    if (counts == 0).any():
+        raise ValueError("cannot aggregate an empty leave-one-out model set")
+    if agg.kind == "mean":
+        return (excluded @ preds) / counts[:, None]
+    out = np.empty((excluded.shape[0], preds.shape[1]))
+    for i, models in enumerate(excluded):
+        lo, hi = agg.rank_window(int(counts[i]))
+        out[i] = np.mean(np.sort(preds[models], axis=0)[lo:hi], axis=0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "agg",
+    [
+        AggregatorSpec("mean"),
+        AggregatorSpec("median"),
+        AggregatorSpec("trimmed_mean", 0.1),
+        AggregatorSpec("trimmed_mean", 0.3),
+    ],
+    ids=["mean", "median", "trimmed_0.1", "trimmed_0.3"],
+)
+@pytest.mark.parametrize("n_points", [2, 37])
+def test_loo_aggregate_matches_reference_kernel(agg, n_points):
+    # 25 models and one LOO set of every size 1..25: even counts for the
+    # median, and trimmed windows from 1 up to 21 ranks wide
+    rng = np.random.default_rng(21)
+    n_models = 25
+    preds = rng.normal(size=(n_models, n_points))
+    excluded = np.zeros((n_models, n_models), dtype=bool)
+    for i in range(n_models):
+        excluded[i, rng.choice(n_models, size=i + 1, replace=False)] = True
+    got = loo_aggregate(preds, excluded, agg)
+    expected = _reference_loo_aggregate(preds, excluded, agg).T
+    assert got.shape == (n_points, n_models)
+    if agg.kind == "mean":
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+    else:
+        assert np.array_equal(got, expected)
+
+
 def test_mean_over_identical_models_equals_single_model():
     from ecad.backends import fit as fit_backend
 
