@@ -8,7 +8,7 @@ scores, and finally evaluate per-sensor precision/recall/F1 against ground
 truth.
 """
 
-from .backends import BackendSpec, MLPModel, RidgeModel, fit, predict
+from .backends import BackendSpec, MLPModel, RidgeModel, fit
 from .config import (
     DetectorConfig,
     EnsembleConfig,
@@ -47,7 +47,6 @@ from .evaluation import (
 )
 from .imputation import ImputeReport, ImputerConfig, impute
 from .panel import (
-    FeatureRow,
     SensorMetadata,
     TimeSeriesPanel,
     build_features,

@@ -15,7 +15,6 @@ __all__ = [
     "RidgeModel",
     "MLPModel",
     "fit",
-    "predict",
     "mlp_loss_and_gradients",
 ]
 
@@ -319,11 +318,6 @@ def fit(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> RidgeModel | MLPMode
     if spec.kind == "ridge":
         return _fit_ridge(spec, X, y)
     return _fit_mlp(spec, X, y)
-
-
-def predict(model: RidgeModel | MLPModel, X: np.ndarray) -> np.ndarray:
-    """Point predictions for a fitted model; pure function of (model, X)."""
-    return model.predict(X)
 
 
 def model_from_state(spec: BackendSpec, arrays: dict[str, np.ndarray]) -> RidgeModel | MLPModel:

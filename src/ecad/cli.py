@@ -26,7 +26,6 @@ from .evaluation import SensorReport, evaluate_sensors
 from .imputation import impute
 from .panel import (
     TimeSeriesPanel,
-    build_feature_arrays,
     build_features,
     load_panel,
     load_sensors,
@@ -159,9 +158,12 @@ def _train_impl(cfg: PipelineConfig, stage: str) -> dict:
     if not panel.is_complete:
         raise StageError("config", f"completed panel {panel_path} still has missing entries")
     neighbors = neighbor_sets(panel.sensors, cfg.features.neighbor_size)
-    rows = build_features(panel, neighbors, cfg.features.n_lags)
+    times, sensors, X, y = build_features(panel, neighbors, cfg.features.n_lags)
     ensemble = train_ensemble(
-        rows,
+        times,
+        sensors,
+        X,
+        y,
         cfg.backend,
         cfg.ensemble.n_models,
         cfg.ensemble.aggregator,
@@ -171,7 +173,7 @@ def _train_impl(cfg: PipelineConfig, stage: str) -> dict:
     return {
         "stage": stage,
         "models": ensemble.n_models,
-        "rows": len(rows),
+        "rows": len(y),
         "dropped_empty_loo": ensemble.dropped_empty_loo,
         "scores": int(ensemble.score_values.size),
     }
@@ -199,21 +201,35 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     test = load_panel(test_path, cfg.missing_token)
     if not test.is_complete:
         raise StageError("config", f"test panel {test_path} has missing entries")
+    n_lags, neighbor_size = cfg.features.n_lags, cfg.features.neighbor_size
+    input_dim = ensemble.models[0].input_dim
+    if input_dim != n_lags * neighbor_size:
+        raise StageError(
+            "config",
+            f"ensemble {ensemble_path} takes {input_dim} features per point, "
+            f"but features.n_lags {n_lags} x neighbor_size {neighbor_size} gives "
+            f"{n_lags * neighbor_size}; retrain or restore the training feature config",
+        )
+    if ensemble.n_sensors != test.n_sensors:
+        raise StageError(
+            "config",
+            f"ensemble {ensemble_path} was trained on {ensemble.n_sensors} sensors, "
+            f"but test panel {test_path} has {test.n_sensors}",
+        )
 
     # the test rows' lags reach back n_lags hours into the training panel
-    n_lags = cfg.features.n_lags
     if train.n_times < n_lags:
         raise StageError(
             "config", f"training panel {train_path} is shorter than the lag depth {n_lags}"
         )
     history = train.values[train.n_times - n_lags :]
-    times, sensor_ids, X, y = build_feature_arrays(
+    times, sensor_ids, X, y = build_features(
         TimeSeriesPanel(
             np.vstack([history, test.values]),
             np.ones((n_lags + test.n_times, train.n_sensors), dtype=bool),
             sensors,
         ),
-        neighbor_sets(sensors, cfg.features.neighbor_size),
+        neighbor_sets(sensors, neighbor_size),
         n_lags,
     )
     locality_neighbors = None

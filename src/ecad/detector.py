@@ -157,14 +157,6 @@ class ScoreStore:
     def times(self, k: int) -> np.ndarray:
         return self._times[k]
 
-    def scores_in_age_order(self, k: int) -> np.ndarray:
-        head = self._head[k]
-        return np.concatenate((self._scores[k][head:], self._scores[k][:head]))
-
-    def times_in_age_order(self, k: int) -> np.ndarray:
-        head = self._head[k]
-        return np.concatenate((self._times[k][head:], self._times[k][:head]))
-
     def push(self, k: int, t: int, score: float) -> None:
         """Drop sensor k's oldest score and append the new one."""
         head = self._head[k]

@@ -1,5 +1,6 @@
 """Bootstrap leave-one-out ensemble training and the initial anomaly score set.
 
+Training takes the ``(times, sensors, X, y)`` arrays of ``panel.build_features``.
 Bootstrap sampling runs over time indices only: each model trains on every
 sensor's rows at its in-bag times, so a single ensemble serves all sensors.
 A time's training score is aggregated exclusively from models whose bag
@@ -15,12 +16,11 @@ import logging
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .backends import BackendSpec, fit, model_from_state
-from .panel import FeatureRow
 
 __all__ = [
     "AggregatorSpec",
@@ -140,10 +140,6 @@ class BootstrapPlan:
             raise ValueError(f"time index {t} is not in the available set")
         return self.excluded[pos]
 
-    def loo_models(self, t: int) -> np.ndarray:
-        """Model ids whose bag excludes time t (the usable LOO set)."""
-        return np.flatnonzero(self.loo_set(t))
-
 
 def bootstrap_indices(available: Iterable[int], n_models: int, seed: int) -> BootstrapPlan:
     """Draw B bootstrap multisets over the available time indices.
@@ -197,12 +193,6 @@ class Ensemble:
     def dropped_empty_loo(self) -> int:
         return int(np.count_nonzero(~self.plan.usable))
 
-    def training_score_map(self) -> dict[tuple[int, int], float]:
-        return {
-            (int(t), int(k)): float(s)
-            for t, k, s in zip(self.score_times, self.score_sensors, self.score_values)
-        }
-
     def scores_for_sensor(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, scores) for sensor k, ascending by time."""
         sel = self.score_sensors == k
@@ -213,18 +203,11 @@ class Ensemble:
         return np.stack([m.predict(X) for m in self.models])
 
 
-def _rows_to_arrays(
-    rows: Sequence[FeatureRow],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    times = np.array([r.t for r in rows], dtype=np.int64)
-    sensors = np.array([r.k for r in rows], dtype=np.int64)
-    X = np.stack([r.x for r in rows]).astype(np.float64)
-    y = np.array([r.y for r in rows], dtype=np.float64)
-    return times, sensors, X, y
-
-
 def train_ensemble(
-    rows: Sequence[FeatureRow],
+    times: np.ndarray,
+    sensors: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
     spec: BackendSpec,
     n_models: int,
     aggregator: AggregatorSpec = AggregatorSpec(),
@@ -232,16 +215,23 @@ def train_ensemble(
 ) -> Ensemble:
     """Fit B bootstrap models over time indices and compute the LOO score set.
 
+    Row i of the arrays is the example (times[i], sensors[i], X[i], y[i]).
     Model b trains on all rows (every sensor) whose time index lies in its bag,
     honoring duplicates.  The training score of row (i, k) is
     |y_ik - aggregate(predictions at x_ik of the models excluding time i)|;
     rows whose LOO set is empty are dropped with a warning.
     """
-    if not rows:
+    times = np.asarray(times, dtype=np.int64)
+    sensors = np.asarray(sensors, dtype=np.int64)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    lengths = {"times": len(times), "sensors": len(sensors), "X": len(X), "y": len(y)}
+    if len(set(lengths.values())) != 1:
+        raise ValueError(f"feature arrays differ in length: {lengths}")
+    if not len(y):
         raise ValueError("no feature rows to train on")
     spec.validate()
     aggregator.validate()
-    times, sensors, X, y = _rows_to_arrays(rows)
     n_sensors = int(sensors.max()) + 1
     plan = bootstrap_indices(np.unique(times), n_models, seed)
 
@@ -268,7 +258,7 @@ def train_ensemble(
             "dropped %d of %d time indices with empty leave-one-out model sets",
             np.count_nonzero(~usable), usable.size,
         )
-    scores = np.empty(len(rows))
+    scores = np.empty(len(y))
     for p in np.flatnonzero(usable):
         block = order[block_starts[p] : block_stops[p]]
         loo = loo_aggregate(predictions[:, block], excluded[p : p + 1], aggregator)[:, 0]

@@ -33,7 +33,6 @@ class ImputerConfig:
     inner_backend: BackendSpec = field(
         default_factory=lambda: BackendSpec(kind="ridge", ridge_lambda=1.0)
     )
-    init: str = "column_mean"
     seed: int | None = None
 
     def validate(self) -> None:
@@ -41,8 +40,6 @@ class ImputerConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol <= 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.init != "column_mean":
-            raise ValueError(f"unknown init scheme {self.init!r}")
         self.inner_backend.validate()
 
 

@@ -1,7 +1,8 @@
 """Panel data model: sensor geometry, observation masks, lagged feature construction.
 
-Panels and feature rows are read-only after construction, so they are safe to
-share across threads.
+``build_features`` turns a complete panel into the arrays every later stage
+consumes: ``(times, sensors, X, y)``, one supervised row per (t, k).  Panels
+are read-only after construction, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import numpy as np
 __all__ = [
     "SensorMetadata",
     "TimeSeriesPanel",
-    "FeatureRow",
     "load_panel",
     "save_panel",
     "load_sensors",
     "save_sensors",
     "neighbor_sets",
     "build_features",
-    "build_feature_arrays",
 ]
 
 
@@ -88,21 +87,6 @@ class TimeSeriesPanel:
 
     def copy(self) -> "TimeSeriesPanel":
         return TimeSeriesPanel(self.values.copy(), self.mask.copy(), self.sensors)
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    """One supervised example: target ``y`` at (t, k) with lagged neighbor features.
-
-    ``x`` is neighbor-major: for each neighbor (ascending distance, ties by
-    sensor id) the lags appear from t-1 down to t-n_lags, so only strictly
-    earlier values are referenced.
-    """
-
-    t: int
-    k: int
-    x: np.ndarray
-    y: float
 
 
 def load_panel(path: str | Path, missing_token: str = "NA") -> TimeSeriesPanel:
@@ -221,15 +205,21 @@ def neighbor_sets(
     return out
 
 
-def build_feature_arrays(
+def build_features(
     panel: TimeSeriesPanel,
     neighbors: Mapping[int, Sequence[int]],
     n_lags: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Array form of :func:`build_features`: (times, sensors, X, y).
+    """Lagged neighbor features of every (t, k) with t in [n_lags, T): (times, sensors, X, y).
 
-    Rows are ordered by time then sensor.  Requires a complete panel; run the
-    imputer first if there are missing entries.
+    Row i is the supervised example ``y[i] = values[times[i], sensors[i]]``;
+    rows are ordered by time then sensor, (T - n_lags) * K in all.  ``X[i]`` is
+    neighbor-major: for each neighbor of the row's sensor (ascending distance,
+    ties by sensor id) the lags appear from t-1 down to t-n_lags, so only
+    strictly earlier values are referenced and the width is
+    ``n_lags * len(neighbors[k])``.  Requires a complete panel; run the imputer
+    first if there are missing entries.  Pure function: identical inputs give
+    bit-identical arrays.
     """
     if not panel.is_complete:
         raise ValueError("panel has missing entries; impute before building features")
@@ -255,21 +245,3 @@ def build_feature_arrays(
     X = X.reshape(n_rows_per_sensor * K, width)
     y = V[n_lags:, :].reshape(-1)
     return times, sensor_ids, X, y
-
-
-def build_features(
-    panel: TimeSeriesPanel,
-    neighbors: Mapping[int, Sequence[int]],
-    n_lags: int,
-) -> list[FeatureRow]:
-    """Build one supervised row per (t, k) with t in [n_lags, T).
-
-    The feature vector holds ``n_lags`` lags for each neighbor of k, giving a
-    fixed dimension of ``n_lags * len(neighbors[k])``; total row count is
-    (T - n_lags) * K.  Pure function: identical inputs give bit-identical rows.
-    """
-    times, sensor_ids, X, y = build_feature_arrays(panel, neighbors, n_lags)
-    return [
-        FeatureRow(int(times[i]), int(sensor_ids[i]), X[i].copy(), float(y[i]))
-        for i in range(len(times))
-    ]

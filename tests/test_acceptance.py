@@ -19,7 +19,7 @@ from ecad.detector import p_value
 from ecad.ensemble import loo_predict, train_ensemble
 from ecad.evaluation import rguess_expected_f1
 from ecad.imputation import ImputerConfig, impute
-from ecad.panel import FeatureRow, TimeSeriesPanel, build_feature_arrays, neighbor_sets
+from ecad.panel import TimeSeriesPanel, build_features, neighbor_sets
 from ecad.scenario import (
     ErrorSpec,
     ScenarioConfig,
@@ -65,13 +65,12 @@ def _calibration_flag_rate(seed: int, error: ErrorSpec) -> float:
     )
     panel, _ = generate(cfg)
     neighbors = neighbor_sets(panel.sensors, 5)
-    times, sensors, X, y = build_feature_arrays(panel, neighbors, 5)
+    times, sensors, X, y = build_features(panel, neighbors, 5)
     train_sel = times < cfg.n_train
-    rows = [
-        FeatureRow(int(t), int(k), x, float(v))
-        for t, k, x, v in zip(times[train_sel], sensors[train_sel], X[train_sel], y[train_sel])
-    ]
-    ensemble = train_ensemble(rows, BackendSpec(kind="ridge"), 25, seed=seed + 1000)
+    ensemble = train_ensemble(
+        times[train_sel], sensors[train_sel], X[train_sel], y[train_sel],
+        BackendSpec(kind="ridge"), 25, seed=seed + 1000,
+    )
     test_sel = ~train_sel
     detections = ecad.detect_stream(
         ensemble, times[test_sel], sensors[test_sel], X[test_sel], y[test_sel], alpha=0.05
@@ -108,37 +107,44 @@ def test_criterion_2_p_value_oracle_equivalence():
 def test_criterion_3_loo_construction_oracle():
     rng = np.random.default_rng(77)
     n_times, n_sensors, n_models = 8, 2, 5
-    rows = [
-        FeatureRow(t, k, rng.normal(size=3), float(rng.normal()))
-        for t in range(1, n_times + 1)
-        for k in range(n_sensors)
-    ]
+    times = np.repeat(np.arange(1, n_times + 1), n_sensors)
+    sensors = np.tile(np.arange(n_sensors), n_times)
+    draws = [(rng.normal(size=3), float(rng.normal())) for _ in times]
+    X = np.array([x for x, _ in draws])
+    y = np.array([v for _, v in draws])
     spec = BackendSpec(kind="ridge", ridge_lambda=1.0)
-    ensemble = train_ensemble(rows, spec, n_models, seed=123)
+    ensemble = train_ensemble(times, sensors, X, y, spec, n_models, seed=123)
 
     # naive oracle: refit every bootstrap model and re-aggregate from scratch
     def naive_fit(row_idx):
-        X = np.stack([rows[i].x for i in row_idx])
-        y = np.array([rows[i].y for i in row_idx])
-        x_mean, y_mean = X.mean(axis=0), y.mean()
-        Xc, yc = X - x_mean, y - y_mean
+        Xb, yb = X[row_idx], y[row_idx]
+        x_mean, y_mean = Xb.mean(axis=0), yb.mean()
+        Xc, yc = Xb - x_mean, yb - y_mean
         w = _gauss_solve(Xc.T @ Xc + np.eye(3), Xc.T @ yc)
         return lambda x: float((np.asarray(x) - x_mean) @ w + y_mean)
 
     naive_models = []
     for b in range(n_models):
-        idx = [i for bag_t in ensemble.plan.in_bag[b] for i in range(len(rows)) if rows[i].t == bag_t]
+        idx = [i for bag_t in ensemble.plan.in_bag[b] for i in range(len(y)) if times[i] == bag_t]
         naive_models.append(naive_fit(idx))
 
     worst = 0.0
-    score_map = ensemble.training_score_map()
-    for row in rows:
-        excluded = [b for b in range(n_models) if row.t not in set(ensemble.plan.in_bag[b].tolist())]
+    score_map = {
+        (t, k): s
+        for t, k, s in zip(
+            ensemble.score_times.tolist(),
+            ensemble.score_sensors.tolist(),
+            ensemble.score_values.tolist(),
+        )
+    }
+    assert len(score_map) == ensemble.score_values.size
+    for t, k, x, v in zip(times.tolist(), sensors.tolist(), X, y.tolist()):
+        excluded = [b for b in range(n_models) if t not in set(ensemble.plan.in_bag[b].tolist())]
         if not excluded:
-            assert (row.t, row.k) not in score_map
+            assert (t, k) not in score_map
             continue
-        naive_score = abs(row.y - np.mean([naive_models[b](row.x) for b in excluded]))
-        worst = max(worst, abs(score_map[(row.t, row.k)] - naive_score))
+        naive_score = abs(v - np.mean([naive_models[b](x) for b in excluded]))
+        worst = max(worst, abs(score_map[(t, k)] - naive_score))
     probe_rng = np.random.default_rng(5)
     for t in np.unique(ensemble.score_times):
         x = probe_rng.normal(size=3)

@@ -7,10 +7,8 @@ from ecad.backends import (
     init_mlp_params,
     mlp_loss,
     mlp_loss_and_gradients,
-    predict,
 )
 from ecad.ensemble import AggregatorSpec, train_ensemble
-from ecad.panel import FeatureRow
 
 
 def _gauss_solve(A, b):
@@ -74,7 +72,7 @@ def test_predict_duplicated_rows_give_duplicated_outputs():
     y = rng.normal(size=15)
     model = fit(BackendSpec(kind="ridge"), X, y)
     probe = np.vstack([X[3], X[3]])
-    out = predict(model, probe)
+    out = model.predict(probe)
     assert out[0] == out[1]
 
 
@@ -252,19 +250,18 @@ def test_mlp_loss_and_gradients_equal_reference_and_are_not_reused():
 def test_mlp_ensemble_models_share_no_memory_and_equal_standalone_fits():
     rng = np.random.default_rng(9)
     n_times, n_sensors = 30, 3
-    rows = [
-        FeatureRow(t, k, rng.normal(size=4), float(rng.normal()))
-        for t in range(n_times)
-        for k in range(n_sensors)
-    ]
+    times = np.repeat(np.arange(n_times), n_sensors)
+    sensors = np.tile(np.arange(n_sensors), n_times)
+    X = rng.normal(size=(n_times * n_sensors, 4))
+    y = rng.normal(size=n_times * n_sensors)
     spec = BackendSpec(kind="mlp", mlp_hidden=(5, 3), mlp_epochs=15, mlp_learning_rate=0.05, seed=4)
-    ens = train_ensemble(rows, spec, n_models=6, aggregator=AggregatorSpec("mean"), seed=2)
+    ens = train_ensemble(
+        times, sensors, X, y, spec, n_models=6, aggregator=AggregatorSpec("mean"), seed=2
+    )
     arrays = [a for m in ens.models for a in m.weights + m.biases]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1 :]:
             assert not np.shares_memory(a, b)
-    X = np.stack([r.x for r in rows])
-    y = np.array([r.y for r in rows])
     for b, model in enumerate(ens.models):
         bag = [t * n_sensors + k for t in ens.plan.in_bag[b] for k in range(n_sensors)]
         alone = fit(model.spec, X[bag], y[bag])

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -16,7 +18,14 @@ from ecad.cli import (
     run_all,
     train_stage,
 )
-from ecad.config import PipelineConfig, config_from_dict, load_config, resolve_seeds
+from ecad.config import (
+    FeatureConfig,
+    PipelineConfig,
+    config_from_dict,
+    config_to_dict,
+    load_config,
+    resolve_seeds,
+)
 from ecad.panel import TimeSeriesPanel, build_features, load_panel, load_sensors, neighbor_sets
 
 
@@ -168,11 +177,45 @@ def test_detect_features_equal_full_panel_rows(tmp_path, monkeypatch):
         sensors,
     )
     neighbors = neighbor_sets(sensors, cfg.features.neighbor_size)
-    rows = [r for r in build_features(full, neighbors, cfg.features.n_lags) if r.t >= train.n_times]
-    assert np.array_equal(seen["times"], [r.t for r in rows])
-    assert np.array_equal(seen["sensors"], [r.k for r in rows])
-    assert np.array_equal(seen["X"], np.stack([r.x for r in rows]))
-    assert np.array_equal(seen["y"], [r.y for r in rows])
+    times, sensor_ids, X, y = build_features(full, neighbors, cfg.features.n_lags)
+    test_rows = times >= train.n_times
+    assert np.array_equal(seen["times"], times[test_rows])
+    assert np.array_equal(seen["sensors"], sensor_ids[test_rows])
+    assert np.array_equal(seen["X"], X[test_rows])
+    assert np.array_equal(seen["y"], y[test_rows])
+
+
+def _detect_exit(cfg, tmp_path, capsys):
+    """Exit code and stderr of the ``detect`` command run with ``cfg`` as a config file."""
+    path = tmp_path / "detect.json"
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    capsys.readouterr()
+    code = main(["detect", "--config", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_detect_rejects_ensemble_of_other_feature_config(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    other = dataclasses.replace(cfg, features=FeatureConfig(n_lags=3, neighbor_size=3))
+    code, err = _detect_exit(other, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err
+    assert "takes 6 features per point" in err and "gives 9" in err
+
+
+def test_detect_rejects_ensemble_of_other_sensor_count(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    wider = _small_cfg(tmp_path / "wider", n_sensors=5)
+    generate_stage(wider)
+    impute_stage(wider)
+    train_stage(wider)
+    shutil.copy(tmp_path / "wider" / ARTIFACTS["ensemble"], tmp_path / "run" / ARTIFACTS["ensemble"])
+    code, err = _detect_exit(cfg, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err
+    assert "trained on 5 sensors" in err and "has 4" in err
 
 
 def test_stages_are_idempotent(tmp_path):

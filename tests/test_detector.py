@@ -20,7 +20,6 @@ from ecad.detector import (
 )
 from ecad.detector import test_score as detection_score
 from ecad.ensemble import AggregatorSpec, BootstrapPlan, Ensemble, loo_predict, train_ensemble
-from ecad.panel import FeatureRow
 
 
 def _constant_model(value, dim=2):
@@ -31,7 +30,7 @@ def _constant_model(value, dim=2):
 def _manual_ensemble(predictions, dim=2):
     """Ensemble whose LOO predictor at time i is exactly model i.
 
-    Bag b holds every time except b, so loo_models(i) == {i}.
+    Bag b holds every time except b, so the LOO set of time i is {model i}.
     """
     n = len(predictions)
     available = np.arange(n)
@@ -157,20 +156,21 @@ def test_loo_kernel_matches_loo_predict(kind):
     # training scores and the detection matrix both equal the scalar LOO predictor
     rng = np.random.default_rng(8)
     values = rng.normal(size=(30, 2))
-    rows = [
-        FeatureRow(t, k, values[t - 2 : t, k].copy(), float(values[t, k]))
-        for t in range(2, 30)
-        for k in range(2)
-    ]
-    ens = train_ensemble(rows, BackendSpec(kind="ridge"), 6, AggregatorSpec(kind), seed=0)
+    times = np.repeat(np.arange(2, 30), 2)
+    sensors = np.tile(np.arange(2), 28)
+    features = np.stack([values[t - 2 : t, k] for t, k in zip(times, sensors)])
+    targets = values[times, sensors]
+    ens = train_ensemble(
+        times, sensors, features, targets, BackendSpec(kind="ridge"), 6, AggregatorSpec(kind), seed=0
+    )
     sizes = set(ens.usable_loo_mask.sum(axis=1).tolist())
     assert {1, 2, 3, 4} <= sizes
 
-    scores = ens.training_score_map()
-    for row in rows:
-        if (row.t, row.k) in scores:
-            expected = abs(row.y - loo_predict(ens, row.t, row.x))
-            assert scores[(row.t, row.k)] == pytest.approx(expected, abs=1e-12)
+    usable = np.isin(times, ens.usable_times)
+    assert np.array_equal(ens.score_times, times[usable])
+    assert np.array_equal(ens.score_sensors, sensors[usable])
+    for s, t, x, v in zip(ens.score_values, times[usable], features[usable], targets[usable]):
+        assert s == pytest.approx(abs(v - loo_predict(ens, int(t), x)), abs=1e-12)
 
     X = rng.normal(size=(5, 2))
     matrix = loo_prediction_matrix(ens, X, chunk=3)
@@ -195,10 +195,12 @@ def scoring_ensemble(request):
     # prediction chunks change some scores
     rng = np.random.default_rng(11)
     values = rng.normal(size=(700, 10))
-    rows = [
-        FeatureRow(t, 0, values[t - 2 : t].ravel(), float(values[t, 0])) for t in range(2, 700)
-    ]
-    return train_ensemble(rows, BackendSpec(kind="ridge"), 25, AggregatorSpec(request.param), seed=0)
+    times = np.arange(2, 700)
+    X = np.stack([values[t - 2 : t].ravel() for t in times])
+    return train_ensemble(
+        times, np.zeros_like(times), X, values[2:, 0],
+        BackendSpec(kind="ridge"), 25, AggregatorSpec(request.param), seed=0,
+    )
 
 
 def test_batch_test_scores_equal_dense_quantile(scoring_ensemble):
@@ -296,10 +298,13 @@ def test_local_window_matches_set_comprehension_oracle():
 def test_score_store_push_evicts_oldest():
     store = _store({0: [(0, 1.0), (1, 2.0), (2, 3.0)]})
     store.push(0, 10, 9.0)
-    assert store.times_in_age_order(0).tolist() == [1, 2, 10]
+    assert sorted(zip(store.times(0).tolist(), store.scores(0).tolist())) == [
+        (1, 2.0), (2, 3.0), (10, 9.0)
+    ]
     store.push(0, 11, 8.0)
-    assert store.times_in_age_order(0).tolist() == [2, 10, 11]
-    assert store.scores_in_age_order(0).tolist() == [3.0, 9.0, 8.0]
+    assert sorted(zip(store.times(0).tolist(), store.scores(0).tolist())) == [
+        (2, 3.0), (10, 9.0), (11, 8.0)
+    ]
 
 
 def test_score_store_rejects_cold_and_ragged_input():
@@ -317,11 +322,11 @@ def test_score_store_rejects_cold_and_ragged_input():
 def _train_small_ensemble(seed=0, T=80, K=2):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(T, K)).cumsum(axis=0) * 0.05 + rng.normal(size=(T, K))
-    rows = []
-    for t in range(1, T):
-        for k in range(K):
-            rows.append(FeatureRow(t, k, np.array([values[t - 1, k]]), float(values[t, k])))
-    return train_ensemble(rows, BackendSpec(kind="ridge"), 10, seed=seed), values
+    times = np.repeat(np.arange(1, T), K)
+    sensors = np.tile(np.arange(K), T - 1)
+    X = values[times - 1, sensors][:, None]
+    ens = train_ensemble(times, sensors, X, values[times, sensors], BackendSpec(kind="ridge"), 10, seed=seed)
+    return ens, values
 
 
 def test_detect_stream_flags_huge_spike_with_p_zero():
@@ -359,7 +364,6 @@ def test_detect_stream_eviction_audit():
     ens, values = _train_small_ensemble(seed=4)
     T = values.shape[0]
     n_steps = 5
-    initial_times = ens.scores_for_sensor(1)[0]
     stream_t = np.arange(T, T + n_steps)
     stream = detect_stream(
         ens,
@@ -376,9 +380,12 @@ def test_detect_stream_eviction_audit():
     replica = ScoreStore({1: (times, scores)})
     for d in stream:
         replica.push(1, d.t, d.test_score)
-    remaining = set(replica.times_in_age_order(1).tolist())
-    assert set(initial_times[:n_steps].tolist()).isdisjoint(remaining)
-    assert set(initial_times[n_steps:].tolist()) <= remaining
+    remaining = sorted(zip(replica.times(1).tolist(), replica.scores(1).tolist()))
+    expected = sorted(
+        list(zip(times[n_steps:].tolist(), scores[n_steps:].tolist()))
+        + [(d.t, d.test_score) for d in stream]
+    )
+    assert remaining == expected
 
 
 def test_detect_stream_rejects_out_of_order_and_unknown_sensor():

@@ -11,7 +11,6 @@ from ecad.ensemble import (
     save_ensemble,
     train_ensemble,
 )
-from ecad.panel import FeatureRow
 
 
 def _aggregate_all(values, agg):
@@ -27,22 +26,20 @@ def _trimmed_mean_oracle(values, fraction):
     return sum(kept) / len(kept)
 
 
-def _rows_from_matrix(values, n_lags=1):
-    """Single-lag, self-only feature rows from a T x K matrix."""
+def _features_from_matrix(values, n_lags=1):
+    """Self-only lag features (times, sensors, X, y) of a T x K matrix, by time then sensor."""
     T, K = values.shape
-    rows = []
-    for t in range(n_lags, T):
-        for k in range(K):
-            x = np.array([values[t - lag, k] for lag in range(1, n_lags + 1)])
-            rows.append(FeatureRow(t, k, x, float(values[t, k])))
-    return rows
+    times = np.repeat(np.arange(n_lags, T), K)
+    sensors = np.tile(np.arange(K), T - n_lags)
+    X = np.stack([values[times - lag, sensors] for lag in range(1, n_lags + 1)], axis=1)
+    return times, sensors, X, values[times, sensors]
 
 
 def test_bootstrap_single_index_has_empty_loo():
     plan = bootstrap_indices([0], 3, seed=0)
     assert plan.in_bag.shape == (3, 1)
     assert np.all(plan.in_bag == 0)
-    assert plan.loo_models(0).size == 0
+    assert not plan.loo_set(0).any()
 
 
 def test_bootstrap_shapes_and_membership():
@@ -96,8 +93,8 @@ def test_empty_loo_rare_at_operating_scale():
 def test_single_bag_scores_only_out_of_bag_times():
     rng = np.random.default_rng(0)
     values = rng.normal(size=(40, 2))
-    rows = _rows_from_matrix(values)
-    ens = train_ensemble(rows, BackendSpec(kind="ridge"), 1, seed=5)
+    feats = _features_from_matrix(values)
+    ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 1, seed=5)
     in_bag = set(ens.plan.in_bag[0].tolist())
     available = set(ens.plan.available.tolist())
     scored = set(ens.score_times.tolist())
@@ -105,12 +102,31 @@ def test_single_bag_scores_only_out_of_bag_times():
     assert ens.dropped_empty_loo == len(available & in_bag)
 
 
+def test_train_ensemble_rejects_unequal_length_arrays():
+    times, sensors, X, y = _features_from_matrix(np.random.default_rng(8).normal(size=(10, 2)))
+    spec = BackendSpec(kind="ridge")
+    for args in [
+        (times[:-1], sensors, X, y),
+        (times, sensors[:-1], X, y),
+        (times, sensors, X[:-1], y),
+        (times, sensors, X, y[:-1]),
+    ]:
+        with pytest.raises(ValueError, match="feature arrays differ in length"):
+            train_ensemble(*args, spec, 3, seed=0)
+
+
+def test_train_ensemble_rejects_empty_arrays():
+    times, sensors, X, y = _features_from_matrix(np.random.default_rng(8).normal(size=(10, 2)))
+    with pytest.raises(ValueError, match="no feature rows"):
+        train_ensemble(times[:0], sensors[:0], X[:0], y[:0], BackendSpec(kind="ridge"), 3, seed=0)
+
+
 def test_noiseless_linear_scores_are_zero():
     t = np.arange(60, dtype=float)
     values = np.column_stack([2.0 * t + 1.0, 2.0 * t + 5.0])
     # both sensors satisfy y_t = y_{t-1} + 2, so one lag feature fits exactly
-    rows = _rows_from_matrix(values)
-    ens = train_ensemble(rows, BackendSpec(kind="ridge", ridge_lambda=0.0), 10, seed=2)
+    feats = _features_from_matrix(values)
+    ens = train_ensemble(*feats, BackendSpec(kind="ridge", ridge_lambda=0.0), 10, seed=2)
     assert ens.score_values.size > 0
     assert np.max(ens.score_values) < 1e-6
 
@@ -119,10 +135,10 @@ def test_no_training_score_uses_in_bag_model():
     # construction audit: the LOO model set of every scored time must be
     # disjoint from the bags containing that time
     rng = np.random.default_rng(1)
-    rows = _rows_from_matrix(rng.normal(size=(30, 2)))
-    ens = train_ensemble(rows, BackendSpec(kind="ridge"), 8, seed=3)
+    feats = _features_from_matrix(rng.normal(size=(30, 2)))
+    ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 8, seed=3)
     for t in np.unique(ens.score_times):
-        loo = set(ens.plan.loo_models(int(t)).tolist())
+        loo = set(np.flatnonzero(ens.plan.loo_set(int(t))).tolist())
         for b in range(ens.n_models):
             if int(t) in set(ens.plan.in_bag[b].tolist()):
                 assert b not in loo
@@ -130,18 +146,18 @@ def test_no_training_score_uses_in_bag_model():
 
 def test_loo_predict_mean_and_median():
     rng = np.random.default_rng(2)
-    rows = _rows_from_matrix(rng.normal(size=(25, 2)))
+    feats = _features_from_matrix(rng.normal(size=(25, 2)))
     for agg, combine in [
         (AggregatorSpec("mean"), np.mean),
         (AggregatorSpec("median"), np.median),
         # the first usable time has 3 LOO models, so 0.4 trims one from each end
         (AggregatorSpec("trimmed_mean", 0.4), lambda v: _trimmed_mean_oracle(v, 0.4)),
     ]:
-        ens = train_ensemble(rows, BackendSpec(kind="ridge"), 6, aggregator=agg, seed=4)
+        ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 6, aggregator=agg, seed=4)
         t = int(ens.usable_times[0])
-        x = rows[0].x
+        x = feats[2][0]
         expected = combine(
-            [ens.models[b].predict(x[None, :])[0] for b in ens.plan.loo_models(t)]
+            [ens.models[b].predict(x[None, :])[0] for b in np.flatnonzero(ens.plan.loo_set(t))]
         )
         assert loo_predict(ens, t, x) == pytest.approx(float(expected), abs=1e-12)
 
@@ -217,31 +233,27 @@ def test_mean_over_identical_models_equals_single_model():
     from ecad.backends import fit as fit_backend
 
     values = np.cumsum(np.ones((20, 1)), axis=0) + 0.25
-    rows = _rows_from_matrix(values)
-    model = fit_backend(
-        BackendSpec(kind="ridge"),
-        np.stack([r.x for r in rows]),
-        np.array([r.y for r in rows]),
-    )
-    x = rows[5].x[None, :]
+    _, _, X, y = _features_from_matrix(values)
+    model = fit_backend(BackendSpec(kind="ridge"), X, y)
+    x = X[5][None, :]
     single = model.predict(x)[0]
     preds = np.array([single] * 4)
     assert _aggregate_all(preds, AggregatorSpec("mean")) == single
 
 
 def test_loo_predict_empty_set_errors():
-    plan_rows = _rows_from_matrix(np.random.default_rng(4).normal(size=(6, 1)))
-    ens = train_ensemble(plan_rows, BackendSpec(kind="ridge"), 1, seed=1)
+    feats = _features_from_matrix(np.random.default_rng(4).normal(size=(6, 1)))
+    ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 1, seed=1)
     in_bag_times = set(ens.plan.in_bag[0].tolist())
     t = next(iter(in_bag_times))
     with pytest.raises(ValueError, match="empty leave-one-out"):
-        loo_predict(ens, int(t), plan_rows[0].x)
+        loo_predict(ens, int(t), feats[2][0])
 
 
 def test_ensemble_roundtrip_through_disk(tmp_path):
     rng = np.random.default_rng(5)
-    rows = _rows_from_matrix(rng.normal(size=(30, 3)))
-    ens = train_ensemble(rows, BackendSpec(kind="ridge", ridge_lambda=0.7), 7, seed=9)
+    feats = _features_from_matrix(rng.normal(size=(30, 3)))
+    ens = train_ensemble(*feats, BackendSpec(kind="ridge", ridge_lambda=0.7), 7, seed=9)
     path = tmp_path / "ensemble.npz"
     save_ensemble(ens, path)
     loaded = load_ensemble(path)
@@ -250,14 +262,14 @@ def test_ensemble_roundtrip_through_disk(tmp_path):
     assert np.array_equal(loaded.plan.in_bag, ens.plan.in_bag)
     assert np.array_equal(loaded.score_values, ens.score_values)
     assert np.array_equal(loaded.score_times, ens.score_times)
-    x = rows[0].x[None, :]
+    x = feats[2][:1]
     assert np.array_equal(loaded.predict_all_models(x), ens.predict_all_models(x))
 
 
 def test_ensemble_version_refusal(tmp_path):
     rng = np.random.default_rng(6)
-    rows = _rows_from_matrix(rng.normal(size=(12, 1)))
-    ens = train_ensemble(rows, BackendSpec(kind="ridge"), 3, seed=0)
+    feats = _features_from_matrix(rng.normal(size=(12, 1)))
+    ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 3, seed=0)
     path = tmp_path / "ensemble.npz"
     save_ensemble(ens, path)
     import json
@@ -286,8 +298,8 @@ def test_ensemble_version_refusal(tmp_path):
 )
 def test_ensemble_shape_refusal(tmp_path, corrupt, name):
     rng = np.random.default_rng(6)
-    rows = _rows_from_matrix(rng.normal(size=(12, 2)))
-    ens = train_ensemble(rows, BackendSpec(kind="ridge"), 3, seed=0)
+    feats = _features_from_matrix(rng.normal(size=(12, 2)))
+    ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 3, seed=0)
     path = tmp_path / "ensemble.npz"
     save_ensemble(ens, path)
     with np.load(path) as data:
@@ -300,8 +312,8 @@ def test_ensemble_shape_refusal(tmp_path, corrupt, name):
 
 def test_mlp_backend_trains_in_ensemble():
     rng = np.random.default_rng(7)
-    rows = _rows_from_matrix(rng.normal(size=(20, 2)))
+    feats = _features_from_matrix(rng.normal(size=(20, 2)))
     spec = BackendSpec(kind="mlp", mlp_hidden=(4,), mlp_epochs=20, mlp_learning_rate=0.05, seed=0)
-    ens = train_ensemble(rows, spec, 3, seed=1)
+    ens = train_ensemble(*feats, spec, 3, seed=1)
     assert ens.score_values.size > 0
     assert np.isfinite(ens.score_values).all()

@@ -98,8 +98,6 @@ def test_imputer_config_validation():
         ImputerConfig(max_iters=0).validate()
     with pytest.raises(ValueError):
         ImputerConfig(tol=0.0).validate()
-    with pytest.raises(ValueError):
-        ImputerConfig(init="zeros").validate()
 
 
 def test_masked_placeholders_never_enter_the_computation():

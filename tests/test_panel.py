@@ -4,7 +4,6 @@ import pytest
 from ecad.panel import (
     SensorMetadata,
     TimeSeriesPanel,
-    build_feature_arrays,
     build_features,
     load_panel,
     load_sensors,
@@ -167,21 +166,20 @@ def test_build_features_single_sensor_lags():
     panel = TimeSeriesPanel(
         np.array([[1.0], [2.0], [3.0], [4.0]]), np.ones((4, 1), dtype=bool)
     )
-    rows = build_features(panel, {0: (0,)}, 2)
-    assert len(rows) == 2
-    assert rows[0].t == 2 and rows[0].y == 3.0
-    assert rows[0].x.tolist() == [2.0, 1.0]
-    assert rows[1].t == 3 and rows[1].y == 4.0
-    assert rows[1].x.tolist() == [3.0, 2.0]
+    times, sensors, X, y = build_features(panel, {0: (0,)}, 2)
+    assert times.tolist() == [2, 3]
+    assert sensors.tolist() == [0, 0]
+    assert y.tolist() == [3.0, 4.0]
+    assert X.tolist() == [[2.0, 1.0], [3.0, 2.0]]
 
 
 def test_build_features_dimension_is_lags_times_neighbors():
     rng = np.random.default_rng(6)
     sensors = _grid_sensors(rng.uniform(size=(6, 2)))
     panel = TimeSeriesPanel(rng.normal(size=(12, 6)), np.ones((12, 6), dtype=bool), sensors)
-    rows = build_features(panel, neighbor_sets(sensors, 5), 5)
-    assert rows[0].x.shape == (25,)
-    assert len(rows) == (12 - 5) * 6
+    times, sensor_ids, X, y = build_features(panel, neighbor_sets(sensors, 5), 5)
+    assert X.shape == ((12 - 5) * 6, 25)
+    assert times.shape == sensor_ids.shape == y.shape == ((12 - 5) * 6,)
 
 
 def test_build_features_matches_direct_index_lookup():
@@ -190,12 +188,15 @@ def test_build_features_matches_direct_index_lookup():
     values = rng.normal(size=(10, 3))
     panel = TimeSeriesPanel(values, np.ones((10, 3), dtype=bool), sensors)
     neighbors = neighbor_sets(sensors, 2)
-    rows = build_features(panel, neighbors, 3)
-    for row in rows:
-        assert row.y == values[row.t, row.k]
-        for j, nb in enumerate(neighbors[row.k]):
+    times, sensor_ids, X, y = build_features(panel, neighbors, 3)
+    assert [(t, k) for t, k in zip(times.tolist(), sensor_ids.tolist())] == [
+        (t, k) for t in range(3, 10) for k in range(3)
+    ]
+    for t, k, x, v in zip(times, sensor_ids, X, y):
+        assert v == values[t, k]
+        for j, nb in enumerate(neighbors[k]):
             for lag in range(1, 4):
-                assert row.x[j * 3 + (lag - 1)] == values[row.t - lag, nb]
+                assert x[j * 3 + (lag - 1)] == values[t - lag, nb]
 
 
 def test_build_features_is_pure():
@@ -203,8 +204,8 @@ def test_build_features_is_pure():
     sensors = _grid_sensors(rng.uniform(size=(4, 2)))
     panel = TimeSeriesPanel(rng.normal(size=(9, 4)), np.ones((9, 4), dtype=bool), sensors)
     neighbors = neighbor_sets(sensors, 3)
-    first = build_feature_arrays(panel, neighbors, 2)
-    second = build_feature_arrays(panel, neighbors, 2)
+    first = build_features(panel, neighbors, 2)
+    second = build_features(panel, neighbors, 2)
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
 
@@ -218,25 +219,23 @@ def test_build_features_never_leaks_future_values():
     panel = TimeSeriesPanel(values, np.ones((8, 3), dtype=bool), sensors)
     neighbors = neighbor_sets(sensors, 3)
     n_lags = 3
-    rows = build_features(panel, neighbors, n_lags)
-    bumped = values.copy()
+    times, _, X, _ = build_features(panel, neighbors, n_lags)
     target_t = 5
+    target = times == target_t
+    assert target.sum() == 3
+    bumped = values.copy()
     bumped[target_t:] += 100.0
-    bumped_rows = build_features(
+    _, _, bumped_X, _ = build_features(
         TimeSeriesPanel(bumped, np.ones((8, 3), dtype=bool), sensors), neighbors, n_lags
     )
-    for before, after in zip(rows, bumped_rows):
-        if before.t == target_t:
-            assert np.array_equal(before.x, after.x)
+    assert np.array_equal(X[target], bumped_X[target])
     # and perturbing time t - n_lags - 1 must also leave row t unchanged
     older = values.copy()
     older[target_t - n_lags - 1] += 100.0
-    older_rows = build_features(
+    _, _, older_X, _ = build_features(
         TimeSeriesPanel(older, np.ones((8, 3), dtype=bool), sensors), neighbors, n_lags
     )
-    for before, after in zip(rows, older_rows):
-        if before.t == target_t:
-            assert np.array_equal(before.x, after.x)
+    assert np.array_equal(X[target], older_X[target])
 
 
 def test_build_features_rejects_incomplete_panel():

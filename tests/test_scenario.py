@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ecad.backends import BackendSpec, fit
-from ecad.panel import SensorMetadata, TimeSeriesPanel, build_feature_arrays, neighbor_sets
+from ecad.panel import SensorMetadata, TimeSeriesPanel, build_features, neighbor_sets
 from ecad.scenario import (
     ErrorSpec,
     InjectionSpec,
@@ -31,7 +31,7 @@ def test_noiseless_linear_panel_is_the_recursion_fixed_point():
     # zero noise starts at the base level and the recursion stays there
     assert np.allclose(panel.values, panel.values[0, 0])
     nb = neighbor_sets(panel.sensors, 3)
-    _, _, X, y = build_feature_arrays(panel, nb, 2)
+    _, _, X, y = build_features(panel, nb, 2)
     model = fit(BackendSpec(kind="ridge", ridge_lambda=0.0), X, y)
     assert np.max(np.abs(model.predict(X) - y)) < 1e-8
 
@@ -42,7 +42,7 @@ def test_linear_model_coefficients_recoverable_by_regression():
     cfg = ScenarioConfig(n_sensors=10, n_train=4000, n_test=0, noise_sigma=1.0, seed=2)
     panel, _ = generate(cfg)
     nb = neighbor_sets(panel.sensors, 3)
-    _, _, X, y = build_feature_arrays(panel, nb, 2)
+    _, _, X, y = build_features(panel, nb, 2)
     model = fit(BackendSpec(kind="ridge", ridge_lambda=1e-8), X, y)
     assert np.max(np.abs(model.weights - _ar_coefficients(3, 2).ravel())) < 0.02
 
