@@ -194,13 +194,26 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     ensemble_path = _require(cfg, "ensemble", "train")
     train_path = _require(cfg, "completed_panel", "impute")
     test_path = _require(cfg, "test_panel", "generate")
-    sensors = load_sensors(_require(cfg, "sensors", "generate"))
+    sensors_path = _require(cfg, "sensors", "generate")
+    sensors = load_sensors(sensors_path)
 
     ensemble = load_ensemble(ensemble_path)
     train = load_panel(train_path, cfg.missing_token)
     test = load_panel(test_path, cfg.missing_token)
     if not test.is_complete:
         raise StageError("config", f"test panel {test_path} has missing entries")
+    if train.n_sensors != test.n_sensors:
+        raise StageError(
+            "config",
+            f"training panel {train_path} has {train.n_sensors} sensors, "
+            f"but test panel {test_path} has {test.n_sensors}",
+        )
+    if len(sensors) != test.n_sensors:
+        raise StageError(
+            "config",
+            f"sensor file {sensors_path} lists {len(sensors)} sensors, "
+            f"but test panel {test_path} has {test.n_sensors}",
+        )
     n_lags, neighbor_size = cfg.features.n_lags, cfg.features.neighbor_size
     input_dim = ensemble.models[0].input_dim
     if input_dim != n_lags * neighbor_size:
@@ -247,11 +260,17 @@ def detect_stage(cfg: PipelineConfig) -> dict:
         exclude_flagged_from_window=cfg.detector.exclude_flagged_from_window,
     )
 
+    columns = (
+        detections.t,
+        detections.k,
+        detections.test_score,
+        detections.p_value,
+        detections.flagged.view(np.uint8),
+    )
     lines = ["t,k,test_score,p_value,flagged"]
-    for d in detections:
-        lines.append(f"{d.t},{d.k},{d.test_score!r},{d.p_value!r},{int(d.flagged)}")
+    lines += [f"{t},{k},{s!r},{p!r},{f}" for t, k, s, p, f in zip(*(c.tolist() for c in columns))]
     _artifact(cfg, "detections").write_text("\n".join(lines) + "\n")
-    n_flagged = sum(d.flagged for d in detections)
+    n_flagged = int(np.count_nonzero(detections.flagged))
     return {
         "stage": "detect",
         "points": len(detections),

@@ -218,6 +218,34 @@ def test_detect_rejects_ensemble_of_other_sensor_count(tmp_path, capsys):
     assert "trained on 5 sensors" in err and "has 4" in err
 
 
+def test_detect_rejects_training_panel_of_other_sensor_count(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    wider = _small_cfg(tmp_path / "wider", n_sensors=5)
+    generate_stage(wider)
+    impute_stage(wider)
+    shutil.copy(
+        tmp_path / "wider" / ARTIFACTS["completed_panel"],
+        tmp_path / "run" / ARTIFACTS["completed_panel"],
+    )
+    code, err = _detect_exit(cfg, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err
+    assert ARTIFACTS["completed_panel"] in err and "has 5 sensors" in err and "has 4" in err
+
+
+def test_detect_rejects_sensor_file_of_other_sensor_count(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    wider = _small_cfg(tmp_path / "wider", n_sensors=5)
+    generate_stage(wider)
+    shutil.copy(tmp_path / "wider" / ARTIFACTS["sensors"], tmp_path / "run" / ARTIFACTS["sensors"])
+    code, err = _detect_exit(cfg, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err
+    assert ARTIFACTS["sensors"] in err and "lists 5 sensors" in err and "has 4" in err
+
+
 def test_stages_are_idempotent(tmp_path):
     cfg = _small_cfg(tmp_path / "run")
     run_all(cfg)

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from ecad.backends import BackendSpec, RidgeModel
 from ecad.detector import (
     _PREDICT_CHUNK,
     Detection,
+    Detections,
     LocalityConfig,
     ScoreStore,
     batch_test_scores,
@@ -473,3 +475,150 @@ def test_detection_record_invariants():
         rank = d.p_value * d.comparison_count
         assert abs(rank - round(rank)) < 1e-9
         assert d.test_score >= 0.0
+
+
+def test_detections_columns_match_rows():
+    ens, values = _train_small_ensemble(seed=12)
+    T = values.shape[0]
+    rng = np.random.default_rng(12)
+    dets = detect_stream(
+        ens, np.repeat([T, T + 1], 2), [0, 1, 0, 1], rng.normal(size=(4, 1)), rng.normal(size=4),
+        alpha=0.05,
+    )
+    assert isinstance(dets, Detections) and len(dets) == 4
+    rows = list(dets)
+    assert rows[-1] == dets[-1] == dets[3]
+    assert [r.t for r in rows] == dets.t.tolist() == [T, T, T + 1, T + 1]
+    assert [r.k for r in rows] == dets.k.tolist() == [0, 1, 0, 1]
+    assert [r.test_score for r in rows] == dets.test_score.tolist()
+    assert [r.p_value for r in rows] == dets.p_value.tolist()
+    assert [r.flagged for r in rows] == dets.flagged.tolist()
+    assert [r.comparison_count for r in rows] == dets.comparison_count.tolist()
+
+
+def test_detect_stream_rejects_time_going_back_across_sensors():
+    ens, values = _train_small_ensemble(seed=5)
+    T = values.shape[0]
+    with pytest.raises(ValueError, match="non-decreasing"):
+        detect_stream(ens, [T + 1, T], [0, 1], np.zeros((2, 1)), np.zeros(2), alpha=0.05)
+
+
+def test_detect_stream_rejects_duplicate_item():
+    ens, values = _train_small_ensemble(seed=5)
+    T = values.shape[0]
+    with pytest.raises(ValueError, match="duplicate"):
+        detect_stream(ens, [T, T, T], [0, 1, 0], np.zeros((3, 1)), np.zeros(3), alpha=0.05)
+
+
+def test_detect_stream_rejects_time_inside_retained_window():
+    ens, values = _train_small_ensemble(seed=5)
+    last = int(ens.scores_for_sensor(1)[0].max())
+    with pytest.raises(ValueError, match="out-of-order.*already holds"):
+        detect_stream(ens, [last], [1], np.zeros((1, 1)), np.zeros(1), alpha=0.05)
+
+
+def test_detect_stream_ragged_timestamps_match_per_sensor_streams():
+    # without locality each sensor ranks against its own window only, so a
+    # timestamp missing some sensors equals the per-sensor streams run apart
+    ens, values = _train_small_ensemble(seed=13, K=3)
+    T = values.shape[0]
+    rng = np.random.default_rng(13)
+    stream_t = np.array([T, T, T + 1, T + 2, T + 2, T + 2, T + 4])
+    stream_k = np.array([2, 0, 1, 0, 1, 2, 1])
+    stream_x = rng.normal(size=(7, 1))
+    stream_y = rng.normal(size=7)
+    dets = detect_stream(ens, stream_t, stream_k, stream_x, stream_y, alpha=0.1)
+    for k in range(3):
+        sel = stream_k == k
+        alone = detect_stream(ens, stream_t[sel], stream_k[sel], stream_x[sel], stream_y[sel], alpha=0.1)
+        assert [dets[j] for j in np.flatnonzero(sel)] == list(alone)
+
+
+def _locality_stream(seed, n_times, ragged):
+    """12-sensor ensemble and a test stream of n_times timestamps with spikes."""
+    ens, values = _train_small_ensemble(seed=seed, K=12)
+    T = values.shape[0]
+    rng = np.random.default_rng(seed)
+    stream_t, stream_k = [], []
+    t = T
+    for _ in range(n_times):
+        present = rng.permutation(12)
+        if ragged:
+            present = present[: rng.integers(1, 13)]
+        stream_t += [t] * present.size
+        stream_k += present.tolist()
+        t += int(rng.integers(1, 3))
+    n = len(stream_t)
+    stream_x = rng.normal(size=(n, 1))
+    stream_y = rng.normal(size=n) + np.where(rng.random(n) < 0.15, 12.0, 0.0)
+    return ens, np.array(stream_t), np.array(stream_k), stream_x, stream_y
+
+
+# neighbor sets of unequal size, each holding the sensor itself
+_NEIGHBORS = {k: tuple((k + 3 * i) % 12 for i in range(1 + k % 4)) for k in range(12)}
+
+
+@pytest.mark.parametrize("variant", ["neighbor_sensors", "as_printed"])
+def test_detect_stream_locality_ignores_sensor_order_within_timestamp(variant):
+    ens, stream_t, stream_k, stream_x, stream_y = _locality_stream(21, 12, ragged=False)
+    locality = LocalityConfig(enabled=True, n_lags=3, variant=variant)
+    rows = {}
+    for seed in (0, 1):
+        order = np.lexsort((np.random.default_rng(seed).random(stream_t.size), stream_t))
+        dets = detect_stream(
+            ens, stream_t[order], stream_k[order], stream_x[order], stream_y[order],
+            alpha=0.1, locality=locality, neighbors=_NEIGHBORS,
+        )
+        rows[seed] = {(d.t, d.k): d for d in dets}
+    assert rows[0] == rows[1]
+    assert any(d.flagged for d in rows[0].values())
+
+
+def _replay(ens, stream_t, stream_k, scores, alpha, locality, neighbors, exclude_flagged):
+    """(rank count, comparison-set size) per item, ranked point by point against a
+    copy of the store taken at the end of the previous timestamp."""
+    store = ScoreStore({k: ens.scores_for_sensor(k) for k in range(ens.n_sensors)})
+    out = []
+    for t in dict.fromkeys(stream_t.tolist()):
+        snapshot = copy.deepcopy(store)
+        for j in np.flatnonzero(stream_t == t):
+            k, s = int(stream_k[j]), float(scores[j])
+            if not locality.enabled:
+                window = snapshot.scores(k)
+            elif locality.variant == "as_printed":
+                window = np.concatenate([snapshot.scores(i) for i in snapshot.sensor_ids])
+            else:
+                window = local_window(snapshot, t, k, locality.n_lags, neighbors[k])
+            count = int(np.count_nonzero(window >= s))
+            out.append((count, window.size))
+            if not (exclude_flagged and count / window.size <= alpha):
+                store.push(k, t, s)
+    return out
+
+
+@pytest.mark.parametrize("exclude_flagged", [False, True], ids=["slide", "exclude"])
+@pytest.mark.parametrize(
+    "locality",
+    [
+        LocalityConfig(),
+        LocalityConfig(enabled=True, n_lags=3),
+        LocalityConfig(enabled=True, n_lags=500),  # more lags than the window holds
+        LocalityConfig(enabled=True, variant="as_printed"),
+    ],
+    ids=["plain", "neighbors", "neighbors-saturated", "as_printed"],
+)
+def test_detect_stream_matches_point_by_point_oracle(locality, exclude_flagged):
+    ens, stream_t, stream_k, stream_x, stream_y = _locality_stream(31, 15, ragged=True)
+    alpha = 0.1
+    dets = detect_stream(
+        ens, stream_t, stream_k, stream_x, stream_y, alpha=alpha, locality=locality,
+        neighbors=_NEIGHBORS, exclude_flagged_from_window=exclude_flagged,
+    )
+    # the saturated case reaches back past every retained score
+    assert locality.n_lags < 500 or locality.n_lags > ens.scores_for_sensor(0)[0].size
+    expected = _replay(
+        ens, stream_t, stream_k, dets.test_score, alpha, locality, _NEIGHBORS, exclude_flagged
+    )
+    assert dets.comparison_count.tolist() == [size for _, size in expected]
+    assert dets.p_value.tolist() == [count / size for count, size in expected]
+    assert dets.flagged.any() and not dets.flagged.all()
