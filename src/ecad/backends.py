@@ -303,21 +303,33 @@ def _fit_mlp(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> MLPModel:
     weights, biases = init_mlp_params(X.shape[1], spec.mlp_hidden, rng)
     lr = spec.mlp_learning_rate
     ws = _MLPWorkspace(weights, X.shape[0])
-    for _ in range(spec.mlp_epochs):
-        _backprop(ws, weights, biases, Xs, ys)
-        for param, grad in zip(weights + biases, ws.grad_w + ws.grad_b):
-            grad *= lr
-            param -= grad
+    # a step size too large for the data overflows; `fit` rejects the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(spec.mlp_epochs):
+            _backprop(ws, weights, biases, Xs, ys)
+            for param, grad in zip(weights + biases, ws.grad_w + ws.grad_b):
+                grad *= lr
+                param -= grad
     return MLPModel(spec, weights, biases, x_mean, x_std, y_mean, y_std)
 
 
 def fit(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> RidgeModel | MLPModel:
-    """Fit the configured backend on (X, y); deterministic given the spec seed."""
+    """Fit the configured backend on (X, y); deterministic given the spec seed.
+
+    A fit whose state is not finite (an MLP step size too large for the data)
+    raises ValueError.
+    """
     spec.validate()
     X, y = _check_training_inputs(X, y)
-    if spec.kind == "ridge":
-        return _fit_ridge(spec, X, y)
-    return _fit_mlp(spec, X, y)
+    model = _fit_ridge(spec, X, y) if spec.kind == "ridge" else _fit_mlp(spec, X, y)
+    if not all(np.isfinite(a).all() for a in model.state_arrays().values()):
+        if spec.kind == "mlp":
+            raise ValueError(
+                f"MLP fit diverged to non-finite weights; lower mlp_learning_rate "
+                f"(got {spec.mlp_learning_rate})"
+            )
+        raise ValueError("ridge fit produced non-finite weights")
+    return model
 
 
 def model_from_state(spec: BackendSpec, arrays: dict[str, np.ndarray]) -> RidgeModel | MLPModel:

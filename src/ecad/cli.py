@@ -159,16 +159,19 @@ def _train_impl(cfg: PipelineConfig, stage: str) -> dict:
         raise StageError("config", f"completed panel {panel_path} still has missing entries")
     neighbors = neighbor_sets(panel.sensors, cfg.features.neighbor_size)
     times, sensors, X, y = build_features(panel, neighbors, cfg.features.n_lags)
-    ensemble = train_ensemble(
-        times,
-        sensors,
-        X,
-        y,
-        cfg.backend,
-        cfg.ensemble.n_models,
-        cfg.ensemble.aggregator,
-        seed=cfg.ensemble.seed or 0,
-    )
+    try:
+        ensemble = train_ensemble(
+            times,
+            sensors,
+            X,
+            y,
+            cfg.backend,
+            cfg.ensemble.n_models,
+            cfg.ensemble.aggregator,
+            seed=cfg.ensemble.seed or 0,
+        )
+    except ValueError as exc:
+        raise StageError("config", str(exc)) from exc
     save_ensemble(ensemble, _artifact(cfg, "ensemble"))
     return {
         "stage": stage,
@@ -197,7 +200,10 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     sensors_path = _require(cfg, "sensors", "generate")
     sensors = load_sensors(sensors_path)
 
-    ensemble = load_ensemble(ensemble_path)
+    try:
+        ensemble = load_ensemble(ensemble_path)
+    except ValueError as exc:
+        raise StageError("config", f"ensemble artifact {ensemble_path}: {exc}") from exc
     train = load_panel(train_path, cfg.missing_token)
     test = load_panel(test_path, cfg.missing_token)
     if not test.is_complete:

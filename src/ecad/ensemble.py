@@ -14,7 +14,7 @@ import io
 import json
 import logging
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable
 
@@ -67,17 +67,91 @@ class AggregatorSpec:
         return cut, count - cut
 
 
+# points per wire of the selection network in loo_aggregate
+_NETWORK_TILE = 128
+
+
+@lru_cache(maxsize=None)  # one entry per (set size, rank window) in use: at most B per aggregator
+def _selection_network(count: int, lo: int, hi: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    """Comparators ``(a, b, want_min, want_max)`` that place ranks [lo, hi) of ``count`` wires.
+
+    The network is Batcher's odd-even merge sort over ``count`` wires padded to
+    a power of two.  The pad wires would hold +inf, so every comparator that
+    touches one is a no-op and is dropped.  A backward liveness pass then drops
+    the comparators whose outputs never reach ranks lo..hi-1; ``want_min`` /
+    ``want_max`` say which of a kept comparator's two outputs is read later.
+    """
+    width = 1 << (count - 1).bit_length()
+    comparators = []
+    p = 1
+    while p < width:
+        k = p
+        while k >= 1:
+            for j in range(k % p, width - k, 2 * k):
+                for i in range(min(k, width - j - k)):
+                    a, b = i + j, i + j + k
+                    if a // (2 * p) == b // (2 * p) and b < count:
+                        comparators.append((a, b))
+            k //= 2
+        p *= 2
+    live = set(range(lo, hi))
+    kept = []
+    for a, b in reversed(comparators):
+        want_min, want_max = a in live, b in live
+        if want_min or want_max:
+            kept.append((a, b, want_min, want_max))
+            live.update((a, b))
+    return tuple(reversed(kept))
+
+
+def _window_mean(wires: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Mean of ranks [lo, hi) over the leading axis of ``wires``, which it overwrites.
+
+    The comparator outputs are exactly the sorted values, and the window is
+    summed one rank at a time in ascending order, so the result is bit-identical
+    to sorting along axis 0 and summing ``sorted[lo:hi]`` in order.
+    """
+    w = list(wires)
+    spare = np.empty_like(w[0])
+    for a, b, want_min, want_max in _selection_network(len(w), lo, hi):
+        if not want_max:
+            np.minimum(w[a], w[b], out=w[a])
+        elif not want_min:
+            np.maximum(w[a], w[b], out=w[b])
+        else:
+            np.minimum(w[a], w[b], out=spare)
+            np.maximum(w[a], w[b], out=w[b])
+            w[a], spare = spare, w[a]
+    total = w[lo]
+    for r in range(lo + 1, hi):
+        total += w[r]
+    total /= hi - lo
+    return total
+
+
+def _check_finite_predictions(preds: np.ndarray) -> None:
+    # a NaN would score as "flagged" downstream, and np.sort puts it last while
+    # np.minimum/np.maximum spread it, so the network and the sort would disagree
+    if not np.isfinite(preds).all():
+        raise ValueError("cannot aggregate non-finite model predictions")
+
+
 def loo_aggregate(preds: np.ndarray, excluded: np.ndarray, agg: AggregatorSpec) -> np.ndarray:
     """(n, m) aggregates of (B, n) model predictions over m leave-one-out model sets.
 
     The result is point-major: row j holds point j's aggregate over each LOO
     set, and column i combines the models that ``excluded[i]`` (an (m, B)
     boolean matrix) marks: the mean of the rank window ``agg.rank_window`` of
-    their sorted predictions at each point.  The window is summed one rank at
-    a time in ascending order, so the median and trimmed mean do not depend on
-    the number of points.
+    their sorted predictions at each point.  For the median and trimmed mean,
+    all LOO sets of one size go through one comparator network at once (see
+    `_selection_network`), a tile of points at a time; its outputs are the
+    sorted values themselves, and the window is summed one rank at a time in
+    ascending order, so the aggregates equal those of a per-set sort exactly
+    and do not depend on the number of points.  Non-finite predictions are
+    rejected.
     """
     agg.validate()
+    _check_finite_predictions(preds)
     counts = excluded.sum(axis=1)
     if (counts == 0).any():
         raise ValueError("cannot aggregate an empty leave-one-out model set")
@@ -85,16 +159,17 @@ def loo_aggregate(preds: np.ndarray, excluded: np.ndarray, agg: AggregatorSpec) 
         out = preds.T @ excluded.T.astype(np.float64)
         out /= counts
         return out
-    out = np.empty((preds.shape[1], excluded.shape[0]))
-    for i, models in enumerate(excluded):
-        ranked = preds[models].T.copy()  # (n, count): each point's predictions contiguous
-        ranked.sort(axis=1)
-        lo, hi = agg.rank_window(int(counts[i]))
-        column = out[:, i]
-        column[:] = ranked[:, lo]
-        for r in range(lo + 1, hi):
-            column += ranked[:, r]
-        column /= hi - lo
+    n = preds.shape[1]
+    out = np.empty((n, excluded.shape[0]))
+    groups = []
+    for count in np.unique(counts).tolist():
+        idx = np.flatnonzero(counts == count)
+        members = np.nonzero(excluded[idx])[1].reshape(idx.size, count).T  # (count, g)
+        groups.append((idx, members, *agg.rank_window(count)))
+    for start in range(0, n, _NETWORK_TILE):
+        tile = preds[:, start : start + _NETWORK_TILE]
+        for idx, members, lo, hi in groups:
+            out[start : start + _NETWORK_TILE, idx] = _window_mean(tile[members], lo, hi).T
     return out
 
 
@@ -219,7 +294,9 @@ def train_ensemble(
     Model b trains on all rows (every sensor) whose time index lies in its bag,
     honoring duplicates.  The training score of row (i, k) is
     |y_ik - aggregate(predictions at x_ik of the models excluding time i)|;
-    rows whose LOO set is empty are dropped with a warning.
+    rows whose LOO set is empty are dropped with a warning.  A model that
+    cannot be fitted on its data (for instance an MLP that diverges) raises
+    ValueError naming the model.
     """
     times = np.asarray(times, dtype=np.int64)
     sensors = np.asarray(sensors, dtype=np.int64)
@@ -248,6 +325,8 @@ def train_ensemble(
         )
         try:
             models.append(fit(spec, X[row_idx], y[row_idx]))
+        except ValueError as exc:
+            raise ValueError(f"bootstrap model {b} failed to fit: {exc}") from exc
         except Exception as exc:
             raise RuntimeError(f"bootstrap model {b} failed to fit: {exc}") from exc
 
@@ -259,10 +338,24 @@ def train_ensemble(
             np.count_nonzero(~usable), usable.size,
         )
     scores = np.empty(len(y))
-    for p in np.flatnonzero(usable):
-        block = order[block_starts[p] : block_stops[p]]
-        loo = loo_aggregate(predictions[:, block], excluded[p : p + 1], aggregator)[:, 0]
-        scores[block] = np.abs(y[block] - loo)
+    if aggregator.kind == "mean":
+        for p in np.flatnonzero(usable):
+            block = order[block_starts[p] : block_stops[p]]
+            loo = loo_aggregate(predictions[:, block], excluded[p : p + 1], aggregator)[:, 0]
+            scores[block] = np.abs(y[block] - loo)
+    else:
+        # one selection network per LOO set size over every row of the times
+        # whose set has that size: wire r of row j is its r-th LOO member's prediction
+        _check_finite_predictions(predictions)
+        counts = excluded.sum(axis=1)
+        row_pos = np.repeat(np.arange(counts.size), block_stops - block_starts)
+        row_counts = counts[row_pos]
+        for count in np.unique(counts[usable]).tolist():
+            sel = row_counts == count
+            rows = order[sel]
+            members = np.nonzero(excluded[row_pos[sel]])[1].reshape(rows.size, count)
+            loo = _window_mean(predictions[members.T, rows], *aggregator.rank_window(count))
+            scores[rows] = np.abs(y[rows] - loo)
     keep = order[np.repeat(usable, block_stops - block_starts)]  # ascending (time, sensor)
 
     return Ensemble(
@@ -345,6 +438,9 @@ def load_ensemble(path: str | Path) -> Ensemble:
             state = {
                 key[len(prefix) :]: data[key] for key in data.files if key.startswith(prefix)
             }
+            for key, value in state.items():
+                if not np.isfinite(value).all():
+                    raise ValueError(f"ensemble array {prefix}{key} holds non-finite values")
             try:
                 models.append(model_from_state(backend, state))
             except KeyError as exc:

@@ -99,6 +99,19 @@ def test_fit_rejects_bad_inputs():
         fit(BackendSpec(kind="forest"), np.ones((3, 2)), np.ones(3))
 
 
+def test_fit_rejects_diverged_mlp():
+    # a step size of 0.5 on standardized data drives the (64, 64) net to
+    # non-finite weights, whose predictions would score every point as NaN
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(200, 3))
+    y = X @ np.array([1.0, 2.0, 3.0]) + rng.normal(size=200)
+    spec = BackendSpec(
+        kind="mlp", mlp_hidden=(64, 64), mlp_epochs=20, mlp_learning_rate=0.5, seed=0
+    )
+    with pytest.raises(ValueError, match="mlp_learning_rate"):
+        fit(spec, X, y)
+
+
 def test_predict_rejects_dimension_mismatch():
     model = fit(BackendSpec(kind="ridge"), np.ones((4, 3)), np.ones(4))
     with pytest.raises(ValueError, match="dimension"):

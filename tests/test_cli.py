@@ -29,7 +29,7 @@ from ecad.config import (
 from ecad.panel import TimeSeriesPanel, build_features, load_panel, load_sensors, neighbor_sets
 
 
-def _small_cfg(out_dir, seed=0, backend=None, **scenario_overrides):
+def _small_cfg(out_dir, seed=0, backend=None, aggregator=None, **scenario_overrides):
     scenario = {
         "n_sensors": 4,
         "n_train": 120,
@@ -44,6 +44,8 @@ def _small_cfg(out_dir, seed=0, backend=None, **scenario_overrides):
         "features": {"n_lags": 2, "neighbor_size": 3},
         "ensemble": {"n_models": 8},
     }
+    if aggregator is not None:
+        payload["ensemble"]["aggregator"] = aggregator
     if backend is not None:
         payload["backend"] = backend
     cfg = resolve_seeds(config_from_dict(payload))
@@ -218,6 +220,19 @@ def test_detect_rejects_ensemble_of_other_sensor_count(tmp_path, capsys):
     assert "trained on 5 sensors" in err and "has 4" in err
 
 
+def test_detect_rejects_ensemble_with_non_finite_weights(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    path = tmp_path / "run" / ARTIFACTS["ensemble"]
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["model0_weights"] = np.full_like(arrays["model0_weights"], np.nan)
+    np.savez(path, **arrays)
+    code, err = _detect_exit(cfg, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err and "model0_weights holds non-finite" in err
+
+
 def test_detect_rejects_training_panel_of_other_sensor_count(tmp_path, capsys):
     cfg = _small_cfg(tmp_path / "run")
     run_all(cfg)
@@ -271,20 +286,36 @@ def test_impute_accepts_default_missingness_on_small_panel(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "backend",
+    "overrides",
     [
-        {"kind": "ridge"},
-        {"kind": "mlp", "mlp_hidden": [4], "mlp_epochs": 20, "mlp_learning_rate": 0.05},
+        {"backend": {"kind": "ridge"}},
+        {"backend": {"kind": "mlp", "mlp_hidden": [4], "mlp_epochs": 20, "mlp_learning_rate": 0.05}},
+        {"aggregator": {"kind": "median"}},
+        {"aggregator": {"kind": "trimmed_mean", "trim_fraction": 0.3}},
     ],
-    ids=["ridge", "mlp"],
+    ids=["ridge", "mlp", "median", "trimmed_mean"],
 )
-def test_run_all_deterministic_across_directories(tmp_path, backend):
-    cfg_a = _small_cfg(tmp_path / "a", seed=42, backend=backend)
-    cfg_b = _small_cfg(tmp_path / "b", seed=42, backend=backend)
+def test_run_all_deterministic_across_directories(tmp_path, overrides):
+    cfg_a = _small_cfg(tmp_path / "a", seed=42, **overrides)
+    cfg_b = _small_cfg(tmp_path / "b", seed=42, **overrides)
     run_all(cfg_a)
     run_all(cfg_b)
-    for fname in [ARTIFACTS["detections"], ARTIFACTS["report_csv"]]:
+    for fname in [ARTIFACTS[k] for k in ("ensemble", "detections", "report_csv", "pvalues")]:
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+
+def test_train_reports_diverged_mlp_as_config_error(tmp_path, capsys):
+    backend = {"kind": "mlp", "mlp_hidden": [64, 64], "mlp_epochs": 20, "mlp_learning_rate": 0.5}
+    cfg = _small_cfg(tmp_path / "run", backend=backend)
+    generate_stage(cfg)
+    impute_stage(cfg)
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "category=config" in err and "mlp_learning_rate" in err
+    assert not (tmp_path / "run" / ARTIFACTS["ensemble"]).exists()
 
 
 def test_retrain_refits_from_completed_panel(tmp_path):

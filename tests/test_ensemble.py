@@ -186,7 +186,12 @@ def test_aggregate_errors():
 
 
 def _reference_loo_aggregate(preds, excluded, agg):
-    """The LOO-set-major kernel: (m, n) aggregates, each window averaged with np.mean(axis=0)."""
+    """The LOO-set-major kernel: (m, n) aggregates, each sorted window summed rank by rank.
+
+    The window rows are added one at a time in ascending rank order and the sum
+    divided by the window width, which is what ``np.mean(axis=0)`` does for two
+    or more points; for a single point numpy switches to pairwise summation.
+    """
     agg.validate()
     counts = excluded.sum(axis=1)
     if (counts == 0).any():
@@ -196,7 +201,11 @@ def _reference_loo_aggregate(preds, excluded, agg):
     out = np.empty((excluded.shape[0], preds.shape[1]))
     for i, models in enumerate(excluded):
         lo, hi = agg.rank_window(int(counts[i]))
-        out[i] = np.mean(np.sort(preds[models], axis=0)[lo:hi], axis=0)
+        window = np.sort(preds[models], axis=0)[lo:hi]
+        out[i] = window[0]
+        for row in window[1:]:
+            out[i] += row
+        out[i] /= hi - lo
     return out
 
 
@@ -227,6 +236,89 @@ def test_loo_aggregate_matches_reference_kernel(agg, n_points):
         assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
     else:
         assert np.array_equal(got, expected)
+
+
+_ROBUST_AGGREGATORS = [
+    AggregatorSpec("median"),
+    AggregatorSpec("trimmed_mean", 0.1),
+    AggregatorSpec("trimmed_mean", 0.3),
+    AggregatorSpec("trimmed_mean", 0.49),
+]
+_ROBUST_IDS = ["median", "trimmed_0.1", "trimmed_0.3", "trimmed_0.49"]
+
+
+@pytest.mark.parametrize("agg", _ROBUST_AGGREGATORS, ids=_ROBUST_IDS)
+@pytest.mark.parametrize("n_models", [1, 2, 3, 5, 33, 64])
+def test_loo_aggregate_network_equals_sort_for_every_set_size(agg, n_models):
+    # one LOO set of every size 1..B plus a second set of some sizes, so a
+    # comparator network runs for every width up to B, at point counts across
+    # the tile edge; every other point's predictions are rounded to force ties,
+    # and the others keep full precision, where the order of a window sum shows
+    rng = np.random.default_rng(n_models)
+    sizes = list(range(1, n_models + 1)) + list(range(1, n_models + 1, 3))
+    excluded = np.zeros((len(sizes), n_models), dtype=bool)
+    for i, size in enumerate(sizes):
+        excluded[i, rng.choice(n_models, size=size, replace=False)] = True
+    for n_points in [1, 127, 128, 129, 512]:
+        preds = rng.normal(size=(n_models, n_points))
+        preds[:, ::2] = np.round(preds[:, ::2], 1)
+        got = loo_aggregate(preds, excluded, agg)
+        assert got.shape == (n_points, len(sizes))
+        assert np.array_equal(got, _reference_loo_aggregate(preds, excluded, agg).T)
+
+
+@pytest.mark.parametrize("agg", _ROBUST_AGGREGATORS, ids=_ROBUST_IDS)
+def test_loo_aggregate_network_on_every_zero_one_input(agg):
+    # 0-1 principle: a comparator network puts every input's ranks in place
+    # iff it does so for all 2**c inputs of zeros and ones, so one point per
+    # pattern checks each network of up to 16 wires exhaustively.  The two
+    # values are 1 and 2**53, where a 1 added after 2**53 is rounded away,
+    # so a window summed out of ascending order shows in the result too.
+    for count in range(1, 17):
+        bits = (np.arange(2**count)[None, :] >> np.arange(count)[:, None]) & 1
+        preds = np.where(bits == 1, 2.0**53, 1.0)
+        excluded = np.ones((1, count), dtype=bool)
+        got = loo_aggregate(preds, excluded, agg)
+        assert np.array_equal(got, _reference_loo_aggregate(preds, excluded, agg).T), count
+
+
+@pytest.mark.parametrize(
+    "agg", [AggregatorSpec("mean"), *_ROBUST_AGGREGATORS], ids=["mean", *_ROBUST_IDS]
+)
+def test_training_scores_equal_per_time_reference(agg):
+    rng = np.random.default_rng(12)
+    times, sensors, X, y = _features_from_matrix(rng.normal(size=(60, 3)), n_lags=2)
+    keep = rng.random(times.size) > 0.2  # timestamps with unequal numbers of rows
+    times, sensors, X, y = times[keep], sensors[keep], X[keep], y[keep]
+    ens = train_ensemble(
+        times, sensors, X, y, BackendSpec(kind="ridge"), 9, aggregator=agg, seed=3
+    )
+    preds = ens.predict_all_models(X)
+    expected = {}
+    for t in ens.usable_times:
+        rows = np.flatnonzero(times == t)
+        loo = _reference_loo_aggregate(preds[:, rows], ens.plan.loo_set(int(t))[None, :], agg)[0]
+        expected.update(zip(rows.tolist(), np.abs(y[rows] - loo)))
+    order = np.lexsort((sensors, times))
+    rows = [r for r in order.tolist() if r in expected]
+    assert np.array_equal(ens.score_times, times[rows])
+    assert np.array_equal(ens.score_sensors, sensors[rows])
+    want = np.array([expected[r] for r in rows])
+    if agg.kind == "mean":
+        assert np.allclose(ens.score_values, want, rtol=0.0, atol=1e-12)
+    else:
+        assert np.array_equal(ens.score_values, want)
+
+
+@pytest.mark.parametrize(
+    "agg", [AggregatorSpec("mean"), *_ROBUST_AGGREGATORS[:2]], ids=["mean", *_ROBUST_IDS[:2]]
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loo_aggregate_rejects_non_finite_predictions(agg, bad):
+    preds = np.ones((4, 3))
+    preds[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        loo_aggregate(preds, np.ones((2, 4), dtype=bool), agg)
 
 
 def test_mean_over_identical_models_equals_single_model():
@@ -308,6 +400,19 @@ def test_ensemble_shape_refusal(tmp_path, corrupt, name):
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match=name):
         load_ensemble(path)
+
+
+@pytest.mark.parametrize("key", ["model1_weights", "model0_x_mean", "model2_y_mean"])
+def test_ensemble_refuses_non_finite_model_arrays(tmp_path, key):
+    rng = np.random.default_rng(6)
+    feats = _features_from_matrix(rng.normal(size=(12, 2)))
+    save_ensemble(train_ensemble(*feats, BackendSpec(kind="ridge"), 3, seed=0), tmp_path / "e.npz")
+    with np.load(tmp_path / "e.npz") as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays[key] = np.full_like(arrays[key], np.nan)
+    np.savez(tmp_path / "e.npz", **arrays)
+    with pytest.raises(ValueError, match=f"{key} holds non-finite"):
+        load_ensemble(tmp_path / "e.npz")
 
 
 def test_mlp_backend_trains_in_ensemble():
