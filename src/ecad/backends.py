@@ -2,19 +2,28 @@
 
 Fitted models are immutable after ``fit`` and safe to share across concurrent
 ``predict`` calls.  Both backends are deterministic given the spec's seed.
+
+A bootstrap ensemble of ridge models needs no per-model pass over its rows:
+`fit_ridge_bags` reads each block of rows once into its sufficient
+statistics, and fits every bag from the multiplicity-weighted sums of those
+statistics, so a bag is a count per block rather than a copy of its rows.
+`RidgeStack` evaluates all the fitted models with one matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "BackendSpec",
     "RidgeModel",
+    "RidgeStack",
     "MLPModel",
     "fit",
+    "fit_ridge_bags",
     "mlp_loss_and_gradients",
 ]
 
@@ -128,6 +137,91 @@ def _fit_ridge(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> RidgeModel:
     else:
         weights = np.linalg.lstsq(Xc, yc, rcond=None)[0]
     return RidgeModel(spec, weights, x_mean, y_mean)
+
+
+# bytes of block statistics fit_ridge_bags holds before adding them into the bags
+_STATS_CHUNK_BYTES = 1 << 20
+
+
+def fit_ridge_bags(
+    spec: BackendSpec,
+    X: np.ndarray,
+    y: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    counts: np.ndarray,
+) -> list[RidgeModel]:
+    """One ridge model per bag of row blocks, fitted from per-block sufficient statistics.
+
+    Block i is the rows ``order[starts[i]:stops[i]]``, and bag b holds block i
+    ``counts[b, i]`` times.  Model b is ``fit(spec, X[rows], y[rows])`` on its
+    bag's rows, duplicates repeated, up to rounding.  X and y are centred once
+    on their global means, block by block; each block's statistics are the
+    Gram matrix of its rows ``[1, x - mean(X), y - mean(y)]``, which holds its
+    row count, sums, ``X'X`` and ``X'y``.  A bag's statistics are the
+    count-weighted sum of its blocks' statistics, and its centred normal
+    equations follow from them by the bag-mean correction; all bags are then
+    solved at once.  ``lambda = 0`` takes the least-squares solution of each
+    bag's normal equations.  A fit whose state is not finite raises ValueError.
+    """
+    spec.validate()
+    X, y = _check_training_inputs(X, y)
+    counts = np.asarray(counts, dtype=np.float64)
+    d = X.shape[1]
+    x_center, y_center = X.mean(axis=0), float(y.mean())
+    stats = np.zeros((counts.shape[0], d + 2, d + 2))
+    step = max(1, _STATS_CHUNK_BYTES // stats[0].nbytes)
+    for lo in range(0, starts.size, step):
+        hi = min(lo + step, starts.size)
+        chunk = np.empty((hi - lo, d + 2, d + 2))
+        for i in range(lo, hi):
+            rows = order[starts[i] : stops[i]]
+            Z = np.empty((rows.size, d + 2))
+            Z[:, 0] = 1.0
+            np.subtract(X[rows], x_center, out=Z[:, 1:-1])
+            np.subtract(y[rows], y_center, out=Z[:, -1])
+            np.matmul(Z.T, Z, out=chunk[i - lo])
+        stats += (counts[:, lo:hi] @ chunk.reshape(hi - lo, -1)).reshape(stats.shape)
+    n_rows = stats[:, 0, 0]
+    x_shift = stats[:, 0, 1:-1] / n_rows[:, None]  # bag mean minus global mean
+    y_shift = stats[:, 0, -1] / n_rows
+    gram = stats[:, 1:-1, 1:-1] - stats[:, 0, 1:-1, None] * x_shift[:, None, :]
+    rhs = stats[:, 1:-1, -1] - stats[:, 0, 1:-1] * y_shift[:, None]
+    lam = spec.ridge_lambda
+    if lam > 0:
+        gram += lam * np.eye(d)
+        weights = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    else:
+        weights = np.stack([np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(gram, rhs)])
+    x_mean = x_center + x_shift
+    y_mean = y_center + y_shift
+    finite = np.isfinite(weights).all(axis=1) & np.isfinite(x_mean).all(axis=1) & np.isfinite(y_mean)
+    if not finite.all():
+        raise ValueError(f"ridge fit of bag {np.argmin(finite)} produced non-finite weights")
+    return [RidgeModel(spec, w, m, float(c)) for w, m, c in zip(weights, x_mean, y_mean.tolist())]
+
+
+@dataclass(frozen=True)
+class RidgeStack:
+    """Ridge models evaluated together: model b predicts ``X @ weights[b] + offsets[b]``."""
+
+    weights: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, models: Sequence[RidgeModel]) -> "RidgeStack":
+        weights = np.stack([m.weights for m in models])
+        x_means = np.stack([m.x_mean for m in models])
+        y_means = np.array([m.y_mean for m in models])
+        return cls(weights, y_means - np.einsum("bd,bd->b", x_means, weights))
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """(n_models, n_points) predictions: one (B, d) @ (d, n) product plus the offsets."""
+        X = _check_predict_input(X, self.weights.shape[1])
+        out = self.weights @ X.T
+        out += self.offsets[:, None]
+        return out
 
 
 def _forward(

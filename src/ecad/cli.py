@@ -85,6 +85,14 @@ def _require(cfg: PipelineConfig, name: str, produced_by: str) -> Path:
     return path
 
 
+def _read_artifact(reader, path: Path, *args):
+    """``reader(path, *args)``, with the ValueError of a corrupt file as a config error naming it."""
+    try:
+        return reader(path, *args)
+    except ValueError as exc:
+        raise StageError("config", f"artifact {path}: {exc}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -130,7 +138,7 @@ def generate_stage(cfg: PipelineConfig) -> dict:
 def impute_stage(cfg: PipelineConfig) -> dict:
     """Complete the training panel and write it with the imputation report."""
     path = _require(cfg, "train_panel", "generate")
-    panel = load_panel(path, cfg.missing_token)
+    panel = _read_artifact(load_panel, path, cfg.missing_token)
     completed, report = impute(panel, cfg.imputer)
     save_panel(completed, _artifact(cfg, "completed_panel"), cfg.missing_token)
     _write_json(
@@ -153,8 +161,8 @@ def impute_stage(cfg: PipelineConfig) -> dict:
 def _train_impl(cfg: PipelineConfig, stage: str) -> dict:
     panel_path = _require(cfg, "completed_panel", "impute")
     sensors_path = _require(cfg, "sensors", "generate")
-    panel = load_panel(panel_path, cfg.missing_token)
-    panel.sensors = load_sensors(sensors_path)
+    panel = _read_artifact(load_panel, panel_path, cfg.missing_token)
+    panel.sensors = _read_artifact(load_sensors, sensors_path)
     if not panel.is_complete:
         raise StageError("config", f"completed panel {panel_path} still has missing entries")
     neighbors = neighbor_sets(panel.sensors, cfg.features.neighbor_size)
@@ -198,14 +206,11 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     train_path = _require(cfg, "completed_panel", "impute")
     test_path = _require(cfg, "test_panel", "generate")
     sensors_path = _require(cfg, "sensors", "generate")
-    sensors = load_sensors(sensors_path)
+    sensors = _read_artifact(load_sensors, sensors_path)
 
-    try:
-        ensemble = load_ensemble(ensemble_path)
-    except ValueError as exc:
-        raise StageError("config", f"ensemble artifact {ensemble_path}: {exc}") from exc
-    train = load_panel(train_path, cfg.missing_token)
-    test = load_panel(test_path, cfg.missing_token)
+    ensemble = _read_artifact(load_ensemble, ensemble_path)
+    train = _read_artifact(load_panel, train_path, cfg.missing_token)
+    test = _read_artifact(load_panel, test_path, cfg.missing_token)
     if not test.is_complete:
         raise StageError("config", f"test panel {test_path} has missing entries")
     if train.n_sensors != test.n_sensors:
@@ -327,8 +332,8 @@ def evaluate_stage(cfg: PipelineConfig) -> dict:
     """Join detections with ground truth and write the per-sensor report."""
     det_path = _require(cfg, "detections", "detect")
     truth_path = _require(cfg, "truth", "generate")
-    t, k, p, flags = _read_detections(det_path)
-    grid = _read_truth(truth_path)
+    t, k, p, flags = _read_artifact(_read_detections, det_path)
+    grid = _read_artifact(_read_truth, truth_path)
 
     label = np.full(t.shape, -1, dtype=np.int8)
     inside = (t >= 0) & (t < grid.shape[0]) & (k >= 0) & (k < grid.shape[1])

@@ -3,9 +3,15 @@
 Training takes the ``(times, sensors, X, y)`` arrays of ``panel.build_features``.
 Bootstrap sampling runs over time indices only: each model trains on every
 sensor's rows at its in-bag times, so a single ensemble serves all sensors.
-A time's training score is aggregated exclusively from models whose bag
-excludes that time, which keeps the scores out-of-sample without any data
-splitting.  Ensembles are immutable after construction.
+A bag is a multiplicity vector over the available times
+(`BootstrapPlan.multiplicity`).  Ridge ensembles are fitted from it directly
+(`backends.fit_ridge_bags`), with no copy of any bag's rows; other backends
+fit each bag on its gathered rows.  A time's training score is aggregated
+exclusively from models whose bag excludes that time, which keeps the scores
+out-of-sample without any data splitting.  `Ensemble.predict_all_models` is
+the one source of per-model predictions, for the training scores and for
+detection; ridge models are evaluated together by one matrix product.
+Ensembles are immutable after construction.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import zipfile
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -20,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .backends import BackendSpec, fit, model_from_state
+from .backends import BackendSpec, RidgeStack, fit, fit_ridge_bags, model_from_state
 
 __all__ = [
     "AggregatorSpec",
@@ -187,11 +194,18 @@ class BootstrapPlan:
     seed: int
 
     @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """(n_models, n_available) counts: how often bag b drew available[i]."""
+        n_available = self.available.size
+        draws = np.searchsorted(self.available, self.in_bag)
+        draws += np.arange(self.n_models)[:, None] * n_available
+        counts = np.bincount(draws.ravel(), minlength=self.n_models * n_available)
+        return counts.reshape(self.n_models, n_available)
+
+    @cached_property
     def membership(self) -> np.ndarray:
         """(n_models, n_available) boolean matrix: bag b contains available[i]."""
-        member = np.zeros((self.n_models, self.available.size), dtype=bool)
-        member[np.arange(self.n_models)[:, None], np.searchsorted(self.available, self.in_bag)] = True
-        return member
+        return self.multiplicity > 0
 
     @cached_property
     def excluded(self) -> np.ndarray:
@@ -273,8 +287,18 @@ class Ensemble:
         sel = self.score_sensors == k
         return self.score_times[sel], self.score_values[sel]
 
+    @cached_property
+    def _ridge_stack(self) -> RidgeStack:
+        return RidgeStack.of(self.models)
+
     def predict_all_models(self, X: np.ndarray) -> np.ndarray:
-        """(n_models, n_points) matrix of per-model predictions."""
+        """(n_models, n_points) matrix of per-model predictions.
+
+        Ridge models are evaluated together from their stacked weights; other
+        backends predict one model at a time.
+        """
+        if self.backend.kind == "ridge":
+            return self._ridge_stack.predict(X)
         return np.stack([m.predict(X) for m in self.models])
 
 
@@ -317,48 +341,40 @@ def train_ensemble(
     block_starts = np.searchsorted(sorted_times, plan.available, side="left")
     block_stops = np.searchsorted(sorted_times, plan.available, side="right")
 
-    models = []
-    for b in range(n_models):
-        positions = np.searchsorted(plan.available, plan.in_bag[b])
-        row_idx = np.concatenate(
-            [order[block_starts[p] : block_stops[p]] for p in positions]
-        )
+    if spec.kind == "ridge":
         try:
-            models.append(fit(spec, X[row_idx], y[row_idx]))
-        except ValueError as exc:
-            raise ValueError(f"bootstrap model {b} failed to fit: {exc}") from exc
-        except Exception as exc:
-            raise RuntimeError(f"bootstrap model {b} failed to fit: {exc}") from exc
+            models = fit_ridge_bags(
+                spec, X, y, order, block_starts, block_stops, plan.multiplicity
+            )
+        except ValueError as exc:  # numpy's LinAlgError is a ValueError
+            raise ValueError(f"bootstrap ridge ensemble failed to fit: {exc}") from exc
+    else:
+        models = []
+        for b in range(n_models):
+            positions = np.searchsorted(plan.available, plan.in_bag[b])
+            row_idx = np.concatenate(
+                [order[block_starts[p] : block_stops[p]] for p in positions]
+            )
+            try:
+                models.append(fit(spec, X[row_idx], y[row_idx]))
+            except ValueError as exc:
+                raise ValueError(f"bootstrap model {b} failed to fit: {exc}") from exc
+            except Exception as exc:
+                raise RuntimeError(f"bootstrap model {b} failed to fit: {exc}") from exc
 
-    predictions = np.stack([m.predict(X) for m in models])  # (B, n_rows)
     usable, excluded = plan.usable, plan.excluded
     if not usable.all():
         logger.warning(
             "dropped %d of %d time indices with empty leave-one-out model sets",
             np.count_nonzero(~usable), usable.size,
         )
-    scores = np.empty(len(y))
-    if aggregator.kind == "mean":
-        for p in np.flatnonzero(usable):
-            block = order[block_starts[p] : block_stops[p]]
-            loo = loo_aggregate(predictions[:, block], excluded[p : p + 1], aggregator)[:, 0]
-            scores[block] = np.abs(y[block] - loo)
-    else:
-        # one selection network per LOO set size over every row of the times
-        # whose set has that size: wire r of row j is its r-th LOO member's prediction
-        _check_finite_predictions(predictions)
-        counts = excluded.sum(axis=1)
-        row_pos = np.repeat(np.arange(counts.size), block_stops - block_starts)
-        row_counts = counts[row_pos]
-        for count in np.unique(counts[usable]).tolist():
-            sel = row_counts == count
-            rows = order[sel]
-            members = np.nonzero(excluded[row_pos[sel]])[1].reshape(rows.size, count)
-            loo = _window_mean(predictions[members.T, rows], *aggregator.rank_window(count))
-            scores[rows] = np.abs(y[rows] - loo)
-    keep = order[np.repeat(usable, block_stops - block_starts)]  # ascending (time, sensor)
-
-    return Ensemble(
+    # sorted row i belongs to available time row_pos[i]; the kept rows are
+    # those of usable times, ascending by (time, sensor)
+    row_pos = np.repeat(np.arange(usable.size), block_stops - block_starts)
+    kept = usable[row_pos]
+    keep, keep_pos = order[kept], row_pos[kept]
+    # the scores come from the ensemble's own predictions, so they are set last
+    ensemble = Ensemble(
         plan=plan,
         models=tuple(models),
         aggregator=aggregator,
@@ -366,8 +382,28 @@ def train_ensemble(
         n_sensors=n_sensors,
         score_times=times[keep],
         score_sensors=sensors[keep],
-        score_values=scores[keep],
+        score_values=np.empty(0),
     )
+    predictions = ensemble.predict_all_models(X)  # (B, n_rows)
+    _check_finite_predictions(predictions)
+    counts = excluded.sum(axis=1)
+    if aggregator.kind == "mean":
+        # every row's sum over its time's LOO set in one pass over all rows
+        row_time = np.empty(len(y), dtype=np.intp)
+        row_time[order] = row_pos
+        sums = np.einsum("bj,bj->j", predictions, excluded.T[:, row_time])
+        loo = sums[keep] / counts[keep_pos]
+    else:
+        # one selection network per LOO set size over every kept row whose
+        # time has a set of that size: wire r of row j is its r-th LOO member's prediction
+        loo = np.empty(keep.size)
+        keep_counts = counts[keep_pos]
+        for count in np.unique(keep_counts).tolist():
+            sel = keep_counts == count
+            members = np.nonzero(excluded[keep_pos[sel]])[1].reshape(-1, count)
+            loo[sel] = _window_mean(predictions[members.T, keep[sel]], *aggregator.rank_window(count))
+    ensemble.score_values = np.abs(y[keep] - loo)
+    return ensemble
 
 
 def loo_predict(ensemble: Ensemble, t: int, x: np.ndarray) -> float:
@@ -406,7 +442,12 @@ def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
 
 def load_ensemble(path: str | Path) -> Ensemble:
     """Load a serialized ensemble, refusing mismatched format versions."""
-    with np.load(Path(path), allow_pickle=False) as data:
+    path = Path(path)
+    if not zipfile.is_zipfile(path):
+        raise ValueError("the file is not an ensemble artifact: it is not an .npz archive")
+    with np.load(path, allow_pickle=False) as data:
+        if "meta" not in data.files:
+            raise ValueError("the file is not an ensemble artifact: it has no meta record")
         meta = json.loads(str(data["meta"]))
         version = meta.get("format_version")
         if version != ENSEMBLE_FORMAT_VERSION:

@@ -196,6 +196,53 @@ def _detect_exit(cfg, tmp_path, capsys):
     return code, capsys.readouterr().err
 
 
+def _replace_first_cell(path, line_no, text):
+    lines = path.read_text().splitlines()
+    lines[line_no] = ",".join([text, *lines[line_no].split(",")[1:]])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _truncate_mid_row(path):
+    lines = path.read_text().splitlines()
+    middle = lines[len(lines) // 2]
+    kept = "\n".join(lines[: len(lines) // 2])
+    path.write_text(kept + "\n" + middle[: middle.index(",") + 1])
+
+
+@pytest.mark.parametrize(
+    "stage, artifact, corrupt",
+    [
+        ("impute", "train_panel", lambda p: _replace_first_cell(p, 3, "abc")),
+        ("train", "completed_panel", lambda p: _replace_first_cell(p, 3, "abc")),
+        ("train", "completed_panel", _truncate_mid_row),
+        ("train", "sensors", lambda p: _replace_first_cell(p, 1, "x0")),
+        ("evaluate", "detections", lambda p: _replace_first_cell(p, 1, "120.5")),
+    ],
+    ids=["non-numeric-panel", "non-numeric-completed", "ragged-completed", "sensor-id", "detection-t"],
+)
+def test_corrupt_csv_artifact_is_a_config_error(tmp_path, capsys, stage, artifact, corrupt):
+    cfg = _small_cfg(tmp_path / "run", n_sensors=6)
+    run_all(cfg)
+    path = tmp_path / "run" / ARTIFACTS[artifact]
+    corrupt(path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(config_to_dict(cfg)))
+    capsys.readouterr()
+    assert main([stage, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "category=config" in err and f"artifact {path}:" in err
+
+
+def test_detect_rejects_ensemble_that_is_not_an_archive(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    (tmp_path / "run" / ARTIFACTS["ensemble"]).write_text("not an archive\n")
+    code, err = _detect_exit(cfg, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err and "not an ensemble artifact" in err
+    assert "pickled" not in err
+
+
 def test_detect_rejects_ensemble_of_other_feature_config(tmp_path, capsys):
     cfg = _small_cfg(tmp_path / "run")
     run_all(cfg)

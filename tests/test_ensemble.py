@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ecad.backends import BackendSpec
+from ecad.backends import BackendSpec, fit, fit_ridge_bags
 from ecad.ensemble import (
     AggregatorSpec,
     bootstrap_indices,
@@ -422,3 +424,82 @@ def test_mlp_backend_trains_in_ensemble():
     ens = train_ensemble(*feats, spec, 3, seed=1)
     assert ens.score_values.size > 0
     assert np.isfinite(ens.score_values).all()
+
+
+def _bagged_ridge_data(rng, n_times=40, d=4, offset=1e4):
+    """Rows at shuffled times with 1-5 rows each; features and targets far from zero."""
+    rows_per_time = rng.integers(1, 6, size=n_times)
+    times = np.repeat(np.arange(n_times), rows_per_time)
+    sensors = np.concatenate([np.arange(r) for r in rows_per_time])
+    X = rng.normal(size=(times.size, d)) + offset
+    y = X @ rng.normal(size=d) + rng.normal(size=times.size)
+    perm = rng.permutation(times.size)
+    return times[perm], sensors[perm], X[perm], y[perm]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("n_models", [1, 25])
+def test_bagged_ridge_models_equal_fits_on_gathered_bags(lam, n_models):
+    times, sensors, X, y = _bagged_ridge_data(np.random.default_rng(21))
+    spec = BackendSpec(kind="ridge", ridge_lambda=lam)
+    ens = train_ensemble(times, sensors, X, y, spec, n_models, seed=5)
+    assert (ens.plan.multiplicity > 1).any(), "no bag repeats a time"
+    for b, model in enumerate(ens.models):
+        rows = np.concatenate([np.flatnonzero(times == t) for t in ens.plan.in_bag[b]])
+        want = fit(spec, X[rows], y[rows])
+        for got, ref in [
+            (model.weights, want.weights),
+            (model.x_mean, want.x_mean),
+            (np.array(model.y_mean), np.array(want.y_mean)),
+        ]:
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), b
+    stacked = ens.predict_all_models(X)
+    for b, model in enumerate(ens.models):
+        alone = model.predict(X)
+        assert np.max(np.abs(stacked[b] - alone)) <= 1e-12 * np.max(np.abs(alone)), b
+
+
+def test_bootstrap_multiplicity_counts_duplicate_draws():
+    plan = bootstrap_indices([3, 5, 8, 9], 6, seed=2)
+    for b in range(plan.n_models):
+        want = [np.count_nonzero(plan.in_bag[b] == t) for t in plan.available]
+        assert plan.multiplicity[b].tolist() == want
+    assert np.array_equal(plan.membership, plan.multiplicity > 0)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Peak bytes allocated by fn(*args, **kwargs) above what was live before the call."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_ridge_training_memory_stays_near_one_prediction_matrix():
+    # 40 sensors x 2000 times x 25 features, B = 25: the (B, n) prediction
+    # matrix is as large as X.  Measured peaks: the fit about 0.17 X.nbytes
+    # (the per-block statistics of one chunk of times and the input check),
+    # and train_ensemble about 1.63 X.nbytes (the predictions, the LOO
+    # membership of every row, and row index arrays).  A centred copy of X
+    # during the fit, or a second layout of the predictions, exceeds them.
+    rng = np.random.default_rng(3)
+    n_times, n_sensors, d, n_models = 2000, 40, 25, 25
+    times = np.repeat(np.arange(n_times), n_sensors)
+    sensors = np.tile(np.arange(n_sensors), n_times)
+    X = rng.normal(size=(times.size, d))
+    y = X @ rng.normal(size=d) + rng.normal(size=times.size)
+    spec = BackendSpec(kind="ridge")
+    plan = bootstrap_indices(np.unique(times), n_models, seed=1)
+    starts = np.arange(n_times) * n_sensors
+    fit_peak = _traced_peak(
+        fit_ridge_bags, spec, X, y, np.arange(times.size), starts, starts + n_sensors, plan.multiplicity
+    )
+    assert fit_peak < 0.5 * X.nbytes, fit_peak / X.nbytes
+    train_peak = _traced_peak(
+        train_ensemble, times, sensors, X, y, spec, n_models, AggregatorSpec("mean"), seed=1
+    )
+    assert train_peak < 2.0 * X.nbytes, train_peak / X.nbytes
