@@ -1,33 +1,38 @@
 """Pluggable regression backends: closed-form ridge and a small feedforward net.
 
+A fitted model holds the B models of one backend, each parameter stacked on
+a leading axis of length B, and ``predict(X)`` returns their ``(B, n)``
+predictions.  `fit` is the only way to fit: without bags it fits one model
+(B = 1) on all rows; with `Bags` it fits one model per bootstrap bag.  A
+ridge ensemble needs no per-model pass over its rows: each block of rows is
+read once into its sufficient statistics, and every bag is fitted from the
+count-weighted sums of those statistics, so a bag is a count per block rather
+than a copy of its rows; all B ridge models predict with one matrix product.
+The MLP gathers each bag's rows, block by block in ascending order, and fits
+the bags one at a time.  Each model type's ``param_shapes`` is the table of
+its parameter names and per-model shapes.
+
 Fitted models are immutable after ``fit`` and safe to share across concurrent
 ``predict`` calls.  Both backends are deterministic given the spec's seed.
-
-A bootstrap ensemble of ridge models needs no per-model pass over its rows:
-`fit_ridge_bags` reads each block of rows once into its sufficient
-statistics, and fits every bag from the multiplicity-weighted sums of those
-statistics, so a bag is a count per block rather than a copy of its rows.
-`RidgeStack` evaluates all the fitted models with one matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "BackendSpec",
+    "Bags",
     "RidgeModel",
-    "RidgeStack",
     "MLPModel",
+    "MODEL_TYPES",
     "fit",
-    "fit_ridge_bags",
     "mlp_loss_and_gradients",
 ]
-
-BACKEND_KINDS = ("ridge", "mlp")
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,8 @@ class BackendSpec:
         object.__setattr__(self, "mlp_hidden", tuple(int(w) for w in self.mlp_hidden))
 
     def validate(self) -> None:
-        if self.kind not in BACKEND_KINDS:
-            raise ValueError(f"unknown backend kind {self.kind!r}; expected one of {BACKEND_KINDS}")
+        if self.kind not in MODEL_TYPES:
+            raise ValueError(f"unknown backend kind {self.kind!r}; expected one of {tuple(MODEL_TYPES)}")
         if self.ridge_lambda < 0:
             raise ValueError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
         if any(w < 1 for w in self.mlp_hidden):
@@ -91,41 +96,71 @@ def _check_predict_input(X: np.ndarray, input_dim: int) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
-class RidgeModel:
-    """Ridge regression with the intercept handled by mean-centering.
+class Bags(NamedTuple):
+    """Bootstrap bags over blocks of rows.
 
-    Solves (Xc' Xc + lambda I) w = Xc' yc on centered data; lambda = 0 falls
-    back to the least-squares solution so noiseless linear data interpolates
-    exactly.
+    Block i is the rows ``order[starts[i]:stops[i]]``, and bag b holds block i
+    ``counts[b, i]`` times.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
+    counts: np.ndarray
+
+    def rows(self, b: int) -> np.ndarray:
+        """Bag b's rows, block by block in ascending order, block i ``counts[b, i]`` times."""
+        blocks = np.repeat(np.arange(self.starts.size), self.counts[b]).tolist()
+        return np.concatenate([self.order[self.starts[i] : self.stops[i]] for i in blocks])
+
+
+@dataclass(frozen=True)
+class _StackedModel:
+    """B fitted models of one backend.
+
+    ``params`` maps each name of the model type's ``param_shapes`` table to the
+    stack of that parameter over the B models, of shape ``(B, *shape)``.
     """
 
     spec: BackendSpec
-    weights: np.ndarray
-    x_mean: np.ndarray
-    y_mean: float
+    params: dict[str, np.ndarray] = field(repr=False)
+
+    @property
+    def n_models(self) -> int:
+        return self.params["x_mean"].shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.params["x_mean"].shape[1]
+
+
+class RidgeModel(_StackedModel):
+    """B ridge regressions with the intercept handled by mean-centering.
+
+    Model b solves (Xc' Xc + lambda I) w = Xc' yc on its centered data; lambda = 0
+    falls back to the least-squares solution so noiseless linear data
+    interpolates exactly.
+    """
+
+    @staticmethod
+    def param_shapes(spec: BackendSpec, input_dim: int) -> dict[str, tuple[int, ...]]:
+        """Per-model shape of each parameter, in artifact order."""
+        return {"weights": (input_dim,), "x_mean": (input_dim,), "y_mean": ()}
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        p = self.params
+        return p["y_mean"] - np.einsum("bd,bd->b", p["x_mean"], p["weights"])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """(B, n) predictions: one (B, d) @ (d, n) product plus each model's offset."""
         X = _check_predict_input(X, self.input_dim)
-        return (X - self.x_mean) @ self.weights + self.y_mean
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "weights": self.weights,
-            "x_mean": self.x_mean,
-            "y_mean": np.array(self.y_mean),
-        }
-
-    @classmethod
-    def from_state(cls, spec: BackendSpec, arrays: dict[str, np.ndarray]) -> "RidgeModel":
-        return cls(spec, arrays["weights"], arrays["x_mean"], float(arrays["y_mean"]))
+        out = self.params["weights"] @ X.T
+        out += self._offsets[:, None]
+        return out
 
 
-def _fit_ridge(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> RidgeModel:
+def _fit_ridge(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
     x_mean = X.mean(axis=0)
     y_mean = float(y.mean())
     Xc = X - x_mean
@@ -136,38 +171,30 @@ def _fit_ridge(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> RidgeModel:
         weights = np.linalg.solve(gram, Xc.T @ yc)
     else:
         weights = np.linalg.lstsq(Xc, yc, rcond=None)[0]
-    return RidgeModel(spec, weights, x_mean, y_mean)
+    return {"weights": weights, "x_mean": x_mean, "y_mean": y_mean}
 
 
-# bytes of block statistics fit_ridge_bags holds before adding them into the bags
+# bytes of block statistics _fit_ridge_bags holds before adding them into the bags
 _STATS_CHUNK_BYTES = 1 << 20
 
 
-def fit_ridge_bags(
-    spec: BackendSpec,
-    X: np.ndarray,
-    y: np.ndarray,
-    order: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    counts: np.ndarray,
-) -> list[RidgeModel]:
-    """One ridge model per bag of row blocks, fitted from per-block sufficient statistics.
+def _fit_ridge_bags(
+    spec: BackendSpec, X: np.ndarray, y: np.ndarray, bags: Bags
+) -> dict[str, np.ndarray]:
+    """Stacked ridge parameters of every bag, fitted from per-block sufficient statistics.
 
-    Block i is the rows ``order[starts[i]:stops[i]]``, and bag b holds block i
-    ``counts[b, i]`` times.  Model b is ``fit(spec, X[rows], y[rows])`` on its
-    bag's rows, duplicates repeated, up to rounding.  X and y are centred once
-    on their global means, block by block; each block's statistics are the
-    Gram matrix of its rows ``[1, x - mean(X), y - mean(y)]``, which holds its
-    row count, sums, ``X'X`` and ``X'y``.  A bag's statistics are the
-    count-weighted sum of its blocks' statistics, and its centred normal
-    equations follow from them by the bag-mean correction; all bags are then
-    solved at once.  ``lambda = 0`` takes the least-squares solution of each
-    bag's normal equations.  A fit whose state is not finite raises ValueError.
+    Model b equals ``_fit_ridge`` on its bag's rows, duplicates repeated, up to
+    rounding.  X and y are centred once on their global means, block by
+    block; each block's statistics are the Gram matrix of its rows
+    ``[1, x - mean(X), y - mean(y)]``, which holds its row count, sums,
+    ``X'X`` and ``X'y``.  A bag's statistics are the count-weighted sum of its
+    blocks' statistics, and its centred normal equations follow from them by
+    the bag-mean correction; all bags are then solved at once.
+    ``lambda = 0`` takes the least-squares solution of each bag's normal
+    equations.
     """
-    spec.validate()
-    X, y = _check_training_inputs(X, y)
-    counts = np.asarray(counts, dtype=np.float64)
+    order, starts, stops = bags.order, bags.starts, bags.stops
+    counts = np.asarray(bags.counts, dtype=np.float64)
     d = X.shape[1]
     x_center, y_center = X.mean(axis=0), float(y.mean())
     stats = np.zeros((counts.shape[0], d + 2, d + 2))
@@ -194,34 +221,7 @@ def fit_ridge_bags(
         weights = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
     else:
         weights = np.stack([np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(gram, rhs)])
-    x_mean = x_center + x_shift
-    y_mean = y_center + y_shift
-    finite = np.isfinite(weights).all(axis=1) & np.isfinite(x_mean).all(axis=1) & np.isfinite(y_mean)
-    if not finite.all():
-        raise ValueError(f"ridge fit of bag {np.argmin(finite)} produced non-finite weights")
-    return [RidgeModel(spec, w, m, float(c)) for w, m, c in zip(weights, x_mean, y_mean.tolist())]
-
-
-@dataclass(frozen=True)
-class RidgeStack:
-    """Ridge models evaluated together: model b predicts ``X @ weights[b] + offsets[b]``."""
-
-    weights: np.ndarray
-    offsets: np.ndarray
-
-    @classmethod
-    def of(cls, models: Sequence[RidgeModel]) -> "RidgeStack":
-        weights = np.stack([m.weights for m in models])
-        x_means = np.stack([m.x_mean for m in models])
-        y_means = np.array([m.y_mean for m in models])
-        return cls(weights, y_means - np.einsum("bd,bd->b", x_means, weights))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """(n_models, n_points) predictions: one (B, d) @ (d, n) product plus the offsets."""
-        X = _check_predict_input(X, self.weights.shape[1])
-        out = self.weights @ X.T
-        out += self.offsets[:, None]
-        return out
+    return {"weights": weights, "x_mean": x_center + x_shift, "y_mean": y_center + y_shift}
 
 
 def _forward(
@@ -314,59 +314,46 @@ def mlp_loss_and_gradients(
     return float(np.mean(ws.resid**2)), ws.grad_w, ws.grad_b
 
 
-@dataclass(frozen=True)
-class MLPModel:
-    """Feedforward net trained by full-batch gradient descent on squared error.
+class MLPModel(_StackedModel):
+    """Feedforward nets trained by full-batch gradient descent on squared error.
 
-    Inputs and targets are standardized with training statistics (so the
-    default learning rate behaves across value scales); predictions are mapped
-    back to the original target scale.
+    Each net's inputs and targets are standardized with its training statistics
+    (so the default learning rate behaves across value scales); predictions are
+    mapped back to the original target scale.
     """
 
-    spec: BackendSpec
-    weights: list[np.ndarray] = field(repr=False)
-    biases: list[np.ndarray] = field(repr=False)
-    x_mean: np.ndarray = field(repr=False)
-    x_std: np.ndarray = field(repr=False)
-    y_mean: float = 0.0
-    y_std: float = 1.0
+    @staticmethod
+    def param_shapes(spec: BackendSpec, input_dim: int) -> dict[str, tuple[int, ...]]:
+        """Per-model shape of each parameter, in artifact order."""
+        shapes: dict[str, tuple[int, ...]] = {
+            "x_mean": (input_dim,), "x_std": (input_dim,), "y_mean": (), "y_std": (),
+        }
+        sizes = [input_dim, *spec.mlp_hidden, 1]
+        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            shapes[f"W{i}"] = (fan_in, fan_out)
+            shapes[f"b{i}"] = (fan_out,)
+        return shapes
 
     @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+    def weights(self) -> list[np.ndarray]:
+        """Each layer's (B, fan_in, fan_out) weight stack."""
+        return [self.params[f"W{i}"] for i in range(len(self.spec.mlp_hidden) + 1)]
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        """Each layer's (B, fan_out) bias stack."""
+        return [self.params[f"b{i}"] for i in range(len(self.spec.mlp_hidden) + 1)]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """(B, n) predictions, one net at a time."""
         X = _check_predict_input(X, self.input_dim)
-        Xs = (X - self.x_mean) / self.x_std
-        pred = mlp_forward(self.weights, self.biases, Xs)
-        return self.y_mean + self.y_std * pred
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {
-            "x_mean": self.x_mean,
-            "x_std": self.x_std,
-            "y_mean": np.array(self.y_mean),
-            "y_std": np.array(self.y_std),
-        }
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"W{i}"] = W
-            out[f"b{i}"] = b
+        p, weights, biases = self.params, self.weights, self.biases
+        out = np.empty((self.n_models, X.shape[0]))
+        for b in range(self.n_models):
+            Xs = (X - p["x_mean"][b]) / p["x_std"][b]
+            pred = mlp_forward([W[b] for W in weights], [c[b] for c in biases], Xs)
+            out[b] = p["y_mean"][b] + p["y_std"][b] * pred
         return out
-
-    @classmethod
-    def from_state(cls, spec: BackendSpec, arrays: dict[str, np.ndarray]) -> "MLPModel":
-        n_layers = len(spec.mlp_hidden) + 1
-        weights = [arrays[f"W{i}"] for i in range(n_layers)]
-        biases = [arrays[f"b{i}"] for i in range(n_layers)]
-        return cls(
-            spec,
-            weights,
-            biases,
-            arrays["x_mean"],
-            arrays["x_std"],
-            float(arrays["y_mean"]),
-            float(arrays["y_std"]),
-        )
 
 
 def init_mlp_params(
@@ -383,7 +370,7 @@ def init_mlp_params(
     return weights, biases
 
 
-def _fit_mlp(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> MLPModel:
+def _fit_mlp(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
     x_mean = X.mean(axis=0)
     x_std = X.std(axis=0)
     x_std = np.where(x_std < 1e-12, 1.0, x_std)
@@ -404,29 +391,47 @@ def _fit_mlp(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> MLPModel:
             for param, grad in zip(weights + biases, ws.grad_w + ws.grad_b):
                 grad *= lr
                 param -= grad
-    return MLPModel(spec, weights, biases, x_mean, x_std, y_mean, y_std)
+    params = {"x_mean": x_mean, "x_std": x_std, "y_mean": y_mean, "y_std": y_std}
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        params[f"W{i}"] = W
+        params[f"b{i}"] = b
+    return params
 
-
-def fit(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> RidgeModel | MLPModel:
+def fit(
+    spec: BackendSpec, X: np.ndarray, y: np.ndarray, bags: Bags | None = None
+) -> RidgeModel | MLPModel:
     """Fit the configured backend on (X, y); deterministic given the spec seed.
 
-    A fit whose state is not finite (an MLP step size too large for the data)
-    raises ValueError.
+    Without ``bags`` the result holds one model fitted on every row; with
+    ``bags`` it holds one model per bag, model b fitted on bag b's rows with
+    duplicates repeated (for ridge up to rounding).  A fit whose state is not
+    finite (an MLP step size too large for the data) raises ValueError naming
+    the bag.
     """
     spec.validate()
     X, y = _check_training_inputs(X, y)
-    model = _fit_ridge(spec, X, y) if spec.kind == "ridge" else _fit_mlp(spec, X, y)
-    if not all(np.isfinite(a).all() for a in model.state_arrays().values()):
+    if spec.kind == "ridge" and bags is not None:
+        params = _fit_ridge_bags(spec, X, y, bags)
+    else:
+        fit_one = _fit_ridge if spec.kind == "ridge" else _fit_mlp
+        fits = []
+        for rows in [slice(None)] if bags is None else map(bags.rows, range(len(bags.counts))):
+            fits.append(fit_one(spec, X[rows], y[rows]))
+            if not all(np.isfinite(a).all() for a in fits[-1].values()):
+                break  # a diverged bag ends the fit: the check below names it
+        params = {name: np.stack([f[name] for f in fits]) for name in fits[0]}
+    finite = np.ones(len(params["x_mean"]), dtype=bool)
+    for stack in params.values():
+        finite &= np.isfinite(stack.reshape(len(stack), -1)).all(axis=1)
+    if not finite.all():
+        where = "" if bags is None else f" of bag {np.argmin(finite)}"
         if spec.kind == "mlp":
             raise ValueError(
-                f"MLP fit diverged to non-finite weights; lower mlp_learning_rate "
+                f"MLP fit{where} diverged to non-finite weights; lower mlp_learning_rate "
                 f"(got {spec.mlp_learning_rate})"
             )
-        raise ValueError("ridge fit produced non-finite weights")
-    return model
+        raise ValueError(f"ridge fit{where} produced non-finite weights")
+    return MODEL_TYPES[spec.kind](spec, params)
 
 
-def model_from_state(spec: BackendSpec, arrays: dict[str, np.ndarray]) -> RidgeModel | MLPModel:
-    if spec.kind == "ridge":
-        return RidgeModel.from_state(spec, arrays)
-    return MLPModel.from_state(spec, arrays)
+MODEL_TYPES = {"ridge": RidgeModel, "mlp": MLPModel}

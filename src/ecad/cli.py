@@ -226,7 +226,7 @@ def detect_stage(cfg: PipelineConfig) -> dict:
             f"but test panel {test_path} has {test.n_sensors}",
         )
     n_lags, neighbor_size = cfg.features.n_lags, cfg.features.neighbor_size
-    input_dim = ensemble.models[0].input_dim
+    input_dim = ensemble.model.input_dim
     if input_dim != n_lags * neighbor_size:
         raise StageError(
             "config",
@@ -239,6 +239,14 @@ def detect_stage(cfg: PipelineConfig) -> dict:
             "config",
             f"ensemble {ensemble_path} was trained on {ensemble.n_sensors} sensors, "
             f"but test panel {test_path} has {test.n_sensors}",
+        )
+    # the detector's score store holds one equally long window per sensor
+    per_sensor = np.bincount(ensemble.score_sensors, minlength=ensemble.n_sensors)
+    if (per_sensor != per_sensor[0]).any():
+        raise StageError(
+            "config",
+            f"ensemble {ensemble_path} holds unequal numbers of training scores per sensor: "
+            f"{sorted(set(per_sensor.tolist()))}",
         )
 
     # the test rows' lags reach back n_lags hours into the training panel

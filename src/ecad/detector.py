@@ -227,10 +227,10 @@ def loo_prediction_matrix(
     if mask.shape[0] == 0:
         raise ValueError("no leave-one-out predictor available: every time index is in every bag")
     if X.shape[0] <= chunk:
-        return loo_aggregate(ensemble.predict_all_models(X), mask, ensemble.aggregator)
+        return loo_aggregate(ensemble.model.predict(X), mask, ensemble.aggregator)
     out = np.empty((X.shape[0], mask.shape[0]))
     for start in range(0, X.shape[0], chunk):
-        preds = ensemble.predict_all_models(X[start : start + chunk])  # (B, c)
+        preds = ensemble.model.predict(X[start : start + chunk])  # (B, c)
         out[start : start + chunk] = loo_aggregate(preds, mask, ensemble.aggregator)
     return out
 

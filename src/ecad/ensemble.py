@@ -4,14 +4,14 @@ Training takes the ``(times, sensors, X, y)`` arrays of ``panel.build_features``
 Bootstrap sampling runs over time indices only: each model trains on every
 sensor's rows at its in-bag times, so a single ensemble serves all sensors.
 A bag is a multiplicity vector over the available times
-(`BootstrapPlan.multiplicity`).  Ridge ensembles are fitted from it directly
-(`backends.fit_ridge_bags`), with no copy of any bag's rows; other backends
-fit each bag on its gathered rows.  A time's training score is aggregated
-exclusively from models whose bag excludes that time, which keeps the scores
-out-of-sample without any data splitting.  `Ensemble.predict_all_models` is
-the one source of per-model predictions, for the training scores and for
-detection; ridge models are evaluated together by one matrix product.
-Ensembles are immutable after construction.
+(`BootstrapPlan.multiplicity`), and one `backends.fit` call fits all B bags
+into one stacked model, `Ensemble.model`.  A time's training score is
+aggregated exclusively from models whose bag excludes that time, which keeps
+the scores out-of-sample without any data splitting.  ``Ensemble.model.predict``
+is the one source of per-model predictions, ``(B, n)``, for the training
+scores and for detection.  The artifact stores model b's parameters as the
+members ``model{b}_{name}``, one per name of the backend's ``param_shapes``
+table.  Ensembles are immutable after construction.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .backends import BackendSpec, RidgeStack, fit, fit_ridge_bags, model_from_state
+from .backends import MODEL_TYPES, BackendSpec, Bags, MLPModel, RidgeModel, fit
 
 __all__ = [
     "AggregatorSpec",
@@ -248,7 +248,7 @@ def bootstrap_indices(available: Iterable[int], n_models: int, seed: int) -> Boo
 
 @dataclass
 class Ensemble:
-    """B fitted models plus the plan, aggregator, and initial training scores.
+    """B fitted models, stacked in one model, plus the plan, aggregator, and training scores.
 
     ``score_times/score_sensors/score_values`` hold one aggregated score per
     (time, sensor) row whose LOO model set is nonempty, sorted by (time,
@@ -257,7 +257,7 @@ class Ensemble:
     """
 
     plan: BootstrapPlan
-    models: tuple
+    model: RidgeModel | MLPModel
     aggregator: AggregatorSpec
     backend: BackendSpec
     n_sensors: int
@@ -287,20 +287,6 @@ class Ensemble:
         sel = self.score_sensors == k
         return self.score_times[sel], self.score_values[sel]
 
-    @cached_property
-    def _ridge_stack(self) -> RidgeStack:
-        return RidgeStack.of(self.models)
-
-    def predict_all_models(self, X: np.ndarray) -> np.ndarray:
-        """(n_models, n_points) matrix of per-model predictions.
-
-        Ridge models are evaluated together from their stacked weights; other
-        backends predict one model at a time.
-        """
-        if self.backend.kind == "ridge":
-            return self._ridge_stack.predict(X)
-        return np.stack([m.predict(X) for m in self.models])
-
 
 def train_ensemble(
     times: np.ndarray,
@@ -320,7 +306,7 @@ def train_ensemble(
     |y_ik - aggregate(predictions at x_ik of the models excluding time i)|;
     rows whose LOO set is empty are dropped with a warning.  A model that
     cannot be fitted on its data (for instance an MLP that diverges) raises
-    ValueError naming the model.
+    ValueError naming the bag.
     """
     times = np.asarray(times, dtype=np.int64)
     sensors = np.asarray(sensors, dtype=np.int64)
@@ -341,26 +327,10 @@ def train_ensemble(
     block_starts = np.searchsorted(sorted_times, plan.available, side="left")
     block_stops = np.searchsorted(sorted_times, plan.available, side="right")
 
-    if spec.kind == "ridge":
-        try:
-            models = fit_ridge_bags(
-                spec, X, y, order, block_starts, block_stops, plan.multiplicity
-            )
-        except ValueError as exc:  # numpy's LinAlgError is a ValueError
-            raise ValueError(f"bootstrap ridge ensemble failed to fit: {exc}") from exc
-    else:
-        models = []
-        for b in range(n_models):
-            positions = np.searchsorted(plan.available, plan.in_bag[b])
-            row_idx = np.concatenate(
-                [order[block_starts[p] : block_stops[p]] for p in positions]
-            )
-            try:
-                models.append(fit(spec, X[row_idx], y[row_idx]))
-            except ValueError as exc:
-                raise ValueError(f"bootstrap model {b} failed to fit: {exc}") from exc
-            except Exception as exc:
-                raise RuntimeError(f"bootstrap model {b} failed to fit: {exc}") from exc
+    try:
+        model = fit(spec, X, y, Bags(order, block_starts, block_stops, plan.multiplicity))
+    except ValueError as exc:  # numpy's LinAlgError is a ValueError
+        raise ValueError(f"bootstrap ensemble failed to fit: {exc}") from exc
 
     usable, excluded = plan.usable, plan.excluded
     if not usable.all():
@@ -373,18 +343,7 @@ def train_ensemble(
     row_pos = np.repeat(np.arange(usable.size), block_stops - block_starts)
     kept = usable[row_pos]
     keep, keep_pos = order[kept], row_pos[kept]
-    # the scores come from the ensemble's own predictions, so they are set last
-    ensemble = Ensemble(
-        plan=plan,
-        models=tuple(models),
-        aggregator=aggregator,
-        backend=spec,
-        n_sensors=n_sensors,
-        score_times=times[keep],
-        score_sensors=sensors[keep],
-        score_values=np.empty(0),
-    )
-    predictions = ensemble.predict_all_models(X)  # (B, n_rows)
+    predictions = model.predict(X)  # (B, n_rows)
     _check_finite_predictions(predictions)
     counts = excluded.sum(axis=1)
     if aggregator.kind == "mean":
@@ -402,15 +361,23 @@ def train_ensemble(
             sel = keep_counts == count
             members = np.nonzero(excluded[keep_pos[sel]])[1].reshape(-1, count)
             loo[sel] = _window_mean(predictions[members.T, keep[sel]], *aggregator.rank_window(count))
-    ensemble.score_values = np.abs(y[keep] - loo)
-    return ensemble
+    return Ensemble(
+        plan=plan,
+        model=model,
+        aggregator=aggregator,
+        backend=spec,
+        n_sensors=n_sensors,
+        score_times=times[keep],
+        score_sensors=sensors[keep],
+        score_values=np.abs(y[keep] - loo),
+    )
 
 
 def loo_predict(ensemble: Ensemble, t: int, x: np.ndarray) -> float:
     """Aggregate the predictions at x of exactly the models whose bag excludes t."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     excluded = ensemble.plan.loo_set(t)[None, :]
-    return float(loo_aggregate(ensemble.predict_all_models(x), excluded, ensemble.aggregator)[0, 0])
+    return float(loo_aggregate(ensemble.model.predict(x), excluded, ensemble.aggregator)[0, 0])
 
 
 def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
@@ -432,9 +399,9 @@ def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
         "score_sensors": ensemble.score_sensors,
         "score_values": ensemble.score_values,
     }
-    for b, model in enumerate(ensemble.models):
-        for key, value in model.state_arrays().items():
-            arrays[f"model{b}_{key}"] = value
+    for b in range(ensemble.n_models):
+        for name, stack in ensemble.model.params.items():
+            arrays[f"model{b}_{name}"] = stack[b]
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     Path(path).write_bytes(buffer.getvalue())
@@ -458,6 +425,7 @@ def load_ensemble(path: str | Path) -> Ensemble:
         backend_fields = dict(meta["backend"])
         backend_fields["mlp_hidden"] = tuple(backend_fields["mlp_hidden"])
         backend = BackendSpec(**backend_fields)
+        backend.validate()
         aggregator = AggregatorSpec(**meta["aggregator"])
         n_models = int(meta["n_models"])
         n_sensors = int(meta["n_sensors"])
@@ -473,22 +441,36 @@ def load_ensemble(path: str | Path) -> Ensemble:
             raise ValueError(f"ensemble arrays score_* differ in shape: {shapes}")
         if ((scores["score_sensors"] < 0) | (scores["score_sensors"] >= n_sensors)).any():
             raise ValueError(f"ensemble array score_sensors falls outside [0, {n_sensors})")
-        models = []
+        if not np.isfinite(scores["score_values"]).all():
+            raise ValueError("ensemble array score_values holds non-finite values")
+        if (scores["score_values"] < 0).any():
+            raise ValueError("ensemble array score_values holds negative scores")
+
+        def member(key: str) -> np.ndarray:
+            if key not in data.files:
+                raise ValueError(f"ensemble array {key} is missing")
+            return data[key]
+
+        # every model's parameters must have the shapes the backend's table gives
+        # for the input width of model 0
+        width = member("model0_x_mean").shape
+        if len(width) != 1:
+            raise ValueError(f"ensemble array model0_x_mean must be 1-D, got shape {width}")
+        model_type = MODEL_TYPES[backend.kind]
+        shapes = model_type.param_shapes(backend, width[0])
+        params = {name: np.empty((n_models, *shape)) for name, shape in shapes.items()}
         for b in range(n_models):
-            prefix = f"model{b}_"
-            state = {
-                key[len(prefix) :]: data[key] for key in data.files if key.startswith(prefix)
-            }
-            for key, value in state.items():
+            for name, shape in shapes.items():
+                key = f"model{b}_{name}"
+                value = member(key)
+                if value.shape != shape:
+                    raise ValueError(f"ensemble array {key} has shape {value.shape}, expected {shape}")
                 if not np.isfinite(value).all():
-                    raise ValueError(f"ensemble array {prefix}{key} holds non-finite values")
-            try:
-                models.append(model_from_state(backend, state))
-            except KeyError as exc:
-                raise ValueError(f"ensemble array {prefix}{exc.args[0]} is missing") from None
+                    raise ValueError(f"ensemble array {key} holds non-finite values")
+                params[name][b] = value
         return Ensemble(
             plan=BootstrapPlan(n_models, available, in_bag, seed=int(meta["seed"])),
-            models=tuple(models),
+            model=model_type(backend, params),
             aggregator=aggregator,
             backend=backend,
             n_sensors=n_sensors,

@@ -96,7 +96,7 @@ def impute(panel: TimeSeriesPanel, cfg: ImputerConfig = ImputerConfig()) -> tupl
             if obs.all():
                 continue
             model = fit(spec, values[obs][:, others[k]], values[obs, k])
-            predicted = model.predict(values[~obs][:, others[k]])
+            predicted = model.predict(values[~obs][:, others[k]])[0]
             sweep_delta = max(sweep_delta, float(np.max(np.abs(predicted - values[~obs, k]))))
             values[~obs, k] = predicted
         delta_trace.append(sweep_delta)

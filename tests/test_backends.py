@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from ecad import backends
 from ecad.backends import (
     BackendSpec,
+    Bags,
     fit,
     init_mlp_params,
     mlp_loss,
@@ -35,8 +37,9 @@ def test_ridge_interpolates_noiseless_linear_data():
     x = np.linspace(-2, 2, 30)[:, None]
     y = 2.0 * x[:, 0]
     model = fit(BackendSpec(kind="ridge", ridge_lambda=0.0), x, y)
-    assert model.weights[0] == pytest.approx(2.0, abs=1e-8)
-    assert np.max(np.abs(model.predict(x) - y)) < 1e-8
+    assert model.params["weights"].shape == (1, 1)
+    assert model.params["weights"][0, 0] == pytest.approx(2.0, abs=1e-8)
+    assert np.max(np.abs(model.predict(x)[0] - y)) < 1e-8
 
 
 def test_ridge_infinite_penalty_predicts_mean():
@@ -44,8 +47,8 @@ def test_ridge_infinite_penalty_predicts_mean():
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
     model = fit(BackendSpec(kind="ridge", ridge_lambda=1e12), X, y)
-    assert np.max(np.abs(model.weights)) < 1e-9
-    assert np.allclose(model.predict(X), y.mean(), atol=1e-8)
+    assert np.max(np.abs(model.params["weights"])) < 1e-9
+    assert np.allclose(model.predict(X)[0], y.mean(), atol=1e-8)
 
 
 def test_ridge_matches_hand_rolled_normal_equations():
@@ -56,14 +59,14 @@ def test_ridge_matches_hand_rolled_normal_equations():
     Xc = X - X.mean(axis=0)
     yc = y - y.mean()
     expected = _gauss_solve(Xc.T @ Xc + np.eye(3), Xc.T @ yc)
-    assert np.allclose(model.weights, expected, atol=1e-10)
+    assert np.allclose(model.params["weights"][0], expected, atol=1e-10)
 
 
 def test_ridge_zero_residual_on_training_point():
     x = np.linspace(0, 1, 10)[:, None]
     y = 3.0 * x[:, 0] + 1.0
     model = fit(BackendSpec(kind="ridge", ridge_lambda=0.0), x, y)
-    assert abs(model.predict(x[:1])[0] - y[0]) < 1e-8
+    assert abs(model.predict(x[:1])[0, 0] - y[0]) < 1e-8
 
 
 def test_predict_duplicated_rows_give_duplicated_outputs():
@@ -73,7 +76,8 @@ def test_predict_duplicated_rows_give_duplicated_outputs():
     model = fit(BackendSpec(kind="ridge"), X, y)
     probe = np.vstack([X[3], X[3]])
     out = model.predict(probe)
-    assert out[0] == out[1]
+    assert out.shape == (1, 2)
+    assert out[0, 0] == out[0, 1]
 
 
 def test_ridge_affine_equivariance_in_targets():
@@ -81,9 +85,9 @@ def test_ridge_affine_equivariance_in_targets():
     X = rng.normal(size=(25, 3))
     y = rng.normal(size=25)
     probe = rng.normal(size=(6, 3))
-    base = fit(BackendSpec(kind="ridge", ridge_lambda=2.0), X, y).predict(probe)
+    base = fit(BackendSpec(kind="ridge", ridge_lambda=2.0), X, y).predict(probe)[0]
     for a, b in [(2.5, -1.0), (-0.7, 4.2)]:
-        scaled = fit(BackendSpec(kind="ridge", ridge_lambda=2.0), X, a * y + b).predict(probe)
+        scaled = fit(BackendSpec(kind="ridge", ridge_lambda=2.0), X, a * y + b).predict(probe)[0]
         assert np.allclose(scaled, a * base + b, atol=1e-8)
 
 
@@ -112,6 +116,22 @@ def test_fit_rejects_diverged_mlp():
         fit(spec, X, y)
 
 
+def test_bagged_mlp_fit_stops_at_the_first_diverged_bag(monkeypatch):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(200, 3))
+    y = X @ np.array([1.0, 2.0, 3.0]) + rng.normal(size=200)
+    spec = BackendSpec(
+        kind="mlp", mlp_hidden=(64, 64), mlp_epochs=20, mlp_learning_rate=0.5, seed=0
+    )
+    starts = np.arange(0, 200, 10)
+    bags = Bags(np.arange(200), starts, starts + 10, np.ones((4, starts.size), dtype=np.int64))
+    fitted, fit_mlp = [], backends._fit_mlp
+    monkeypatch.setattr(backends, "_fit_mlp", lambda *args: fitted.append(args) or fit_mlp(*args))
+    with pytest.raises(ValueError, match="MLP fit of bag 0 diverged"):
+        fit(spec, X, y, bags)
+    assert len(fitted) == 1
+
+
 def test_predict_rejects_dimension_mismatch():
     model = fit(BackendSpec(kind="ridge"), np.ones((4, 3)), np.ones(4))
     with pytest.raises(ValueError, match="dimension"):
@@ -124,7 +144,7 @@ def test_mlp_learns_sine():
     y = np.sin(x[:, 0])
     spec = BackendSpec(kind="mlp", mlp_hidden=(32,), mlp_epochs=1000, mlp_learning_rate=0.1, seed=1)
     model = fit(spec, x, y)
-    assert np.max(np.abs(model.predict(x) - y)) < 0.1
+    assert np.max(np.abs(model.predict(x)[0] - y)) < 0.1
 
 
 def test_mlp_gradients_match_central_differences():
@@ -171,7 +191,7 @@ def test_mlp_standardizes_inputs():
     y = X[:, 0] / 1e4 + X[:, 1] * 1e4
     spec = BackendSpec(kind="mlp", mlp_hidden=(16,), mlp_epochs=500, mlp_learning_rate=0.1, seed=0)
     model = fit(spec, X, y)
-    assert np.mean((model.predict(X) - y) ** 2) < 0.05 * np.var(y)
+    assert np.mean((model.predict(X)[0] - y) ** 2) < 0.05 * np.var(y)
 
 
 def test_backend_spec_validation():
@@ -241,8 +261,8 @@ def test_mlp_fit_bit_identical_to_allocating_reference(hidden, n_rows, lr):
     ref_w, ref_b = _reference_fit_mlp(spec, X, y)
     assert len(model.weights) == len(ref_w) == len(hidden) + 1
     for got, want in zip(model.weights + model.biases, ref_w + ref_b):
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert got.shape == (1, *want.shape)
+        assert np.array_equal(got[0], want)
 
 
 def test_mlp_loss_and_gradients_equal_reference_and_are_not_reused():
@@ -271,12 +291,14 @@ def test_mlp_ensemble_models_share_no_memory_and_equal_standalone_fits():
     ens = train_ensemble(
         times, sensors, X, y, spec, n_models=6, aggregator=AggregatorSpec("mean"), seed=2
     )
-    arrays = [a for m in ens.models for a in m.weights + m.biases]
+    stacks = ens.model.weights + ens.model.biases
+    arrays = [stack[b] for b in range(ens.n_models) for stack in stacks]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1 :]:
             assert not np.shares_memory(a, b)
-    for b, model in enumerate(ens.models):
-        bag = [t * n_sensors + k for t in ens.plan.in_bag[b] for k in range(n_sensors)]
-        alone = fit(model.spec, X[bag], y[bag])
-        for got, want in zip(model.weights + model.biases, alone.weights + alone.biases):
-            assert np.array_equal(got, want)
+    for b in range(ens.n_models):
+        # the ensemble fits each bag on its rows in ascending time order
+        bag = [t * n_sensors + k for t in np.sort(ens.plan.in_bag[b]) for k in range(n_sensors)]
+        alone = fit(spec, X[bag], y[bag])
+        for got, want in zip(stacks, alone.weights + alone.biases):
+            assert np.array_equal(got[b], want[0])

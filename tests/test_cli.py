@@ -267,17 +267,47 @@ def test_detect_rejects_ensemble_of_other_sensor_count(tmp_path, capsys):
     assert "trained on 5 sensors" in err and "has 4" in err
 
 
+def _rewrite_ensemble(path, corrupt):
+    """Apply ``corrupt`` to the dict of an ensemble artifact's arrays and save it back."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    corrupt(arrays)
+    np.savez(path, **arrays)
+
+
 def test_detect_rejects_ensemble_with_non_finite_weights(tmp_path, capsys):
     cfg = _small_cfg(tmp_path / "run")
     run_all(cfg)
-    path = tmp_path / "run" / ARTIFACTS["ensemble"]
-    with np.load(path) as data:
-        arrays = {key: data[key] for key in data.files}
-    arrays["model0_weights"] = np.full_like(arrays["model0_weights"], np.nan)
-    np.savez(path, **arrays)
+    _rewrite_ensemble(
+        tmp_path / "run" / ARTIFACTS["ensemble"],
+        lambda a: a.update(model0_weights=np.full_like(a["model0_weights"], np.nan)),
+    )
     code, err = _detect_exit(cfg, tmp_path, capsys)
     assert code == 2
     assert "category=config" in err and "model0_weights holds non-finite" in err
+
+
+def test_detect_rejects_ensemble_with_mis_shaped_weights(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    _rewrite_ensemble(
+        tmp_path / "run" / ARTIFACTS["ensemble"],
+        lambda a: a.update(model2_weights=a["model2_weights"][:-1], model2_x_mean=a["model2_x_mean"][:-1]),
+    )
+    code, err = _detect_exit(cfg, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err and "model2_weights has shape (5,), expected (6,)" in err
+
+
+def test_detect_rejects_ensemble_with_unequal_sensor_scores(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    path = tmp_path / "run" / ARTIFACTS["ensemble"]
+    _rewrite_ensemble(path, lambda a: a.update({k: a[k][1:] for k in ("score_times", "score_sensors", "score_values")}))
+    code, err = _detect_exit(cfg, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err and str(path) in err
+    assert "unequal numbers of training scores per sensor" in err
 
 
 def test_detect_rejects_training_panel_of_other_sensor_count(tmp_path, capsys):

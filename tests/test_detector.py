@@ -24,9 +24,11 @@ from ecad.detector import test_score as detection_score
 from ecad.ensemble import AggregatorSpec, BootstrapPlan, Ensemble, loo_predict, train_ensemble
 
 
-def _constant_model(value, dim=2):
-    spec = BackendSpec(kind="ridge")
-    return RidgeModel(spec, np.zeros(dim), np.zeros(dim), float(value))
+def _constant_models(values, dim=2):
+    """Ridge models with zero weights: model b predicts values[b] everywhere."""
+    n = len(values)
+    params = {"weights": np.zeros((n, dim)), "x_mean": np.zeros((n, dim)), "y_mean": np.array(values, dtype=float)}
+    return RidgeModel(BackendSpec(kind="ridge"), params)
 
 
 def _manual_ensemble(predictions, dim=2):
@@ -40,13 +42,12 @@ def _manual_ensemble(predictions, dim=2):
         [[t for t in range(n) if t != b] + [(b + 1) % n] for b in range(n)]
     )
     plan = BootstrapPlan(n, available, in_bag, seed=0)
-    models = tuple(_constant_model(p, dim) for p in predictions)
     score_times = np.repeat(available, 1)
     score_sensors = np.zeros(n, dtype=np.int64)
     score_values = np.abs(np.asarray(predictions, dtype=float))
     return Ensemble(
         plan=plan,
-        models=models,
+        model=_constant_models(predictions, dim),
         aggregator=AggregatorSpec("mean"),
         backend=BackendSpec(kind="ridge"),
         n_sensors=1,
@@ -224,7 +225,7 @@ def test_batch_test_scores_edge_batches():
     plan = BootstrapPlan(2, np.arange(2), np.array([[0, 1], [1, 0]]), seed=0)
     ens = Ensemble(
         plan=plan,
-        models=(_constant_model(1.0), _constant_model(2.0)),
+        model=_constant_models([1.0, 2.0]),
         aggregator=AggregatorSpec("mean"),
         backend=BackendSpec(kind="ridge"),
         n_sensors=1,

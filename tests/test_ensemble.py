@@ -1,9 +1,10 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ecad.backends import BackendSpec, fit, fit_ridge_bags
+from ecad.backends import BackendSpec, Bags, fit
 from ecad.ensemble import (
     AggregatorSpec,
     bootstrap_indices,
@@ -158,9 +159,8 @@ def test_loo_predict_mean_and_median():
         ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 6, aggregator=agg, seed=4)
         t = int(ens.usable_times[0])
         x = feats[2][0]
-        expected = combine(
-            [ens.models[b].predict(x[None, :])[0] for b in np.flatnonzero(ens.plan.loo_set(t))]
-        )
+        preds = ens.model.predict(x[None, :])[:, 0]
+        expected = combine(list(preds[np.flatnonzero(ens.plan.loo_set(t))]))
         assert loo_predict(ens, t, x) == pytest.approx(float(expected), abs=1e-12)
 
 
@@ -295,7 +295,7 @@ def test_training_scores_equal_per_time_reference(agg):
     ens = train_ensemble(
         times, sensors, X, y, BackendSpec(kind="ridge"), 9, aggregator=agg, seed=3
     )
-    preds = ens.predict_all_models(X)
+    preds = ens.model.predict(X)
     expected = {}
     for t in ens.usable_times:
         rows = np.flatnonzero(times == t)
@@ -330,7 +330,7 @@ def test_mean_over_identical_models_equals_single_model():
     _, _, X, y = _features_from_matrix(values)
     model = fit_backend(BackendSpec(kind="ridge"), X, y)
     x = X[5][None, :]
-    single = model.predict(x)[0]
+    single = model.predict(x)[0, 0]
     preds = np.array([single] * 4)
     assert _aggregate_all(preds, AggregatorSpec("mean")) == single
 
@@ -357,7 +357,7 @@ def test_ensemble_roundtrip_through_disk(tmp_path):
     assert np.array_equal(loaded.score_values, ens.score_values)
     assert np.array_equal(loaded.score_times, ens.score_times)
     x = feats[2][:1]
-    assert np.array_equal(loaded.predict_all_models(x), ens.predict_all_models(x))
+    assert np.array_equal(loaded.model.predict(x), ens.model.predict(x))
 
 
 def test_ensemble_version_refusal(tmp_path):
@@ -366,8 +366,6 @@ def test_ensemble_version_refusal(tmp_path):
     ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 3, seed=0)
     path = tmp_path / "ensemble.npz"
     save_ensemble(ens, path)
-    import json
-
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files}
     meta = json.loads(str(arrays["meta"]))
@@ -388,6 +386,12 @@ def test_ensemble_version_refusal(tmp_path):
         (lambda a: a.update(score_sensors=a["score_sensors"] + 1), "score_sensors"),
         (lambda a: a.update(score_sensors=a["score_sensors"] - 1), "score_sensors"),
         (lambda a: a.pop("model2_weights"), "model2_weights"),
+        (
+            lambda a: a.update(model2_weights=a["model2_weights"][:-1], model2_x_mean=a["model2_x_mean"][:-1]),
+            "model2_weights has shape",
+        ),
+        (lambda a: a.update(score_values=-a["score_values"]), "score_values holds negative"),
+        (lambda a: a.update(score_values=np.full_like(a["score_values"], np.nan)), "score_values holds non-finite"),
     ],
 )
 def test_ensemble_shape_refusal(tmp_path, corrupt, name):
@@ -417,6 +421,52 @@ def test_ensemble_refuses_non_finite_model_arrays(tmp_path, key):
         load_ensemble(tmp_path / "e.npz")
 
 
+_HEADER_MEMBERS = ["meta", "available", "in_bag", "score_times", "score_sensors", "score_values"]
+_MLP_42 = BackendSpec(kind="mlp", mlp_hidden=(4, 2), mlp_epochs=3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "spec, members",
+    [
+        (BackendSpec(kind="ridge"), [("weights", (3,)), ("x_mean", (3,)), ("y_mean", ())]),
+        (
+            _MLP_42,
+            [
+                ("x_mean", (3,)), ("x_std", (3,)), ("y_mean", ()), ("y_std", ()),
+                ("W0", (3, 4)), ("b0", (4,)), ("W1", (4, 2)), ("b1", (2,)), ("W2", (2, 1)), ("b2", (1,)),
+            ],
+        ),
+    ],
+    ids=["ridge", "mlp"],
+)
+def test_ensemble_artifact_member_names_and_shapes(tmp_path, spec, members):
+    # the benchmark's output checks read ensemble.npz by these member names and shapes
+    feats = _features_from_matrix(np.random.default_rng(3).normal(size=(12, 2)), n_lags=3)
+    ens = train_ensemble(*feats, spec, 2, seed=0)
+    save_ensemble(ens, tmp_path / "e.npz")
+    with np.load(tmp_path / "e.npz") as data:
+        assert data.files == _HEADER_MEMBERS + [f"model{b}_{name}" for b in range(2) for name, _ in members]
+        for b in range(2):
+            for name, shape in members:
+                member = data[f"model{b}_{name}"]
+                assert member.shape == shape and member.dtype == np.float64, (b, name)
+                assert np.array_equal(member, ens.model.params[name][b]), (b, name)
+
+
+def test_ensemble_refuses_mlp_layers_of_other_widths(tmp_path):
+    feats = _features_from_matrix(np.random.default_rng(3).normal(size=(12, 2)), n_lags=3)
+    path = tmp_path / "e.npz"
+    save_ensemble(train_ensemble(*feats, _MLP_42, 2, seed=0), path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(str(arrays["meta"]))
+    meta["backend"]["mlp_hidden"] = [5, 2]
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=r"model0_W0 has shape \(3, 4\), expected \(3, 5\)"):
+        load_ensemble(path)
+
+
 def test_mlp_backend_trains_in_ensemble():
     rng = np.random.default_rng(7)
     feats = _features_from_matrix(rng.normal(size=(20, 2)))
@@ -444,18 +494,18 @@ def test_bagged_ridge_models_equal_fits_on_gathered_bags(lam, n_models):
     spec = BackendSpec(kind="ridge", ridge_lambda=lam)
     ens = train_ensemble(times, sensors, X, y, spec, n_models, seed=5)
     assert (ens.plan.multiplicity > 1).any(), "no bag repeats a time"
-    for b, model in enumerate(ens.models):
+    params = ens.model.params
+    assert list(params) == ["weights", "x_mean", "y_mean"]
+    for b in range(n_models):
         rows = np.concatenate([np.flatnonzero(times == t) for t in ens.plan.in_bag[b]])
         want = fit(spec, X[rows], y[rows])
-        for got, ref in [
-            (model.weights, want.weights),
-            (model.x_mean, want.x_mean),
-            (np.array(model.y_mean), np.array(want.y_mean)),
-        ]:
+        for name, ref in want.params.items():
+            got, ref = params[name][b], ref[0]
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), b
-    stacked = ens.predict_all_models(X)
-    for b, model in enumerate(ens.models):
-        alone = model.predict(X)
+    stacked = ens.model.predict(X)
+    assert stacked.shape == (n_models, len(y))
+    for b in range(n_models):
+        alone = (X - params["x_mean"][b]) @ params["weights"][b] + params["y_mean"][b]
         assert np.max(np.abs(stacked[b] - alone)) <= 1e-12 * np.max(np.abs(alone)), b
 
 
@@ -495,9 +545,8 @@ def test_ridge_training_memory_stays_near_one_prediction_matrix():
     spec = BackendSpec(kind="ridge")
     plan = bootstrap_indices(np.unique(times), n_models, seed=1)
     starts = np.arange(n_times) * n_sensors
-    fit_peak = _traced_peak(
-        fit_ridge_bags, spec, X, y, np.arange(times.size), starts, starts + n_sensors, plan.multiplicity
-    )
+    bags = Bags(np.arange(times.size), starts, starts + n_sensors, plan.multiplicity)
+    fit_peak = _traced_peak(fit, spec, X, y, bags)
     assert fit_peak < 0.5 * X.nbytes, fit_peak / X.nbytes
     train_peak = _traced_peak(
         train_ensemble, times, sensors, X, y, spec, n_models, AggregatorSpec("mean"), seed=1

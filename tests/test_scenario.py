@@ -44,7 +44,7 @@ def test_linear_model_coefficients_recoverable_by_regression():
     nb = neighbor_sets(panel.sensors, 3)
     _, _, X, y = build_features(panel, nb, 2)
     model = fit(BackendSpec(kind="ridge", ridge_lambda=1e-8), X, y)
-    assert np.max(np.abs(model.weights - _ar_coefficients(3, 2).ravel())) < 0.02
+    assert np.max(np.abs(model.params["weights"][0] - _ar_coefficients(3, 2).ravel())) < 0.02
 
 
 def test_seasonal_model_has_daily_cycle():
