@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import sys
 import time
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -298,41 +300,52 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     }
 
 
-def _read_columns(path: Path, *names: str) -> list[list[str]]:
-    """The named columns of a CSV file with a header row, as lists of cells."""
+# data rows per block in _read_columns: the cells of one block are the only
+# Python objects a read keeps alive, however long the file
+_CSV_BLOCK_ROWS = 1024
+# how _read_columns parses a cell of each column dtype; a flag is true when it reads 1
+_CELL_PARSERS = {np.int64: int, np.float64: float, bool: "1".__eq__}
+
+
+def _read_columns(path: Path, **columns: type) -> list[np.ndarray]:
+    """The named columns of a CSV file with a header row, as arrays.
+
+    Each keyword names a column and its dtype, a key of ``_CELL_PARSERS``.
+    Rows are parsed a block at a time into arrays, so the file is never held
+    as one list of rows or cells.
+    """
+    blocks = [[np.empty(0, dtype=kind) for kind in columns.values()]]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = [row for row in reader if row]
-    missing = [name for name in names if name not in header]
-    if missing:
-        raise StageError("config", f"{path} lacks the column(s) {missing}")
-    if set(map(len, rows)) - {len(header)}:
-        raise StageError("config", f"{path} has rows of unequal length")
-    index = [header.index(name) for name in names]
-    return [[row[i] for row in rows] for i in index]
-
-
-def _ints(cells: list[str]) -> np.ndarray:
-    return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise StageError("config", f"{path} lacks the column(s) {missing}")
+        cells = [(itemgetter(header.index(name)), _CELL_PARSERS[kind], kind) for name, kind in columns.items()]
+        while block := list(itertools.islice(reader, _CSV_BLOCK_ROWS)):
+            rows = [row for row in block if row]
+            if set(map(len, rows)) - {len(header)}:
+                raise StageError("config", f"{path} has rows of unequal length")
+            blocks.append(
+                [np.fromiter(map(parse, map(cell, rows)), dtype=kind, count=len(rows)) for cell, parse, kind in cells]
+            )
+    return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 def _read_detections(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    t, k, p, flagged = _read_columns(path, "t", "k", "p_value", "flagged")
-    if not t:
+    t, k, p, flagged = _read_columns(path, t=np.int64, k=np.int64, p_value=np.float64, flagged=bool)
+    if not t.size:
         raise StageError("config", f"no detection rows in {path}")
-    p = np.fromiter(map(float, p), dtype=np.float64, count=len(p))
-    return _ints(t), _ints(k), p, np.array(flagged, dtype=str) == "1"
+    return t, k, p, flagged
 
 
 def _read_truth(path: Path) -> np.ndarray:
     """(T, K) grid of ground-truth labels: 1 anomalous, 0 normal, -1 unlabeled."""
-    t, k, label = _read_columns(path, "t", "k", "label")
-    t, k = _ints(t), _ints(k)
+    t, k, label = _read_columns(path, t=np.int64, k=np.int64, label=bool)
     if (t < 0).any() or (k < 0).any():
         raise StageError("config", f"{path} has a negative time or sensor index")
     grid = np.full((t.max() + 1, k.max() + 1) if t.size else (0, 0), -1, dtype=np.int8)
-    grid[t, k] = np.array(label, dtype=str) == "1"
+    grid[t, k] = label
     return grid
 
 
@@ -355,10 +368,10 @@ def evaluate_stage(cfg: PipelineConfig) -> dict:
     reports = evaluate_sensors(k, labels, flags)
     _write_report(cfg, reports)
 
-    lines = ["t,k,p_value,label"]
-    for ti, ki, pi, li in zip(t.tolist(), k.tolist(), p.tolist(), labels.tolist()):
-        lines.append(f"{ti},{ki},{pi!r},{int(li)}")
-    _artifact(cfg, "pvalues").write_text("\n".join(lines) + "\n")
+    with open(_artifact(cfg, "pvalues"), "w") as fh:
+        fh.write("t,k,p_value,label\n")
+        columns = (t.tolist(), k.tolist(), p.tolist(), labels.tolist())
+        fh.writelines(f"{ti},{ki},{pi!r},{int(li)}\n" for ti, ki, pi, li in zip(*columns))
 
     mean_f1 = float(np.mean([r.f1 for r in reports]))
     mean_rguess = float(np.mean([r.rguess_f1 for r in reports]))

@@ -154,6 +154,42 @@ def test_evaluate_joins_only_labeled_detections(tmp_path):
             evaluate_stage(cfg)
 
 
+def test_read_columns_joins_blocks_and_checks_every_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(ecad.cli, "_CSV_BLOCK_ROWS", 3)
+    path = tmp_path / "detections.csv"
+    rows = [f"{t},{t % 4},9.5,{t / 8!r},{int(t % 3 == 0)}" for t in range(10)]
+    path.write_text("t,k,test_score,p_value,flagged\n" + "\n".join(rows[:4] + [""] + rows[4:]) + "\n")
+    t, k, p, flagged = ecad.cli._read_columns(path, t=np.int64, k=np.int64, p_value=np.float64, flagged=bool)
+    assert t.tolist() == list(range(10))
+    assert k.tolist() == [i % 4 for i in range(10)]
+    assert p.tolist() == [i / 8 for i in range(10)]
+    assert flagged.tolist() == [i % 3 == 0 for i in range(10)]
+
+    # a short row in the last block is still found
+    path.write_text("t,k,test_score,p_value,flagged\n" + "\n".join(rows + ["10,2"]) + "\n")
+    with pytest.raises(StageError, match="rows of unequal length"):
+        ecad.cli._read_columns(path, t=np.int64, k=np.int64)
+
+
+def test_read_columns_holds_no_list_of_all_cells(tmp_path):
+    # the evaluate stage reads truth.csv and detections.csv after detect has
+    # freed its arrays; a list of every cell would raise the process's peak
+    tracemalloc = pytest.importorskip("tracemalloc")
+    n = 40_000
+    path = tmp_path / "truth.csv"
+    path.write_text("t,k,label,injected\n" + "".join(f"{1000 + i},{i % 20},{i % 2},0\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        t, k, label = ecad.cli._read_columns(path, t=np.int64, k=np.int64, label=bool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.size == n and label.sum() == n // 2
+    # the arrays take 17 bytes a row, twice while the blocks are joined; a list
+    # of all rows and their cells took about 200
+    assert peak < 80 * n
+
+
 def test_detect_features_equal_full_panel_rows(tmp_path, monkeypatch):
     cfg = _small_cfg(tmp_path / "run")
     generate_stage(cfg)
