@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,7 +175,6 @@ def test_read_columns_joins_blocks_and_checks_every_row(tmp_path, monkeypatch):
 def test_read_columns_holds_no_list_of_all_cells(tmp_path):
     # the evaluate stage reads truth.csv and detections.csv after detect has
     # freed its arrays; a list of every cell would raise the process's peak
-    tracemalloc = pytest.importorskip("tracemalloc")
     n = 40_000
     path = tmp_path / "truth.csv"
     path.write_text("t,k,label,injected\n" + "".join(f"{1000 + i},{i % 20},{i % 2},0\n" for i in range(n)))
