@@ -4,19 +4,18 @@ Each stage reads its prerequisite artifacts from the output directory, writes
 its own, and prints a one-line key=value summary.  ``run-all`` chains every
 stage; ``retrain`` refits the ensemble from the completed panel, for use after
 a suspected change point.  All stages are idempotent and, for a fixed config,
-bit-reproducible (timestamps appear only in report metadata).
+bit-reproducible (timestamps appear only in report metadata).  Every CSV
+artifact is read with ``panel.read_csv`` and written with ``panel.write_csv``;
+this module only names the columns.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import itertools
 import json
 import sys
 import time
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +31,10 @@ from .panel import (
     load_panel,
     load_sensors,
     neighbor_sets,
+    read_csv,
     save_panel,
     save_sensors,
+    write_csv,
 )
 from .scenario import generate, inject_missing
 
@@ -119,11 +120,16 @@ def generate_stage(cfg: PipelineConfig) -> dict:
     save_panel(test, _artifact(cfg, "test_panel"), cfg.missing_token)
     save_sensors(panel.sensors, _artifact(cfg, "sensors"))
 
-    lines = ["t,k,label,injected"]
-    for t in range(truth.first_labeled_t, panel.n_times):
-        for k in range(panel.n_sensors):
-            lines.append(f"{t},{k},{int(truth.labels[t, k])},{int(truth.injected[t, k])}")
-    _artifact(cfg, "truth").write_text("\n".join(lines) + "\n")
+    labeled_times = np.arange(truth.first_labeled_t, panel.n_times)
+    write_csv(
+        _artifact(cfg, "truth"),
+        {
+            "t": np.repeat(labeled_times, panel.n_sensors),
+            "k": np.tile(np.arange(panel.n_sensors), labeled_times.size),
+            "label": truth.labels[labeled_times].ravel(),
+            "injected": truth.injected[labeled_times].ravel(),
+        },
+    )
     _write_json(_artifact(cfg, "scenario"), dataclasses.asdict(cfg.scenario))
 
     labeled = truth.labels[truth.first_labeled_t :]
@@ -281,16 +287,10 @@ def detect_stage(cfg: PipelineConfig) -> dict:
         exclude_flagged_from_window=cfg.detector.exclude_flagged_from_window,
     )
 
-    columns = (
-        detections.t,
-        detections.k,
-        detections.test_score,
-        detections.p_value,
-        detections.flagged.view(np.uint8),
+    write_csv(
+        _artifact(cfg, "detections"),
+        {name: getattr(detections, name) for name in ("t", "k", "test_score", "p_value", "flagged")},
     )
-    lines = ["t,k,test_score,p_value,flagged"]
-    lines += [f"{t},{k},{s!r},{p!r},{f}" for t, k, s, p, f in zip(*(c.tolist() for c in columns))]
-    _artifact(cfg, "detections").write_text("\n".join(lines) + "\n")
     n_flagged = int(np.count_nonzero(detections.flagged))
     return {
         "stage": "detect",
@@ -300,51 +300,19 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     }
 
 
-# data rows per block in _read_columns: the cells of one block are the only
-# Python objects a read keeps alive, however long the file
-_CSV_BLOCK_ROWS = 1024
-# how _read_columns parses a cell of each column dtype; a flag is true when it reads 1
-_CELL_PARSERS = {np.int64: int, np.float64: float, bool: "1".__eq__}
-
-
-def _read_columns(path: Path, **columns: type) -> list[np.ndarray]:
-    """The named columns of a CSV file with a header row, as arrays.
-
-    Each keyword names a column and its dtype, a key of ``_CELL_PARSERS``.
-    Rows are parsed a block at a time into arrays, so the file is never held
-    as one list of rows or cells.
-    """
-    blocks = [[np.empty(0, dtype=kind) for kind in columns.values()]]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [name for name in columns if name not in header]
-        if missing:
-            raise StageError("config", f"{path} lacks the column(s) {missing}")
-        cells = [(itemgetter(header.index(name)), _CELL_PARSERS[kind], kind) for name, kind in columns.items()]
-        while block := list(itertools.islice(reader, _CSV_BLOCK_ROWS)):
-            rows = [row for row in block if row]
-            if set(map(len, rows)) - {len(header)}:
-                raise StageError("config", f"{path} has rows of unequal length")
-            blocks.append(
-                [np.fromiter(map(parse, map(cell, rows)), dtype=kind, count=len(rows)) for cell, parse, kind in cells]
-            )
-    return [np.concatenate(parts) for parts in zip(*blocks)]
-
-
-def _read_detections(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    t, k, p, flagged = _read_columns(path, t=np.int64, k=np.int64, p_value=np.float64, flagged=bool)
-    if not t.size:
-        raise StageError("config", f"no detection rows in {path}")
-    return t, k, p, flagged
+def _read_detections(path: Path) -> list[np.ndarray]:
+    t, k, p, flagged = read_csv(path, {"t": np.int64, "k": np.int64, "p_value": float, "flagged": bool})
+    if ((p < 0.0) | (p > 1.0)).any():
+        raise ValueError("a p_value outside [0, 1]")
+    return [t, k, p, flagged]
 
 
 def _read_truth(path: Path) -> np.ndarray:
     """(T, K) grid of ground-truth labels: 1 anomalous, 0 normal, -1 unlabeled."""
-    t, k, label = _read_columns(path, t=np.int64, k=np.int64, label=bool)
+    t, k, label = read_csv(path, {"t": np.int64, "k": np.int64, "label": bool})
     if (t < 0).any() or (k < 0).any():
-        raise StageError("config", f"{path} has a negative time or sensor index")
-    grid = np.full((t.max() + 1, k.max() + 1) if t.size else (0, 0), -1, dtype=np.int8)
+        raise ValueError("a negative time or sensor index")
+    grid = np.full((t.max() + 1, k.max() + 1), -1, dtype=np.int8)
     grid[t, k] = label
     return grid
 
@@ -368,10 +336,7 @@ def evaluate_stage(cfg: PipelineConfig) -> dict:
     reports = evaluate_sensors(k, labels, flags)
     _write_report(cfg, reports)
 
-    with open(_artifact(cfg, "pvalues"), "w") as fh:
-        fh.write("t,k,p_value,label\n")
-        columns = (t.tolist(), k.tolist(), p.tolist(), labels.tolist())
-        fh.writelines(f"{ti},{ki},{pi!r},{int(li)}\n" for ti, ki, pi, li in zip(*columns))
+    write_csv(_artifact(cfg, "pvalues"), {"t": t, "k": k, "p_value": p, "label": labels})
 
     mean_f1 = float(np.mean([r.f1 for r in reports]))
     mean_rguess = float(np.mean([r.rguess_f1 for r in reports]))
@@ -385,10 +350,10 @@ def evaluate_stage(cfg: PipelineConfig) -> dict:
 
 
 def _write_report(cfg: PipelineConfig, reports: list[SensorReport]) -> None:
-    lines = ["sensor,q,precision,recall,f1"]
-    for r in reports:
-        lines.append(f"{r.sensor},{r.q!r},{r.precision!r},{r.recall!r},{r.f1!r}")
-    _artifact(cfg, "report_csv").write_text("\n".join(lines) + "\n")
+    write_csv(
+        _artifact(cfg, "report_csv"),
+        {name: [getattr(r, name) for r in reports] for name in ("sensor", "q", "precision", "recall", "f1")},
+    )
     _write_json(
         _artifact(cfg, "report_json"),
         {

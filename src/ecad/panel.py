@@ -3,12 +3,14 @@
 ``build_features`` turns a complete panel into the arrays every later stage
 consumes: ``(times, sensors, X, y)``, one supervised row per (t, k).  Panels
 are read-only after construction, so they are safe to share across threads.
+
+The CSV format of every pipeline artifact lives here: ``read_csv`` is the only
+parser of CSV text and ``write_csv`` the only formatter.
 """
 
 from __future__ import annotations
 
-import csv
-import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -18,6 +20,8 @@ import numpy as np
 __all__ = [
     "SensorMetadata",
     "TimeSeriesPanel",
+    "read_csv",
+    "write_csv",
     "load_panel",
     "save_panel",
     "load_sensors",
@@ -89,45 +93,89 @@ class TimeSeriesPanel:
         return TimeSeriesPanel(self.values.copy(), self.mask.copy(), self.sensors)
 
 
+def read_csv(
+    path: str | Path,
+    columns: Mapping[str, type] | None = None,
+    missing_token: str | None = None,
+) -> list[np.ndarray]:
+    """The named columns of a CSV artifact with a header row, one array each.
+
+    ``columns`` maps header names to dtypes; ``None`` reads every column as
+    float64.  The rows are parsed by numpy's C reader: blank lines are skipped
+    and every row must have one cell per header name.  A ``bool`` column holds
+    0/1 flags, a float cell must be finite, and a cell equal to
+    ``missing_token`` (spaces around it ignored) reads as NaN.  A malformed
+    file raises ValueError.
+    """
+    with open(path) as fh:
+        header = [name.strip() for name in fh.readline().split(",")]
+        if missing_token is None:
+            # numpy's reader streams the rows from the file itself
+            source, skip, n_missing = path, 1, 0
+            has_rows = any(map(str.strip, fh))
+        else:
+            # the token wherever neither neighbour is part of a cell: a padded token
+            # reads as NaN, and a cell holding more than the token stays unparsable;
+            # blank lines go first, as an empty token would read one as a missing cell
+            token = re.escape(missing_token)
+            cell = re.compile(rf"{token}(?<![^, \t]{token})(?![^, \t])")
+            lines = [cell.subn("nan", line) for line in fh.read().splitlines() if line]
+            source, n_missing = [line for line, _ in lines], sum(n for _, n in lines)
+            skip, has_rows = 0, bool(source)
+    if "" in header:
+        raise ValueError(f"no header row, or an empty column name in it: {header}")
+    if len(set(header)) != len(header):
+        raise ValueError(f"duplicate column names in header {header}")
+    kinds = columns or dict.fromkeys(header, float)
+    absent = [name for name in kinds if name not in header]
+    if absent:
+        raise ValueError(f"lacks the column(s) {absent}")
+    if not has_rows:
+        raise ValueError("no data rows after the header")
+    # a flag parses as uint8 and must then be 0 or 1; an unnamed column only counts toward the row width
+    fields = [(name, np.uint8 if kinds.get(name) is bool else kinds.get(name, "U0")) for name in header]
+    try:
+        rows = np.loadtxt(source, dtype=fields, delimiter=",", comments=None, skiprows=skip, ndmin=1)
+    except ValueError as exc:  # numpy's message, in terms of the file and without its advice on usecols
+        message = str(exc).split(";")[0]
+        raise ValueError(message.replace("the dtype passed requires", "the header has")) from None
+    for name, kind in kinds.items():
+        if kind is bool and (rows[name] > 1).any():
+            raise ValueError(f"column {name!r} holds a flag other than 0 or 1")
+    arrays = [rows[name].view(kind) for name, kind in kinds.items()]
+    if sum(np.count_nonzero(~np.isfinite(a)) for a in arrays if a.dtype.kind == "f") != n_missing:
+        raise ValueError("a non-finite cell (nan or inf)")
+    return arrays
+
+
+# rows formatted at a time by write_csv, so a write never holds every cell as a Python object
+_WRITE_BLOCK_ROWS = 4096
+
+
+def write_csv(path: str | Path, columns: Mapping[str, Sequence | np.ndarray]) -> None:
+    """Write equal-length columns under a header row of their names.
+
+    Every number is written as its shortest round-trip repr (``str`` of the
+    Python int or float), a flag as 0 or 1 and a string cell (a missing token)
+    as it is, so ``read_csv`` gives back the exact values.
+    """
+    arrays = [np.asarray(c) for c in columns.values()]
+    arrays = [a.astype(np.uint8) if a.dtype == bool else a for a in arrays]
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(arrays[0]), _WRITE_BLOCK_ROWS):
+            block = zip(*(a[start : start + _WRITE_BLOCK_ROWS].tolist() for a in arrays))
+            fh.writelines(",".join(map(str, row)) + "\n" for row in block)
+
+
 def load_panel(path: str | Path, missing_token: str = "NA") -> TimeSeriesPanel:
     """Read a value panel from CSV: one column per sensor, one row per hour.
 
-    Cells equal to ``missing_token`` (after stripping whitespace) are marked
-    unobserved and stored as NaN placeholders.
+    Cells equal to ``missing_token`` are marked unobserved and stored as NaN
+    placeholders.
     """
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"empty panel: {path} has no header row")
-    header = [cell.strip() for cell in rows[0]]
-    if len(set(header)) != len(header):
-        raise ValueError(f"duplicate sensor ids in header of {path}")
-    n_sensors = len(header)
-    if len(rows) == 1:
-        raise ValueError(f"empty panel: {path} has a header but no data rows")
-    values = np.full((len(rows) - 1, n_sensors), np.nan)
-    mask = np.zeros((len(rows) - 1, n_sensors), dtype=bool)
-    for t, row in enumerate(rows[1:]):
-        if len(row) != n_sensors:
-            raise ValueError(
-                f"ragged row {t + 1} in {path}: expected {n_sensors} cells, got {len(row)}"
-            )
-        for k, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == missing_token:
-                continue
-            try:
-                values[t, k] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"non-numeric cell {cell!r} at row {t + 1}, column {k} of {path}"
-                ) from None
-            if not math.isfinite(values[t, k]):
-                raise ValueError(f"non-finite cell at row {t + 1}, column {k} of {path}")
-            mask[t, k] = True
-    return TimeSeriesPanel(values, mask)
+    values = np.column_stack(read_csv(path, missing_token=missing_token))
+    return TimeSeriesPanel(values, ~np.isnan(values))
 
 
 def save_panel(panel: TimeSeriesPanel, path: str | Path, missing_token: str = "NA") -> None:
@@ -136,16 +184,9 @@ def save_panel(panel: TimeSeriesPanel, path: str | Path, missing_token: str = "N
     Observed values are written with full round-trip precision so a save/load
     cycle is bit-exact.
     """
-    path = Path(path)
-    header = ",".join(f"sensor_{k}" for k in range(panel.n_sensors))
-    lines = [header]
-    for t in range(panel.n_times):
-        cells = [
-            repr(float(panel.values[t, k])) if panel.mask[t, k] else missing_token
-            for k in range(panel.n_sensors)
-        ]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    cells = panel.values.astype(object)
+    cells[~panel.mask] = missing_token
+    write_csv(path, {f"sensor_{k}": cells[:, k] for k in range(panel.n_sensors)})
 
 
 def load_sensors(path: str | Path) -> list[SensorMetadata]:
@@ -154,32 +195,25 @@ def load_sensors(path: str | Path) -> list[SensorMetadata]:
     Ids must form the contiguous range 0..K-1 and coordinates must be
     pre-scaled to [0, 1].
     """
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if len(rows) < 2:
-        raise ValueError(f"sensor file {path} has no data rows")
-    sensors = []
-    for row in rows[1:]:
-        if len(row) != 3:
-            raise ValueError(f"sensor row {row!r} in {path} must have 3 cells")
-        sid, lat, lon = int(row[0]), float(row[1]), float(row[2])
-        if not (0.0 <= lat <= 1.0 and 0.0 <= lon <= 1.0):
-            raise ValueError(f"sensor {sid} coordinates ({lat}, {lon}) not scaled to [0, 1]")
-        sensors.append(SensorMetadata(sid, (lat, lon)))
-    ids = sorted(s.sensor_id for s in sensors)
-    if ids != list(range(len(sensors))):
+    ids, lat, lon = read_csv(path, {"sensor_id": np.int64, "lat": float, "lon": float})
+    outside = (np.minimum(lat, lon) < 0.0) | (np.maximum(lat, lon) > 1.0)
+    if outside.any():
+        i = np.argmax(outside)
+        raise ValueError(f"sensor {ids[i]} coordinates ({lat[i]}, {lon[i]}) not scaled to [0, 1]")
+    if not np.array_equal(np.sort(ids), np.arange(ids.size)):
         raise ValueError(f"sensor ids in {path} must form the contiguous range 0..K-1")
-    sensors.sort(key=lambda s: s.sensor_id)
-    return sensors
+    return [SensorMetadata(int(ids[i]), (float(lat[i]), float(lon[i]))) for i in np.argsort(ids)]
 
 
 def save_sensors(sensors: Sequence[SensorMetadata], path: str | Path) -> None:
-    lines = ["sensor_id,lat,lon"]
-    for s in sensors:
-        lines.append(f"{s.sensor_id},{s.coords[0]!r},{s.coords[1]!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(
+        path,
+        {
+            "sensor_id": [s.sensor_id for s in sensors],
+            "lat": [s.coords[0] for s in sensors],
+            "lon": [s.coords[1] for s in sensors],
+        },
+    )
 
 
 def neighbor_sets(

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import shutil
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +26,13 @@ from ecad.config import (
     load_config,
     resolve_seeds,
 )
-from ecad.panel import TimeSeriesPanel, build_features, load_panel, load_sensors, neighbor_sets
+from ecad.panel import (
+    TimeSeriesPanel,
+    build_features,
+    load_panel,
+    load_sensors,
+    neighbor_sets,
+)
 
 
 def _small_cfg(out_dir, seed=0, backend=None, aggregator=None, **scenario_overrides):
@@ -98,7 +103,7 @@ def test_evaluate_on_perfect_flags_scores_one(tmp_path):
     det_lines = ["t,k,test_score,p_value,flagged"]
     for t in range(10, 30):
         for k in range(3):
-            label = int(rng.random() < 0.4) or (t == 10)  # every sensor gets positives
+            label = int(rng.random() < 0.4 or t == 10)  # every sensor gets positives
             truth_lines.append(f"{t},{k},{label},0")
             det_lines.append(f"{t},{k},1.0,{0.01 if label else 0.9},{label}")
     (out / ARTIFACTS["truth"]).write_text("\n".join(truth_lines) + "\n")
@@ -155,41 +160,6 @@ def test_evaluate_joins_only_labeled_detections(tmp_path):
             evaluate_stage(cfg)
 
 
-def test_read_columns_joins_blocks_and_checks_every_row(tmp_path, monkeypatch):
-    monkeypatch.setattr(ecad.cli, "_CSV_BLOCK_ROWS", 3)
-    path = tmp_path / "detections.csv"
-    rows = [f"{t},{t % 4},9.5,{t / 8!r},{int(t % 3 == 0)}" for t in range(10)]
-    path.write_text("t,k,test_score,p_value,flagged\n" + "\n".join(rows[:4] + [""] + rows[4:]) + "\n")
-    t, k, p, flagged = ecad.cli._read_columns(path, t=np.int64, k=np.int64, p_value=np.float64, flagged=bool)
-    assert t.tolist() == list(range(10))
-    assert k.tolist() == [i % 4 for i in range(10)]
-    assert p.tolist() == [i / 8 for i in range(10)]
-    assert flagged.tolist() == [i % 3 == 0 for i in range(10)]
-
-    # a short row in the last block is still found
-    path.write_text("t,k,test_score,p_value,flagged\n" + "\n".join(rows + ["10,2"]) + "\n")
-    with pytest.raises(StageError, match="rows of unequal length"):
-        ecad.cli._read_columns(path, t=np.int64, k=np.int64)
-
-
-def test_read_columns_holds_no_list_of_all_cells(tmp_path):
-    # the evaluate stage reads truth.csv and detections.csv after detect has
-    # freed its arrays; a list of every cell would raise the process's peak
-    n = 40_000
-    path = tmp_path / "truth.csv"
-    path.write_text("t,k,label,injected\n" + "".join(f"{1000 + i},{i % 20},{i % 2},0\n" for i in range(n)))
-    tracemalloc.start()
-    try:
-        t, k, label = ecad.cli._read_columns(path, t=np.int64, k=np.int64, label=bool)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert t.size == n and label.sum() == n // 2
-    # the arrays take 17 bytes a row, twice while the blocks are joined; a list
-    # of all rows and their cells took about 200
-    assert peak < 80 * n
-
-
 def test_detect_features_equal_full_panel_rows(tmp_path, monkeypatch):
     cfg = _small_cfg(tmp_path / "run")
     generate_stage(cfg)
@@ -232,10 +202,17 @@ def _detect_exit(cfg, tmp_path, capsys):
     return code, capsys.readouterr().err
 
 
-def _replace_first_cell(path, line_no, text):
+def _replace_cell(path, line_no, column, text):
     lines = path.read_text().splitlines()
-    lines[line_no] = ",".join([text, *lines[line_no].split(",")[1:]])
+    cells = lines[line_no].split(",")
+    cells[column] = text
+    lines[line_no] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_column(path, column):
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    path.write_text("".join(",".join(row[:column] + row[column + 1 :]) + "\n" for row in rows))
 
 
 def _truncate_mid_row(path):
@@ -248,13 +225,35 @@ def _truncate_mid_row(path):
 @pytest.mark.parametrize(
     "stage, artifact, corrupt",
     [
-        ("impute", "train_panel", lambda p: _replace_first_cell(p, 3, "abc")),
-        ("train", "completed_panel", lambda p: _replace_first_cell(p, 3, "abc")),
+        ("impute", "train_panel", lambda p: _replace_cell(p, 3, 0, "abc")),
+        ("train", "completed_panel", lambda p: _replace_cell(p, 3, 0, "abc")),
         ("train", "completed_panel", _truncate_mid_row),
-        ("train", "sensors", lambda p: _replace_first_cell(p, 1, "x0")),
-        ("evaluate", "detections", lambda p: _replace_first_cell(p, 1, "120.5")),
+        ("train", "sensors", lambda p: _replace_cell(p, 1, 0, "x0")),
+        ("evaluate", "detections", lambda p: _replace_cell(p, 1, 0, "120.5")),
+        ("evaluate", "truth", lambda p: _replace_cell(p, 5, 2, "x")),
+        ("evaluate", "detections", lambda p: _replace_cell(p, 5, 4, "2")),
+        ("evaluate", "detections", lambda p: _replace_cell(p, 5, 3, "nan")),
+        ("evaluate", "detections", lambda p: _replace_cell(p, 5, 3, "7.0")),
+        ("evaluate", "detections", lambda p: p.write_text(p.read_text().splitlines()[0] + "\n")),
+        ("impute", "train_panel", lambda p: _replace_cell(p, 3, 1, "nan")),
+        ("detect", "test_panel", lambda p: _replace_cell(p, 3, 1, "inf")),
+        ("train", "sensors", lambda p: _drop_column(p, 1)),
     ],
-    ids=["non-numeric-panel", "non-numeric-completed", "ragged-completed", "sensor-id", "detection-t"],
+    ids=[
+        "non-numeric-panel",
+        "non-numeric-completed",
+        "ragged-completed",
+        "sensor-id",
+        "detection-t",
+        "truth-label",
+        "detection-flag",
+        "detection-p-nan",
+        "detection-p-above-one",
+        "header-only-detections",
+        "nan-panel",
+        "inf-panel",
+        "sensors-without-lat",
+    ],
 )
 def test_corrupt_csv_artifact_is_a_config_error(tmp_path, capsys, stage, artifact, corrupt):
     cfg = _small_cfg(tmp_path / "run", n_sensors=6)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from ecad.panel import (
     load_panel,
     load_sensors,
     neighbor_sets,
+    read_csv,
     save_panel,
     save_sensors,
+    write_csv,
 )
 from ecad.scenario import inject_missing
 
@@ -31,35 +35,35 @@ def test_load_panel_counts_missing_cells(tmp_path):
 def test_load_panel_header_only_is_empty(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text("sensor_0,sensor_1\n")
-    with pytest.raises(ValueError, match="empty panel"):
+    with pytest.raises(ValueError, match="no data rows after the header"):
         load_panel(path)
 
 
 def test_load_panel_no_header_row(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text("")
-    with pytest.raises(ValueError, match="empty panel"):
+    with pytest.raises(ValueError, match="no header row"):
         load_panel(path)
 
 
 def test_load_panel_ragged_row(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text("sensor_0,sensor_1\n1.0,2.0\n3.0\n")
-    with pytest.raises(ValueError, match="ragged"):
+    with pytest.raises(ValueError, match="header has 2 columns but 1 were found"):
         load_panel(path)
 
 
 def test_load_panel_non_numeric_cell(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text("sensor_0,sensor_1\n1.0,oops\n")
-    with pytest.raises(ValueError, match="non-numeric"):
+    with pytest.raises(ValueError, match="could not convert string 'oops'"):
         load_panel(path)
 
 
 def test_load_panel_duplicate_header(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text("sensor_0,sensor_0\n1.0,2.0\n")
-    with pytest.raises(ValueError, match="duplicate sensor ids"):
+    with pytest.raises(ValueError, match="duplicate column names"):
         load_panel(path)
 
 
@@ -68,6 +72,16 @@ def test_load_panel_custom_missing_token(tmp_path):
     path.write_text("sensor_0\n1.0\nmissing\n")
     panel = load_panel(path, missing_token="missing")
     assert panel.mask.sum() == 1
+    # a token that parses as a number still reads as missing, and so does one padded with spaces
+    path.write_text("sensor_0,sensor_1\n1.0,-999\n-999,2.5\n-9990,-999.0\n")
+    panel = load_panel(path, missing_token="-999")
+    assert panel.mask.tolist() == [[True, False], [False, True], [True, True]]
+    assert panel.values[2].tolist() == [-9990.0, -999.0]
+    path.write_text("sensor_0,sensor_1\n1.0, NA\n\tNA ,2.5\n")
+    assert load_panel(path).mask.tolist() == [[True, False], [False, True]]
+    # an empty token marks empty cells, and a blank line is still no row
+    path.write_text("sensor_0,sensor_1\n1.0,\n\n,2.5\n")
+    assert load_panel(path, missing_token="").mask.tolist() == [[True, False], [False, True]]
 
 
 def test_panel_roundtrip_is_bit_exact(tmp_path):
@@ -94,6 +108,54 @@ def test_forty_percent_missingness_gives_point_six_t_observed(tmp_path):
     loaded = load_panel(path)
     observed = loaded.observed_counts()
     assert np.all(np.abs(observed - 0.6 * T) <= 1)
+
+
+def test_read_csv_skips_blank_lines_and_checks_every_row(tmp_path):
+    path = tmp_path / "detections.csv"
+    rows = [f"{t},{t % 4},9.5,{t / 8!r},{int(t % 3 == 0)}" for t in range(10)]
+    path.write_text("t,k,test_score,p_value,flagged\n" + "\n".join(rows[:4] + [""] + rows[4:]) + "\n")
+    t, k, p, flagged = read_csv(path, {"t": np.int64, "k": np.int64, "p_value": float, "flagged": bool})
+    assert t.tolist() == list(range(10))
+    assert k.tolist() == [i % 4 for i in range(10)]
+    assert p.tolist() == [i / 8 for i in range(10)]
+    assert flagged.tolist() == [i % 3 == 0 for i in range(10)]
+
+    # a short last row is still found, though it holds every column asked for
+    path.write_text("t,k,test_score,p_value,flagged\n" + "\n".join(rows + ["10,2"]) + "\n")
+    with pytest.raises(ValueError, match="header has 5 columns but 2 were found at row 11"):
+        read_csv(path, {"t": np.int64, "k": np.int64})
+
+
+def test_read_csv_holds_no_list_of_all_cells(tmp_path):
+    # the evaluate stage reads truth.csv and detections.csv after detect has
+    # freed its arrays; a list of every cell would raise the process's peak
+    n = 40_000
+    path = tmp_path / "truth.csv"
+    path.write_text("t,k,label,injected\n" + "".join(f"{1000 + i},{i % 20},{i % 2},0\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        t, k, label = read_csv(path, {"t": np.int64, "k": np.int64, "label": bool})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.size == n and label.sum() == n // 2
+    # the rows take 17 bytes each, about twice while numpy's reader grows its
+    # array; a list of all rows and their cells took about 200
+    assert peak < 80 * n
+
+
+def test_write_csv_writes_repr_and_reads_back_bit_for_bit(tmp_path):
+    path = tmp_path / "numbers.csv"
+    floats = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
+    ints = [2**63 - 1, -(2**63), 0, 7]
+    flags = np.array([True, False, True, False])
+    write_csv(path, {"x": np.array(floats), "n": ints, "flag": flags})
+    lines = [f"{x!r},{n!r},{int(f)}" for x, n, f in zip(floats, ints, flags)]
+    assert path.read_text() == "x,n,flag\n" + "".join(line + "\n" for line in lines)
+    x, n, flag = read_csv(path, {"x": float, "n": np.int64, "flag": bool})
+    assert x.tobytes() == np.array(floats).tobytes()
+    assert n.tolist() == ints
+    assert flag.tolist() == flags.tolist()
 
 
 def test_sensor_csv_roundtrip(tmp_path):
