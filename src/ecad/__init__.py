@@ -37,17 +37,9 @@ from .ensemble import (
     save_ensemble,
     train_ensemble,
 )
-from .evaluation import (
-    ConfusionCounts,
-    MetricResult,
-    confusion,
-    evaluate_sensors,
-    metrics,
-    rguess_expected_f1,
-)
+from .evaluation import evaluate_sensors, rguess_expected_f1
 from .imputation import ImputeReport, ImputerConfig, impute
 from .panel import (
-    SensorMetadata,
     TimeSeriesPanel,
     build_features,
     load_panel,

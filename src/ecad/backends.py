@@ -18,7 +18,7 @@ Fitted models are immutable after ``fit`` and safe to share across concurrent
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -64,9 +64,6 @@ class BackendSpec:
             raise ValueError(f"mlp_epochs must be >= 1, got {self.mlp_epochs}")
         if self.mlp_learning_rate <= 0:
             raise ValueError(f"mlp_learning_rate must be > 0, got {self.mlp_learning_rate}")
-
-    def with_seed(self, seed: int) -> "BackendSpec":
-        return replace(self, seed=int(seed))
 
 
 def _check_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ import numpy as np
 from .config import PipelineConfig, config_to_dict, load_config
 from .detector import detect_stream
 from .ensemble import load_ensemble, save_ensemble, train_ensemble
-from .evaluation import SensorReport, evaluate_sensors
+from .evaluation import SensorEvaluation, evaluate_sensors
 from .imputation import impute
 from .panel import (
     TimeSeriesPanel,
@@ -94,6 +94,18 @@ def _read_artifact(reader, path: Path, *args):
         return reader(path, *args)
     except ValueError as exc:
         raise StageError("config", f"artifact {path}: {exc}") from exc
+
+
+def _read_sensors(path: Path, panel: TimeSeriesPanel, panel_path: Path) -> np.ndarray:
+    """The coordinates in ``path``, refused unless they hold one sensor per column of ``panel``."""
+    sensors = _read_artifact(load_sensors, path)
+    if len(sensors) != panel.n_sensors:
+        raise StageError(
+            "config",
+            f"sensor file {path} lists {len(sensors)} sensors, "
+            f"but panel {panel_path} has {panel.n_sensors}",
+        )
+    return sensors
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -170,10 +182,10 @@ def _train_impl(cfg: PipelineConfig, stage: str) -> dict:
     panel_path = _require(cfg, "completed_panel", "impute")
     sensors_path = _require(cfg, "sensors", "generate")
     panel = _read_artifact(load_panel, panel_path, cfg.missing_token)
-    panel.sensors = _read_artifact(load_sensors, sensors_path)
+    coords = _read_sensors(sensors_path, panel, panel_path)
     if not panel.is_complete:
         raise StageError("config", f"completed panel {panel_path} still has missing entries")
-    neighbors = neighbor_sets(panel.sensors, cfg.features.neighbor_size)
+    neighbors = neighbor_sets(coords, cfg.features.neighbor_size)
     times, sensors, X, y = build_features(panel, neighbors, cfg.features.n_lags)
     try:
         ensemble = train_ensemble(
@@ -214,7 +226,6 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     train_path = _require(cfg, "completed_panel", "impute")
     test_path = _require(cfg, "test_panel", "generate")
     sensors_path = _require(cfg, "sensors", "generate")
-    sensors = _read_artifact(load_sensors, sensors_path)
 
     ensemble = _read_artifact(load_ensemble, ensemble_path)
     train = _read_artifact(load_panel, train_path, cfg.missing_token)
@@ -227,12 +238,7 @@ def detect_stage(cfg: PipelineConfig) -> dict:
             f"training panel {train_path} has {train.n_sensors} sensors, "
             f"but test panel {test_path} has {test.n_sensors}",
         )
-    if len(sensors) != test.n_sensors:
-        raise StageError(
-            "config",
-            f"sensor file {sensors_path} lists {len(sensors)} sensors, "
-            f"but test panel {test_path} has {test.n_sensors}",
-        )
+    sensors = _read_sensors(sensors_path, test, test_path)
     n_lags, neighbor_size = cfg.features.n_lags, cfg.features.neighbor_size
     input_dim = ensemble.model.input_dim
     if input_dim != n_lags * neighbor_size:
@@ -333,43 +339,39 @@ def evaluate_stage(cfg: PipelineConfig) -> dict:
     t, k, p, flags = t[labeled], k[labeled], p[labeled], flags[labeled]
     labels = label[labeled] == 1
 
-    reports = evaluate_sensors(k, labels, flags)
-    _write_report(cfg, reports)
+    report = evaluate_sensors(k, labels, flags)
+    aggregate = _write_report(cfg, report)
 
     write_csv(_artifact(cfg, "pvalues"), {"t": t, "k": k, "p_value": p, "label": labels})
-
-    mean_f1 = float(np.mean([r.f1 for r in reports]))
-    mean_rguess = float(np.mean([r.rguess_f1 for r in reports]))
     return {
         "stage": "evaluate",
-        "sensors": len(reports),
+        "sensors": report.sensor.size,
         "points": int(labeled.sum()),
-        "mean_f1": round(mean_f1, 6),
-        "mean_rguess_f1": round(mean_rguess, 6),
+        "mean_f1": round(aggregate["mean_f1"], 6),
+        "mean_rguess_f1": round(aggregate["mean_rguess_f1"], 6),
     }
 
 
-def _write_report(cfg: PipelineConfig, reports: list[SensorReport]) -> None:
+def _write_report(cfg: PipelineConfig, report: SensorEvaluation) -> dict:
+    """Write report.csv and report.json from the per-sensor columns; returns the aggregates."""
+    columns = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     write_csv(
         _artifact(cfg, "report_csv"),
-        {name: [getattr(r, name) for r in reports] for name in ("sensor", "q", "precision", "recall", "f1")},
+        {name: columns[name] for name in ("sensor", "q", "precision", "recall", "f1")},
     )
+    means = ("f1", "precision", "recall", "rguess_f1", "q")
+    aggregate = {f"mean_{name}": float(np.mean(columns[name])) for name in means}
+    aggregate["degenerate_sensors"] = report.sensor[report.degenerate].tolist()
     _write_json(
         _artifact(cfg, "report_json"),
         {
             "meta": {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%S")},
             "config": config_to_dict(cfg),
-            "per_sensor": [dataclasses.asdict(r) for r in reports],
-            "aggregate": {
-                "mean_f1": float(np.mean([r.f1 for r in reports])),
-                "mean_precision": float(np.mean([r.precision for r in reports])),
-                "mean_recall": float(np.mean([r.recall for r in reports])),
-                "mean_rguess_f1": float(np.mean([r.rguess_f1 for r in reports])),
-                "mean_q": float(np.mean([r.q for r in reports])),
-                "degenerate_sensors": [r.sensor for r in reports if r.degenerate],
-            },
+            "per_sensor": [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))],
+            "aggregate": aggregate,
         },
     )
+    return aggregate
 
 
 def run_all(cfg: PipelineConfig) -> list[dict]:

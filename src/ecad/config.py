@@ -105,8 +105,9 @@ def resolve_seeds(cfg: PipelineConfig) -> PipelineConfig:
     if scenario.seed is None:
         scenario = dataclasses.replace(scenario, seed=_derived_seed(cfg.seed, _SALT_SCENARIO))
     imputer = cfg.imputer
-    if imputer.seed is None:
-        imputer = dataclasses.replace(imputer, seed=_derived_seed(cfg.seed, _SALT_IMPUTER))
+    if imputer.inner_backend.seed is None:
+        inner = dataclasses.replace(imputer.inner_backend, seed=_derived_seed(cfg.seed, _SALT_IMPUTER))
+        imputer = dataclasses.replace(imputer, inner_backend=inner)
     ensemble = cfg.ensemble
     if ensemble.seed is None:
         ensemble = dataclasses.replace(ensemble, seed=_derived_seed(cfg.seed, _SALT_ENSEMBLE))
@@ -133,32 +134,42 @@ _NESTED_TYPES: dict[type, dict[str, type]] = {
     DetectorConfig: {"locality": LocalityConfig},
 }
 
-_TUPLE_FIELDS = {(BackendSpec, "mlp_hidden")}
+# JSON types each field annotation accepts; a bool is never taken for a number
+_JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+}
+
+
+def _json_type_ok(annotation: str, value: Any) -> bool:
+    if annotation == "tuple[int, ...]":
+        return isinstance(value, list) and all(_json_type_ok("int", w) for w in value)
+    is_bool = isinstance(value, bool)
+    return isinstance(value, _JSON_TYPES[annotation]) and is_bool == (annotation == "bool")
 
 
 def _from_dict(cls: type, payload: dict[str, Any], path: str) -> Any:
     if not isinstance(payload, dict):
         raise ValueError(f"config section {path or 'root'} must be an object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(payload) - known
+    annotations = {f.name: f.type for f in fields(cls)}
+    unknown = set(payload) - set(annotations)
     if unknown:
         raise ValueError(
-            f"unknown config keys at {path or 'root'}: {sorted(unknown)}; known: {sorted(known)}"
+            f"unknown config keys at {path or 'root'}: {sorted(unknown)}; known: {sorted(annotations)}"
         )
     kwargs: dict[str, Any] = {}
     nested = _NESTED_TYPES.get(cls, {})
     for key, value in payload.items():
         child = f"{path}.{key}" if path else key
         if key in nested:
-            kwargs[key] = _from_dict(nested[key], value, child)
-        elif (cls, key) in _TUPLE_FIELDS:
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"invalid config at {path or 'root'}: {exc}") from exc
+            value = _from_dict(nested[key], value, child)
+        elif not _json_type_ok(annotations[key], value):
+            raise ValueError(f"config key {child} must be of type {annotations[key]}, got {value!r}")
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def config_from_dict(payload: dict[str, Any]) -> PipelineConfig:

@@ -422,13 +422,16 @@ def load_ensemble(path: str | Path) -> Ensemble:
                 f"ensemble artifact format version {version} is not supported "
                 f"(expected {ENSEMBLE_FORMAT_VERSION})"
             )
-        backend_fields = dict(meta["backend"])
-        backend_fields["mlp_hidden"] = tuple(backend_fields["mlp_hidden"])
-        backend = BackendSpec(**backend_fields)
+        try:
+            backend = BackendSpec(**meta["backend"])
+            aggregator = AggregatorSpec(**meta["aggregator"])
+            n_models, n_sensors, seed = (int(meta[key]) for key in ("n_models", "n_sensors", "seed"))
+        except KeyError as exc:
+            raise ValueError(f"the ensemble meta record lacks the key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"the ensemble meta record is malformed: {exc}") from None
         backend.validate()
-        aggregator = AggregatorSpec(**meta["aggregator"])
-        n_models = int(meta["n_models"])
-        n_sensors = int(meta["n_sensors"])
+        aggregator.validate()
         available, in_bag = data["available"], data["in_bag"]
         if in_bag.shape != (n_models, available.size) or not np.isin(in_bag, available).all():
             raise ValueError(
@@ -469,7 +472,7 @@ def load_ensemble(path: str | Path) -> Ensemble:
                     raise ValueError(f"ensemble array {key} holds non-finite values")
                 params[name][b] = value
         return Ensemble(
-            plan=BootstrapPlan(n_models, available, in_bag, seed=int(meta["seed"])),
+            plan=BootstrapPlan(n_models, available, in_bag, seed=seed),
             model=model_type(backend, params),
             aggregator=aggregator,
             backend=backend,

@@ -25,7 +25,7 @@ class ImputerConfig:
 
     ``tol`` is the maximum absolute change between sweeps, in value units.
     Missing cells are initialized with their column's observed mean before the
-    first sweep.
+    first sweep.  ``inner_backend.seed`` seeds every inner fit.
     """
 
     max_iters: int = 10
@@ -33,7 +33,6 @@ class ImputerConfig:
     inner_backend: BackendSpec = field(
         default_factory=lambda: BackendSpec(kind="ridge", ridge_lambda=1.0)
     )
-    seed: int | None = None
 
     def validate(self) -> None:
         if self.max_iters < 1:
@@ -85,7 +84,6 @@ def impute(panel: TimeSeriesPanel, cfg: ImputerConfig = ImputerConfig()) -> tupl
         values[~mask[:, k], k] = col_means[k]
 
     delta_trace: list[float] = []
-    spec = cfg.inner_backend.with_seed(0 if cfg.seed is None else cfg.seed)
     others = [np.array([j for j in range(K) if j != k]) for k in range(K)]
     sweeps = 0
     for _ in range(cfg.max_iters):
@@ -95,7 +93,7 @@ def impute(panel: TimeSeriesPanel, cfg: ImputerConfig = ImputerConfig()) -> tupl
             obs = mask[:, k]
             if obs.all():
                 continue
-            model = fit(spec, values[obs][:, others[k]], values[obs, k])
+            model = fit(cfg.inner_backend, values[obs][:, others[k]], values[obs, k])
             predicted = model.predict(values[~obs][:, others[k]])[0]
             sweep_delta = max(sweep_delta, float(np.max(np.abs(predicted - values[~obs, k]))))
             values[~obs, k] = predicted

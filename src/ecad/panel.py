@@ -1,5 +1,8 @@
 """Panel data model: sensor geometry, observation masks, lagged feature construction.
 
+Sensor geometry is a ``(K, 2)`` array of planar coordinates whose row k is
+sensor k; ``neighbor_sets`` ranks every sensor's neighbours from it.
+
 ``build_features`` turns a complete panel into the arrays every later stage
 consumes: ``(times, sensors, X, y)``, one supervised row per (t, k).  Panels
 are read-only after construction, so they are safe to share across threads.
@@ -18,7 +21,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "SensorMetadata",
     "TimeSeriesPanel",
     "read_csv",
     "write_csv",
@@ -31,18 +33,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SensorMetadata:
-    """A sensor in the network: contiguous integer id plus scaled planar coordinates.
-
-    Coordinates are unitless and expected to lie in [0, 1]^2, so any pairwise
-    distance is at most sqrt(2).
-    """
-
-    sensor_id: int
-    coords: tuple[float, float]
-
-
 @dataclass
 class TimeSeriesPanel:
     """T x K matrix of flow values with a per-entry observation mask.
@@ -50,13 +40,14 @@ class TimeSeriesPanel:
     ``mask[t, k]`` is True where ``values[t, k]`` was observed.  Masked-out
     entries hold placeholder numbers that must never enter a fit or score
     computation; the imputer replaces them before any training happens.
-    ``sensors`` is optional because value panels and sensor coordinates travel
-    in separate files.
+    ``sensors`` is the ``(K, 2)`` array of sensor coordinates, row k for
+    column k; it is optional because value panels and sensor coordinates
+    travel in separate files.
     """
 
     values: np.ndarray
     mask: np.ndarray
-    sensors: list[SensorMetadata] | None = None
+    sensors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -67,11 +58,13 @@ class TimeSeriesPanel:
             raise ValueError(
                 f"mask shape {self.mask.shape} does not match values shape {self.values.shape}"
             )
-        if self.sensors is not None and len(self.sensors) != self.values.shape[1]:
-            raise ValueError(
-                f"{len(self.sensors)} sensors attached to a panel with "
-                f"{self.values.shape[1]} columns"
-            )
+        if self.sensors is not None:
+            self.sensors = np.asarray(self.sensors, dtype=np.float64)
+            if self.sensors.shape != (self.values.shape[1], 2):
+                raise ValueError(
+                    f"sensor coordinates of shape {self.sensors.shape} attached to a panel "
+                    f"with {self.values.shape[1]} columns"
+                )
 
     @property
     def n_times(self) -> int:
@@ -137,8 +130,8 @@ def read_csv(
     try:
         rows = np.loadtxt(source, dtype=fields, delimiter=",", comments=None, skiprows=skip, ndmin=1)
     except ValueError as exc:  # numpy's message, in terms of the file and without its advice on usecols
-        message = str(exc).split(";")[0]
-        raise ValueError(message.replace("the dtype passed requires", "the header has")) from None
+        message = str(exc).split(";")[0].replace("the dtype passed requires", "the header has")
+        raise ValueError(_with_file_line(message, path)) from None
     for name, kind in kinds.items():
         if kind is bool and (rows[name] > 1).any():
             raise ValueError(f"column {name!r} holds a flag other than 0 or 1")
@@ -146,6 +139,21 @@ def read_csv(
     if sum(np.count_nonzero(~np.isfinite(a)) for a in arrays if a.dtype.kind == "f") != n_missing:
         raise ValueError("a non-finite cell (nan or inf)")
     return arrays
+
+
+def _with_file_line(message: str, path: str | Path) -> str:
+    """numpy's "at row N" as the 1-based line of the file, the header being line 1.
+
+    numpy counts only the non-empty data rows, from 0 for a bad cell and from 1
+    for a row of the wrong width.
+    """
+    found = re.search(r"at row (\d+)", message)
+    if found is None:
+        return message
+    row = int(found[1]) - ("found at row" in message)
+    with open(path) as fh:
+        lines = [n for n, line in enumerate(fh.read().splitlines()[1:], start=2) if line]
+    return message.replace(found[0], f"on line {lines[row]}")
 
 
 # rows formatted at a time by write_csv, so a write never holds every cell as a Python object
@@ -189,11 +197,12 @@ def save_panel(panel: TimeSeriesPanel, path: str | Path, missing_token: str = "N
     write_csv(path, {f"sensor_{k}": cells[:, k] for k in range(panel.n_sensors)})
 
 
-def load_sensors(path: str | Path) -> list[SensorMetadata]:
-    """Read sensor coordinates from a ``sensor_id,lat,lon`` CSV.
+def load_sensors(path: str | Path) -> np.ndarray:
+    """Read sensor coordinates from a ``sensor_id,lat,lon`` CSV as a ``(K, 2)`` array.
 
-    Ids must form the contiguous range 0..K-1 and coordinates must be
-    pre-scaled to [0, 1].
+    Ids must form the contiguous range 0..K-1, and row k of the array is
+    sensor k.  Coordinates must be pre-scaled to [0, 1], so any pairwise
+    distance is at most sqrt(2).
     """
     ids, lat, lon = read_csv(path, {"sensor_id": np.int64, "lat": float, "lon": float})
     outside = (np.minimum(lat, lon) < 0.0) | (np.maximum(lat, lon) > 1.0)
@@ -202,41 +211,31 @@ def load_sensors(path: str | Path) -> list[SensorMetadata]:
         raise ValueError(f"sensor {ids[i]} coordinates ({lat[i]}, {lon[i]}) not scaled to [0, 1]")
     if not np.array_equal(np.sort(ids), np.arange(ids.size)):
         raise ValueError(f"sensor ids in {path} must form the contiguous range 0..K-1")
-    return [SensorMetadata(int(ids[i]), (float(lat[i]), float(lon[i]))) for i in np.argsort(ids)]
+    return np.column_stack((lat, lon))[np.argsort(ids)]
 
 
-def save_sensors(sensors: Sequence[SensorMetadata], path: str | Path) -> None:
-    write_csv(
-        path,
-        {
-            "sensor_id": [s.sensor_id for s in sensors],
-            "lat": [s.coords[0] for s in sensors],
-            "lon": [s.coords[1] for s in sensors],
-        },
-    )
+def save_sensors(coords: np.ndarray, path: str | Path) -> None:
+    """Write a ``(K, 2)`` coordinate array as ``sensor_id,lat,lon``, sensor k on row k."""
+    write_csv(path, {"sensor_id": np.arange(len(coords)), "lat": coords[:, 0], "lon": coords[:, 1]})
 
 
-def neighbor_sets(
-    sensors: Sequence[SensorMetadata], size: int
-) -> dict[int, tuple[int, ...]]:
+def neighbor_sets(coords: np.ndarray, size: int) -> dict[int, tuple[int, ...]]:
     """Return, for each sensor, the ``size`` nearest sensors including itself.
 
+    ``coords`` is the ``(K, 2)`` coordinate array, row k for sensor k.
     Ordering is ascending Euclidean distance with ties broken by ascending
     sensor id, so the sensor itself (distance 0) is always first.
     """
-    n = len(sensors)
+    coords = np.asarray(coords, dtype=np.float64)
+    n = len(coords)
     if size < 1:
         raise ValueError(f"neighbor size must be >= 1, got {size}")
     if size > n:
         raise ValueError(f"neighbor size {size} exceeds sensor count {n}")
-    coords = np.array([s.coords for s in sensors], dtype=np.float64)
-    ids = np.array([s.sensor_id for s in sensors])
-    out: dict[int, tuple[int, ...]] = {}
-    for k in range(n):
-        dists = np.hypot(coords[:, 0] - coords[k, 0], coords[:, 1] - coords[k, 1])
-        order = np.lexsort((ids, dists))
-        out[int(ids[k])] = tuple(int(ids[j]) for j in order[:size])
-    return out
+    # row k holds every sensor's distance from sensor k; a stable sort keeps ties in id order
+    offsets = coords[None, :, :] - coords[:, None, :]
+    order = np.argsort(np.hypot(offsets[..., 0], offsets[..., 1]), axis=1, kind="stable")
+    return dict(enumerate(map(tuple, order[:, :size].tolist())))
 
 
 def build_features(

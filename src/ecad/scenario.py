@@ -1,6 +1,7 @@
 """Synthetic spatio-temporal scenarios: generation, truth labeling, missingness.
 
-Sensors are placed uniformly on the unit square and every sensor shares one
+Sensors are placed uniformly on the unit square, held as a ``(K, 2)``
+coordinate array whose row k is sensor k, and every sensor shares one
 data-generating recursion over its nearest neighbors' lagged values plus a
 Gaussian error process (iid or AR(1) per sensor, independent across sensors).
 Anomalies are injected additively after clean generation, and ground truth is
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detector import nearest_rank_index
-from .panel import SensorMetadata, TimeSeriesPanel, neighbor_sets
+from .panel import TimeSeriesPanel, neighbor_sets
 
 __all__ = [
     "ErrorSpec",
@@ -162,10 +163,8 @@ def _ar_coefficients(n_neighbors: int, n_lags: int) -> np.ndarray:
 
 def _simulate_clean(cfg: ScenarioConfig, coords: np.ndarray, eps: np.ndarray) -> np.ndarray:
     T, K = eps.shape
-    sensors = [SensorMetadata(k, (float(c[0]), float(c[1]))) for k, c in enumerate(coords)]
     n_nb = min(_TRUE_NEIGHBORS, K)
-    nb_map = neighbor_sets(sensors, n_nb)
-    nb_idx = np.array([nb_map[k] for k in range(K)])  # (K, n_nb)
+    nb_idx = np.array(list(neighbor_sets(coords, n_nb).values()))  # (K, n_nb)
     weights = _ar_coefficients(n_nb, _TRUE_LAGS)
 
     values = np.empty((T, K))
@@ -214,7 +213,6 @@ def generate(cfg: ScenarioConfig) -> tuple[TimeSeriesPanel, ScenarioTruth]:
     coord_rng, noise_rng, inject_rng = (np.random.default_rng(s) for s in root.spawn(3))
 
     coords = coord_rng.uniform(size=(cfg.n_sensors, 2))
-    sensors = [SensorMetadata(k, (float(c[0]), float(c[1]))) for k, c in enumerate(coords)]
     eps = _draw_errors(noise_rng, T, cfg.n_sensors, cfg.noise_sigma, cfg.error)
     clean = _simulate_clean(cfg, coords, eps)
 
@@ -226,16 +224,16 @@ def generate(cfg: ScenarioConfig) -> tuple[TimeSeriesPanel, ScenarioTruth]:
     values = clean + injected * signs * bump
 
     labels = label_ground_truth(
-        values, sensors, cfg.truth.alpha, cfg.truth.lag_depth, cfg.truth.neighborhood_size
+        values, coords, cfg.truth.alpha, cfg.truth.lag_depth, cfg.truth.neighborhood_size
     )
-    panel = TimeSeriesPanel(values, np.ones_like(values, dtype=bool), sensors)
+    panel = TimeSeriesPanel(values, np.ones_like(values, dtype=bool), coords)
     truth = ScenarioTruth(labels, injected, cfg.truth.lag_depth, cfg.truth)
     return panel, truth
 
 
 def label_ground_truth(
     values: np.ndarray,
-    sensors: list[SensorMetadata],
+    coords: np.ndarray,
     alpha: float,
     lag_depth: int,
     neighborhood_size: int,
@@ -243,8 +241,9 @@ def label_ground_truth(
     """Label each (t, k), t >= lag_depth, by comparison against its local pool.
 
     The pool holds the previous ``lag_depth`` values at the ``neighborhood_size``
-    nearest sensors (self included); the point is anomalous when it is >= the
-    pool's upper nearest-rank quantile or <= the lower one.  Comparisons are
+    sensors nearest by the ``(K, 2)`` ``coords`` (self included); the point is
+    anomalous when it is >= the pool's upper nearest-rank quantile or <= the
+    lower one.  Comparisons are
     non-strict, so a constant panel labels every point anomalous — a documented
     degenerate case.  Rows before ``lag_depth`` stay unlabeled (False).
     """
@@ -254,7 +253,7 @@ def label_ground_truth(
         raise ValueError(f"lag depth must be >= 1, got {lag_depth}")
     if T <= lag_depth:
         raise ValueError(f"panel length {T} leaves no labelable rows at lag depth {lag_depth}")
-    nb_map = neighbor_sets(sensors, neighborhood_size)
+    nb_map = neighbor_sets(coords, neighborhood_size)
     pool_size = lag_depth * neighborhood_size
     hi_idx = nearest_rank_index(1.0 - alpha, pool_size)
     lo_idx = nearest_rank_index(alpha, pool_size)

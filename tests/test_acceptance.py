@@ -159,7 +159,7 @@ def test_criterion_4_ground_truth_labeler_oracle():
 
     rng = np.random.default_rng(404)
     values = rng.normal(size=(50, 5))
-    sensors = [ecad.SensorMetadata(i, tuple(rng.uniform(size=2))) for i in range(5)]
+    sensors = rng.uniform(size=(5, 2))
     alpha, depth, n_size = 0.01, 3, 4
     labels = label_ground_truth(values, sensors, alpha, depth, n_size)
     neighbors = neighbor_sets(sensors, n_size)

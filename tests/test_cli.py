@@ -334,6 +334,46 @@ def test_detect_rejects_ensemble_with_mis_shaped_weights(tmp_path, capsys):
     assert "category=config" in err and "model2_weights has shape (5,), expected (6,)" in err
 
 
+def _edit_meta(edit):
+    """An ensemble corruption that applies ``edit`` to the decoded meta record."""
+
+    def corrupt(arrays):
+        meta = json.loads(str(arrays["meta"]))
+        edit(meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m["backend"].update(bogus=1),
+        lambda m: m["aggregator"].update(bogus=1),
+        lambda m: m.pop("backend"),
+        lambda m: m.pop("n_models"),
+        lambda m: m["aggregator"].update(kind="bogus"),
+        lambda m: m["backend"].update(mlp_hidden=3),
+    ],
+    ids=[
+        "unknown-backend-key",
+        "unknown-aggregator-key",
+        "no-backend",
+        "no-n-models",
+        "bogus-aggregator",
+        "scalar-mlp-hidden",
+    ],
+)
+def test_detect_rejects_ensemble_with_corrupt_meta(tmp_path, capsys, edit):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    path = tmp_path / "run" / ARTIFACTS["ensemble"]
+    _rewrite_ensemble(path, _edit_meta(edit))
+    code, err = _detect_exit(cfg, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err and f"artifact {path}:" in err
+
+
 def test_detect_rejects_ensemble_with_unequal_sensor_scores(tmp_path, capsys):
     cfg = _small_cfg(tmp_path / "run")
     run_all(cfg)
@@ -371,6 +411,22 @@ def test_detect_rejects_sensor_file_of_other_sensor_count(tmp_path, capsys):
     assert code == 2
     assert "category=config" in err
     assert ARTIFACTS["sensors"] in err and "lists 5 sensors" in err and "has 4" in err
+
+
+def test_train_rejects_sensor_file_of_other_sensor_count(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path / "run")
+    generate_stage(cfg)
+    impute_stage(cfg)
+    wider = _small_cfg(tmp_path / "wider", n_sensors=5)
+    generate_stage(wider)
+    shutil.copy(tmp_path / "wider" / ARTIFACTS["sensors"], tmp_path / "run" / ARTIFACTS["sensors"])
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(config_to_dict(cfg)))
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "category=config" in err
+    assert ARTIFACTS["sensors"] in err and "lists 5 sensors" in err and ARTIFACTS["completed_panel"] in err
 
 
 def test_stages_are_idempotent(tmp_path):
@@ -467,7 +523,7 @@ def test_run_all_default_scenario_beats_baseline(tmp_path):
     assert summaries[1]["missing_cells"] == 20 * 400
 
 
-def test_load_config_overrides_and_validation(tmp_path):
+def test_load_config_overrides_and_validation(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 3, "scenario": {"n_sensors": 5}}))
     cfg = load_config(path, seed=9, out_dir=str(tmp_path / "o"))
@@ -477,10 +533,15 @@ def test_load_config_overrides_and_validation(tmp_path):
     # stage seeds were derived from the master seed
     assert cfg.scenario.seed is not None
     assert cfg.ensemble.seed is not None
+    assert cfg.imputer.inner_backend.seed is not None
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario": {"n_sensor": 5}}))
     with pytest.raises(ValueError, match="unknown config keys"):
+        load_config(bad)
+    # the imputer is seeded by its inner backend's seed alone
+    bad.write_text(json.dumps({"imputer": {"seed": 5}}))
+    with pytest.raises(ValueError, match="unknown config keys at imputer"):
         load_config(bad)
 
     invalid = tmp_path / "invalid.json"
@@ -488,12 +549,26 @@ def test_load_config_overrides_and_validation(tmp_path):
     with pytest.raises(ValueError, match="alpha"):
         load_config(invalid)
 
+    # a value of the wrong JSON type is a config error naming the key, not a traceback
+    for payload, key in [
+        ({"backend": {"mlp_hidden": 3}}, "backend.mlp_hidden"),
+        ({"ensemble": {"n_models": "5"}}, "ensemble.n_models"),
+        ({"detector": {"alpha": "0.1"}}, "detector.alpha"),
+        ({"features": {"n_lags": None}}, "features.n_lags"),
+    ]:
+        invalid.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["generate", "--config", str(invalid), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "category=config" in err and f"config key {key} must be of type" in err
+
 
 def test_explicit_stage_seeds_survive_resolution(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 3, "scenario": {"seed": 77}}))
+    path.write_text(json.dumps({"seed": 3, "scenario": {"seed": 77}, "imputer": {"inner_backend": {"seed": 5}}}))
     cfg = load_config(path)
     assert cfg.scenario.seed == 77
+    assert cfg.imputer.inner_backend.seed == 5
 
 
 def test_summary_lines_are_machine_parsable(tmp_path, capsys):

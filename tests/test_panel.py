@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ecad.panel import (
-    SensorMetadata,
     TimeSeriesPanel,
     build_features,
     load_panel,
@@ -16,10 +15,6 @@ from ecad.panel import (
     write_csv,
 )
 from ecad.scenario import inject_missing
-
-
-def _grid_sensors(coords):
-    return [SensorMetadata(i, (float(x), float(y))) for i, (x, y) in enumerate(coords)]
 
 
 def test_load_panel_counts_missing_cells(tmp_path):
@@ -122,8 +117,21 @@ def test_read_csv_skips_blank_lines_and_checks_every_row(tmp_path):
 
     # a short last row is still found, though it holds every column asked for
     path.write_text("t,k,test_score,p_value,flagged\n" + "\n".join(rows + ["10,2"]) + "\n")
-    with pytest.raises(ValueError, match="header has 5 columns but 2 were found at row 11"):
+    with pytest.raises(ValueError, match="header has 5 columns but 2 were found on line 12$"):
         read_csv(path, {"t": np.int64, "k": np.int64})
+
+    # both kinds of error name the line of the file, the header and blank lines counted
+    bad_cell = rows[:4] + ["", "", rows[4].replace("9.5", "abc")] + rows[5:]
+    path.write_text("t,k,test_score,p_value,flagged\n" + "\n".join(bad_cell) + "\n")
+    with pytest.raises(ValueError, match="could not convert string 'abc' to float64 on line 8, column 3"):
+        read_csv(path)
+    short = rows[:4] + [""] + rows[4:6] + ["6,2"] + rows[7:]
+    path.write_text("t,k,test_score,p_value,flagged\n" + "\n".join(short) + "\n")
+    with pytest.raises(ValueError, match="header has 5 columns but 2 were found on line 9$"):
+        read_csv(path, {"t": np.int64, "k": np.int64})
+    path.write_text("sensor_0,sensor_1\n1.0,NA\n\nNA,x\n")
+    with pytest.raises(ValueError, match="could not convert string 'x' to float64 on line 4, column 2"):
+        load_panel(path)
 
 
 def test_read_csv_holds_no_list_of_all_cells(tmp_path):
@@ -159,10 +167,22 @@ def test_write_csv_writes_repr_and_reads_back_bit_for_bit(tmp_path):
 
 
 def test_sensor_csv_roundtrip(tmp_path):
-    sensors = _grid_sensors([(0.1, 0.2), (0.9, 0.4), (0.5, 0.5)])
+    sensors = np.array([(0.1, 0.2), (0.9, 0.4), (0.5, 0.5)])
     path = tmp_path / "sensors.csv"
     save_sensors(sensors, path)
-    assert load_sensors(path) == sensors
+    assert path.read_text() == "sensor_id,lat,lon\n0,0.1,0.2\n1,0.9,0.4\n2,0.5,0.5\n"
+    assert load_sensors(path).tobytes() == sensors.tobytes()
+    # row k is sensor k, whatever the order of the file's rows
+    path.write_text("sensor_id,lat,lon\n2,0.5,0.5\n0,0.1,0.2\n1,0.9,0.4\n")
+    assert load_sensors(path).tobytes() == sensors.tobytes()
+
+
+def test_panel_sensors_are_one_coordinate_pair_per_column():
+    values, mask = np.zeros((5, 3)), np.ones((5, 3), dtype=bool)
+    assert TimeSeriesPanel(values, mask, [[0.1, 0.2]] * 3).sensors.shape == (3, 2)
+    for coords in (np.zeros((2, 2)), np.zeros((3, 3)), np.zeros(6)):
+        with pytest.raises(ValueError, match="sensor coordinates of shape"):
+            TimeSeriesPanel(values, mask, coords)
 
 
 def test_load_sensors_rejects_unscaled_coords(tmp_path):
@@ -180,7 +200,7 @@ def test_load_sensors_rejects_gappy_ids(tmp_path):
 
 
 def test_neighbor_sets_collinear():
-    sensors = _grid_sensors([(0.0, 0.0), (0.1, 0.0), (0.9, 0.0)])
+    sensors = np.array([(0.0, 0.0), (0.1, 0.0), (0.9, 0.0)])
     nb = neighbor_sets(sensors, 2)
     assert nb[0] == (0, 1)
     assert nb[1] == (1, 0)
@@ -189,7 +209,7 @@ def test_neighbor_sets_collinear():
 
 def test_neighbor_sets_full_size_is_permutation():
     rng = np.random.default_rng(3)
-    sensors = _grid_sensors(rng.uniform(size=(7, 2)))
+    sensors = rng.uniform(size=(7, 2))
     nb = neighbor_sets(sensors, 7)
     for k in range(7):
         assert sorted(nb[k]) == list(range(7))
@@ -197,7 +217,7 @@ def test_neighbor_sets_full_size_is_permutation():
 
 def test_neighbor_sets_self_always_first():
     rng = np.random.default_rng(4)
-    sensors = _grid_sensors(rng.uniform(size=(15, 2)))
+    sensors = rng.uniform(size=(15, 2))
     nb = neighbor_sets(sensors, 4)
     for k in range(15):
         assert nb[k][0] == k
@@ -206,8 +226,7 @@ def test_neighbor_sets_self_always_first():
 def test_neighbor_sets_matches_brute_force_distance_sort():
     rng = np.random.default_rng(5)
     coords = rng.uniform(size=(20, 2))
-    sensors = _grid_sensors(coords)
-    nb = neighbor_sets(sensors, 5)
+    nb = neighbor_sets(coords, 5)
     for k in range(20):
         dists = [
             (float(np.hypot(*(coords[j] - coords[k]))), j) for j in range(20)
@@ -217,7 +236,7 @@ def test_neighbor_sets_matches_brute_force_distance_sort():
 
 
 def test_neighbor_sets_size_errors():
-    sensors = _grid_sensors([(0.0, 0.0), (1.0, 1.0)])
+    sensors = np.array([(0.0, 0.0), (1.0, 1.0)])
     with pytest.raises(ValueError):
         neighbor_sets(sensors, 0)
     with pytest.raises(ValueError):
@@ -237,7 +256,7 @@ def test_build_features_single_sensor_lags():
 
 def test_build_features_dimension_is_lags_times_neighbors():
     rng = np.random.default_rng(6)
-    sensors = _grid_sensors(rng.uniform(size=(6, 2)))
+    sensors = rng.uniform(size=(6, 2))
     panel = TimeSeriesPanel(rng.normal(size=(12, 6)), np.ones((12, 6), dtype=bool), sensors)
     times, sensor_ids, X, y = build_features(panel, neighbor_sets(sensors, 5), 5)
     assert X.shape == ((12 - 5) * 6, 25)
@@ -246,7 +265,7 @@ def test_build_features_dimension_is_lags_times_neighbors():
 
 def test_build_features_matches_direct_index_lookup():
     rng = np.random.default_rng(7)
-    sensors = _grid_sensors(rng.uniform(size=(3, 2)))
+    sensors = rng.uniform(size=(3, 2))
     values = rng.normal(size=(10, 3))
     panel = TimeSeriesPanel(values, np.ones((10, 3), dtype=bool), sensors)
     neighbors = neighbor_sets(sensors, 2)
@@ -263,7 +282,7 @@ def test_build_features_matches_direct_index_lookup():
 
 def test_build_features_is_pure():
     rng = np.random.default_rng(8)
-    sensors = _grid_sensors(rng.uniform(size=(4, 2)))
+    sensors = rng.uniform(size=(4, 2))
     panel = TimeSeriesPanel(rng.normal(size=(9, 4)), np.ones((9, 4), dtype=bool), sensors)
     neighbors = neighbor_sets(sensors, 3)
     first = build_features(panel, neighbors, 2)
@@ -276,7 +295,7 @@ def test_build_features_never_leaks_future_values():
     # max referenced lag index is t-1, min is t-n_lags: perturbing any value at
     # time >= t must leave the features of row (t, k) unchanged
     rng = np.random.default_rng(9)
-    sensors = _grid_sensors(rng.uniform(size=(3, 2)))
+    sensors = rng.uniform(size=(3, 2))
     values = rng.normal(size=(8, 3))
     panel = TimeSeriesPanel(values, np.ones((8, 3), dtype=bool), sensors)
     neighbors = neighbor_sets(sensors, 3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ecad.backends import BackendSpec, fit
-from ecad.panel import SensorMetadata, TimeSeriesPanel, build_features, neighbor_sets
+from ecad.panel import TimeSeriesPanel, build_features, neighbor_sets
 from ecad.scenario import (
     ErrorSpec,
     InjectionSpec,
@@ -22,7 +22,7 @@ def test_generate_is_reproducible():
     assert np.array_equal(panel_a.values, panel_b.values)
     assert np.array_equal(truth_a.labels, truth_b.labels)
     assert np.array_equal(truth_a.injected, truth_b.injected)
-    assert panel_a.sensors == panel_b.sensors
+    assert np.array_equal(panel_a.sensors, panel_b.sensors)
 
 
 def test_noiseless_linear_panel_is_the_recursion_fixed_point():
@@ -64,7 +64,7 @@ def test_average_pairwise_distance_matches_uniform_square():
     means = []
     for seed in range(200):
         panel, _ = generate(ScenarioConfig(n_sensors=20, n_train=10, n_test=0, seed=seed))
-        coords = np.array([s.coords for s in panel.sensors])
+        coords = panel.sensors
         diffs = coords[:, None, :] - coords[None, :, :]
         dists = np.hypot(diffs[..., 0], diffs[..., 1])
         iu = np.triu_indices(20, k=1)
@@ -88,7 +88,7 @@ def test_ar1_errors_are_autocorrelated():
 
 
 def test_labels_constant_panel_all_anomalous():
-    sensors = [SensorMetadata(i, (0.1 * i, 0.0)) for i in range(3)]
+    sensors = np.array([(0.1 * i, 0.0) for i in range(3)])
     values = np.full((10, 3), 7.0)
     labels = label_ground_truth(values, sensors, alpha=0.01, lag_depth=3, neighborhood_size=2)
     assert labels[3:].all()
@@ -98,7 +98,7 @@ def test_labels_constant_panel_all_anomalous():
 def test_labels_match_brute_force_oracle():
     rng = np.random.default_rng(12)
     values = rng.normal(size=(50, 5))
-    sensors = [SensorMetadata(i, tuple(rng.uniform(size=2))) for i in range(5)]
+    sensors = rng.uniform(size=(5, 2))
     alpha, d, n_size = 0.01, 3, 4
     labels = label_ground_truth(values, sensors, alpha, d, n_size)
 
@@ -119,7 +119,7 @@ def test_labels_match_brute_force_oracle():
 def test_label_fraction_weakly_increases_with_alpha():
     rng = np.random.default_rng(13)
     values = rng.normal(size=(200, 6))
-    sensors = [SensorMetadata(i, tuple(rng.uniform(size=2))) for i in range(6)]
+    sensors = rng.uniform(size=(6, 2))
     fractions = [
         label_ground_truth(values, sensors, a, 3, 4)[3:].mean()
         for a in [0.01, 0.05, 0.1, 0.2]
@@ -128,7 +128,7 @@ def test_label_fraction_weakly_increases_with_alpha():
 
 
 def test_labeler_rejects_too_short_panels():
-    sensors = [SensorMetadata(0, (0.0, 0.0))]
+    sensors = np.zeros((1, 2))
     with pytest.raises(ValueError, match="labelable"):
         label_ground_truth(np.ones((3, 1)), sensors, 0.01, 3, 1)
 
