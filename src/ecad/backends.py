@@ -8,9 +8,11 @@ ridge ensemble needs no per-model pass over its rows: each block of rows is
 read once into its sufficient statistics, and every bag is fitted from the
 count-weighted sums of those statistics, so a bag is a count per block rather
 than a copy of its rows; all B ridge models predict with one matrix product.
-The MLP gathers each bag's rows, block by block in ascending order, and fits
-the bags one at a time.  Each model type's ``param_shapes`` is the table of
-its parameter names and per-model shapes.
+The MLP fits the bags one at a time, each on its distinct rows (block by
+block in ascending order) with every row weighted by its bag's draw count, so
+an epoch runs over each drawn row once however often the bag drew it.  Each
+model type's ``param_shapes`` is the table of its parameter names and
+per-model shapes.
 
 Fitted models are immutable after ``fit`` and safe to share across concurrent
 ``predict`` calls.  Both backends are deterministic given the spec's seed.
@@ -105,10 +107,16 @@ class Bags(NamedTuple):
     stops: np.ndarray
     counts: np.ndarray
 
-    def rows(self, b: int) -> np.ndarray:
-        """Bag b's rows, block by block in ascending order, block i ``counts[b, i]`` times."""
-        blocks = np.repeat(np.arange(self.starts.size), self.counts[b]).tolist()
-        return np.concatenate([self.order[self.starts[i] : self.stops[i]] for i in blocks])
+    def rows(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bag b's distinct rows and each row's draw count (float64).
+
+        The rows are those of the blocks bag b drew at least once, block by
+        block in ascending order; a row of block i counts ``counts[b, i]``.
+        """
+        drawn = np.flatnonzero(self.counts[b])
+        rows = np.concatenate([self.order[self.starts[i] : self.stops[i]] for i in drawn.tolist()])
+        sizes = self.stops[drawn] - self.starts[drawn]
+        return rows, np.repeat(self.counts[b, drawn].astype(np.float64), sizes)
 
 
 @dataclass(frozen=True)
@@ -243,13 +251,8 @@ def _layer_buffers(weights: list[np.ndarray], n_rows: int) -> list[np.ndarray]:
     return [np.empty((n_rows, W.shape[1])) for W in weights]
 
 
-def mlp_forward(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray) -> np.ndarray:
-    """Flat predictions of the net (ReLU hidden layers, identity output) on X."""
-    return _forward(weights, biases, X, _layer_buffers(weights, X.shape[0]))
-
-
 def mlp_loss(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray, y: np.ndarray) -> float:
-    pred = mlp_forward(weights, biases, X)
+    pred = _forward(weights, biases, X, _layer_buffers(weights, X.shape[0]))
     return float(np.mean((pred - y) ** 2))
 
 
@@ -276,12 +279,18 @@ def _backprop(
     biases: list[np.ndarray],
     X: np.ndarray,
     y: np.ndarray,
+    loss_scale: np.ndarray,
 ) -> None:
-    """Gradients of the mean squared error on (X, y) into ``ws`` by backpropagation."""
+    """Gradients of a weighted squared error on (X, y) into ``ws`` by backpropagation.
+
+    The loss is ``sum(w * resid**2) / sum(w)`` and ``loss_scale`` is each
+    row's ``(2 / sum(w)) * w``, its derivative with respect to the residual
+    divided by the residual.
+    """
     pred = _forward(weights, biases, X, ws.outputs)
     np.subtract(pred, y, out=ws.resid)
     last = len(weights) - 1
-    np.multiply(2.0 / X.shape[0], ws.resid[:, None], out=ws.deltas[last])
+    np.multiply(loss_scale, ws.resid, out=ws.deltas[last][:, 0])
     inputs = [X, *ws.outputs[:-1]]
     for layer in range(last, -1, -1):
         delta = ws.deltas[layer]
@@ -306,8 +315,9 @@ def mlp_loss_and_gradients(
 
     The gradient arrays are new on every call.
     """
-    ws = _MLPWorkspace(weights, X.shape[0])
-    _backprop(ws, weights, biases, X, y)
+    n = X.shape[0]
+    ws = _MLPWorkspace(weights, n)
+    _backprop(ws, weights, biases, X, y, np.full(n, 2.0 / n))
     return float(np.mean(ws.resid**2)), ws.grad_w, ws.grad_b
 
 
@@ -342,14 +352,18 @@ class MLPModel(_StackedModel):
         return [self.params[f"b{i}"] for i in range(len(self.spec.mlp_hidden) + 1)]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """(B, n) predictions, one net at a time."""
+        """(B, n) predictions, one net at a time through one set of buffers."""
         X = _check_predict_input(X, self.input_dim)
         p, weights, biases = self.params, self.weights, self.biases
         out = np.empty((self.n_models, X.shape[0]))
+        Xs = np.empty(X.shape)
+        buffers = _layer_buffers([W[0] for W in weights], X.shape[0])
         for b in range(self.n_models):
-            Xs = (X - p["x_mean"][b]) / p["x_std"][b]
-            pred = mlp_forward([W[b] for W in weights], [c[b] for c in biases], Xs)
-            out[b] = p["y_mean"][b] + p["y_std"][b] * pred
+            np.subtract(X, p["x_mean"][b], out=Xs)
+            Xs /= p["x_std"][b]
+            pred = _forward([W[b] for W in weights], [c[b] for c in biases], Xs, buffers)
+            np.multiply(pred, p["y_std"][b], out=out[b])
+            out[b] += p["y_mean"][b]
         return out
 
 
@@ -367,13 +381,20 @@ def init_mlp_params(
     return weights, biases
 
 
-def _fit_mlp(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
-    x_mean = X.mean(axis=0)
-    x_std = X.std(axis=0)
+def _fit_mlp(spec: BackendSpec, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> dict[str, np.ndarray]:
+    """One net fitted on the rows of (X, y), row i weighted ``w[i]``.
+
+    A row of weight c counts as c copies of the row, in the standardisation
+    statistics and in the mean squared error; the sums are written so that
+    unit weights give ``X.mean``, ``X.std`` and ``2 / n`` bit for bit.
+    """
+    n = w.sum()
+    x_mean = (X * w[:, None]).sum(axis=0) / n
+    x_std = np.sqrt(((X - x_mean) ** 2 * w[:, None]).sum(axis=0) / n)
     x_std = np.where(x_std < 1e-12, 1.0, x_std)
     Xs = (X - x_mean) / x_std
-    y_mean = float(y.mean())
-    y_std = float(y.std())
+    y_mean = float((y * w).sum() / n)
+    y_std = float(np.sqrt(((y - y_mean) ** 2 * w).sum() / n))
     if y_std < 1e-12:
         y_std = 1.0
     ys = (y - y_mean) / y_std
@@ -381,10 +402,11 @@ def _fit_mlp(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> dict[str, np.nd
     weights, biases = init_mlp_params(X.shape[1], spec.mlp_hidden, rng)
     lr = spec.mlp_learning_rate
     ws = _MLPWorkspace(weights, X.shape[0])
+    loss_scale = (2.0 / n) * w
     # a step size too large for the data overflows; `fit` rejects the result
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(spec.mlp_epochs):
-            _backprop(ws, weights, biases, Xs, ys)
+            _backprop(ws, weights, biases, Xs, ys, loss_scale)
             for param, grad in zip(weights + biases, ws.grad_w + ws.grad_b):
                 grad *= lr
                 param -= grad
@@ -400,20 +422,26 @@ def fit(
     """Fit the configured backend on (X, y); deterministic given the spec seed.
 
     Without ``bags`` the result holds one model fitted on every row; with
-    ``bags`` it holds one model per bag, model b fitted on bag b's rows with
-    duplicates repeated (for ridge up to rounding).  A fit whose state is not
+    ``bags`` it holds one model per bag, model b equal up to rounding to a fit
+    on bag b's rows with duplicates repeated.  A fit whose state is not
     finite (an MLP step size too large for the data) raises ValueError naming
     the bag.
     """
     spec.validate()
     X, y = _check_training_inputs(X, y)
-    if spec.kind == "ridge" and bags is not None:
-        params = _fit_ridge_bags(spec, X, y, bags)
+    if spec.kind == "ridge":
+        if bags is None:
+            params = {name: np.stack([v]) for name, v in _fit_ridge(spec, X, y).items()}
+        else:
+            params = _fit_ridge_bags(spec, X, y, bags)
     else:
-        fit_one = _fit_ridge if spec.kind == "ridge" else _fit_mlp
         fits = []
-        for rows in [slice(None)] if bags is None else map(bags.rows, range(len(bags.counts))):
-            fits.append(fit_one(spec, X[rows], y[rows]))
+        if bags is None:
+            bag_rows = [(slice(None), np.ones(len(y)))]
+        else:
+            bag_rows = map(bags.rows, range(len(bags.counts)))
+        for rows, draws in bag_rows:
+            fits.append(_fit_mlp(spec, X[rows], y[rows], draws))
             if not all(np.isfinite(a).all() for a in fits[-1].values()):
                 break  # a diverged bag ends the fit: the check below names it
         params = {name: np.stack([f[name] for f in fits]) for name in fits[0]}

@@ -108,6 +108,15 @@ def _read_sensors(path: Path, panel: TimeSeriesPanel, panel_path: Path) -> np.nd
     return sensors
 
 
+def _neighbors(coords: np.ndarray, size: int, key: str, sensors_path: Path) -> dict[int, tuple[int, ...]]:
+    """``neighbor_sets(coords, size)``, refused as a config error naming ``key`` if too few sensors."""
+    if size > len(coords):
+        raise StageError(
+            "config", f"{key} {size} exceeds the {len(coords)} sensors of sensor file {sensors_path}"
+        )
+    return neighbor_sets(coords, size)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -185,7 +194,7 @@ def _train_impl(cfg: PipelineConfig, stage: str) -> dict:
     coords = _read_sensors(sensors_path, panel, panel_path)
     if not panel.is_complete:
         raise StageError("config", f"completed panel {panel_path} still has missing entries")
-    neighbors = neighbor_sets(coords, cfg.features.neighbor_size)
+    neighbors = _neighbors(coords, cfg.features.neighbor_size, "features.neighbor_size", sensors_path)
     times, sensors, X, y = build_features(panel, neighbors, cfg.features.n_lags)
     try:
         ensemble = train_ensemble(
@@ -275,12 +284,14 @@ def detect_stage(cfg: PipelineConfig) -> dict:
             np.ones((n_lags + test.n_times, train.n_sensors), dtype=bool),
             sensors,
         ),
-        neighbor_sets(sensors, neighbor_size),
+        _neighbors(sensors, neighbor_size, "features.neighbor_size", sensors_path),
         n_lags,
     )
     locality_neighbors = None
     if cfg.detector.locality.enabled:
-        locality_neighbors = neighbor_sets(sensors, cfg.detector.locality.neighbor_size)
+        locality_neighbors = _neighbors(
+            sensors, cfg.detector.locality.neighbor_size, "detector.locality.neighbor_size", sensors_path
+        )
     detections = detect_stream(
         ensemble,
         times + (train.n_times - n_lags),

@@ -86,8 +86,17 @@ class PipelineConfig:
         self.ensemble.validate()
         self.features.validate()
         self.detector.validate()
-        if self.features.neighbor_size > self.scenario.n_sensors:
-            raise ValueError("feature neighbor size exceeds sensor count")
+        n_sensors, locality = self.scenario.n_sensors, self.detector.locality
+        if self.features.neighbor_size > n_sensors:
+            raise ValueError(
+                f"features.neighbor_size {self.features.neighbor_size} exceeds "
+                f"scenario.n_sensors {n_sensors}"
+            )
+        if locality.enabled and locality.neighbor_size > n_sensors:
+            raise ValueError(
+                f"detector.locality.neighbor_size {locality.neighbor_size} exceeds "
+                f"scenario.n_sensors {n_sensors}"
+            )
         if self.features.n_lags >= self.scenario.n_train:
             raise ValueError("feature lag depth must be smaller than the training horizon")
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ecad
-from ecad.backends import BackendSpec, init_mlp_params, mlp_loss, mlp_loss_and_gradients
+from ecad.backends import BackendSpec, fit, init_mlp_params, mlp_loss, mlp_loss_and_gradients
 from ecad.cli import ARTIFACTS, run_all
 from ecad.config import config_from_dict, resolve_seeds
 from ecad.detector import p_value
@@ -104,7 +104,12 @@ def test_criterion_2_p_value_oracle_equivalence():
     _report("criterion-2 p-value oracle", failures == 0, f"{failures}/50 mismatches (exact)")
 
 
-def test_criterion_3_loo_construction_oracle():
+def _loo_construction_oracle(name, spec, naive_fit):
+    """Every training score and ``loo_predict`` of an ensemble against models refitted naively.
+
+    ``naive_fit(X, y, row_idx)`` returns a predictor of one point, fitted on
+    the rows ``row_idx`` of (X, y): bag b's rows, a duplicated time's rows repeated.
+    """
     rng = np.random.default_rng(77)
     n_times, n_sensors, n_models = 8, 2, 5
     times = np.repeat(np.arange(1, n_times + 1), n_sensors)
@@ -112,21 +117,14 @@ def test_criterion_3_loo_construction_oracle():
     draws = [(rng.normal(size=3), float(rng.normal())) for _ in times]
     X = np.array([x for x, _ in draws])
     y = np.array([v for _, v in draws])
-    spec = BackendSpec(kind="ridge", ridge_lambda=1.0)
     ensemble = train_ensemble(times, sensors, X, y, spec, n_models, seed=123)
+    assert (ensemble.plan.multiplicity > 1).any(), "no bag repeats a time"
 
     # naive oracle: refit every bootstrap model and re-aggregate from scratch
-    def naive_fit(row_idx):
-        Xb, yb = X[row_idx], y[row_idx]
-        x_mean, y_mean = Xb.mean(axis=0), yb.mean()
-        Xc, yc = Xb - x_mean, yb - y_mean
-        w = _gauss_solve(Xc.T @ Xc + np.eye(3), Xc.T @ yc)
-        return lambda x: float((np.asarray(x) - x_mean) @ w + y_mean)
-
     naive_models = []
     for b in range(n_models):
         idx = [i for bag_t in ensemble.plan.in_bag[b] for i in range(len(y)) if times[i] == bag_t]
-        naive_models.append(naive_fit(idx))
+        naive_models.append(naive_fit(X, y, idx))
 
     worst = 0.0
     score_map = {
@@ -151,7 +149,29 @@ def test_criterion_3_loo_construction_oracle():
         excluded = [b for b in range(n_models) if t not in set(ensemble.plan.in_bag[b].tolist())]
         naive_pred = float(np.mean([naive_models[b](x) for b in excluded]))
         worst = max(worst, abs(loo_predict(ensemble, int(t), x) - naive_pred))
-    _report("criterion-3 LOO construction oracle", worst <= 1e-10, f"worst |diff| {worst:.2e} <= 1e-10")
+    _report(name, worst <= 1e-10, f"worst |diff| {worst:.2e} <= 1e-10")
+
+
+def test_criterion_3_loo_construction_oracle():
+    def naive_fit(X, y, row_idx):
+        Xb, yb = X[row_idx], y[row_idx]
+        x_mean, y_mean = Xb.mean(axis=0), yb.mean()
+        Xc, yc = Xb - x_mean, yb - y_mean
+        w = _gauss_solve(Xc.T @ Xc + np.eye(3), Xc.T @ yc)
+        return lambda x: float((np.asarray(x) - x_mean) @ w + y_mean)
+
+    spec = BackendSpec(kind="ridge", ridge_lambda=1.0)
+    _loo_construction_oracle("criterion-3 LOO construction oracle", spec, naive_fit)
+
+
+def test_criterion_3_loo_construction_oracle_mlp():
+    spec = BackendSpec(kind="mlp", mlp_hidden=(8, 4), mlp_epochs=50, mlp_learning_rate=0.05, seed=3)
+
+    def naive_fit(X, y, row_idx):
+        model = fit(spec, X[row_idx], y[row_idx])
+        return lambda x: float(model.predict(np.asarray(x)[None, :])[0, 0])
+
+    _loo_construction_oracle("criterion-3 LOO construction oracle (MLP)", spec, naive_fit)
 
 
 def test_criterion_4_ground_truth_labeler_oracle():

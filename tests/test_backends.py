@@ -280,7 +280,7 @@ def test_mlp_loss_and_gradients_equal_reference_and_are_not_reused():
         assert np.array_equal(got, want)
 
 
-def test_mlp_ensemble_models_share_no_memory_and_equal_standalone_fits():
+def test_mlp_ensemble_models_share_no_memory_and_equal_standalone_fits(monkeypatch):
     rng = np.random.default_rng(9)
     n_times, n_sensors = 30, 3
     times = np.repeat(np.arange(n_times), n_sensors)
@@ -288,17 +288,52 @@ def test_mlp_ensemble_models_share_no_memory_and_equal_standalone_fits():
     X = rng.normal(size=(n_times * n_sensors, 4))
     y = rng.normal(size=n_times * n_sensors)
     spec = BackendSpec(kind="mlp", mlp_hidden=(5, 3), mlp_epochs=15, mlp_learning_rate=0.05, seed=4)
+    fitted, fit_mlp = [], backends._fit_mlp
+    monkeypatch.setattr(backends, "_fit_mlp", lambda *args: fitted.append(args) or fit_mlp(*args))
     ens = train_ensemble(
         times, sensors, X, y, spec, n_models=6, aggregator=AggregatorSpec("mean"), seed=2
     )
+    assert (ens.plan.multiplicity > 1).any(), "no bag repeats a time"
     stacks = ens.model.weights + ens.model.biases
     arrays = [stack[b] for b in range(ens.n_models) for stack in stacks]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1 :]:
             assert not np.shares_memory(a, b)
+    assert len(fitted) == ens.n_models
+    for b, (_, X_fit, y_fit, draws) in enumerate(fitted):
+        # each bag trains once over its distinct rows, a row weighted by its time's draws
+        distinct = [t * n_sensors + k for t in np.unique(ens.plan.in_bag[b]) for k in range(n_sensors)]
+        assert np.array_equal(X_fit, X[distinct]) and np.array_equal(y_fit, y[distinct])
+        drawn = ens.plan.multiplicity[b]
+        assert np.array_equal(draws, np.repeat(drawn[drawn > 0], n_sensors))
+        assert draws.sum() == ens.plan.in_bag[b].size * n_sensors
+    monkeypatch.undo()
     for b in range(ens.n_models):
-        # the ensemble fits each bag on its rows in ascending time order
+        # ... and equals a fit on its rows in ascending time order, duplicates repeated
         bag = [t * n_sensors + k for t in np.sort(ens.plan.in_bag[b]) for k in range(n_sensors)]
         alone = fit(spec, X[bag], y[bag])
         for got, want in zip(stacks, alone.weights + alone.biases):
-            assert np.array_equal(got[b], want[0])
+            assert np.max(np.abs(got[b] - want[0])) <= 1e-10 * np.max(np.abs(want[0])), b
+
+
+@pytest.mark.parametrize("hidden, lr", [((5, 3), 0.05), ((16, 16), 1e-3), ((16, 16), 0.05)])
+def test_bagged_mlp_fits_equal_fits_on_gathered_bags(hidden, lr):
+    # blocks of 1-5 rows in shuffled order, bags that draw some blocks repeatedly
+    rng = np.random.default_rng(12)
+    sizes = rng.integers(1, 6, size=20)
+    stops = np.cumsum(sizes)
+    order = rng.permutation(stops[-1])
+    X = rng.normal(size=(stops[-1], 6))
+    y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=stops[-1])
+    counts = rng.multinomial(20, np.full(20, 1 / 20), size=4)
+    assert (counts > 1).any() and (counts == 0).any()
+    bags = Bags(order, stops - sizes, stops, counts)
+    spec = BackendSpec(kind="mlp", mlp_hidden=hidden, mlp_epochs=100, mlp_learning_rate=lr, seed=1)
+    model = fit(spec, X, y, bags)
+    for b in range(len(counts)):
+        blocks = np.repeat(np.arange(20), counts[b])
+        gathered = np.concatenate([order[bags.starts[i] : stops[i]] for i in blocks])
+        alone = fit(spec, X[gathered], y[gathered])
+        for name, want in alone.params.items():
+            got, want = model.params[name][b], want[0]
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (b, name)

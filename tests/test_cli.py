@@ -429,6 +429,48 @@ def test_train_rejects_sensor_file_of_other_sensor_count(tmp_path, capsys):
     assert ARTIFACTS["sensors"] in err and "lists 5 sensors" in err and ARTIFACTS["completed_panel"] in err
 
 
+def test_locality_neighborhood_larger_than_the_network_is_a_config_error(tmp_path, capsys):
+    payload = {
+        "out_dir": str(tmp_path / "run"),
+        "scenario": {"n_sensors": 4, "n_train": 120, "n_test": 40, "missing_fraction": 0.2},
+        "features": {"n_lags": 2, "neighbor_size": 3},
+        "detector": {"locality": {"enabled": True, "neighbor_size": 9}},
+    }
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "category=config" in err and "detector.locality.neighbor_size 9" in err
+    assert not (tmp_path / "run").exists()
+    # a disabled locality's neighbourhood is never built, so it is not checked
+    payload["detector"]["locality"]["enabled"] = False
+    config.write_text(json.dumps(payload))
+    assert load_config(config).detector.locality.neighbor_size == 9
+
+
+def test_detect_rejects_locality_neighborhood_larger_than_the_sensor_file(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    # the config admits 9 neighbours, but the run's sensor file holds 4 sensors
+    wide = dataclasses.replace(
+        cfg,
+        scenario=dataclasses.replace(cfg.scenario, n_sensors=10),
+        detector=dataclasses.replace(
+            cfg.detector,
+            locality=dataclasses.replace(cfg.detector.locality, enabled=True, neighbor_size=9),
+        ),
+    )
+    wide.validate()
+    detections = tmp_path / "run" / ARTIFACTS["detections"]
+    before = detections.read_bytes()
+    code, err = _detect_exit(wide, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err and "detector.locality.neighbor_size 9" in err
+    assert ARTIFACTS["sensors"] in err
+    assert detections.read_bytes() == before
+
+
 def test_stages_are_idempotent(tmp_path):
     cfg = _small_cfg(tmp_path / "run")
     run_all(cfg)
