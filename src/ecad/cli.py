@@ -108,8 +108,11 @@ def _read_sensors(path: Path, panel: TimeSeriesPanel, panel_path: Path) -> np.nd
     return sensors
 
 
-def _neighbors(coords: np.ndarray, size: int, key: str, sensors_path: Path) -> dict[int, tuple[int, ...]]:
-    """``neighbor_sets(coords, size)``, refused as a config error naming ``key`` if too few sensors."""
+def _neighbors(coords: np.ndarray, size: int, key: str, sensors_path: Path) -> np.ndarray:
+    """The ``(K, size)`` array ``neighbor_sets(coords, size)``.
+
+    Refused as a config error naming ``key`` if there are too few sensors.
+    """
     if size > len(coords):
         raise StageError(
             "config", f"{key} {size} exceeds the {len(coords)} sensors of sensor file {sensors_path}"
@@ -272,6 +275,16 @@ def detect_stage(cfg: PipelineConfig) -> dict:
             f"{sorted(set(per_sensor.tolist()))}",
         )
 
+    # the test stream starts at time train.n_times, after every retained training score
+    last_scored = int(ensemble.score_times.max(initial=-1))
+    if last_scored >= train.n_times:
+        raise StageError(
+            "config",
+            f"ensemble {ensemble_path} holds training scores up to time {last_scored}, but "
+            f"training panel {train_path} has only {train.n_times} rows; the two come from "
+            "different horizons, so retrain the ensemble on this panel",
+        )
+
     # the test rows' lags reach back n_lags hours into the training panel
     if train.n_times < n_lags:
         raise StageError(
@@ -324,14 +337,32 @@ def _read_detections(path: Path) -> list[np.ndarray]:
     return [t, k, p, flagged]
 
 
-def _read_truth(path: Path) -> np.ndarray:
-    """(T, K) grid of ground-truth labels: 1 anomalous, 0 normal, -1 unlabeled."""
-    t, k, label = read_csv(path, {"t": np.int64, "k": np.int64, "label": bool})
-    if (t < 0).any() or (k < 0).any():
+def _read_truth(path: Path, t: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Ground-truth label of each detection (t[i], k[i]): 1 anomalous, 0 normal, -1 unlabeled.
+
+    The join runs on the truth rows sorted by (t, k), so memory grows with the
+    number of rows, not with the largest index; truth rows that label no
+    detection are ignored.
+    """
+    truth_t, truth_k, label = read_csv(path, {"t": np.int64, "k": np.int64, "label": bool})
+    if (truth_t < 0).any() or (truth_k < 0).any():
         raise ValueError("a negative time or sensor index")
-    grid = np.full((t.max() + 1, k.max() + 1), -1, dtype=np.int8)
-    grid[t, k] = label
-    return grid
+    order = np.lexsort((truth_k, truth_t))
+    truth_t, truth_k, label = truth_t[order], truth_k[order], label[order]
+    new_t = np.r_[True, truth_t[1:] != truth_t[:-1]]
+    dup = np.flatnonzero(~new_t[1:] & (truth_k[1:] == truth_k[:-1]))
+    if dup.size:
+        raise ValueError(f"more than one row for (t={truth_t[dup[0]]}, k={truth_k[dup[0]]})")
+    # a (t, k) key is (rank of t) * n_k + (rank of k) among the distinct truth times
+    # and sensors: ascending along the sorted rows, and below rows**2
+    times, ks = truth_t[new_t], np.unique(truth_k)
+    key = (np.cumsum(new_t) - 1) * ks.size + np.searchsorted(ks, truth_k)
+    ti = np.searchsorted(times, t).clip(max=times.size - 1)
+    ki = np.searchsorted(ks, k).clip(max=ks.size - 1)
+    wanted = ti * ks.size + ki
+    pos = np.searchsorted(key, wanted).clip(max=key.size - 1)
+    found = (times[ti] == t) & (ks[ki] == k) & (key[pos] == wanted)
+    return np.where(found, label[pos], -1)
 
 
 def evaluate_stage(cfg: PipelineConfig) -> dict:
@@ -339,11 +370,7 @@ def evaluate_stage(cfg: PipelineConfig) -> dict:
     det_path = _require(cfg, "detections", "detect")
     truth_path = _require(cfg, "truth", "generate")
     t, k, p, flags = _read_artifact(_read_detections, det_path)
-    grid = _read_artifact(_read_truth, truth_path)
-
-    label = np.full(t.shape, -1, dtype=np.int8)
-    inside = (t >= 0) & (t < grid.shape[0]) & (k >= 0) & (k < grid.shape[1])
-    label[inside] = grid[t[inside], k[inside]]
+    label = _read_artifact(_read_truth, truth_path, t, k)
     labeled = label >= 0
     if not labeled.any():
         raise StageError("config", "no detection rows have ground-truth labels")

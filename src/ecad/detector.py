@@ -12,7 +12,9 @@ unconditionally (the flagged score still enters) unless configured otherwise.
 
 Detection is sequential over time and runs one numpy step per timestamp: every
 item of timestamp t is ranked against the score store as it stood at the end
-of t-1, then all of t is pushed at once.  A comparison set therefore never
+of t-1, then all of t is pushed at once.  Sensor k is row k throughout: of the
+store's (K, W) score and time grids, and of the (K, m) neighbor id array that
+locality reads.  A comparison set therefore never
 holds a score of its own timestamp, and results do not depend on the order of
 sensors within a timestamp.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -125,47 +127,30 @@ class LocalityConfig:
 
 
 class ScoreStore:
-    """Fixed-length ring buffers of (time, score) pairs, one row per sensor.
+    """Fixed-length ring buffers of (time, score) pairs, row k for sensor k.
 
-    ``score_grid`` and ``time_grid`` are (K, W) arrays whose row i belongs to
-    sensor ``sensor_ids[i]``, and ``head[i]`` is the slot of row i's oldest
-    entry, the one its next push overwrites.  Rows are seeded time-ascending
-    from the ensemble's training scores, so every head starts at 0; each push
-    drops the sensor's oldest retained score and appends the new one, keeping
-    the window length constant at ``window_len``.  Heads move per sensor,
-    because a timestamp may push only some sensors.
+    ``score_grid`` and ``time_grid`` are (K, W) arrays, and ``head[k]`` is the
+    slot of row k's oldest entry, the one its next push overwrites.  Rows are
+    seeded time-ascending from the training scores ``(times, sensors,
+    scores)``, so every head starts at 0; each push drops the sensor's oldest
+    retained score and appends the new one, keeping the window length constant
+    at ``window_len``.  Heads move per sensor, because a timestamp may push only
+    some sensors.
     """
 
-    def __init__(self, initial: Mapping[int, tuple[np.ndarray, np.ndarray]]):
-        if not initial:
-            raise ValueError("score store needs at least one sensor")
-        lengths = {len(scores) for _, scores in initial.values()}
-        if lengths == {0}:
+    def __init__(self, times: np.ndarray, sensors: np.ndarray, scores: np.ndarray, n_sensors: int):
+        lengths = np.bincount(sensors, minlength=n_sensors)
+        if not lengths.any():
             raise ValueError("score store is cold: no retained scores at all")
-        if len(lengths) != 1:
-            raise ValueError(f"sensors have unequal initial window lengths: {sorted(lengths)}")
-        self.window_len = lengths.pop()
-        entries = sorted((int(k), pair) for k, pair in initial.items())
-        self.sensor_ids = [k for k, _ in entries]
-        self._row = {k: i for i, k in enumerate(self.sensor_ids)}
-        self.score_grid = np.empty((len(entries), self.window_len))
-        self.time_grid = np.empty((len(entries), self.window_len), dtype=np.int64)
-        for i, (_, (times, scores)) in enumerate(entries):
-            order = np.argsort(times, kind="stable")
-            self.time_grid[i] = np.asarray(times, dtype=np.int64)[order]
-            self.score_grid[i] = np.asarray(scores, dtype=np.float64)[order]
-        self.head = np.zeros(len(entries), dtype=np.intp)
-
-    def scores(self, k: int) -> np.ndarray:
-        """Retained scores of sensor k (storage order; use for rank counting)."""
-        return self.score_grid[self._row[k]]
-
-    def times(self, k: int) -> np.ndarray:
-        return self.time_grid[self._row[k]]
-
-    def push(self, k: int, t: int, score: float) -> None:
-        """Drop sensor k's oldest score and append the new one."""
-        self.push_rows(np.array([self._row[k]]), t, np.array([score]))
+        if (lengths != lengths[0]).any():
+            raise ValueError(
+                f"sensors have unequal initial window lengths: {sorted(set(lengths.tolist()))}"
+            )
+        self.window_len = int(lengths[0])
+        order = np.lexsort((times, sensors))
+        self.time_grid = np.asarray(times, dtype=np.int64)[order].reshape(n_sensors, self.window_len)
+        self.score_grid = np.asarray(scores, dtype=np.float64)[order].reshape(n_sensors, self.window_len)
+        self.head = np.zeros(n_sensors, dtype=np.intp)
 
     def push_rows(self, rows: np.ndarray, t: int, scores: np.ndarray) -> None:
         """Push ``scores[i]`` at time t onto row ``rows[i]``; the rows must be distinct."""
@@ -195,14 +180,13 @@ def local_window(
     """
     neighbor_set = set(int(j) for j in neighbors)
     parts = []
-    for sensor in store.sensor_ids:
+    for sensor, (times, scores) in enumerate(zip(store.time_grid, store.score_grid)):
         if sensor in neighbor_set:
-            parts.append(store.scores(sensor))
+            parts.append(scores)
         else:
-            times = store.times(sensor)
             sel = (times >= t - n_lags) & (times <= t - 1)
             if sel.any():
-                parts.append(store.scores(sensor)[sel])
+                parts.append(scores[sel])
     if not parts:
         raise ValueError(f"no retained scores qualify for the local window at (t={t}, k={k})")
     return np.concatenate(parts)
@@ -268,10 +252,6 @@ def test_score(ensemble: Ensemble, x: np.ndarray, y: float, alpha: float) -> flo
     return float(batch_test_scores(ensemble, x, np.array([y]), alpha)[0])
 
 
-def _initial_store(ensemble: Ensemble) -> ScoreStore:
-    return ScoreStore({k: ensemble.scores_for_sensor(k) for k in range(ensemble.n_sensors)})
-
-
 @dataclass(frozen=True, eq=False)
 class Detections:
     """Outcomes of a detection stream as columns, one entry per item in stream order.
@@ -310,7 +290,7 @@ def _timestamp_bounds(times: np.ndarray, sensors: np.ndarray, store: ScoreStore)
     Raises ValueError unless every sensor is known, times are non-decreasing
     and later than the sensor's retained scores, and each (t, k) is unique.
     """
-    n_sensors = len(store.sensor_ids)
+    n_sensors = len(store.score_grid)
     unknown = np.flatnonzero((sensors < 0) | (sensors >= n_sensors))
     if unknown.size:
         raise ValueError(f"unknown sensor id {sensors[unknown[0]]} in detection stream")
@@ -349,31 +329,19 @@ def _timestamp_bounds(times: np.ndarray, sensors: np.ndarray, store: ScoreStore)
 class _NeighborSets:
     """Rank counts against the ``neighbor_sensors`` comparison sets.
 
-    The set of sensor k at time t is every score of k's neighbors plus the
-    other sensors' scores at times t-n_lags..t-1, read from a store whose row
-    k is sensor k.  Each row holds strictly increasing times from its head
-    onwards, so those recent scores lie in the last min(n_lags, W) slots
-    before the head.
+    The set of sensor k at time t is every score of the sensors in row k of the
+    ``(K, m)`` neighbor array plus the other sensors' scores at times
+    t-n_lags..t-1, read from a store whose row k is sensor k.  Each store row
+    holds strictly increasing times from its head onwards, so those recent
+    scores lie in the last min(n_lags, W) slots before the head.
     """
 
-    def __init__(self, n_sensors: int, window: int, n_lags: int, neighbors: Mapping[int, Sequence[int]]):
+    def __init__(self, window: int, n_lags: int, neighbors: np.ndarray):
+        n_sensors, self.width = neighbors.shape
         self.n_lags = n_lags
+        self.rows = neighbors
         self.is_neighbor = np.zeros((n_sensors, n_sensors), dtype=bool)
-        for k in range(n_sensors):
-            if k not in neighbors:
-                raise ValueError(f"neighbor map lacks sensor {k}")
-            for j in neighbors[k]:
-                if not 0 <= j < n_sensors:
-                    raise ValueError(f"neighbor map names unknown sensor {j} for sensor {k}")
-                self.is_neighbor[k, j] = True
-        self.n_neighbors = self.is_neighbor.sum(axis=1)
-        # neighbor rows padded to equal width with row 0, which a zero weight cancels
-        width = max(1, int(self.n_neighbors.max()))
-        self.rows = np.zeros((n_sensors, width), dtype=np.intp)
-        self.weight = np.zeros((n_sensors, width), dtype=np.int64)
-        for k, nb in enumerate(self.is_neighbor):
-            self.rows[k, : self.n_neighbors[k]] = np.flatnonzero(nb)
-            self.weight[k, : self.n_neighbors[k]] = 1
+        self.is_neighbor[np.arange(n_sensors)[:, None], neighbors] = True
         self.back = np.arange(1, min(n_lags, window) + 1)
         self.all_rows = np.arange(n_sensors)[:, None]
 
@@ -382,18 +350,26 @@ class _NeighborSets:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(rank count, comparison-set size) of the scores s of sensors ks at time t."""
         grid, window = store.score_grid, store.window_len
-        hits = np.count_nonzero(grid[self.rows[ks]] >= s[:, None, None], axis=2)
-        count = (hits * self.weight[ks]).sum(axis=1)
+        count = np.count_nonzero(grid[self.rows[ks]] >= s[:, None, None], axis=(1, 2))
         slots = (store.head[:, None] - self.back) % window
         recent = store.time_grid[self.all_rows, slots] >= t - self.n_lags  # (K, lags)
         outside = ~self.is_neighbor[ks]  # (g, K)
         recent_hits = (grid[self.all_rows, slots] >= s[:, None, None]) & recent
         count += np.count_nonzero(recent_hits & outside[:, :, None], axis=(1, 2))
-        size = self.n_neighbors[ks] * window + outside @ recent.sum(axis=1)
-        if not size.all():
-            k = ks[np.argmin(size)]
-            raise ValueError(f"no retained scores qualify for the local window at (t={t}, k={k})")
-        return count, size
+        return count, self.width * window + outside @ recent.sum(axis=1)
+
+
+def _check_neighbors(neighbors: np.ndarray, n_sensors: int) -> np.ndarray:
+    """``neighbors`` as an array, refused unless each of its K rows holds m >= 1 distinct ids in [0, K)."""
+    neighbors = np.asarray(neighbors)
+    if neighbors.ndim != 2 or len(neighbors) != n_sensors or not neighbors.size or neighbors.dtype.kind not in "iu":
+        raise ValueError(
+            f"neighbor array must be an integer ({n_sensors}, m) array, got {neighbors.dtype} {neighbors.shape}"
+        )
+    ids = np.sort(neighbors, axis=1)
+    if ids[:, 0].min() < 0 or ids[:, -1].max() >= n_sensors or (ids[:, 1:] == ids[:, :-1]).any():
+        raise ValueError(f"each row of the neighbor array must hold distinct sensor ids in [0, {n_sensors})")
+    return neighbors
 
 
 def detect_stream(
@@ -404,17 +380,20 @@ def detect_stream(
     y: Sequence[float],
     alpha: float,
     locality: LocalityConfig | None = None,
-    neighbors: Mapping[int, Sequence[int]] | None = None,
+    neighbors: np.ndarray | None = None,
     exclude_flagged_from_window: bool = False,
 ) -> Detections:
     """Run sequential detection over a stream of (t, k, x, y) items.
 
-    The score store is initialized from the ensemble's training scores.  The
-    stream is taken one timestamp at a time: each item of timestamp t is
-    ranked against its comparison set in the store as it stood at the end of
-    t-1 (the sensor's own window, or the local union when locality is
-    enabled) and flagged when p <= alpha; then all of t is pushed at once,
-    each push dropping its sensor's oldest score.  Stream times must be
+    The score store is initialized from the ensemble's training scores, row k
+    for sensor k.  The stream is taken one timestamp at a time: each item of
+    timestamp t is ranked against its comparison set in the store as it stood
+    at the end of t-1 (the sensor's own window, or the local union when
+    locality is enabled) and flagged when p <= alpha; then all of t is pushed
+    at once, each push dropping its sensor's oldest score.  The
+    ``neighbor_sensors`` variant takes ``neighbors``, a ``(K, m)`` array whose
+    row k lists sensor k's neighbors (``panel.neighbor_sets``); ``as_printed``
+    makes every sensor a neighbor of every sensor.  Stream times must be
     non-decreasing and later than the retained training times, and each
     (t, k) may appear at most once; a timestamp need not hold every sensor.
     """
@@ -422,9 +401,13 @@ def detect_stream(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     locality = locality or LocalityConfig()
     locality.validate()
-    local = locality.enabled and locality.variant == "neighbor_sensors"
-    if local and neighbors is None:
-        raise ValueError("locality with neighbor_sensors variant requires a neighbor map")
+    n_sensors = ensemble.n_sensors
+    if locality.enabled and locality.variant == "as_printed":
+        neighbors = np.broadcast_to(np.arange(n_sensors), (n_sensors, n_sensors))
+    elif locality.enabled:
+        if neighbors is None:
+            raise ValueError("locality with neighbor_sensors variant requires the (K, m) neighbor array")
+        neighbors = _check_neighbors(neighbors, n_sensors)
 
     times = np.asarray(times, dtype=np.int64)
     sensors = np.asarray(sensors, dtype=np.int64)
@@ -433,25 +416,22 @@ def detect_stream(
     if not (len(times) == len(sensors) == X.shape[0] == len(y)):
         raise ValueError("stream arrays must have equal lengths")
 
-    store = _initial_store(ensemble)  # row k of the store is sensor k
+    store = ScoreStore(ensemble.score_times, ensemble.score_sensors, ensemble.score_values, n_sensors)
     bounds = _timestamp_bounds(times, sensors, store)
     scores = batch_test_scores(ensemble, X, y, alpha)
-    grid = store.score_grid
-    n_sensors, window = grid.shape
-    counter = _NeighborSets(n_sensors, window, locality.n_lags, neighbors) if local else None
+    grid, window = store.score_grid, store.window_len
+    counter = _NeighborSets(window, locality.n_lags, neighbors) if locality.enabled else None
 
     # a timestamp holding every sensor in row order ranks against the grid itself
     n_items = np.diff(bounds)
     in_place = sensors == np.arange(len(times)) - np.repeat(bounds[:-1], n_items)
     whole = (n_items == n_sensors) & np.logical_and.reduceat(in_place, bounds[:-1])
     count = np.empty(len(times), dtype=np.int64)
-    size = np.full(len(times), window * (n_sensors if locality.enabled else 1), dtype=np.int64)
+    size = np.full(len(times), window, dtype=np.int64)
     for a, b, whole_t in zip(bounds[:-1].tolist(), bounds[1:].tolist(), whole.tolist()):
         t, ks, s = int(times[a]), sensors[a:b], scores[a:b]
         if counter is not None:
             count[a:b], size[a:b] = counter.counts(store, t, ks, s)
-        elif locality.enabled:  # as_printed: every retained score
-            count[a:b] = np.count_nonzero(grid >= s[:, None, None], axis=(1, 2))
         else:
             own = grid if whole_t else grid[ks]
             count[a:b] = np.count_nonzero(own >= s[:, None], axis=1)

@@ -282,11 +282,6 @@ class Ensemble:
     def dropped_empty_loo(self) -> int:
         return int(np.count_nonzero(~self.plan.usable))
 
-    def scores_for_sensor(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(times, scores) for sensor k, ascending by time."""
-        sel = self.score_sensors == k
-        return self.score_times[sel], self.score_values[sel]
-
 
 def train_ensemble(
     times: np.ndarray,

@@ -1,7 +1,8 @@
 """Panel data model: sensor geometry, observation masks, lagged feature construction.
 
 Sensor geometry is a ``(K, 2)`` array of planar coordinates whose row k is
-sensor k; ``neighbor_sets`` ranks every sensor's neighbours from it.
+sensor k; ``neighbor_sets`` ranks every sensor's neighbours from it into a
+``(K, m)`` array of sensor ids, again with row k for sensor k.
 
 ``build_features`` turns a complete panel into the arrays every later stage
 consumes: ``(times, sensors, X, y)``, one supervised row per (t, k).  Panels
@@ -219,8 +220,8 @@ def save_sensors(coords: np.ndarray, path: str | Path) -> None:
     write_csv(path, {"sensor_id": np.arange(len(coords)), "lat": coords[:, 0], "lon": coords[:, 1]})
 
 
-def neighbor_sets(coords: np.ndarray, size: int) -> dict[int, tuple[int, ...]]:
-    """Return, for each sensor, the ``size`` nearest sensors including itself.
+def neighbor_sets(coords: np.ndarray, size: int) -> np.ndarray:
+    """The ``(K, size)`` array whose row k lists sensor k's ``size`` nearest sensors.
 
     ``coords`` is the ``(K, 2)`` coordinate array, row k for sensor k.
     Ordering is ascending Euclidean distance with ties broken by ascending
@@ -235,24 +236,25 @@ def neighbor_sets(coords: np.ndarray, size: int) -> dict[int, tuple[int, ...]]:
     # row k holds every sensor's distance from sensor k; a stable sort keeps ties in id order
     offsets = coords[None, :, :] - coords[:, None, :]
     order = np.argsort(np.hypot(offsets[..., 0], offsets[..., 1]), axis=1, kind="stable")
-    return dict(enumerate(map(tuple, order[:, :size].tolist())))
+    return order[:, :size]
 
 
 def build_features(
     panel: TimeSeriesPanel,
-    neighbors: Mapping[int, Sequence[int]],
+    neighbors: np.ndarray,
     n_lags: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lagged neighbor features of every (t, k) with t in [n_lags, T): (times, sensors, X, y).
 
-    Row i is the supervised example ``y[i] = values[times[i], sensors[i]]``;
-    rows are ordered by time then sensor, (T - n_lags) * K in all.  ``X[i]`` is
-    neighbor-major: for each neighbor of the row's sensor (ascending distance,
-    ties by sensor id) the lags appear from t-1 down to t-n_lags, so only
-    strictly earlier values are referenced and the width is
-    ``n_lags * len(neighbors[k])``.  Requires a complete panel; run the imputer
-    first if there are missing entries.  Pure function: identical inputs give
-    bit-identical arrays.
+    ``neighbors`` is a ``(K, m)`` array of sensor ids, row k for sensor k, as
+    ``neighbor_sets`` returns it.  Row i is the supervised example
+    ``y[i] = values[times[i], sensors[i]]``; rows are ordered by time then
+    sensor, (T - n_lags) * K in all.  ``X[i]`` is neighbor-major: for each
+    neighbor in the sensor's row the lags appear from t-1 down to t-n_lags, so
+    only strictly earlier values are referenced and the width is
+    ``n_lags * m``.  Requires a complete panel; run the imputer first if there
+    are missing entries.  Pure function: identical inputs give bit-identical
+    arrays.
     """
     if not panel.is_complete:
         raise ValueError("panel has missing entries; impute before building features")
@@ -261,20 +263,13 @@ def build_features(
     T, K = panel.n_times, panel.n_sensors
     if n_lags >= T:
         raise ValueError(f"lag depth {n_lags} must be smaller than panel length {T}")
-    V = panel.values
-    n_rows_per_sensor = T - n_lags
-    widths = {k: len(neighbors[k]) for k in range(K)}
-    if len(set(widths.values())) != 1:
-        raise ValueError("all sensors must use the same neighbor count")
-    width = n_lags * widths[0]
-    X = np.empty((n_rows_per_sensor, K, width))
-    for k in range(K):
-        for j, nb in enumerate(neighbors[k]):
-            for lag in range(1, n_lags + 1):
-                # column for (neighbor j, lag) at target times t = n_lags .. T-1
-                X[:, k, j * n_lags + (lag - 1)] = V[n_lags - lag : T - lag, nb]
+    neighbors = np.asarray(neighbors)
+    if neighbors.ndim != 2 or len(neighbors) != K:
+        raise ValueError(f"neighbor array of shape {neighbors.shape} for a panel of {K} sensors")
+    # lag_rows[i, l] is the time l+1 steps before target time n_lags + i
+    lag_rows = np.arange(n_lags, T)[:, None] - np.arange(1, n_lags + 1)
+    X = panel.values[lag_rows[:, None, None, :], neighbors[None, :, :, None]]  # (T - n_lags, K, m, n_lags)
     times = np.repeat(np.arange(n_lags, T), K)
-    sensor_ids = np.tile(np.arange(K), n_rows_per_sensor)
-    X = X.reshape(n_rows_per_sensor * K, width)
-    y = V[n_lags:, :].reshape(-1)
-    return times, sensor_ids, X, y
+    sensor_ids = np.tile(np.arange(K), T - n_lags)
+    y = panel.values[n_lags:, :].reshape(-1)
+    return times, sensor_ids, X.reshape(times.size, -1), y

@@ -164,7 +164,7 @@ def _ar_coefficients(n_neighbors: int, n_lags: int) -> np.ndarray:
 def _simulate_clean(cfg: ScenarioConfig, coords: np.ndarray, eps: np.ndarray) -> np.ndarray:
     T, K = eps.shape
     n_nb = min(_TRUE_NEIGHBORS, K)
-    nb_idx = np.array(list(neighbor_sets(coords, n_nb).values()))  # (K, n_nb)
+    nb_idx = neighbor_sets(coords, n_nb)  # (K, n_nb)
     weights = _ar_coefficients(n_nb, _TRUE_LAGS)
 
     values = np.empty((T, K))
@@ -253,14 +253,14 @@ def label_ground_truth(
         raise ValueError(f"lag depth must be >= 1, got {lag_depth}")
     if T <= lag_depth:
         raise ValueError(f"panel length {T} leaves no labelable rows at lag depth {lag_depth}")
-    nb_map = neighbor_sets(coords, neighborhood_size)
+    neighbors = neighbor_sets(coords, neighborhood_size)
     pool_size = lag_depth * neighborhood_size
     hi_idx = nearest_rank_index(1.0 - alpha, pool_size)
     lo_idx = nearest_rank_index(alpha, pool_size)
 
     labels = np.zeros((T, K), dtype=bool)
     for k in range(K):
-        series = values[:, nb_map[k]]  # (T, nb)
+        series = values[:, neighbors[k]]  # (T, nb)
         windows = np.lib.stride_tricks.sliding_window_view(series, lag_depth, axis=0)
         pools = windows[: T - lag_depth].reshape(T - lag_depth, pool_size)
         pools = np.sort(pools, axis=1)

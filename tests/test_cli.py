@@ -159,6 +159,27 @@ def test_evaluate_joins_only_labeled_detections(tmp_path):
         with pytest.raises(StageError, match="negative time or sensor index"):
             evaluate_stage(cfg)
 
+    # a second label for one (t, k) must not silently replace the first
+    (out / ARTIFACTS["truth"]).write_text("\n".join(truth_lines + ["9,1,1,0", "9,1,0,0"]) + "\n")
+    with pytest.raises(StageError, match=r"more than one row for \(t=9, k=1\)"):
+        evaluate_stage(cfg)
+
+
+def test_evaluate_memory_does_not_grow_with_the_largest_truth_index(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    out = tmp_path / "run"
+    before = {name: (out / ARTIFACTS[name]).read_bytes() for name in ("report_csv", "pvalues")}
+    truth = out / ARTIFACTS["truth"]
+    # rows that label no detection, at indices whose dense (t, k) grid would take terabytes
+    truth.write_text(truth.read_text() + "1000000000000,0,0,0\n0,1000000000000,1,0\n")
+    path = tmp_path / "evaluate.json"
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(path)]) == 0, capsys.readouterr().err
+    for name, data in before.items():
+        assert (out / ARTIFACTS[name]).read_bytes() == data, name
+
 
 def test_detect_features_equal_full_panel_rows(tmp_path, monkeypatch):
     cfg = _small_cfg(tmp_path / "run")
@@ -286,6 +307,20 @@ def test_detect_rejects_ensemble_of_other_feature_config(tmp_path, capsys):
     assert code == 2
     assert "category=config" in err
     assert "takes 6 features per point" in err and "gives 9" in err
+
+
+def test_detect_rejects_ensemble_of_other_horizon(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    # a shorter training panel in the same directory: the ensemble's scores reach past it
+    shorter = _small_cfg(tmp_path / "run", n_train=100)
+    generate_stage(shorter)
+    impute_stage(shorter)
+    code, err = _detect_exit(shorter, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err
+    assert "up to time 119" in err and "has only 100 rows" in err
+    assert ARTIFACTS["ensemble"] in err and ARTIFACTS["completed_panel"] in err and "retrain" in err
 
 
 def test_detect_rejects_ensemble_of_other_sensor_count(tmp_path, capsys):

@@ -254,12 +254,9 @@ def test_batch_test_scores_memory_is_bounded():
 
 
 def _store(entries):
-    return ScoreStore(
-        {
-            k: (np.array([t for t, _ in pairs]), np.array([s for _, s in pairs]))
-            for k, pairs in entries.items()
-        }
-    )
+    """A store whose row k holds the (time, score) pairs entries[k], k = 0..K-1."""
+    t, k, s = (np.array(c) for c in zip(*((t, k, s) for k, pairs in entries.items() for t, s in pairs)))
+    return ScoreStore(t, k, s, len(entries))
 
 
 def test_local_window_saturates_to_whole_store():
@@ -300,26 +297,30 @@ def test_local_window_matches_set_comprehension_oracle():
 
 def test_score_store_push_evicts_oldest():
     store = _store({0: [(0, 1.0), (1, 2.0), (2, 3.0)]})
-    store.push(0, 10, 9.0)
-    assert sorted(zip(store.times(0).tolist(), store.scores(0).tolist())) == [
+    store.push_rows(np.array([0]), 10, np.array([9.0]))
+    assert sorted(zip(store.time_grid[0].tolist(), store.score_grid[0].tolist())) == [
         (1, 2.0), (2, 3.0), (10, 9.0)
     ]
-    store.push(0, 11, 8.0)
-    assert sorted(zip(store.times(0).tolist(), store.scores(0).tolist())) == [
+    store.push_rows(np.array([0]), 11, np.array([8.0]))
+    assert sorted(zip(store.time_grid[0].tolist(), store.score_grid[0].tolist())) == [
         (2, 3.0), (10, 9.0), (11, 8.0)
     ]
 
 
+def test_score_store_row_k_is_sensor_k_time_ascending():
+    store = ScoreStore(np.array([7, 5, 6, 5, 7, 6]), np.array([1, 0, 1, 1, 0, 0]), np.arange(6.0), 2)
+    assert store.time_grid.tolist() == [[5, 6, 7], [5, 6, 7]]
+    assert store.score_grid.tolist() == [[1.0, 5.0, 4.0], [3.0, 2.0, 0.0]]
+
+
 def test_score_store_rejects_cold_and_ragged_input():
     with pytest.raises(ValueError, match="cold"):
-        ScoreStore({0: (np.array([]), np.array([]))})
+        ScoreStore(np.array([]), np.array([], dtype=np.int64), np.array([]), 1)
     with pytest.raises(ValueError, match="unequal"):
-        ScoreStore(
-            {
-                0: (np.array([1]), np.array([1.0])),
-                1: (np.array([1, 2]), np.array([1.0, 2.0])),
-            }
-        )
+        ScoreStore(np.array([1, 1, 2]), np.array([0, 1, 1]), np.array([1.0, 1.0, 2.0]), 2)
+    # a sensor without any score is a window of another length
+    with pytest.raises(ValueError, match="unequal"):
+        ScoreStore(np.array([1, 2]), np.array([1, 1]), np.array([1.0, 2.0]), 2)
 
 
 def _train_small_ensemble(seed=0, T=80, K=2):
@@ -352,8 +353,8 @@ def test_detect_stream_single_sensor_matches_plain_algorithm():
     dets = detect_stream(ens, stream_t, np.zeros(10, dtype=int), stream_x, stream_y, alpha=0.1)
 
     # standalone single-series reference: list window, count, flag, slide
-    times, scores = ens.scores_for_sensor(0)
-    window = list(scores[np.argsort(times)])
+    own = ens.score_sensors == 0
+    window = list(ens.score_values[own][np.argsort(ens.score_times[own])])
     for d in dets:
         expected_p = sum(1 for w in window if w >= d.test_score) / len(window)
         assert d.p_value == expected_p
@@ -377,13 +378,12 @@ def test_detect_stream_eviction_audit():
         alpha=0.05,
     )
     # after n steps at sensor 1, exactly the n oldest initial scores are gone
-    from ecad.detector import ScoreStore  # rebuild replica store
-
-    times, scores = ens.scores_for_sensor(1)
-    replica = ScoreStore({1: (times, scores)})
+    replica = ScoreStore(ens.score_times, ens.score_sensors, ens.score_values, ens.n_sensors)
     for d in stream:
-        replica.push(1, d.t, d.test_score)
-    remaining = sorted(zip(replica.times(1).tolist(), replica.scores(1).tolist()))
+        replica.push_rows(np.array([1]), d.t, np.array([d.test_score]))
+    remaining = sorted(zip(replica.time_grid[1].tolist(), replica.score_grid[1].tolist()))
+    own = ens.score_sensors == 1  # training scores are sorted by time
+    times, scores = ens.score_times[own], ens.score_values[own]
     expected = sorted(
         list(zip(times[n_steps:].tolist(), scores[n_steps:].tolist()))
         + [(d.t, d.test_score) for d in stream]
@@ -426,7 +426,7 @@ def test_detect_stream_exclude_flagged_keeps_window_clean():
 def test_detect_stream_locality_variants():
     ens, values = _train_small_ensemble(seed=7, K=2)
     T = values.shape[0]
-    neighbors = {0: (0, 1), 1: (1, 0)}
+    neighbors = np.array([[0, 1], [1, 0]])
     stream_t = [T, T]
     stream_k = [0, 1]
     stream_x = np.zeros((2, 1))
@@ -441,7 +441,7 @@ def test_detect_stream_locality_variants():
         locality=LocalityConfig(enabled=True, n_lags=2, neighbor_size=2),
         neighbors=neighbors,
     )
-    window_len = ens.scores_for_sensor(0)[1].size
+    window_len = np.count_nonzero(ens.score_sensors == 0)
     assert plain[0].comparison_count == window_len
     # as_printed compares against every retained score of both sensors
     assert printed[0].comparison_count == 2 * window_len
@@ -453,10 +453,31 @@ def test_detect_stream_locality_variants():
 
 def test_detect_stream_requires_neighbors_for_local_variant():
     ens, _ = _train_small_ensemble(seed=8)
-    with pytest.raises(ValueError, match="neighbor map"):
+    with pytest.raises(ValueError, match="neighbor array"):
         detect_stream(
             ens, [99], [0], np.zeros((1, 1)), np.zeros(1), alpha=0.05,
             locality=LocalityConfig(enabled=True),
+        )
+
+
+@pytest.mark.parametrize(
+    "neighbors, message",
+    [
+        (np.array([[0, 1]]), r"integer \(2, m\) array"),  # a row short
+        (np.array([0, 1]), r"integer \(2, m\) array"),
+        (np.zeros((2, 0), dtype=np.int64), r"integer \(2, m\) array"),
+        (np.array([[0.0], [1.0]]), r"integer \(2, m\) array"),
+        (np.array([[0, 2], [1, 0]]), r"distinct sensor ids in \[0, 2\)"),
+        (np.array([[0, -1], [1, 0]]), r"distinct sensor ids in \[0, 2\)"),
+        (np.array([[0, 0], [1, 0]]), r"distinct sensor ids in \[0, 2\)"),
+    ],
+)
+def test_detect_stream_rejects_malformed_neighbor_array(neighbors, message):
+    ens, values = _train_small_ensemble(seed=8)
+    with pytest.raises(ValueError, match=message):
+        detect_stream(
+            ens, [values.shape[0]], [0], np.zeros((1, 1)), np.zeros(1), alpha=0.05,
+            locality=LocalityConfig(enabled=True), neighbors=neighbors,
         )
 
 
@@ -513,7 +534,7 @@ def test_detect_stream_rejects_duplicate_item():
 
 def test_detect_stream_rejects_time_inside_retained_window():
     ens, values = _train_small_ensemble(seed=5)
-    last = int(ens.scores_for_sensor(1)[0].max())
+    last = int(ens.score_times[ens.score_sensors == 1].max())
     with pytest.raises(ValueError, match="out-of-order.*already holds"):
         detect_stream(ens, [last], [1], np.zeros((1, 1)), np.zeros(1), alpha=0.05)
 
@@ -555,8 +576,8 @@ def _locality_stream(seed, n_times, ragged):
     return ens, np.array(stream_t), np.array(stream_k), stream_x, stream_y
 
 
-# neighbor sets of unequal size, each holding the sensor itself
-_NEIGHBORS = {k: tuple((k + 3 * i) % 12 for i in range(1 + k % 4)) for k in range(12)}
+# row k holds sensor k itself, then k + 3 and k + 6 (mod 12)
+_NEIGHBORS = (np.arange(12)[:, None] + 3 * np.arange(3)) % 12
 
 
 @pytest.mark.parametrize("variant", ["neighbor_sensors", "as_printed"])
@@ -578,22 +599,22 @@ def test_detect_stream_locality_ignores_sensor_order_within_timestamp(variant):
 def _replay(ens, stream_t, stream_k, scores, alpha, locality, neighbors, exclude_flagged):
     """(rank count, comparison-set size) per item, ranked point by point against a
     copy of the store taken at the end of the previous timestamp."""
-    store = ScoreStore({k: ens.scores_for_sensor(k) for k in range(ens.n_sensors)})
+    store = ScoreStore(ens.score_times, ens.score_sensors, ens.score_values, ens.n_sensors)
     out = []
     for t in dict.fromkeys(stream_t.tolist()):
         snapshot = copy.deepcopy(store)
         for j in np.flatnonzero(stream_t == t):
             k, s = int(stream_k[j]), float(scores[j])
             if not locality.enabled:
-                window = snapshot.scores(k)
+                window = snapshot.score_grid[k]
             elif locality.variant == "as_printed":
-                window = np.concatenate([snapshot.scores(i) for i in snapshot.sensor_ids])
+                window = snapshot.score_grid.ravel()
             else:
                 window = local_window(snapshot, t, k, locality.n_lags, neighbors[k])
             count = int(np.count_nonzero(window >= s))
             out.append((count, window.size))
             if not (exclude_flagged and count / window.size <= alpha):
-                store.push(k, t, s)
+                store.push_rows(np.array([k]), t, np.array([s]))
     return out
 
 
@@ -616,7 +637,7 @@ def test_detect_stream_matches_point_by_point_oracle(locality, exclude_flagged):
         neighbors=_NEIGHBORS, exclude_flagged_from_window=exclude_flagged,
     )
     # the saturated case reaches back past every retained score
-    assert locality.n_lags < 500 or locality.n_lags > ens.scores_for_sensor(0)[0].size
+    assert locality.n_lags < 500 or locality.n_lags > np.count_nonzero(ens.score_sensors == 0)
     expected = _replay(
         ens, stream_t, stream_k, dets.test_score, alpha, locality, _NEIGHBORS, exclude_flagged
     )

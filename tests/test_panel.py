@@ -202,9 +202,7 @@ def test_load_sensors_rejects_gappy_ids(tmp_path):
 def test_neighbor_sets_collinear():
     sensors = np.array([(0.0, 0.0), (0.1, 0.0), (0.9, 0.0)])
     nb = neighbor_sets(sensors, 2)
-    assert nb[0] == (0, 1)
-    assert nb[1] == (1, 0)
-    assert nb[2] == (2, 1)
+    assert nb.tolist() == [[0, 1], [1, 0], [2, 1]]
 
 
 def test_neighbor_sets_full_size_is_permutation():
@@ -247,11 +245,18 @@ def test_build_features_single_sensor_lags():
     panel = TimeSeriesPanel(
         np.array([[1.0], [2.0], [3.0], [4.0]]), np.ones((4, 1), dtype=bool)
     )
-    times, sensors, X, y = build_features(panel, {0: (0,)}, 2)
+    times, sensors, X, y = build_features(panel, np.array([[0]]), 2)
     assert times.tolist() == [2, 3]
     assert sensors.tolist() == [0, 0]
     assert y.tolist() == [3.0, 4.0]
     assert X.tolist() == [[2.0, 1.0], [3.0, 2.0]]
+
+
+def test_build_features_rejects_neighbor_array_of_other_sensor_count():
+    panel = TimeSeriesPanel(np.zeros((6, 3)), np.ones((6, 3), dtype=bool))
+    for neighbors in (np.array([[0], [1]]), np.array([0, 1, 2])):
+        with pytest.raises(ValueError, match="neighbor array of shape"):
+            build_features(panel, neighbors, 2)
 
 
 def test_build_features_dimension_is_lags_times_neighbors():

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from ecad.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -13,6 +15,16 @@ def _python_block(section: str) -> str:
     match = re.search(r"```python\n(.*?)```", body, re.DOTALL)
     assert match is not None, f"no python block under '## {section}'"
     return match.group(1)
+
+
+def test_quickstart_output_is_what_run_all_prints(tmp_path, capsys):
+    text = README.read_text()
+    body = text[text.index("## Quickstart\n") :]
+    # the fenced blocks in order: the bash command, then its output, which has no language tag
+    output = next(code for lang, code in re.findall(r"```(\w*)\n(.*?)```", body, re.DOTALL) if not lang)
+    assert main(["run-all", "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == output.splitlines()
+    assert len(output.splitlines()) == 5
 
 
 def test_library_use_example_runs():
