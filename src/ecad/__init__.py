@@ -24,7 +24,6 @@ from .detector import (
     empirical_quantile,
     local_window,
     p_value,
-    test_score,
 )
 from .ensemble import (
     AggregatorSpec,

@@ -3,8 +3,10 @@
 Each stage reads its prerequisite artifacts from the output directory, writes
 its own, and prints a one-line key=value summary.  ``run-all`` chains every
 stage; ``retrain`` refits the ensemble from the completed panel, for use after
-a suspected change point.  All stages are idempotent and, for a fixed config,
-bit-reproducible (timestamps appear only in report metadata).  Every CSV
+a suspected change point.  All stages are idempotent and, for a fixed config
+and BLAS thread count, bit-reproducible (timestamps appear only in report
+metadata); another thread count can move the last bits of a BLAS result
+(see the README's Determinism section).  Every CSV
 artifact is read with ``panel.read_csv`` and written with ``panel.write_csv``;
 this module only names the columns.
 """
@@ -218,7 +220,7 @@ def _train_impl(cfg: PipelineConfig, stage: str) -> dict:
         "models": ensemble.n_models,
         "rows": len(y),
         "dropped_empty_loo": ensemble.dropped_empty_loo,
-        "scores": int(ensemble.score_values.size),
+        "scores": int(ensemble.scores.size),
     }
 
 
@@ -266,17 +268,8 @@ def detect_stage(cfg: PipelineConfig) -> dict:
             f"ensemble {ensemble_path} was trained on {ensemble.n_sensors} sensors, "
             f"but test panel {test_path} has {test.n_sensors}",
         )
-    # the detector's score store holds one equally long window per sensor
-    per_sensor = np.bincount(ensemble.score_sensors, minlength=ensemble.n_sensors)
-    if (per_sensor != per_sensor[0]).any():
-        raise StageError(
-            "config",
-            f"ensemble {ensemble_path} holds unequal numbers of training scores per sensor: "
-            f"{sorted(set(per_sensor.tolist()))}",
-        )
-
     # the test stream starts at time train.n_times, after every retained training score
-    last_scored = int(ensemble.score_times.max(initial=-1))
+    last_scored = int(ensemble.usable_times.max(initial=-1))
     if last_scored >= train.n_times:
         raise StageError(
             "config",

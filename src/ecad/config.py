@@ -99,6 +99,9 @@ class PipelineConfig:
             )
         if self.features.n_lags >= self.scenario.n_train:
             raise ValueError("feature lag depth must be smaller than the training horizon")
+        # a scenario without test rows can be generated, but the pipeline cannot detect on it
+        if self.scenario.n_test < 1:
+            raise ValueError(f"scenario.n_test must be >= 1 for the pipeline, got {self.scenario.n_test}")
 
     def out_path(self) -> Path:
         return Path(self.out_dir)

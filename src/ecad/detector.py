@@ -10,13 +10,14 @@ number of test points.  The p-value ranks that score against a retained window
 of past scores; a point is flagged when p <= alpha, and the window then slides
 unconditionally (the flagged score still enters) unless configured otherwise.
 
-Detection is sequential over time and runs one numpy step per timestamp: every
-item of timestamp t is ranked against the score store as it stood at the end
-of t-1, then all of t is pushed at once.  Sensor k is row k throughout: of the
-store's (K, W) score and time grids, and of the (K, m) neighbor id array that
-locality reads.  A comparison set therefore never
-holds a score of its own timestamp, and results do not depend on the order of
-sensors within a timestamp.
+The test stream is the time x sensor grid of ``panel.build_features``, as the
+training rows are, and detection runs one numpy step per timestamp: every
+sensor's point at time t is ranked against the score store as it stood at the
+end of t-1, then all of t is pushed at once.  Sensor k is row k throughout: of
+the store's (K, W) score and time grids, which start as the transpose of the
+ensemble's (W, K) training score grid, and of the (K, m) neighbor id array
+that locality reads.  A comparison set therefore never holds a score of its
+own timestamp.
 """
 
 from __future__ import annotations
@@ -28,18 +29,17 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .ensemble import Ensemble, loo_aggregate
+from .panel import grid_times
 
 __all__ = [
     "nearest_rank_index",
     "empirical_quantile",
     "p_value",
-    "flag_decision",
     "Detection",
     "Detections",
     "LocalityConfig",
     "ScoreStore",
     "local_window",
-    "test_score",
     "loo_prediction_matrix",
     "detect_stream",
 ]
@@ -75,11 +75,6 @@ def p_value(window: np.ndarray, score: float) -> float:
     if window.size == 0:
         raise ValueError("cannot compute a p-value against an empty score window")
     return int(np.count_nonzero(window >= score)) / window.size
-
-
-def flag_decision(p: float, alpha: float) -> bool:
-    """Anomaly rule: flag exactly when p <= alpha."""
-    return p <= alpha
 
 
 @dataclass(frozen=True)
@@ -130,27 +125,22 @@ class ScoreStore:
     """Fixed-length ring buffers of (time, score) pairs, row k for sensor k.
 
     ``score_grid`` and ``time_grid`` are (K, W) arrays, and ``head[k]`` is the
-    slot of row k's oldest entry, the one its next push overwrites.  Rows are
-    seeded time-ascending from the training scores ``(times, sensors,
-    scores)``, so every head starts at 0; each push drops the sensor's oldest
-    retained score and appends the new one, keeping the window length constant
-    at ``window_len``.  Heads move per sensor, because a timestamp may push only
-    some sensors.
+    slot of row k's oldest entry, the one its next push overwrites.  The store
+    is seeded with the transpose of a ``(W, K)`` training score grid whose row
+    i holds every sensor's score at ``times[i]``, times ascending, so every
+    head starts at 0; each push drops the sensor's oldest retained score and
+    appends the new one, keeping the window length constant at
+    ``window_len``.  Heads move per sensor, because a timestamp may push only
+    some sensors (see ``exclude_flagged_from_window``).
     """
 
-    def __init__(self, times: np.ndarray, sensors: np.ndarray, scores: np.ndarray, n_sensors: int):
-        lengths = np.bincount(sensors, minlength=n_sensors)
-        if not lengths.any():
+    def __init__(self, times: np.ndarray, scores: np.ndarray):
+        if not len(times):
             raise ValueError("score store is cold: no retained scores at all")
-        if (lengths != lengths[0]).any():
-            raise ValueError(
-                f"sensors have unequal initial window lengths: {sorted(set(lengths.tolist()))}"
-            )
-        self.window_len = int(lengths[0])
-        order = np.lexsort((times, sensors))
-        self.time_grid = np.asarray(times, dtype=np.int64)[order].reshape(n_sensors, self.window_len)
-        self.score_grid = np.asarray(scores, dtype=np.float64)[order].reshape(n_sensors, self.window_len)
-        self.head = np.zeros(n_sensors, dtype=np.intp)
+        self.window_len = len(times)
+        self.score_grid = np.asarray(scores, dtype=np.float64).T.copy()
+        self.time_grid = np.tile(np.asarray(times, dtype=np.int64), (len(self.score_grid), 1))
+        self.head = np.zeros(len(self.score_grid), dtype=np.intp)
 
     def push_rows(self, rows: np.ndarray, t: int, scores: np.ndarray) -> None:
         """Push ``scores[i]`` at time t onto row ``rows[i]``; the rows must be distinct."""
@@ -246,12 +236,6 @@ def batch_test_scores(
     return np.abs(np.asarray(y, dtype=np.float64) - quantiles)
 
 
-def test_score(ensemble: Ensemble, x: np.ndarray, y: float, alpha: float) -> float:
-    """Distance from y to the (1 - alpha) quantile of all LOO predictions at x."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return float(batch_test_scores(ensemble, x, np.array([y]), alpha)[0])
-
-
 @dataclass(frozen=True, eq=False)
 class Detections:
     """Outcomes of a detection stream as columns, one entry per item in stream order.
@@ -284,48 +268,6 @@ class Detections:
         return map(Detection, *(c.tolist() for c in columns))
 
 
-def _timestamp_bounds(times: np.ndarray, sensors: np.ndarray, store: ScoreStore) -> np.ndarray:
-    """Offsets where each timestamp of the stream starts, then the stream length.
-
-    Raises ValueError unless every sensor is known, times are non-decreasing
-    and later than the sensor's retained scores, and each (t, k) is unique.
-    """
-    n_sensors = len(store.score_grid)
-    unknown = np.flatnonzero((sensors < 0) | (sensors >= n_sensors))
-    if unknown.size:
-        raise ValueError(f"unknown sensor id {sensors[unknown[0]]} in detection stream")
-    back = np.flatnonzero(times[1:] < times[:-1])
-    if back.size:
-        j = back[0] + 1
-        t, k = times[j], sensors[j]
-        earlier = times[:j][sensors[:j] == k]
-        if earlier.size and earlier.max() >= t:
-            raise ValueError(
-                f"out-of-order timestamp {t} for sensor {k}: already processed {earlier.max()}"
-            )
-        raise ValueError(
-            f"stream times must be non-decreasing: time {t} at position {j} follows {times[j - 1]}"
-        )
-    # times are non-decreasing, so each sensor's first item carries its earliest time
-    ks, first = np.unique(sensors, return_index=True)
-    newest = store.time_grid.max(axis=1)[ks]
-    stale = np.flatnonzero(times[first] <= newest)
-    if stale.size:
-        k = ks[stale[0]]
-        raise ValueError(
-            f"out-of-order timestamp {times[first[stale[0]]]} for sensor {k}: "
-            f"its window already holds time {newest[stale[0]]}"
-        )
-    order = np.lexsort((sensors, times))
-    ts, ks = times[order], sensors[order]
-    dup = np.flatnonzero((ts[1:] == ts[:-1]) & (ks[1:] == ks[:-1]))
-    if dup.size:
-        raise ValueError(f"duplicate stream item (t={ts[dup[0]]}, k={ks[dup[0]]})")
-    if not times.size:
-        return np.zeros(1, dtype=np.intp)
-    return np.flatnonzero(np.r_[True, times[1:] != times[:-1], True])
-
-
 class _NeighborSets:
     """Rank counts against the ``neighbor_sensors`` comparison sets.
 
@@ -340,23 +282,20 @@ class _NeighborSets:
         n_sensors, self.width = neighbors.shape
         self.n_lags = n_lags
         self.rows = neighbors
-        self.is_neighbor = np.zeros((n_sensors, n_sensors), dtype=bool)
-        self.is_neighbor[np.arange(n_sensors)[:, None], neighbors] = True
+        self.outside = np.ones((n_sensors, n_sensors), dtype=bool)
+        self.outside[np.arange(n_sensors)[:, None], neighbors] = False
         self.back = np.arange(1, min(n_lags, window) + 1)
         self.all_rows = np.arange(n_sensors)[:, None]
 
-    def counts(
-        self, store: ScoreStore, t: int, ks: np.ndarray, s: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(rank count, comparison-set size) of the scores s of sensors ks at time t."""
+    def counts(self, store: ScoreStore, t: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rank count, comparison-set size) of the scores s[k] of every sensor k at time t."""
         grid, window = store.score_grid, store.window_len
-        count = np.count_nonzero(grid[self.rows[ks]] >= s[:, None, None], axis=(1, 2))
+        count = np.count_nonzero(grid[self.rows] >= s[:, None, None], axis=(1, 2))
         slots = (store.head[:, None] - self.back) % window
         recent = store.time_grid[self.all_rows, slots] >= t - self.n_lags  # (K, lags)
-        outside = ~self.is_neighbor[ks]  # (g, K)
         recent_hits = (grid[self.all_rows, slots] >= s[:, None, None]) & recent
-        count += np.count_nonzero(recent_hits & outside[:, :, None], axis=(1, 2))
-        return count, self.width * window + outside @ recent.sum(axis=1)
+        count += np.count_nonzero(recent_hits & self.outside[:, :, None], axis=(1, 2))
+        return count, self.width * window + self.outside @ recent.sum(axis=1)
 
 
 def _check_neighbors(neighbors: np.ndarray, n_sensors: int) -> np.ndarray:
@@ -385,17 +324,18 @@ def detect_stream(
 ) -> Detections:
     """Run sequential detection over a stream of (t, k, x, y) items.
 
-    The score store is initialized from the ensemble's training scores, row k
-    for sensor k.  The stream is taken one timestamp at a time: each item of
+    The stream must be the time x sensor grid of ``panel.build_features``
+    (``panel.grid_times``): every timestamp holds sensors 0..K-1 in order,
+    and its times strictly increase from a first time later than the last
+    retained training time.  The score store is initialized from the
+    ensemble's training score grid, row k for sensor k.  Each point of
     timestamp t is ranked against its comparison set in the store as it stood
     at the end of t-1 (the sensor's own window, or the local union when
     locality is enabled) and flagged when p <= alpha; then all of t is pushed
     at once, each push dropping its sensor's oldest score.  The
     ``neighbor_sensors`` variant takes ``neighbors``, a ``(K, m)`` array whose
     row k lists sensor k's neighbors (``panel.neighbor_sets``); ``as_printed``
-    makes every sensor a neighbor of every sensor.  Stream times must be
-    non-decreasing and later than the retained training times, and each
-    (t, k) may appear at most once; a timestamp need not hold every sensor.
+    makes every sensor a neighbor of every sensor.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -416,29 +356,29 @@ def detect_stream(
     if not (len(times) == len(sensors) == X.shape[0] == len(y)):
         raise ValueError("stream arrays must have equal lengths")
 
-    store = ScoreStore(ensemble.score_times, ensemble.score_sensors, ensemble.score_values, n_sensors)
-    bounds = _timestamp_bounds(times, sensors, store)
+    store = ScoreStore(ensemble.usable_times, ensemble.scores)
+    stream_times = grid_times(times, sensors, n_sensors)
+    last = int(ensemble.usable_times[-1])
+    if stream_times.size and stream_times[0] <= last:
+        raise ValueError(
+            f"out-of-order timestamp {stream_times[0]}: the score store already holds time {last}"
+        )
     scores = batch_test_scores(ensemble, X, y, alpha)
     grid, window = store.score_grid, store.window_len
     counter = _NeighborSets(window, locality.n_lags, neighbors) if locality.enabled else None
 
-    # a timestamp holding every sensor in row order ranks against the grid itself
-    n_items = np.diff(bounds)
-    in_place = sensors == np.arange(len(times)) - np.repeat(bounds[:-1], n_items)
-    whole = (n_items == n_sensors) & np.logical_and.reduceat(in_place, bounds[:-1])
-    count = np.empty(len(times), dtype=np.int64)
-    size = np.full(len(times), window, dtype=np.int64)
-    for a, b, whole_t in zip(bounds[:-1].tolist(), bounds[1:].tolist(), whole.tolist()):
-        t, ks, s = int(times[a]), sensors[a:b], scores[a:b]
+    count = np.empty((stream_times.size, n_sensors), dtype=np.int64)
+    size = np.full(count.shape, window, dtype=np.int64)
+    every_sensor = np.arange(n_sensors)
+    for i, (t, s) in enumerate(zip(stream_times.tolist(), scores.reshape(-1, n_sensors))):
         if counter is not None:
-            count[a:b], size[a:b] = counter.counts(store, t, ks, s)
+            count[i], size[i] = counter.counts(store, t, s)
         else:
-            own = grid if whole_t else grid[ks]
-            count[a:b] = np.count_nonzero(own >= s[:, None], axis=1)
+            count[i] = np.count_nonzero(grid >= s[:, None], axis=1)
+        pushed = every_sensor
         if exclude_flagged_from_window:
-            keep = count[a:b] / size[a:b] > alpha
-            ks, s = ks[keep], s[keep]
-        store.push_rows(ks, t, s)
+            pushed = np.flatnonzero(count[i] / size[i] > alpha)
+        store.push_rows(pushed, t, s[pushed])
 
-    p = count / size
-    return Detections(times, sensors, scores, p, p <= alpha, size)
+    p = (count / size).ravel()
+    return Detections(times, sensors, scores, p, p <= alpha, size.ravel())

@@ -1,17 +1,20 @@
 """Bootstrap leave-one-out ensemble training and the initial anomaly score set.
 
-Training takes the ``(times, sensors, X, y)`` arrays of ``panel.build_features``.
-Bootstrap sampling runs over time indices only: each model trains on every
-sensor's rows at its in-bag times, so a single ensemble serves all sensors.
-A bag is a multiplicity vector over the available times
-(`BootstrapPlan.multiplicity`), and one `backends.fit` call fits all B bags
-into one stacked model, `Ensemble.model`.  A time's training score is
-aggregated exclusively from models whose bag excludes that time, which keeps
-the scores out-of-sample without any data splitting.  ``Ensemble.model.predict``
-is the one source of per-model predictions, ``(B, n)``, for the training
-scores and for detection.  The artifact stores model b's parameters as the
-members ``model{b}_{name}``, one per name of the backend's ``param_shapes``
-table.  Ensembles are immutable after construction.
+Training takes the ``(times, sensors, X, y)`` arrays of ``panel.build_features``,
+in its time x sensor grid layout and no other.  Bootstrap sampling runs over
+time indices only: each model trains on every sensor's rows at its in-bag
+times, so a single ensemble serves all sensors.  A bag is a multiplicity
+vector over the available times (`BootstrapPlan.multiplicity`), and one
+`backends.fit` call fits all B bags into one stacked model, `Ensemble.model`.
+A time's training score is aggregated exclusively from models whose bag
+excludes that time, which keeps the scores out-of-sample without any data
+splitting; the scores form one ``(n_usable_times, K)`` grid, `Ensemble.scores`.
+``Ensemble.model.predict`` is the one source of per-model predictions,
+``(B, n)``, for the training scores and for detection.  The artifact stores
+the score grid flat, as the ``score_times``, ``score_sensors`` and
+``score_values`` of its rows, and model b's parameters as the members
+``model{b}_{name}``, one per name of the backend's ``param_shapes`` table.
+Ensembles are immutable after construction.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .backends import MODEL_TYPES, BackendSpec, Bags, MLPModel, RidgeModel, fit
+from .panel import grid_rows, grid_times
 
 __all__ = [
     "AggregatorSpec",
@@ -250,24 +254,25 @@ def bootstrap_indices(available: Iterable[int], n_models: int, seed: int) -> Boo
 class Ensemble:
     """B fitted models, stacked in one model, plus the plan, aggregator, and training scores.
 
-    ``score_times/score_sensors/score_values`` hold one aggregated score per
-    (time, sensor) row whose LOO model set is nonempty, sorted by (time,
-    sensor).  Times whose LOO set is empty are dropped and counted in
-    ``dropped_empty_loo``.
+    ``scores`` is the ``(n_usable_times, K)`` grid of training scores: row i
+    holds every sensor's score at ``usable_times[i]``, and column k is sensor
+    k.  Times whose LOO set is empty have no row; ``dropped_empty_loo`` counts
+    them.
     """
 
     plan: BootstrapPlan
     model: RidgeModel | MLPModel
     aggregator: AggregatorSpec
     backend: BackendSpec
-    n_sensors: int
-    score_times: np.ndarray
-    score_sensors: np.ndarray
-    score_values: np.ndarray
+    scores: np.ndarray
 
     @property
     def n_models(self) -> int:
         return self.plan.n_models
+
+    @property
+    def n_sensors(self) -> int:
+        return self.scores.shape[1]
 
     @property
     def usable_times(self) -> np.ndarray:
@@ -293,13 +298,15 @@ def train_ensemble(
     aggregator: AggregatorSpec = AggregatorSpec(),
     seed: int = 0,
 ) -> Ensemble:
-    """Fit B bootstrap models over time indices and compute the LOO score set.
+    """Fit B bootstrap models over time indices and compute the LOO score grid.
 
-    Row i of the arrays is the example (times[i], sensors[i], X[i], y[i]).
-    Model b trains on all rows (every sensor) whose time index lies in its bag,
-    honoring duplicates.  The training score of row (i, k) is
+    Row i of the arrays is the example (times[i], sensors[i], X[i], y[i]), and
+    the rows must form the time x sensor grid of ``panel.build_features``
+    (``panel.grid_times``), with K = max(sensors) + 1.  Model b trains on all
+    rows (every sensor) whose time index lies in its bag, honoring duplicates.
+    The training score of row (i, k) is
     |y_ik - aggregate(predictions at x_ik of the models excluding time i)|;
-    rows whose LOO set is empty are dropped with a warning.  A model that
+    times whose LOO set is empty are dropped with a warning.  A model that
     cannot be fitted on its data (for instance an MLP that diverges) raises
     ValueError naming the bag.
     """
@@ -315,15 +322,12 @@ def train_ensemble(
     spec.validate()
     aggregator.validate()
     n_sensors = int(sensors.max()) + 1
-    plan = bootstrap_indices(np.unique(times), n_models, seed)
+    plan = bootstrap_indices(grid_times(times, sensors, n_sensors), n_models, seed)
 
-    order = np.lexsort((sensors, times))
-    sorted_times = times[order]
-    block_starts = np.searchsorted(sorted_times, plan.available, side="left")
-    block_stops = np.searchsorted(sorted_times, plan.available, side="right")
-
+    # block i, the rows of time available[i], is rows i*K .. i*K + K - 1
+    starts = np.arange(plan.available.size) * n_sensors
     try:
-        model = fit(spec, X, y, Bags(order, block_starts, block_stops, plan.multiplicity))
+        model = fit(spec, X, y, Bags(np.arange(len(y)), starts, starts + n_sensors, plan.multiplicity))
     except ValueError as exc:  # numpy's LinAlgError is a ValueError
         raise ValueError(f"bootstrap ensemble failed to fit: {exc}") from exc
 
@@ -333,19 +337,16 @@ def train_ensemble(
             "dropped %d of %d time indices with empty leave-one-out model sets",
             np.count_nonzero(~usable), usable.size,
         )
-    # sorted row i belongs to available time row_pos[i]; the kept rows are
-    # those of usable times, ascending by (time, sensor)
-    row_pos = np.repeat(np.arange(usable.size), block_stops - block_starts)
-    kept = usable[row_pos]
-    keep, keep_pos = order[kept], row_pos[kept]
+    # row j belongs to available time row_pos[j]; the kept rows are those of usable times
+    row_pos = np.repeat(np.arange(usable.size), n_sensors)
+    keep = np.flatnonzero(usable[row_pos])
+    keep_pos = row_pos[keep]
     predictions = model.predict(X)  # (B, n_rows)
     _check_finite_predictions(predictions)
     counts = excluded.sum(axis=1)
     if aggregator.kind == "mean":
         # every row's sum over its time's LOO set in one pass over all rows
-        row_time = np.empty(len(y), dtype=np.intp)
-        row_time[order] = row_pos
-        sums = np.einsum("bj,bj->j", predictions, excluded.T[:, row_time])
+        sums = np.einsum("bj,bj->j", predictions, np.repeat(excluded.T, n_sensors, axis=1))
         loo = sums[keep] / counts[keep_pos]
     else:
         # one selection network per LOO set size over every kept row whose
@@ -361,10 +362,7 @@ def train_ensemble(
         model=model,
         aggregator=aggregator,
         backend=spec,
-        n_sensors=n_sensors,
-        score_times=times[keep],
-        score_sensors=sensors[keep],
-        score_values=np.abs(y[keep] - loo),
+        scores=np.abs(y[keep] - loo).reshape(-1, n_sensors),
     )
 
 
@@ -386,13 +384,15 @@ def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
         "seed": ensemble.plan.seed,
         "dropped_empty_loo": ensemble.dropped_empty_loo,
     }
+    # the score grid's rows, flat and ordered by (time, sensor)
+    score_times, score_sensors = grid_rows(ensemble.usable_times, ensemble.n_sensors)
     arrays: dict[str, np.ndarray] = {
         "meta": np.array(json.dumps(meta, sort_keys=True)),
         "available": ensemble.plan.available,
         "in_bag": ensemble.plan.in_bag,
-        "score_times": ensemble.score_times,
-        "score_sensors": ensemble.score_sensors,
-        "score_values": ensemble.score_values,
+        "score_times": score_times,
+        "score_sensors": score_sensors,
+        "score_values": ensemble.scores.ravel(),
     }
     for b in range(ensemble.n_models):
         for name, stack in ensemble.model.params.items():
@@ -427,27 +427,39 @@ def load_ensemble(path: str | Path) -> Ensemble:
             raise ValueError(f"the ensemble meta record is malformed: {exc}") from None
         backend.validate()
         aggregator.validate()
-        available, in_bag = data["available"], data["in_bag"]
-        if in_bag.shape != (n_models, available.size) or not np.isin(in_bag, available).all():
-            raise ValueError(
-                f"ensemble array in_bag must be a {(n_models, available.size)} "
-                f"matrix of available times, got shape {in_bag.shape}"
-            )
-        scores = {key: data[key] for key in ("score_times", "score_sensors", "score_values")}
-        if len({a.shape for a in scores.values()}) != 1:
-            shapes = {key: a.shape for key, a in scores.items()}
-            raise ValueError(f"ensemble arrays score_* differ in shape: {shapes}")
-        if ((scores["score_sensors"] < 0) | (scores["score_sensors"] >= n_sensors)).any():
-            raise ValueError(f"ensemble array score_sensors falls outside [0, {n_sensors})")
-        if not np.isfinite(scores["score_values"]).all():
-            raise ValueError("ensemble array score_values holds non-finite values")
-        if (scores["score_values"] < 0).any():
-            raise ValueError("ensemble array score_values holds negative scores")
 
         def member(key: str) -> np.ndarray:
             if key not in data.files:
                 raise ValueError(f"ensemble array {key} is missing")
             return data[key]
+
+        available, in_bag = member("available"), member("in_bag")
+        # BootstrapPlan.multiplicity searches the available times
+        if available.ndim != 1 or available.dtype.kind not in "iu" or (available[1:] <= available[:-1]).any():
+            raise ValueError("ensemble array available must be a strictly increasing 1-D integer array")
+        if in_bag.shape != (n_models, available.size) or not np.isin(in_bag, available).all():
+            raise ValueError(
+                f"ensemble array in_bag must be a {(n_models, available.size)} "
+                f"matrix of available times, got shape {in_bag.shape}"
+            )
+        plan = BootstrapPlan(n_models, available, in_bag, seed=seed)
+        # the score members are the rows of the usable-time x sensor grid, flat
+        n_usable = int(np.count_nonzero(plan.usable))
+        for key, want in zip(("score_times", "score_sensors"), grid_rows(available[plan.usable], n_sensors)):
+            if not np.array_equal(member(key), want):
+                raise ValueError(
+                    f"ensemble array {key} does not hold the grid rows of the "
+                    f"{n_usable} usable times x {n_sensors} sensors"
+                )
+        values = member("score_values")
+        if values.shape != (n_usable * n_sensors,):
+            raise ValueError(
+                f"ensemble array score_values has shape {values.shape}, expected {(n_usable * n_sensors,)}"
+            )
+        if not np.isfinite(values).all():
+            raise ValueError("ensemble array score_values holds non-finite values")
+        if (values < 0).any():
+            raise ValueError("ensemble array score_values holds negative scores")
 
         # every model's parameters must have the shapes the backend's table gives
         # for the input width of model 0
@@ -467,10 +479,9 @@ def load_ensemble(path: str | Path) -> Ensemble:
                     raise ValueError(f"ensemble array {key} holds non-finite values")
                 params[name][b] = value
         return Ensemble(
-            plan=BootstrapPlan(n_models, available, in_bag, seed=seed),
+            plan=plan,
             model=model_type(backend, params),
             aggregator=aggregator,
             backend=backend,
-            n_sensors=n_sensors,
-            **scores,
+            scores=values.reshape(n_usable, n_sensors),
         )

@@ -5,8 +5,11 @@ sensor k; ``neighbor_sets`` ranks every sensor's neighbours from it into a
 ``(K, m)`` array of sensor ids, again with row k for sensor k.
 
 ``build_features`` turns a complete panel into the arrays every later stage
-consumes: ``(times, sensors, X, y)``, one supervised row per (t, k).  Panels
-are read-only after construction, so they are safe to share across threads.
+consumes: ``(times, sensors, X, y)``, one supervised row per (t, k), laid out
+as a time x sensor grid.  ``grid_rows`` lays rows out on that grid and
+``grid_times`` checks the layout; training and detection accept no other.
+Panels are read-only after construction, so they are safe to share across
+threads.
 
 The CSV format of every pipeline artifact lives here: ``read_csv`` is the only
 parser of CSV text and ``write_csv`` the only formatter.
@@ -31,6 +34,8 @@ __all__ = [
     "save_sensors",
     "neighbor_sets",
     "build_features",
+    "grid_rows",
+    "grid_times",
 ]
 
 
@@ -269,7 +274,34 @@ def build_features(
     # lag_rows[i, l] is the time l+1 steps before target time n_lags + i
     lag_rows = np.arange(n_lags, T)[:, None] - np.arange(1, n_lags + 1)
     X = panel.values[lag_rows[:, None, None, :], neighbors[None, :, :, None]]  # (T - n_lags, K, m, n_lags)
-    times = np.repeat(np.arange(n_lags, T), K)
-    sensor_ids = np.tile(np.arange(K), T - n_lags)
+    times, sensor_ids = grid_rows(np.arange(n_lags, T), K)
     y = panel.values[n_lags:, :].reshape(-1)
     return times, sensor_ids, X.reshape(times.size, -1), y
+
+
+def grid_rows(times: np.ndarray, n_sensors: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (time, sensor) of each row of the time x sensor grid over ``times``.
+
+    Rows i*K .. i*K + K - 1 hold sensors 0..K-1, in order, at ``times[i]``.
+    """
+    return np.repeat(times, n_sensors), np.tile(np.arange(n_sensors), len(times))
+
+
+def grid_times(times: np.ndarray, sensors: np.ndarray, n_sensors: int) -> np.ndarray:
+    """The distinct times of rows laid out as ``grid_rows`` lays them out, else ValueError.
+
+    The distinct times must strictly increase.  Any other layout (a missing,
+    repeated or reordered row) is refused.
+    """
+    times, sensors = np.asarray(times), np.asarray(sensors)
+    n = len(times)
+    if n_sensors >= 1 and len(sensors) == n and n % n_sensors == 0:
+        distinct = times[::n_sensors]
+        want_times, want_sensors = grid_rows(distinct, n_sensors)
+        increasing = (distinct[1:] > distinct[:-1]).all()
+        if increasing and np.array_equal(times, want_times) and np.array_equal(sensors, want_sensors):
+            return distinct
+    raise ValueError(
+        f"the rows do not form a time x sensor grid: each time must hold sensors 0..{n_sensors - 1} "
+        "in order, one row each, and times must strictly increase"
+    )

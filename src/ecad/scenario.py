@@ -125,6 +125,11 @@ class ScenarioConfig:
             raise ValueError(f"missing_fraction must be in [0, 1), got {self.missing_fraction}")
         if self.truth.neighborhood_size > self.n_sensors:
             raise ValueError("truth neighborhood size exceeds sensor count")
+        if self.truth.lag_depth >= self.n_train + self.n_test:
+            raise ValueError(
+                f"truth lag depth {self.truth.lag_depth} must be smaller than the panel length "
+                f"n_train + n_test = {self.n_train + self.n_test}"
+            )
         self.error.validate()
         self.injection.validate()
         self.truth.validate()

@@ -129,13 +129,10 @@ def _loo_construction_oracle(name, spec, naive_fit):
     worst = 0.0
     score_map = {
         (t, k): s
-        for t, k, s in zip(
-            ensemble.score_times.tolist(),
-            ensemble.score_sensors.tolist(),
-            ensemble.score_values.tolist(),
-        )
+        for t, row in zip(ensemble.usable_times.tolist(), ensemble.scores.tolist())
+        for k, s in enumerate(row)
     }
-    assert len(score_map) == ensemble.score_values.size
+    assert len(score_map) == ensemble.scores.size
     for t, k, x, v in zip(times.tolist(), sensors.tolist(), X, y.tolist()):
         excluded = [b for b in range(n_models) if t not in set(ensemble.plan.in_bag[b].tolist())]
         if not excluded:
@@ -144,7 +141,7 @@ def _loo_construction_oracle(name, spec, naive_fit):
         naive_score = abs(v - np.mean([naive_models[b](x) for b in excluded]))
         worst = max(worst, abs(score_map[(t, k)] - naive_score))
     probe_rng = np.random.default_rng(5)
-    for t in np.unique(ensemble.score_times):
+    for t in ensemble.usable_times:
         x = probe_rng.normal(size=3)
         excluded = [b for b in range(n_models) if t not in set(ensemble.plan.in_bag[b].tolist())]
         naive_pred = float(np.mean([naive_models[b](x) for b in excluded]))

@@ -417,7 +417,18 @@ def test_detect_rejects_ensemble_with_unequal_sensor_scores(tmp_path, capsys):
     code, err = _detect_exit(cfg, tmp_path, capsys)
     assert code == 2
     assert "category=config" in err and str(path) in err
-    assert "unequal numbers of training scores per sensor" in err
+    assert "score_times does not hold the grid rows" in err
+
+
+def test_detect_rejects_ensemble_with_unordered_available_times(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    path = tmp_path / "run" / ARTIFACTS["ensemble"]
+    _rewrite_ensemble(path, lambda a: a.update(available=a["available"][::-1].copy()))
+    code, err = _detect_exit(cfg, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err and f"artifact {path}:" in err
+    assert "available must be a strictly increasing" in err
 
 
 def test_detect_rejects_training_panel_of_other_sensor_count(tmp_path, capsys):
@@ -625,6 +636,19 @@ def test_load_config_overrides_and_validation(tmp_path, capsys):
     invalid.write_text(json.dumps({"detector": {"alpha": 2.0}}))
     with pytest.raises(ValueError, match="alpha"):
         load_config(invalid)
+
+    # configs that would fail only in a later stage: no test rows to detect on,
+    # and a truth lag depth that reaches past the panel
+    for payload, message in [
+        ({"scenario": {"n_test": 0}}, "scenario.n_test must be >= 1"),
+        ({"scenario": {"n_train": 60, "n_test": 20, "truth": {"lag_depth": 500}}}, "truth lag depth 500"),
+        ({"scenario": {"n_train": 60, "n_test": 20, "truth": {"lag_depth": 80}}}, "truth lag depth 80"),
+    ]:
+        invalid.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["generate", "--config", str(invalid), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "category=config" in err and message in err
 
     # a value of the wrong JSON type is a config error naming the key, not a traceback
     for payload, key in [

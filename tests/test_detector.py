@@ -14,13 +14,11 @@ from ecad.detector import (
     batch_test_scores,
     detect_stream,
     empirical_quantile,
-    flag_decision,
     local_window,
     loo_prediction_matrix,
     nearest_rank_index,
     p_value,
 )
-from ecad.detector import test_score as detection_score
 from ecad.ensemble import AggregatorSpec, BootstrapPlan, Ensemble, loo_predict, train_ensemble
 
 
@@ -42,18 +40,12 @@ def _manual_ensemble(predictions, dim=2):
         [[t for t in range(n) if t != b] + [(b + 1) % n] for b in range(n)]
     )
     plan = BootstrapPlan(n, available, in_bag, seed=0)
-    score_times = np.repeat(available, 1)
-    score_sensors = np.zeros(n, dtype=np.int64)
-    score_values = np.abs(np.asarray(predictions, dtype=float))
     return Ensemble(
         plan=plan,
         model=_constant_models(predictions, dim),
         aggregator=AggregatorSpec("mean"),
         backend=BackendSpec(kind="ridge"),
-        n_sensors=1,
-        score_times=score_times,
-        score_sensors=score_sensors,
-        score_values=score_values,
+        scores=np.abs(np.asarray(predictions, dtype=float))[:, None],
     )
 
 
@@ -119,11 +111,13 @@ def test_p_value_empty_window_errors():
 
 
 def test_flag_boundary():
-    assert flag_decision(0.05, 0.05) is True
-    assert flag_decision(0.0501, 0.05) is False
+    # a point is flagged exactly when p <= alpha
+    alpha = 0.05
+    assert 0.05 <= alpha
+    assert not 0.0501 <= alpha
     # through the p-value path: 75/1500 == 0.05 exactly, 501/10000 == 0.0501
-    assert flag_decision(75 / 1500, 0.05) is True
-    assert flag_decision(501 / 10000, 0.05) is False
+    assert p_value(np.arange(1500.0), 1425.0) == 75 / 1500 <= alpha
+    assert not p_value(np.arange(10000.0), 9499.0) == 501 / 10000 <= alpha
 
 
 def test_p_value_monotone_step_function():
@@ -145,13 +139,13 @@ def test_p_value_scale_invariance():
 
 def test_test_score_all_equal_predictions():
     ens = _manual_ensemble([2.0, 2.0, 2.0, 2.0])
-    assert detection_score(ens, np.zeros(2), 2.0, alpha=0.25) == 0.0
+    assert batch_test_scores(ens, np.zeros((1, 2)), np.array([2.0]), alpha=0.25).tolist() == [0.0]
 
 
 def test_test_score_hand_quantile():
     # 0.75 nearest-rank quantile of {1,2,3,4} is 3, so the score is |10 - 3|
     ens = _manual_ensemble([1.0, 2.0, 3.0, 4.0])
-    assert detection_score(ens, np.zeros(2), 10.0, alpha=0.25) == 7.0
+    assert batch_test_scores(ens, np.zeros((1, 2)), np.array([10.0]), alpha=0.25).tolist() == [7.0]
 
 
 @pytest.mark.parametrize("kind", ["mean", "median", "trimmed_mean"])
@@ -170,9 +164,8 @@ def test_loo_kernel_matches_loo_predict(kind):
     assert {1, 2, 3, 4} <= sizes
 
     usable = np.isin(times, ens.usable_times)
-    assert np.array_equal(ens.score_times, times[usable])
-    assert np.array_equal(ens.score_sensors, sensors[usable])
-    for s, t, x, v in zip(ens.score_values, times[usable], features[usable], targets[usable]):
+    assert ens.scores.shape == (ens.usable_times.size, 2)
+    for s, t, x, v in zip(ens.scores.ravel(), times[usable], features[usable], targets[usable]):
         assert s == pytest.approx(abs(v - loo_predict(ens, int(t), x)), abs=1e-12)
 
     X = rng.normal(size=(5, 2))
@@ -186,7 +179,7 @@ def test_loo_kernel_matches_loo_predict(kind):
 def test_test_score_rejects_bad_alpha():
     ens = _manual_ensemble([1.0, 2.0])
     with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
-        detection_score(ens, np.zeros(2), 1.0, alpha=0.0)
+        batch_test_scores(ens, np.zeros((1, 2)), np.array([1.0]), alpha=0.0)
     for alpha in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
             batch_test_scores(ens, np.zeros((3, 2)), np.zeros(3), alpha)
@@ -228,10 +221,7 @@ def test_batch_test_scores_edge_batches():
         model=_constant_models([1.0, 2.0]),
         aggregator=AggregatorSpec("mean"),
         backend=BackendSpec(kind="ridge"),
-        n_sensors=1,
-        score_times=np.arange(2),
-        score_sensors=np.zeros(2, dtype=np.int64),
-        score_values=np.ones(2),
+        scores=np.empty((0, 1)),
     )
     for n_points in (0, 3):
         with pytest.raises(ValueError, match="no leave-one-out predictor available"):
@@ -254,9 +244,10 @@ def test_batch_test_scores_memory_is_bounded():
 
 
 def _store(entries):
-    """A store whose row k holds the (time, score) pairs entries[k], k = 0..K-1."""
-    t, k, s = (np.array(c) for c in zip(*((t, k, s) for k, pairs in entries.items() for t, s in pairs)))
-    return ScoreStore(t, k, s, len(entries))
+    """A store whose row k holds the (time, score) pairs entries[k], k = 0..K-1, at shared times."""
+    times = [t for t, _ in entries[0]]
+    assert all([t for t, _ in pairs] == times for pairs in entries.values())
+    return ScoreStore(np.array(times), np.array([[s for _, s in entries[k]] for k in range(len(entries))]).T)
 
 
 def test_local_window_saturates_to_whole_store():
@@ -296,8 +287,11 @@ def test_local_window_matches_set_comprehension_oracle():
 
 
 def test_score_store_push_evicts_oldest():
-    store = _store({0: [(0, 1.0), (1, 2.0), (2, 3.0)]})
+    seed = np.array([[1.0], [2.0], [3.0]])
+    store = ScoreStore(np.arange(3), seed)
     store.push_rows(np.array([0]), 10, np.array([9.0]))
+    # the store writes into its own copy, never into the training grid
+    assert seed.ravel().tolist() == [1.0, 2.0, 3.0]
     assert sorted(zip(store.time_grid[0].tolist(), store.score_grid[0].tolist())) == [
         (1, 2.0), (2, 3.0), (10, 9.0)
     ]
@@ -308,19 +302,16 @@ def test_score_store_push_evicts_oldest():
 
 
 def test_score_store_row_k_is_sensor_k_time_ascending():
-    store = ScoreStore(np.array([7, 5, 6, 5, 7, 6]), np.array([1, 0, 1, 1, 0, 0]), np.arange(6.0), 2)
+    # the store is the transpose of the (W, K) training grid, row i at times[i]
+    store = ScoreStore(np.array([5, 6, 7]), np.array([[1.0, 3.0], [5.0, 2.0], [4.0, 0.0]]))
     assert store.time_grid.tolist() == [[5, 6, 7], [5, 6, 7]]
     assert store.score_grid.tolist() == [[1.0, 5.0, 4.0], [3.0, 2.0, 0.0]]
+    assert store.score_grid.flags.c_contiguous and store.head.tolist() == [0, 0]
 
 
-def test_score_store_rejects_cold_and_ragged_input():
+def test_score_store_rejects_cold_input():
     with pytest.raises(ValueError, match="cold"):
-        ScoreStore(np.array([]), np.array([], dtype=np.int64), np.array([]), 1)
-    with pytest.raises(ValueError, match="unequal"):
-        ScoreStore(np.array([1, 1, 2]), np.array([0, 1, 1]), np.array([1.0, 1.0, 2.0]), 2)
-    # a sensor without any score is a window of another length
-    with pytest.raises(ValueError, match="unequal"):
-        ScoreStore(np.array([1, 2]), np.array([1, 1]), np.array([1.0, 2.0]), 2)
+        ScoreStore(np.array([], dtype=np.int64), np.empty((0, 1)))
 
 
 def _train_small_ensemble(seed=0, T=80, K=2):
@@ -336,9 +327,9 @@ def _train_small_ensemble(seed=0, T=80, K=2):
 def test_detect_stream_flags_huge_spike_with_p_zero():
     ens, values = _train_small_ensemble()
     T, K = values.shape
-    stream_x = np.array([[values[T - 1, 0]]])
+    stream_x = values[T - 1][:, None]
     spike_y = values[:, 0].mean() + 10.0 * values[:, 0].std() + values[:, 0].max()
-    dets = detect_stream(ens, [T], [0], stream_x, [spike_y], alpha=0.05)
+    dets = detect_stream(ens, [T, T], [0, 1], stream_x, [spike_y, values[T - 1, 1]], alpha=0.05)
     assert dets[0].flagged
     assert dets[0].p_value == 0.0
 
@@ -353,8 +344,7 @@ def test_detect_stream_single_sensor_matches_plain_algorithm():
     dets = detect_stream(ens, stream_t, np.zeros(10, dtype=int), stream_x, stream_y, alpha=0.1)
 
     # standalone single-series reference: list window, count, flag, slide
-    own = ens.score_sensors == 0
-    window = list(ens.score_values[own][np.argsort(ens.score_times[own])])
+    window = ens.scores[:, 0].tolist()
     for d in dets:
         expected_p = sum(1 for w in window if w >= d.test_score) / len(window)
         assert d.p_value == expected_p
@@ -368,38 +358,44 @@ def test_detect_stream_eviction_audit():
     ens, values = _train_small_ensemble(seed=4)
     T = values.shape[0]
     n_steps = 5
-    stream_t = np.arange(T, T + n_steps)
     stream = detect_stream(
         ens,
-        stream_t,
-        np.ones(n_steps, dtype=int),
-        np.zeros((n_steps, 1)),
-        np.zeros(n_steps),
+        np.repeat(np.arange(T, T + n_steps), 2),
+        np.tile([0, 1], n_steps),
+        np.zeros((2 * n_steps, 1)),
+        np.zeros(2 * n_steps),
         alpha=0.05,
     )
     # after n steps at sensor 1, exactly the n oldest initial scores are gone
-    replica = ScoreStore(ens.score_times, ens.score_sensors, ens.score_values, ens.n_sensors)
+    replica = ScoreStore(ens.usable_times, ens.scores)
     for d in stream:
-        replica.push_rows(np.array([1]), d.t, np.array([d.test_score]))
+        replica.push_rows(np.array([d.k]), d.t, np.array([d.test_score]))
     remaining = sorted(zip(replica.time_grid[1].tolist(), replica.score_grid[1].tolist()))
-    own = ens.score_sensors == 1  # training scores are sorted by time
-    times, scores = ens.score_times[own], ens.score_values[own]
+    times, scores = ens.usable_times, ens.scores[:, 1]
     expected = sorted(
         list(zip(times[n_steps:].tolist(), scores[n_steps:].tolist()))
-        + [(d.t, d.test_score) for d in stream]
+        + [(d.t, d.test_score) for d in stream if d.k == 1]
     )
     assert remaining == expected
 
 
 def test_detect_stream_rejects_out_of_order_and_unknown_sensor():
+    # the stream must be the time x sensor grid of build_features
     ens, values = _train_small_ensemble(seed=5)
     T = values.shape[0]
-    with pytest.raises(ValueError, match="out-of-order"):
+    with pytest.raises(ValueError, match="time x sensor grid"):
         detect_stream(
             ens, [T + 1, T], [0, 0], np.zeros((2, 1)), np.zeros(2), alpha=0.05
         )
-    with pytest.raises(ValueError, match="unknown sensor"):
-        detect_stream(ens, [T], [7], np.zeros((1, 1)), np.zeros(1), alpha=0.05)
+    with pytest.raises(ValueError, match="time x sensor grid"):
+        detect_stream(ens, [T + 1, T + 1, T, T], [0, 1, 0, 1], np.zeros((4, 1)), np.zeros(4), alpha=0.05)
+    with pytest.raises(ValueError, match="time x sensor grid"):
+        detect_stream(ens, [T, T], [0, 7], np.zeros((2, 1)), np.zeros(2), alpha=0.05)
+    # a timestamp that lacks a sensor, or holds its sensors out of order
+    with pytest.raises(ValueError, match="time x sensor grid"):
+        detect_stream(ens, [T, T, T + 1], [0, 1, 0], np.zeros((3, 1)), np.zeros(3), alpha=0.05)
+    with pytest.raises(ValueError, match="time x sensor grid"):
+        detect_stream(ens, [T, T], [1, 0], np.zeros((2, 1)), np.zeros(2), alpha=0.05)
 
 
 def test_detect_stream_exclude_flagged_keeps_window_clean():
@@ -441,7 +437,7 @@ def test_detect_stream_locality_variants():
         locality=LocalityConfig(enabled=True, n_lags=2, neighbor_size=2),
         neighbors=neighbors,
     )
-    window_len = np.count_nonzero(ens.score_sensors == 0)
+    window_len = len(ens.scores)
     assert plain[0].comparison_count == window_len
     # as_printed compares against every retained score of both sensors
     assert printed[0].comparison_count == 2 * window_len
@@ -521,59 +517,38 @@ def test_detections_columns_match_rows():
 def test_detect_stream_rejects_time_going_back_across_sensors():
     ens, values = _train_small_ensemble(seed=5)
     T = values.shape[0]
-    with pytest.raises(ValueError, match="non-decreasing"):
+    with pytest.raises(ValueError, match="time x sensor grid"):
         detect_stream(ens, [T + 1, T], [0, 1], np.zeros((2, 1)), np.zeros(2), alpha=0.05)
 
 
 def test_detect_stream_rejects_duplicate_item():
     ens, values = _train_small_ensemble(seed=5)
     T = values.shape[0]
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="time x sensor grid"):
         detect_stream(ens, [T, T, T], [0, 1, 0], np.zeros((3, 1)), np.zeros(3), alpha=0.05)
+    with pytest.raises(ValueError, match="time x sensor grid"):
+        detect_stream(ens, [T, T, T, T], [0, 1, 0, 1], np.zeros((4, 1)), np.zeros(4), alpha=0.05)
 
 
 def test_detect_stream_rejects_time_inside_retained_window():
     ens, values = _train_small_ensemble(seed=5)
-    last = int(ens.score_times[ens.score_sensors == 1].max())
+    last = int(ens.usable_times[-1])
     with pytest.raises(ValueError, match="out-of-order.*already holds"):
-        detect_stream(ens, [last], [1], np.zeros((1, 1)), np.zeros(1), alpha=0.05)
+        detect_stream(ens, [last, last], [0, 1], np.zeros((2, 1)), np.zeros(2), alpha=0.05)
 
 
-def test_detect_stream_ragged_timestamps_match_per_sensor_streams():
-    # without locality each sensor ranks against its own window only, so a
-    # timestamp missing some sensors equals the per-sensor streams run apart
-    ens, values = _train_small_ensemble(seed=13, K=3)
-    T = values.shape[0]
-    rng = np.random.default_rng(13)
-    stream_t = np.array([T, T, T + 1, T + 2, T + 2, T + 2, T + 4])
-    stream_k = np.array([2, 0, 1, 0, 1, 2, 1])
-    stream_x = rng.normal(size=(7, 1))
-    stream_y = rng.normal(size=7)
-    dets = detect_stream(ens, stream_t, stream_k, stream_x, stream_y, alpha=0.1)
-    for k in range(3):
-        sel = stream_k == k
-        alone = detect_stream(ens, stream_t[sel], stream_k[sel], stream_x[sel], stream_y[sel], alpha=0.1)
-        assert [dets[j] for j in np.flatnonzero(sel)] == list(alone)
-
-
-def _locality_stream(seed, n_times, ragged):
-    """12-sensor ensemble and a test stream of n_times timestamps with spikes."""
+def _locality_stream(seed, n_times):
+    """12-sensor ensemble and a grid test stream of n_times timestamps, 1-2 steps apart, with spikes."""
     ens, values = _train_small_ensemble(seed=seed, K=12)
     T = values.shape[0]
     rng = np.random.default_rng(seed)
-    stream_t, stream_k = [], []
-    t = T
-    for _ in range(n_times):
-        present = rng.permutation(12)
-        if ragged:
-            present = present[: rng.integers(1, 13)]
-        stream_t += [t] * present.size
-        stream_k += present.tolist()
-        t += int(rng.integers(1, 3))
-    n = len(stream_t)
+    steps = rng.integers(1, 3, size=n_times)
+    stream_t = np.repeat(T + np.cumsum(steps) - steps[0], 12)
+    stream_k = np.tile(np.arange(12), n_times)
+    n = stream_t.size
     stream_x = rng.normal(size=(n, 1))
     stream_y = rng.normal(size=n) + np.where(rng.random(n) < 0.15, 12.0, 0.0)
-    return ens, np.array(stream_t), np.array(stream_k), stream_x, stream_y
+    return ens, stream_t, stream_k, stream_x, stream_y
 
 
 # row k holds sensor k itself, then k + 3 and k + 6 (mod 12)
@@ -581,25 +556,27 @@ _NEIGHBORS = (np.arange(12)[:, None] + 3 * np.arange(3)) % 12
 
 
 @pytest.mark.parametrize("variant", ["neighbor_sensors", "as_printed"])
-def test_detect_stream_locality_ignores_sensor_order_within_timestamp(variant):
-    ens, stream_t, stream_k, stream_x, stream_y = _locality_stream(21, 12, ragged=False)
+def test_detect_stream_locality_ignores_scores_of_the_same_timestamp(variant):
+    # every point of timestamp t ranks against the store as it stood at the end
+    # of t-1, so moving the other sensors' points at t changes none of its results
+    ens, stream_t, stream_k, stream_x, stream_y = _locality_stream(21, 12)
     locality = LocalityConfig(enabled=True, n_lags=3, variant=variant)
-    rows = {}
-    for seed in (0, 1):
-        order = np.lexsort((np.random.default_rng(seed).random(stream_t.size), stream_t))
-        dets = detect_stream(
-            ens, stream_t[order], stream_k[order], stream_x[order], stream_y[order],
-            alpha=0.1, locality=locality, neighbors=_NEIGHBORS,
-        )
-        rows[seed] = {(d.t, d.k): d for d in dets}
-    assert rows[0] == rows[1]
-    assert any(d.flagged for d in rows[0].values())
+    moved = (stream_t == stream_t[-1]) & (stream_k % 2 == 1)
+    runs = [
+        detect_stream(ens, stream_t, stream_k, stream_x, y, alpha=0.1, locality=locality, neighbors=_NEIGHBORS)
+        for y in (stream_y, stream_y + np.where(moved, 50.0, 0.0))
+    ]
+    for name in ("test_score", "p_value", "flagged", "comparison_count"):
+        first, second = (getattr(dets, name) for dets in runs)
+        assert np.array_equal(first[~moved], second[~moved]), name
+    assert runs[1].flagged[moved].all() and not runs[0].flagged[moved].all()
+    assert runs[0].flagged.any()
 
 
 def _replay(ens, stream_t, stream_k, scores, alpha, locality, neighbors, exclude_flagged):
     """(rank count, comparison-set size) per item, ranked point by point against a
     copy of the store taken at the end of the previous timestamp."""
-    store = ScoreStore(ens.score_times, ens.score_sensors, ens.score_values, ens.n_sensors)
+    store = ScoreStore(ens.usable_times, ens.scores)
     out = []
     for t in dict.fromkeys(stream_t.tolist()):
         snapshot = copy.deepcopy(store)
@@ -630,14 +607,14 @@ def _replay(ens, stream_t, stream_k, scores, alpha, locality, neighbors, exclude
     ids=["plain", "neighbors", "neighbors-saturated", "as_printed"],
 )
 def test_detect_stream_matches_point_by_point_oracle(locality, exclude_flagged):
-    ens, stream_t, stream_k, stream_x, stream_y = _locality_stream(31, 15, ragged=True)
+    ens, stream_t, stream_k, stream_x, stream_y = _locality_stream(31, 15)
     alpha = 0.1
     dets = detect_stream(
         ens, stream_t, stream_k, stream_x, stream_y, alpha=alpha, locality=locality,
         neighbors=_NEIGHBORS, exclude_flagged_from_window=exclude_flagged,
     )
     # the saturated case reaches back past every retained score
-    assert locality.n_lags < 500 or locality.n_lags > np.count_nonzero(ens.score_sensors == 0)
+    assert locality.n_lags < 500 or locality.n_lags > len(ens.scores)
     expected = _replay(
         ens, stream_t, stream_k, dets.test_score, alpha, locality, _NEIGHBORS, exclude_flagged
     )

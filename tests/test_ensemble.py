@@ -100,8 +100,9 @@ def test_single_bag_scores_only_out_of_bag_times():
     ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 1, seed=5)
     in_bag = set(ens.plan.in_bag[0].tolist())
     available = set(ens.plan.available.tolist())
-    scored = set(ens.score_times.tolist())
+    scored = set(ens.usable_times.tolist())
     assert scored == available - in_bag
+    assert ens.scores.shape == (len(scored), 2)
     assert ens.dropped_empty_loo == len(available & in_bag)
 
 
@@ -118,6 +119,19 @@ def test_train_ensemble_rejects_unequal_length_arrays():
             train_ensemble(*args, spec, 3, seed=0)
 
 
+@pytest.mark.parametrize(
+    "head",
+    [[1, 2, 3], [0, 1, 3, 2], [0, 1, 0, 1], [2, 3, 0, 1]],
+    ids=["missing-row", "reordered-sensors", "repeated-time", "time-going-back"],
+)
+def test_train_ensemble_refuses_rows_that_are_not_the_grid(head):
+    # the first four rows are times 1 and 2 of sensors 0 and 1; head replaces them
+    times, sensors, X, y = _features_from_matrix(np.random.default_rng(8).normal(size=(10, 2)))
+    rows = np.r_[head, 4 : len(times)]
+    with pytest.raises(ValueError, match="time x sensor grid"):
+        train_ensemble(times[rows], sensors[rows], X[rows], y[rows], BackendSpec(kind="ridge"), 3, seed=0)
+
+
 def test_train_ensemble_rejects_empty_arrays():
     times, sensors, X, y = _features_from_matrix(np.random.default_rng(8).normal(size=(10, 2)))
     with pytest.raises(ValueError, match="no feature rows"):
@@ -130,8 +144,8 @@ def test_noiseless_linear_scores_are_zero():
     # both sensors satisfy y_t = y_{t-1} + 2, so one lag feature fits exactly
     feats = _features_from_matrix(values)
     ens = train_ensemble(*feats, BackendSpec(kind="ridge", ridge_lambda=0.0), 10, seed=2)
-    assert ens.score_values.size > 0
-    assert np.max(ens.score_values) < 1e-6
+    assert ens.scores.size > 0
+    assert np.max(ens.scores) < 1e-6
 
 
 def test_no_training_score_uses_in_bag_model():
@@ -140,7 +154,7 @@ def test_no_training_score_uses_in_bag_model():
     rng = np.random.default_rng(1)
     feats = _features_from_matrix(rng.normal(size=(30, 2)))
     ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 8, seed=3)
-    for t in np.unique(ens.score_times):
+    for t in ens.usable_times:
         loo = set(np.flatnonzero(ens.plan.loo_set(int(t))).tolist())
         for b in range(ens.n_models):
             if int(t) in set(ens.plan.in_bag[b].tolist()):
@@ -290,26 +304,20 @@ def test_loo_aggregate_network_on_every_zero_one_input(agg):
 def test_training_scores_equal_per_time_reference(agg):
     rng = np.random.default_rng(12)
     times, sensors, X, y = _features_from_matrix(rng.normal(size=(60, 3)), n_lags=2)
-    keep = rng.random(times.size) > 0.2  # timestamps with unequal numbers of rows
-    times, sensors, X, y = times[keep], sensors[keep], X[keep], y[keep]
     ens = train_ensemble(
         times, sensors, X, y, BackendSpec(kind="ridge"), 9, aggregator=agg, seed=3
     )
     preds = ens.model.predict(X)
-    expected = {}
+    want = []
     for t in ens.usable_times:
         rows = np.flatnonzero(times == t)
+        assert sensors[rows].tolist() == [0, 1, 2]
         loo = _reference_loo_aggregate(preds[:, rows], ens.plan.loo_set(int(t))[None, :], agg)[0]
-        expected.update(zip(rows.tolist(), np.abs(y[rows] - loo)))
-    order = np.lexsort((sensors, times))
-    rows = [r for r in order.tolist() if r in expected]
-    assert np.array_equal(ens.score_times, times[rows])
-    assert np.array_equal(ens.score_sensors, sensors[rows])
-    want = np.array([expected[r] for r in rows])
+        want.append(np.abs(y[rows] - loo))
     if agg.kind == "mean":
-        assert np.allclose(ens.score_values, want, rtol=0.0, atol=1e-12)
+        assert np.allclose(ens.scores, want, rtol=0.0, atol=1e-12)
     else:
-        assert np.array_equal(ens.score_values, want)
+        assert np.array_equal(ens.scores, want)
 
 
 @pytest.mark.parametrize(
@@ -354,8 +362,8 @@ def test_ensemble_roundtrip_through_disk(tmp_path):
     assert loaded.n_models == ens.n_models
     assert loaded.backend == ens.backend
     assert np.array_equal(loaded.plan.in_bag, ens.plan.in_bag)
-    assert np.array_equal(loaded.score_values, ens.score_values)
-    assert np.array_equal(loaded.score_times, ens.score_times)
+    assert np.array_equal(loaded.scores, ens.scores)
+    assert np.array_equal(loaded.usable_times, ens.usable_times)
     x = feats[2][:1]
     assert np.array_equal(loaded.model.predict(x), ens.model.predict(x))
 
@@ -376,6 +384,13 @@ def test_ensemble_version_refusal(tmp_path):
         load_ensemble(path)
 
 
+def _duplicate_second_available_time(arrays):
+    """available[1] becomes available[0], and every bag's draws of it follow."""
+    available, in_bag = arrays["available"], arrays["in_bag"]
+    arrays["in_bag"] = np.where(in_bag == available[1], available[0], in_bag)
+    arrays["available"] = np.r_[available[0], available[0], available[2:]]
+
+
 @pytest.mark.parametrize(
     "corrupt, name",
     [
@@ -392,6 +407,8 @@ def test_ensemble_version_refusal(tmp_path):
         ),
         (lambda a: a.update(score_values=-a["score_values"]), "score_values holds negative"),
         (lambda a: a.update(score_values=np.full_like(a["score_values"], np.nan)), "score_values holds non-finite"),
+        (lambda a: a.update(available=a["available"][::-1].copy()), "available"),
+        (_duplicate_second_available_time, "available"),
     ],
 )
 def test_ensemble_shape_refusal(tmp_path, corrupt, name):
@@ -472,37 +489,41 @@ def test_mlp_backend_trains_in_ensemble():
     feats = _features_from_matrix(rng.normal(size=(20, 2)))
     spec = BackendSpec(kind="mlp", mlp_hidden=(4,), mlp_epochs=20, mlp_learning_rate=0.05, seed=0)
     ens = train_ensemble(*feats, spec, 3, seed=1)
-    assert ens.score_values.size > 0
-    assert np.isfinite(ens.score_values).all()
+    assert ens.scores.size > 0
+    assert np.isfinite(ens.scores).all()
 
 
 def _bagged_ridge_data(rng, n_times=40, d=4, offset=1e4):
     """Rows at shuffled times with 1-5 rows each; features and targets far from zero."""
     rows_per_time = rng.integers(1, 6, size=n_times)
     times = np.repeat(np.arange(n_times), rows_per_time)
-    sensors = np.concatenate([np.arange(r) for r in rows_per_time])
     X = rng.normal(size=(times.size, d)) + offset
     y = X @ rng.normal(size=d) + rng.normal(size=times.size)
     perm = rng.permutation(times.size)
-    return times[perm], sensors[perm], X[perm], y[perm]
+    return times[perm], X[perm], y[perm]
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.7, 1.0])
 @pytest.mark.parametrize("n_models", [1, 25])
 def test_bagged_ridge_models_equal_fits_on_gathered_bags(lam, n_models):
-    times, sensors, X, y = _bagged_ridge_data(np.random.default_rng(21))
+    # blocks of unequal sizes, their rows scattered, and bags that repeat blocks
+    times, X, y = _bagged_ridge_data(np.random.default_rng(21))
     spec = BackendSpec(kind="ridge", ridge_lambda=lam)
-    ens = train_ensemble(times, sensors, X, y, spec, n_models, seed=5)
-    assert (ens.plan.multiplicity > 1).any(), "no bag repeats a time"
-    params = ens.model.params
+    plan = bootstrap_indices(np.unique(times), n_models, seed=5)
+    order = np.argsort(times, kind="stable")
+    starts = np.searchsorted(times[order], plan.available, side="left")
+    stops = np.searchsorted(times[order], plan.available, side="right")
+    model = fit(spec, X, y, Bags(order, starts, stops, plan.multiplicity))
+    assert (plan.multiplicity > 1).any(), "no bag repeats a time"
+    params = model.params
     assert list(params) == ["weights", "x_mean", "y_mean"]
     for b in range(n_models):
-        rows = np.concatenate([np.flatnonzero(times == t) for t in ens.plan.in_bag[b]])
+        rows = np.concatenate([np.flatnonzero(times == t) for t in plan.in_bag[b]])
         want = fit(spec, X[rows], y[rows])
         for name, ref in want.params.items():
             got, ref = params[name][b], ref[0]
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), b
-    stacked = ens.model.predict(X)
+    stacked = model.predict(X)
     assert stacked.shape == (n_models, len(y))
     for b in range(n_models):
         alone = (X - params["x_mean"][b]) @ params["weights"][b] + params["y_mean"][b]
