@@ -4,11 +4,13 @@ Each test point's score is the absolute gap between the observation and the
 (1 - alpha) nearest-rank quantile of all leave-one-out ensemble predictions at
 its features.  Scoring streams over chunks of test points: each chunk's
 point-major (chunk, n_usable_times) block of LOO predictions is built straight
-from the leave-one-out kernel, partitioned in place row by row to its
-quantiles and dropped before the next, so peak memory does not grow with the
-number of test points.  The p-value ranks that score against a retained window
-of past scores; a point is flagged when p <= alpha, and the window then slides
-unconditionally (the flagged score still enters) unless configured otherwise.
+from the leave-one-out kernel (for the mean, one matrix product whose weights
+already hold 1/|S_i|, so no second pass divides the block), partitioned in
+place row by row to its quantiles and dropped before the next, so peak memory
+does not grow with the number of test points.  The p-value ranks that score
+against a retained window of past scores; a point is flagged when p <= alpha,
+and the window then slides unconditionally (the flagged score still enters)
+unless configured otherwise.
 
 The test stream is the time x sensor grid of ``panel.build_features``, as the
 training rows are, and detection runs one numpy step per timestamp: every

@@ -153,13 +153,16 @@ def loo_aggregate(preds: np.ndarray, excluded: np.ndarray, agg: AggregatorSpec) 
     The result is point-major: row j holds point j's aggregate over each LOO
     set, and column i combines the models that ``excluded[i]`` (an (m, B)
     boolean matrix) marks: the mean of the rank window ``agg.rank_window`` of
-    their sorted predictions at each point.  For the median and trimmed mean,
-    all LOO sets of one size go through one comparator network at once (see
-    `_selection_network`), a tile of points at a time; its outputs are the
-    sorted values themselves, and the window is summed one rank at a time in
-    ascending order, so the aggregates equal those of a per-set sort exactly
-    and do not depend on the number of points.  Non-finite predictions are
-    rejected.
+    their sorted predictions at each point.  The mean is one matrix product
+    whose (B, m) weight matrix holds 1/|S_i| for each model of set i: no second
+    pass over the result divides by the set size, and the last bits of a mean
+    can differ from those of its sum divided by |S_i|.  For the median and
+    trimmed mean, all LOO sets of one size go through one comparator network
+    at once (see `_selection_network`), a tile of points at a time; its
+    outputs are the sorted values themselves, and the window is summed one
+    rank at a time in ascending order, so the aggregates equal those of a
+    per-set sort exactly and do not depend on the number of points.
+    Non-finite predictions are rejected.
     """
     agg.validate()
     _check_finite_predictions(preds)
@@ -167,9 +170,7 @@ def loo_aggregate(preds: np.ndarray, excluded: np.ndarray, agg: AggregatorSpec) 
     if (counts == 0).any():
         raise ValueError("cannot aggregate an empty leave-one-out model set")
     if agg.kind == "mean":
-        out = preds.T @ excluded.T.astype(np.float64)
-        out /= counts
-        return out
+        return preds.T @ (excluded.T / counts)
     n = preds.shape[1]
     out = np.empty((n, excluded.shape[0]))
     groups = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -162,8 +162,37 @@ def _with_file_line(message: str, path: str | Path) -> str:
     return message.replace(found[0], f"on line {lines[row]}")
 
 
-# rows formatted at a time by write_csv, so a write never holds every cell as a Python object
-_WRITE_BLOCK_ROWS = 4096
+# cells formatted at a time by write_csv, so a write never holds every cell as a
+# Python object; a column's table of distinct values holds at most as many
+_WRITE_BLOCK_CELLS = 4096
+
+
+def _cell_text(a: np.ndarray) -> Callable[[slice], Iterable[str]]:
+    """The function from a slice of rows of column ``a`` to the text of its cells.
+
+    A numeric column of at most ``_WRITE_BLOCK_CELLS`` distinct values formats
+    each of them once and looks the rest up.  A float's key is its bit
+    pattern, so values that compare equal but print differently (0.0 and
+    -0.0) keep their own text.
+    """
+    keys = None
+    if a.dtype.kind in "iu":
+        keys = a
+    elif a.dtype.kind == "f" and a.dtype.itemsize in (2, 4, 8):
+        keys = a.view(f"u{a.dtype.itemsize}")
+    if keys is not None:
+        # gathered a block at a time, so a column of many distinct values stops
+        # early; a sort, because np.unique imports numpy.ma (about 1 MB) on first use
+        distinct = keys[:0]
+        for start in range(0, len(keys), _WRITE_BLOCK_CELLS):
+            merged = np.sort(np.concatenate((distinct, keys[start : start + _WRITE_BLOCK_CELLS])))
+            distinct = merged[np.r_[True, merged[1:] != merged[:-1]]]
+            if distinct.size > _WRITE_BLOCK_CELLS:
+                break
+        else:
+            text = np.array(list(map(str, distinct.view(a.dtype).tolist())), dtype=object)
+            return lambda rows: text[np.searchsorted(distinct, keys[rows])].tolist()
+    return lambda rows: map(str, a[rows].tolist())
 
 
 def write_csv(path: str | Path, columns: Mapping[str, Sequence | np.ndarray]) -> None:
@@ -171,15 +200,25 @@ def write_csv(path: str | Path, columns: Mapping[str, Sequence | np.ndarray]) ->
 
     Every number is written as its shortest round-trip repr (``str`` of the
     Python int or float), a flag as 0 or 1 and a string cell (a missing token)
-    as it is, so ``read_csv`` gives back the exact values.
+    as it is, so ``read_csv`` gives back the exact values.  A numeric column of
+    few distinct values (times, sensor ids, flags, p-values) formats each
+    distinct value once, with the same bytes.  Rows are joined a block of
+    about ``_WRITE_BLOCK_CELLS`` cells at a time.  No columns, or columns of
+    unequal lengths, raise ValueError.
     """
     arrays = [np.asarray(c) for c in columns.values()]
     arrays = [a.astype(np.uint8) if a.dtype == bool else a for a in arrays]
+    lengths = {name: len(a) for name, a in zip(columns, arrays)}
+    if len(set(lengths.values())) != 1:
+        raise ValueError(f"write_csv needs one or more columns of one length, got lengths {lengths}")
+    block_rows = max(1, _WRITE_BLOCK_CELLS // len(arrays))
+    texts = [_cell_text(a) for a in arrays]
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for start in range(0, len(arrays[0]), _WRITE_BLOCK_ROWS):
-            block = zip(*(a[start : start + _WRITE_BLOCK_ROWS].tolist() for a in arrays))
-            fh.writelines(",".join(map(str, row)) + "\n" for row in block)
+        for start in range(0, len(arrays[0]), block_rows):
+            rows = slice(start, start + block_rows)
+            fh.write("\n".join(map(",".join, zip(*(text(rows) for text in texts)))))
+            fh.write("\n")
 
 
 def load_panel(path: str | Path, missing_token: str = "NA") -> TimeSeriesPanel:

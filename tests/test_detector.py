@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ecad import detector
 from ecad.backends import BackendSpec, RidgeModel
 from ecad.detector import (
     _PREDICT_CHUNK,
@@ -620,4 +621,37 @@ def test_detect_stream_matches_point_by_point_oracle(locality, exclude_flagged):
     )
     assert dets.comparison_count.tolist() == [size for _, size in expected]
     assert dets.p_value.tolist() == [count / size for count, size in expected]
+    assert dets.flagged.any() and not dets.flagged.all()
+
+
+def _division_loo_aggregate(preds, excluded, agg):
+    """The mean LOO kernel in its sum-then-divide form: the product by the 0/1 sets, divided by |S_i|."""
+    assert agg.kind == "mean"
+    out = preds.T @ excluded.T.astype(np.float64)
+    out /= excluded.sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("exclude_flagged", [False, True], ids=["slide", "exclude"])
+@pytest.mark.parametrize(
+    "locality", [LocalityConfig(), LocalityConfig(enabled=True, n_lags=3)], ids=["plain", "neighbors"]
+)
+def test_detect_stream_mean_matches_division_kernel_oracle(monkeypatch, locality, exclude_flagged):
+    # the mean's weights hold 1/|S_i|: on this stream that moves the last bits
+    # of some test scores (45 of 720) and no rank count against the window
+    ens, stream_t, stream_k, stream_x, stream_y = _locality_stream(41, 60)
+    assert ens.aggregator.kind == "mean"
+
+    def run():
+        return detect_stream(
+            ens, stream_t, stream_k, stream_x, stream_y, alpha=0.1, locality=locality,
+            neighbors=_NEIGHBORS, exclude_flagged_from_window=exclude_flagged,
+        )
+
+    dets = run()
+    monkeypatch.setattr(detector, "loo_aggregate", _division_loo_aggregate)
+    oracle = run()
+    assert np.array_equal(dets.p_value, oracle.p_value)
+    assert np.array_equal(dets.flagged, oracle.flagged)
+    assert np.allclose(dets.test_score, oracle.test_score, rtol=0.0, atol=1e-12)
     assert dets.flagged.any() and not dets.flagged.all()

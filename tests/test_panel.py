@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ecad.panel import (
+    _WRITE_BLOCK_CELLS,
     TimeSeriesPanel,
     build_features,
     load_panel,
@@ -164,6 +165,78 @@ def test_write_csv_writes_repr_and_reads_back_bit_for_bit(tmp_path):
     assert x.tobytes() == np.array(floats).tobytes()
     assert n.tolist() == ints
     assert flag.tolist() == flags.tolist()
+
+
+def _per_cell_csv(columns):
+    """The text write_csv defines: ``str`` of every cell, a flag as 0 or 1."""
+    arrays = [np.asarray(c) for c in columns.values()]
+    cells = [(a.astype(np.uint8) if a.dtype == bool else a).tolist() for a in arrays]
+    return ",".join(columns) + "\n" + "".join(",".join(map(str, row)) + "\n" for row in zip(*cells))
+
+
+def _writer_cases():
+    rng = np.random.default_rng(3)
+    block = _WRITE_BLOCK_CELLS // 4  # the rows of a block of the four-column cases below
+    panel = rng.normal(size=(50, 3)).astype(object)
+    panel[rng.random(panel.shape) < 0.4] = "NA"
+    few = rng.integers(0, 2001, size=block + 1) / 2000
+    cases = {
+        "int64-extremes-and-flags": {
+            "n": np.array([2**63 - 1, -(2**63), 0, 7, -1] * 40),
+            "flag": np.array([True, False, True, True, False] * 40),
+        },
+        # equal as floats, different text: a table keyed on float values writes -0.0 as 0.0
+        "signed-zeros": {"x": np.array([0.0, -0.0, 0.5, -0.0, 0.0, 1 / 3] * 50)},
+        "repr-forms": {"x": np.array([5e-324, 1e16, 1e-05, -1e16, 0.1 + 0.2] * 40)},
+        "all-distinct": {"x": rng.normal(size=_WRITE_BLOCK_CELLS + 1), "n": np.arange(_WRITE_BLOCK_CELLS + 1)},
+        # an object column holding the missing token, as save_panel passes it
+        "missing-token": {f"sensor_{k}": panel[:, k] for k in range(3)},
+        "no-rows": {"t": np.array([], dtype=np.int64), "x": np.array([]), "flag": np.array([], dtype=bool)},
+    }
+    for n in (block - 1, block, block + 1):
+        cases[f"{n}-rows"] = {
+            "t": np.arange(n) // 7, "p_value": few[:n], "score": rng.random(n), "flag": few[:n] <= 0.05,
+        }
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_writer_cases()))
+def test_write_csv_equals_per_cell_str(tmp_path, case):
+    columns = _writer_cases()[case]
+    path = tmp_path / "out.csv"
+    write_csv(path, columns)
+    assert path.read_text() == _per_cell_csv(columns)
+
+
+def test_write_csv_refuses_unequal_or_no_columns(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=r"one length, got lengths \{'a': 5, 'b': 3\}"):
+        write_csv(path, {"a": np.arange(5), "b": np.arange(3)})
+    with pytest.raises(ValueError, match=r"one or more columns.*got lengths \{\}"):
+        write_csv(path, {})
+
+
+def test_write_csv_memory_is_bounded(tmp_path):
+    # a detections-shaped file: times, sensor ids, distinct scores, p-values
+    # count / W and flags; holding the whole file's text at once takes at least its size
+    n = 200_000
+    rng = np.random.default_rng(5)
+    p = rng.integers(0, 2001, size=n) / 2000
+    columns = {
+        "t": np.repeat(np.arange(n // 40), 40),
+        "k": np.tile(np.arange(40), n // 40),
+        "test_score": rng.random(n),
+        "p_value": p,
+        "flagged": p <= 0.05,
+    }
+    path = tmp_path / "detections.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
 
 
 def test_sensor_csv_roundtrip(tmp_path):
