@@ -2,17 +2,18 @@
 
 A fitted model holds the B models of one backend, each parameter stacked on
 a leading axis of length B, and ``predict(X)`` returns their ``(B, n)``
-predictions.  `fit` is the only way to fit: without bags it fits one model
-(B = 1) on all rows; with `Bags` it fits one model per bootstrap bag.  A
-ridge ensemble needs no per-model pass over its rows: each block of rows is
-read once into its sufficient statistics, and every bag is fitted from the
-count-weighted sums of those statistics, so a bag is a count per block rather
-than a copy of its rows; all B ridge models predict with one matrix product.
-The MLP fits the bags one at a time, each on its distinct rows (block by
-block in ascending order) with every row weighted by its bag's draw count, so
-an epoch runs over each drawn row once however often the bag drew it.  Each
-model type's ``param_shapes`` is the table of its parameter names and
-per-model shapes.
+predictions.  `fit` is the only way to fit: without counts it fits one model
+(B = 1) on the rows of an ``(n, d)`` X; with a ``(B, n_blocks)`` count matrix
+it fits one model per bootstrap bag over the ``(n_blocks, rows, d)`` blocks of
+X, bag b holding block i ``counts[b, i]`` times.  A ridge ensemble needs no
+per-model pass over its rows: each block is read once into its sufficient
+statistics, and every bag is fitted from the count-weighted sums of those
+statistics, so a bag is a count per block rather than a copy of its rows;
+all B ridge models predict with one matrix product.  The MLP fits the bags
+one at a time, each on the blocks it drew (in ascending order) with every row
+weighted by its block's draw count, so an epoch runs over each drawn row once
+however often the bag drew it.  Each model type's ``param_shapes`` is the
+table of its parameter names and per-model shapes.
 
 Fitted models are immutable after ``fit`` and safe to share across concurrent
 ``predict`` calls.  Both backends are deterministic given the spec's seed.
@@ -22,13 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "BackendSpec",
-    "Bags",
     "RidgeModel",
     "MLPModel",
     "MODEL_TYPES",
@@ -68,16 +68,22 @@ class BackendSpec:
             raise ValueError(f"mlp_learning_rate must be > 0, got {self.mlp_learning_rate}")
 
 
-def _check_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_training_inputs(
+    X: np.ndarray, y: np.ndarray, counts: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float64, refused unless they hold finite rows of the layout ``fit`` documents."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    if y.ndim != 1:
-        raise ValueError(f"y must be 1-D, got shape {y.shape}")
-    if X.shape[0] != y.shape[0]:
-        raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
-    if X.shape[0] < 1 or X.shape[1] < 1:
+    y_dims = 1 if counts is None else 2
+    if X.ndim != y_dims + 1:
+        raise ValueError(f"X must be {y_dims + 1}-D, got shape {X.shape}")
+    if y.ndim != y_dims:
+        raise ValueError(f"y must be {y_dims}-D, got shape {y.shape}")
+    if X.shape[:-1] != y.shape:
+        raise ValueError(f"X of shape {X.shape} does not hold one row per entry of y, of shape {y.shape}")
+    if counts is not None and (counts.ndim != 2 or counts.shape[1] != len(y) or not len(counts)):
+        raise ValueError(f"bag counts of shape {counts.shape} for {len(y)} blocks")
+    if y.size < 1 or X.shape[-1] < 1:
         raise ValueError(f"need at least one sample and one feature, got X shape {X.shape}")
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise ValueError("non-finite values in training data")
@@ -93,30 +99,6 @@ def _check_predict_input(X: np.ndarray, input_dim: int) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("non-finite values in prediction input")
     return X
-
-
-class Bags(NamedTuple):
-    """Bootstrap bags over blocks of rows.
-
-    Block i is the rows ``order[starts[i]:stops[i]]``, and bag b holds block i
-    ``counts[b, i]`` times.
-    """
-
-    order: np.ndarray
-    starts: np.ndarray
-    stops: np.ndarray
-    counts: np.ndarray
-
-    def rows(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Bag b's distinct rows and each row's draw count (float64).
-
-        The rows are those of the blocks bag b drew at least once, block by
-        block in ascending order; a row of block i counts ``counts[b, i]``.
-        """
-        drawn = np.flatnonzero(self.counts[b])
-        rows = np.concatenate([self.order[self.starts[i] : self.stops[i]] for i in drawn.tolist()])
-        sizes = self.stops[drawn] - self.starts[drawn]
-        return rows, np.repeat(self.counts[b, drawn].astype(np.float64), sizes)
 
 
 @dataclass(frozen=True)
@@ -184,13 +166,14 @@ _STATS_CHUNK_BYTES = 1 << 20
 
 
 def _fit_ridge_bags(
-    spec: BackendSpec, X: np.ndarray, y: np.ndarray, bags: Bags
+    spec: BackendSpec, X: np.ndarray, y: np.ndarray, counts: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Stacked ridge parameters of every bag, fitted from per-block sufficient statistics.
 
-    Model b equals ``_fit_ridge`` on its bag's rows, duplicates repeated, up to
-    rounding.  X and y are centred once on their global means, block by
-    block; each block's statistics are the Gram matrix of its rows
+    X is ``(n_blocks, rows, d)`` and bag b holds block i ``counts[b, i]``
+    times; model b equals ``_fit_ridge`` on its bag's rows, duplicates
+    repeated, up to rounding.  X and y are centred once on their global means,
+    block by block; each block's statistics are the Gram matrix of its rows
     ``[1, x - mean(X), y - mean(y)]``, which holds its row count, sums,
     ``X'X`` and ``X'y``.  A bag's statistics are the count-weighted sum of its
     blocks' statistics, and its centred normal equations follow from them by
@@ -198,21 +181,20 @@ def _fit_ridge_bags(
     ``lambda = 0`` takes the least-squares solution of each bag's normal
     equations.
     """
-    order, starts, stops = bags.order, bags.starts, bags.stops
-    counts = np.asarray(bags.counts, dtype=np.float64)
-    d = X.shape[1]
-    x_center, y_center = X.mean(axis=0), float(y.mean())
+    counts = counts.astype(np.float64)
+    n_blocks, rows, d = X.shape
+    # the means of the flat rows, summed in the order of an (n, d) X
+    x_center, y_center = X.reshape(-1, d).mean(axis=0), float(y.reshape(-1).mean())
     stats = np.zeros((counts.shape[0], d + 2, d + 2))
     step = max(1, _STATS_CHUNK_BYTES // stats[0].nbytes)
-    for lo in range(0, starts.size, step):
-        hi = min(lo + step, starts.size)
+    Z = np.empty((rows, d + 2))
+    Z[:, 0] = 1.0
+    for lo in range(0, n_blocks, step):
+        hi = min(lo + step, n_blocks)
         chunk = np.empty((hi - lo, d + 2, d + 2))
         for i in range(lo, hi):
-            rows = order[starts[i] : stops[i]]
-            Z = np.empty((rows.size, d + 2))
-            Z[:, 0] = 1.0
-            np.subtract(X[rows], x_center, out=Z[:, 1:-1])
-            np.subtract(y[rows], y_center, out=Z[:, -1])
+            np.subtract(X[i], x_center, out=Z[:, 1:-1])
+            np.subtract(y[i], y_center, out=Z[:, -1])
             np.matmul(Z.T, Z, out=chunk[i - lo])
         stats += (counts[:, lo:hi] @ chunk.reshape(hi - lo, -1)).reshape(stats.shape)
     n_rows = stats[:, 0, 0]
@@ -416,32 +398,49 @@ def _fit_mlp(spec: BackendSpec, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> 
         params[f"b{i}"] = b
     return params
 
+
+def _bag_rows(
+    X: np.ndarray, y: np.ndarray, counts: np.ndarray | None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each bag's (X, y, row weights) for ``_fit_mlp``: the rows of the blocks it drew.
+
+    Without counts the one bag is every row of an ``(n, d)`` X, each weighted 1.
+    """
+    if counts is None:
+        yield X, y, np.ones(len(y))
+        return
+    for bag in counts:
+        drawn = np.flatnonzero(bag)
+        weights = np.repeat(bag[drawn].astype(np.float64), y.shape[1])
+        yield X[drawn].reshape(-1, X.shape[2]), y[drawn].reshape(-1), weights
+
+
 def fit(
-    spec: BackendSpec, X: np.ndarray, y: np.ndarray, bags: Bags | None = None
+    spec: BackendSpec, X: np.ndarray, y: np.ndarray, counts: np.ndarray | None = None
 ) -> RidgeModel | MLPModel:
     """Fit the configured backend on (X, y); deterministic given the spec seed.
 
-    Without ``bags`` the result holds one model fitted on every row; with
-    ``bags`` it holds one model per bag, model b equal up to rounding to a fit
-    on bag b's rows with duplicates repeated.  A fit whose state is not
-    finite (an MLP step size too large for the data) raises ValueError naming
-    the bag.
+    Without ``counts`` X is ``(n, d)``, y is ``(n,)`` and the result holds one
+    model fitted on every row.  With a ``(B, n_blocks)`` integer ``counts``
+    matrix X is ``(n_blocks, rows, d)``, y is ``(n_blocks, rows)``, bag b holds
+    block i ``counts[b, i]`` times, and the result holds one model per bag,
+    model b equal up to rounding to a fit on bag b's rows with duplicates
+    repeated.  A fit whose state is not finite (an MLP step size too large
+    for the data) raises ValueError naming the bag.
     """
     spec.validate()
-    X, y = _check_training_inputs(X, y)
+    if counts is not None:
+        counts = np.asarray(counts)
+    X, y = _check_training_inputs(X, y, counts)
     if spec.kind == "ridge":
-        if bags is None:
+        if counts is None:
             params = {name: np.stack([v]) for name, v in _fit_ridge(spec, X, y).items()}
         else:
-            params = _fit_ridge_bags(spec, X, y, bags)
+            params = _fit_ridge_bags(spec, X, y, counts)
     else:
         fits = []
-        if bags is None:
-            bag_rows = [(slice(None), np.ones(len(y)))]
-        else:
-            bag_rows = map(bags.rows, range(len(bags.counts)))
-        for rows, draws in bag_rows:
-            fits.append(_fit_mlp(spec, X[rows], y[rows], draws))
+        for rows, targets, weights in _bag_rows(X, y, counts):
+            fits.append(_fit_mlp(spec, rows, targets, weights))
             if not all(np.isfinite(a).all() for a in fits[-1].values()):
                 break  # a diverged bag ends the fit: the check below names it
         params = {name: np.stack([f[name] for f in fits]) for name in fits[0]}
@@ -449,7 +448,7 @@ def fit(
     for stack in params.values():
         finite &= np.isfinite(stack.reshape(len(stack), -1)).all(axis=1)
     if not finite.all():
-        where = "" if bags is None else f" of bag {np.argmin(finite)}"
+        where = "" if counts is None else f" of bag {np.argmin(finite)}"
         if spec.kind == "mlp":
             raise ValueError(
                 f"MLP fit{where} diverged to non-finite weights; lower mlp_learning_rate "

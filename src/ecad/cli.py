@@ -30,6 +30,7 @@ from .imputation import impute
 from .panel import (
     TimeSeriesPanel,
     build_features,
+    grid_rows,
     load_panel,
     load_sensors,
     neighbor_sets,
@@ -147,11 +148,12 @@ def generate_stage(cfg: PipelineConfig) -> dict:
     save_sensors(panel.sensors, _artifact(cfg, "sensors"))
 
     labeled_times = np.arange(truth.first_labeled_t, panel.n_times)
+    t, k = grid_rows(labeled_times, panel.n_sensors)
     write_csv(
         _artifact(cfg, "truth"),
         {
-            "t": np.repeat(labeled_times, panel.n_sensors),
-            "k": np.tile(np.arange(panel.n_sensors), labeled_times.size),
+            "t": t,
+            "k": k,
             "label": truth.labels[labeled_times].ravel(),
             "injected": truth.injected[labeled_times].ravel(),
         },
@@ -200,11 +202,10 @@ def _train_impl(cfg: PipelineConfig, stage: str) -> dict:
     if not panel.is_complete:
         raise StageError("config", f"completed panel {panel_path} still has missing entries")
     neighbors = _neighbors(coords, cfg.features.neighbor_size, "features.neighbor_size", sensors_path)
-    times, sensors, X, y = build_features(panel, neighbors, cfg.features.n_lags)
+    times, X, y = build_features(panel, neighbors, cfg.features.n_lags)
     try:
         ensemble = train_ensemble(
             times,
-            sensors,
             X,
             y,
             cfg.backend,
@@ -218,7 +219,7 @@ def _train_impl(cfg: PipelineConfig, stage: str) -> dict:
     return {
         "stage": stage,
         "models": ensemble.n_models,
-        "rows": len(y),
+        "rows": y.size,
         "dropped_empty_loo": ensemble.dropped_empty_loo,
         "scores": int(ensemble.scores.size),
     }
@@ -284,7 +285,7 @@ def detect_stage(cfg: PipelineConfig) -> dict:
             "config", f"training panel {train_path} is shorter than the lag depth {n_lags}"
         )
     history = train.values[train.n_times - n_lags :]
-    times, sensor_ids, X, y = build_features(
+    times, X, y = build_features(
         TimeSeriesPanel(
             np.vstack([history, test.values]),
             np.ones((n_lags + test.n_times, train.n_sensors), dtype=bool),
@@ -301,7 +302,6 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     detections = detect_stream(
         ensemble,
         times + (train.n_times - n_lags),
-        sensor_ids,
         X,
         y,
         cfg.detector.alpha,

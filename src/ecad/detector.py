@@ -12,14 +12,14 @@ against a retained window of past scores; a point is flagged when p <= alpha,
 and the window then slides unconditionally (the flagged score still enters)
 unless configured otherwise.
 
-The test stream is the time x sensor grid of ``panel.build_features``, as the
-training rows are, and detection runs one numpy step per timestamp: every
-sensor's point at time t is ranked against the score store as it stood at the
-end of t-1, then all of t is pushed at once.  Sensor k is row k throughout: of
-the store's (K, W) score and time grids, which start as the transpose of the
-ensemble's (W, K) training score grid, and of the (K, m) neighbor id array
-that locality reads.  A comparison set therefore never holds a score of its
-own timestamp.
+The test stream is the time x sensor grid ``(times, X, y)`` of
+``panel.build_features``, as the training data is, and detection runs one
+numpy step per timestamp: every sensor's point at time t is ranked against
+the score store as it stood at the end of t-1, then all of t is pushed at
+once.  Sensor k is column k of the stream, row k of the store's (K, W) score
+and time grids (which start as the transpose of the ensemble's (W, K)
+training score grid) and row k of the (K, m) neighbor id array that locality
+reads.  A comparison set therefore never holds a score of its own timestamp.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .ensemble import Ensemble, loo_aggregate
-from .panel import grid_times
+from .panel import as_grid, grid_rows
 
 __all__ = [
     "nearest_rank_index",
@@ -240,9 +240,9 @@ def batch_test_scores(
 
 @dataclass(frozen=True, eq=False)
 class Detections:
-    """Outcomes of a detection stream as columns, one entry per item in stream order.
+    """Outcomes of a detection stream as columns, one entry per (t, k) in stream order.
 
-    Iterating, ``len`` and integer indexing give :class:`Detection` rows.
+    Iterating and ``len`` give :class:`Detection` rows.
     """
 
     t: np.ndarray
@@ -254,16 +254,6 @@ class Detections:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def __getitem__(self, i: int) -> Detection:
-        return Detection(
-            int(self.t[i]),
-            int(self.k[i]),
-            float(self.test_score[i]),
-            float(self.p_value[i]),
-            bool(self.flagged[i]),
-            int(self.comparison_count[i]),
-        )
 
     def __iter__(self) -> Iterator[Detection]:
         columns = (self.t, self.k, self.test_score, self.p_value, self.flagged, self.comparison_count)
@@ -316,19 +306,18 @@ def _check_neighbors(neighbors: np.ndarray, n_sensors: int) -> np.ndarray:
 def detect_stream(
     ensemble: Ensemble,
     times: Sequence[int],
-    sensors: Sequence[int],
     X: np.ndarray,
-    y: Sequence[float],
+    y: np.ndarray,
     alpha: float,
     locality: LocalityConfig | None = None,
     neighbors: np.ndarray | None = None,
     exclude_flagged_from_window: bool = False,
 ) -> Detections:
-    """Run sequential detection over a stream of (t, k, x, y) items.
+    """Run sequential detection over a time x sensor grid of test points.
 
-    The stream must be the time x sensor grid of ``panel.build_features``
-    (``panel.grid_times``): every timestamp holds sensors 0..K-1 in order,
-    and its times strictly increase from a first time later than the last
+    ``(times, X, y)`` is laid out as ``panel.build_features`` returns it
+    (``panel.as_grid``), with the ensemble's K sensors as the columns of y.
+    Its times strictly increase from a first time later than the last
     retained training time.  The score store is initialized from the
     ensemble's training score grid, row k for sensor k.  Each point of
     timestamp t is ranked against its comparison set in the store as it stood
@@ -351,28 +340,22 @@ def detect_stream(
             raise ValueError("locality with neighbor_sensors variant requires the (K, m) neighbor array")
         neighbors = _check_neighbors(neighbors, n_sensors)
 
-    times = np.asarray(times, dtype=np.int64)
-    sensors = np.asarray(sensors, dtype=np.int64)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if not (len(times) == len(sensors) == X.shape[0] == len(y)):
-        raise ValueError("stream arrays must have equal lengths")
+    times, X, y = as_grid(times, X, y)
+    if y.shape[1] != n_sensors:
+        raise ValueError(f"the stream has {y.shape[1]} sensors, but the ensemble was trained on {n_sensors}")
 
     store = ScoreStore(ensemble.usable_times, ensemble.scores)
-    stream_times = grid_times(times, sensors, n_sensors)
     last = int(ensemble.usable_times[-1])
-    if stream_times.size and stream_times[0] <= last:
-        raise ValueError(
-            f"out-of-order timestamp {stream_times[0]}: the score store already holds time {last}"
-        )
-    scores = batch_test_scores(ensemble, X, y, alpha)
+    if times.size and times[0] <= last:
+        raise ValueError(f"out-of-order timestamp {times[0]}: the score store already holds time {last}")
+    scores = batch_test_scores(ensemble, X.reshape(-1, X.shape[2]), y.reshape(-1), alpha)
     grid, window = store.score_grid, store.window_len
     counter = _NeighborSets(window, locality.n_lags, neighbors) if locality.enabled else None
 
-    count = np.empty((stream_times.size, n_sensors), dtype=np.int64)
+    count = np.empty(y.shape, dtype=np.int64)
     size = np.full(count.shape, window, dtype=np.int64)
     every_sensor = np.arange(n_sensors)
-    for i, (t, s) in enumerate(zip(stream_times.tolist(), scores.reshape(-1, n_sensors))):
+    for i, (t, s) in enumerate(zip(times.tolist(), scores.reshape(y.shape))):
         if counter is not None:
             count[i], size[i] = counter.counts(store, t, s)
         else:
@@ -383,4 +366,4 @@ def detect_stream(
         store.push_rows(pushed, t, s[pushed])
 
     p = (count / size).ravel()
-    return Detections(times, sensors, scores, p, p <= alpha, size.ravel())
+    return Detections(*grid_rows(times, n_sensors), scores, p, p <= alpha, size.ravel())

@@ -1,11 +1,12 @@
 """Bootstrap leave-one-out ensemble training and the initial anomaly score set.
 
-Training takes the ``(times, sensors, X, y)`` arrays of ``panel.build_features``,
-in its time x sensor grid layout and no other.  Bootstrap sampling runs over
-time indices only: each model trains on every sensor's rows at its in-bag
-times, so a single ensemble serves all sensors.  A bag is a multiplicity
-vector over the available times (`BootstrapPlan.multiplicity`), and one
-`backends.fit` call fits all B bags into one stacked model, `Ensemble.model`.
+Training takes the time x sensor grid ``(times, X, y)`` of
+``panel.build_features``.  Bootstrap sampling runs over time indices only:
+each model trains on every sensor's rows at its in-bag times, so a single
+ensemble serves all sensors.  A bag is a multiplicity vector over the
+available times (`BootstrapPlan.multiplicity`), and one `backends.fit` call
+fits all B bags into one stacked model, `Ensemble.model`, with the K rows of
+each time as one block.
 A time's training score is aggregated exclusively from models whose bag
 excludes that time, which keeps the scores out-of-sample without any data
 splitting; the scores form one ``(n_usable_times, K)`` grid, `Ensemble.scores`.
@@ -30,8 +31,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .backends import MODEL_TYPES, BackendSpec, Bags, MLPModel, RidgeModel, fit
-from .panel import grid_rows, grid_times
+from .backends import MODEL_TYPES, BackendSpec, MLPModel, RidgeModel, fit
+from .panel import as_grid, grid_rows
 
 __all__ = [
     "AggregatorSpec",
@@ -291,7 +292,6 @@ class Ensemble:
 
 def train_ensemble(
     times: np.ndarray,
-    sensors: np.ndarray,
     X: np.ndarray,
     y: np.ndarray,
     spec: BackendSpec,
@@ -301,34 +301,25 @@ def train_ensemble(
 ) -> Ensemble:
     """Fit B bootstrap models over time indices and compute the LOO score grid.
 
-    Row i of the arrays is the example (times[i], sensors[i], X[i], y[i]), and
-    the rows must form the time x sensor grid of ``panel.build_features``
-    (``panel.grid_times``), with K = max(sensors) + 1.  Model b trains on all
+    ``(times, X, y)`` is a time x sensor grid as ``panel.build_features``
+    returns it (``panel.as_grid``): ``(X[i, k], y[i, k])`` is sensor k's
+    example at ``times[i]``, and K is ``y.shape[1]``.  Model b trains on all
     rows (every sensor) whose time index lies in its bag, honoring duplicates.
-    The training score of row (i, k) is
+    The training score of (i, k) is
     |y_ik - aggregate(predictions at x_ik of the models excluding time i)|;
     times whose LOO set is empty are dropped with a warning.  A model that
     cannot be fitted on its data (for instance an MLP that diverges) raises
     ValueError naming the bag.
     """
-    times = np.asarray(times, dtype=np.int64)
-    sensors = np.asarray(sensors, dtype=np.int64)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    lengths = {"times": len(times), "sensors": len(sensors), "X": len(X), "y": len(y)}
-    if len(set(lengths.values())) != 1:
-        raise ValueError(f"feature arrays differ in length: {lengths}")
-    if not len(y):
+    times, X, y = as_grid(times, X, y)
+    if not y.size:
         raise ValueError("no feature rows to train on")
     spec.validate()
     aggregator.validate()
-    n_sensors = int(sensors.max()) + 1
-    plan = bootstrap_indices(grid_times(times, sensors, n_sensors), n_models, seed)
-
-    # block i, the rows of time available[i], is rows i*K .. i*K + K - 1
-    starts = np.arange(plan.available.size) * n_sensors
+    n_sensors = y.shape[1]
+    plan = bootstrap_indices(times, n_models, seed)
     try:
-        model = fit(spec, X, y, Bags(np.arange(len(y)), starts, starts + n_sensors, plan.multiplicity))
+        model = fit(spec, X, y, plan.multiplicity)
     except ValueError as exc:  # numpy's LinAlgError is a ValueError
         raise ValueError(f"bootstrap ensemble failed to fit: {exc}") from exc
 
@@ -338,32 +329,29 @@ def train_ensemble(
             "dropped %d of %d time indices with empty leave-one-out model sets",
             np.count_nonzero(~usable), usable.size,
         )
-    # row j belongs to available time row_pos[j]; the kept rows are those of usable times
-    row_pos = np.repeat(np.arange(usable.size), n_sensors)
-    keep = np.flatnonzero(usable[row_pos])
-    keep_pos = row_pos[keep]
-    predictions = model.predict(X)  # (B, n_rows)
+    predictions = model.predict(X.reshape(-1, X.shape[2]))  # (B, T' * K)
     _check_finite_predictions(predictions)
     counts = excluded.sum(axis=1)
     if aggregator.kind == "mean":
         # every row's sum over its time's LOO set in one pass over all rows
         sums = np.einsum("bj,bj->j", predictions, np.repeat(excluded.T, n_sensors, axis=1))
-        loo = sums[keep] / counts[keep_pos]
+        loo = sums.reshape(y.shape)[usable] / counts[usable, None]
     else:
-        # one selection network per LOO set size over every kept row whose
-        # time has a set of that size: wire r of row j is its r-th LOO member's prediction
-        loo = np.empty(keep.size)
-        keep_counts = counts[keep_pos]
-        for count in np.unique(keep_counts).tolist():
-            sel = keep_counts == count
-            members = np.nonzero(excluded[keep_pos[sel]])[1].reshape(-1, count)
-            loo[sel] = _window_mean(predictions[members.T, keep[sel]], *aggregator.rank_window(count))
+        # one selection network per LOO set size over every usable time with a
+        # set of that size: wire r of (i, k) is the prediction of i's r-th LOO member
+        grid = predictions.reshape(len(predictions), *y.shape)  # (B, T', K)
+        loo = np.empty(y.shape)
+        for count in np.unique(counts[usable]).tolist():
+            rows = np.flatnonzero(usable & (counts == count))
+            members = np.nonzero(excluded[rows])[1].reshape(rows.size, count)
+            loo[rows] = _window_mean(grid[members.T, rows], *aggregator.rank_window(count))
+        loo = loo[usable]
     return Ensemble(
         plan=plan,
         model=model,
         aggregator=aggregator,
         backend=spec,
-        scores=np.abs(y[keep] - loo).reshape(-1, n_sensors),
+        scores=np.abs(y[usable] - loo),
     )
 
 

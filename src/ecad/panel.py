@@ -4,12 +4,12 @@ Sensor geometry is a ``(K, 2)`` array of planar coordinates whose row k is
 sensor k; ``neighbor_sets`` ranks every sensor's neighbours from it into a
 ``(K, m)`` array of sensor ids, again with row k for sensor k.
 
-``build_features`` turns a complete panel into the arrays every later stage
-consumes: ``(times, sensors, X, y)``, one supervised row per (t, k), laid out
-as a time x sensor grid.  ``grid_rows`` lays rows out on that grid and
-``grid_times`` checks the layout; training and detection accept no other.
-Panels are read-only after construction, so they are safe to share across
-threads.
+``build_features`` turns a complete panel into the time x sensor grid every
+later stage consumes: ``(times, X, y)`` with ``X`` of shape ``(T', K, d)`` and
+``y`` of shape ``(T', K)``, so sensor k is column k at every time.
+``as_grid`` is the one check of those shapes, and ``grid_rows`` flattens a
+grid into its ``(t, k)`` rows where an artifact stores one.  Panels are
+read-only after construction, so they are safe to share across threads.
 
 The CSV format of every pipeline artifact lives here: ``read_csv`` is the only
 parser of CSV text and ``write_csv`` the only formatter.
@@ -34,8 +34,8 @@ __all__ = [
     "save_sensors",
     "neighbor_sets",
     "build_features",
+    "as_grid",
     "grid_rows",
-    "grid_times",
 ]
 
 
@@ -287,18 +287,18 @@ def build_features(
     panel: TimeSeriesPanel,
     neighbors: np.ndarray,
     n_lags: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Lagged neighbor features of every (t, k) with t in [n_lags, T): (times, sensors, X, y).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lagged neighbor features of every (t, k) with t in [n_lags, T): (times, X, y).
 
     ``neighbors`` is a ``(K, m)`` array of sensor ids, row k for sensor k, as
-    ``neighbor_sets`` returns it.  Row i is the supervised example
-    ``y[i] = values[times[i], sensors[i]]``; rows are ordered by time then
-    sensor, (T - n_lags) * K in all.  ``X[i]`` is neighbor-major: for each
-    neighbor in the sensor's row the lags appear from t-1 down to t-n_lags, so
-    only strictly earlier values are referenced and the width is
-    ``n_lags * m``.  Requires a complete panel; run the imputer first if there
-    are missing entries.  Pure function: identical inputs give bit-identical
-    arrays.
+    ``neighbor_sets`` returns it.  ``times`` is ``n_lags .. T-1``, and
+    ``(X[i, k], y[i, k])`` is the supervised example of sensor k at
+    ``times[i]``, with ``y[i, k] = values[times[i], k]``.  ``X[i, k]`` is
+    neighbor-major: for each neighbor in the sensor's row the lags appear from
+    t-1 down to t-n_lags, so only strictly earlier values are referenced and
+    the width is ``n_lags * m``.  Requires a complete panel; run the imputer
+    first if there are missing entries.  Pure function: identical inputs give
+    bit-identical arrays.
     """
     if not panel.is_complete:
         raise ValueError("panel has missing entries; impute before building features")
@@ -313,34 +313,31 @@ def build_features(
     # lag_rows[i, l] is the time l+1 steps before target time n_lags + i
     lag_rows = np.arange(n_lags, T)[:, None] - np.arange(1, n_lags + 1)
     X = panel.values[lag_rows[:, None, None, :], neighbors[None, :, :, None]]  # (T - n_lags, K, m, n_lags)
-    times, sensor_ids = grid_rows(np.arange(n_lags, T), K)
-    y = panel.values[n_lags:, :].reshape(-1)
-    return times, sensor_ids, X.reshape(times.size, -1), y
+    return np.arange(n_lags, T), X.reshape(T - n_lags, K, -1), panel.values[n_lags:]
+
+
+def as_grid(times: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(times, X, y)`` as the int64 and float64 arrays of a time x sensor grid, else ValueError.
+
+    ``X`` must be ``(T', K, d)``, ``y`` ``(T', K)`` and ``times`` ``(T',)``,
+    strictly increasing.
+    """
+    times = np.asarray(times, dtype=np.int64)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if times.ndim != 1 or y.ndim != 2 or X.ndim != 3 or X.shape[:2] != y.shape or len(times) != len(y):
+        raise ValueError(
+            f"the arrays do not form a time x sensor grid: times {times.shape}, X {X.shape} and y "
+            f"{y.shape} must be of shapes (T',), (T', K, d) and (T', K)"
+        )
+    if (times[1:] <= times[:-1]).any():
+        raise ValueError("the times of the grid must strictly increase")
+    return times, X, y
 
 
 def grid_rows(times: np.ndarray, n_sensors: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (time, sensor) of each row of the time x sensor grid over ``times``.
+    """The (time, sensor) of each row of the time x sensor grid over ``times``, flattened.
 
     Rows i*K .. i*K + K - 1 hold sensors 0..K-1, in order, at ``times[i]``.
     """
     return np.repeat(times, n_sensors), np.tile(np.arange(n_sensors), len(times))
-
-
-def grid_times(times: np.ndarray, sensors: np.ndarray, n_sensors: int) -> np.ndarray:
-    """The distinct times of rows laid out as ``grid_rows`` lays them out, else ValueError.
-
-    The distinct times must strictly increase.  Any other layout (a missing,
-    repeated or reordered row) is refused.
-    """
-    times, sensors = np.asarray(times), np.asarray(sensors)
-    n = len(times)
-    if n_sensors >= 1 and len(sensors) == n and n % n_sensors == 0:
-        distinct = times[::n_sensors]
-        want_times, want_sensors = grid_rows(distinct, n_sensors)
-        increasing = (distinct[1:] > distinct[:-1]).all()
-        if increasing and np.array_equal(times, want_times) and np.array_equal(sensors, want_sensors):
-            return distinct
-    raise ValueError(
-        f"the rows do not form a time x sensor grid: each time must hold sensors 0..{n_sensors - 1} "
-        "in order, one row each, and times must strictly increase"
-    )

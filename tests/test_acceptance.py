@@ -65,16 +65,13 @@ def _calibration_flag_rate(seed: int, error: ErrorSpec) -> float:
     )
     panel, _ = generate(cfg)
     neighbors = neighbor_sets(panel.sensors, 5)
-    times, sensors, X, y = build_features(panel, neighbors, 5)
+    times, X, y = build_features(panel, neighbors, 5)
     train_sel = times < cfg.n_train
     ensemble = train_ensemble(
-        times[train_sel], sensors[train_sel], X[train_sel], y[train_sel],
-        BackendSpec(kind="ridge"), 25, seed=seed + 1000,
+        times[train_sel], X[train_sel], y[train_sel], BackendSpec(kind="ridge"), 25, seed=seed + 1000
     )
     test_sel = ~train_sel
-    detections = ecad.detect_stream(
-        ensemble, times[test_sel], sensors[test_sel], X[test_sel], y[test_sel], alpha=0.05
-    )
+    detections = ecad.detect_stream(ensemble, times[test_sel], X[test_sel], y[test_sel], alpha=0.05)
     return float(np.mean([d.flagged for d in detections]))
 
 
@@ -117,7 +114,9 @@ def _loo_construction_oracle(name, spec, naive_fit):
     draws = [(rng.normal(size=3), float(rng.normal())) for _ in times]
     X = np.array([x for x, _ in draws])
     y = np.array([v for _, v in draws])
-    ensemble = train_ensemble(times, sensors, X, y, spec, n_models, seed=123)
+    # the flat rows above, by time then sensor, as the time x sensor grid
+    grid = (np.arange(1, n_times + 1), X.reshape(n_times, n_sensors, 3), y.reshape(n_times, n_sensors))
+    ensemble = train_ensemble(*grid, spec, n_models, seed=123)
     assert (ensemble.plan.multiplicity > 1).any(), "no bag repeats a time"
 
     # naive oracle: refit every bootstrap model and re-aggregate from scratch

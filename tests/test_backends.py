@@ -4,7 +4,6 @@ import pytest
 from ecad import backends
 from ecad.backends import (
     BackendSpec,
-    Bags,
     fit,
     init_mlp_params,
     mlp_loss,
@@ -99,6 +98,13 @@ def test_fit_rejects_bad_inputs():
         fit(spec, np.empty((0, 2)), np.empty(0))
     with pytest.raises(ValueError):
         fit(spec, np.ones((3, 2)), np.ones(4))
+    # with bag counts, X is (n_blocks, rows, d), y (n_blocks, rows) and counts (B, n_blocks)
+    with pytest.raises(ValueError, match="3-D"):
+        fit(spec, np.ones((6, 2)), np.ones((3, 2)), np.ones((2, 3), dtype=int))
+    with pytest.raises(ValueError, match="one row per entry"):
+        fit(spec, np.ones((3, 2, 2)), np.ones((3, 3)), np.ones((2, 3), dtype=int))
+    with pytest.raises(ValueError, match="bag counts"):
+        fit(spec, np.ones((3, 2, 2)), np.ones((3, 2)), np.ones((2, 4), dtype=int))
     with pytest.raises(ValueError, match="unknown backend"):
         fit(BackendSpec(kind="forest"), np.ones((3, 2)), np.ones(3))
 
@@ -117,18 +123,17 @@ def test_fit_rejects_diverged_mlp():
 
 
 def test_bagged_mlp_fit_stops_at_the_first_diverged_bag(monkeypatch):
+    # 20 blocks of 10 rows, every bag drawing each block once
     rng = np.random.default_rng(0)
-    X = rng.normal(size=(200, 3))
-    y = X @ np.array([1.0, 2.0, 3.0]) + rng.normal(size=200)
+    X = rng.normal(size=(20, 10, 3))
+    y = X @ np.array([1.0, 2.0, 3.0]) + rng.normal(size=(20, 10))
     spec = BackendSpec(
         kind="mlp", mlp_hidden=(64, 64), mlp_epochs=20, mlp_learning_rate=0.5, seed=0
     )
-    starts = np.arange(0, 200, 10)
-    bags = Bags(np.arange(200), starts, starts + 10, np.ones((4, starts.size), dtype=np.int64))
     fitted, fit_mlp = [], backends._fit_mlp
     monkeypatch.setattr(backends, "_fit_mlp", lambda *args: fitted.append(args) or fit_mlp(*args))
     with pytest.raises(ValueError, match="MLP fit of bag 0 diverged"):
-        fit(spec, X, y, bags)
+        fit(spec, X, y, np.ones((4, 20), dtype=np.int64))
     assert len(fitted) == 1
 
 
@@ -283,15 +288,13 @@ def test_mlp_loss_and_gradients_equal_reference_and_are_not_reused():
 def test_mlp_ensemble_models_share_no_memory_and_equal_standalone_fits(monkeypatch):
     rng = np.random.default_rng(9)
     n_times, n_sensors = 30, 3
-    times = np.repeat(np.arange(n_times), n_sensors)
-    sensors = np.tile(np.arange(n_sensors), n_times)
-    X = rng.normal(size=(n_times * n_sensors, 4))
-    y = rng.normal(size=n_times * n_sensors)
+    X = rng.normal(size=(n_times, n_sensors, 4))
+    y = rng.normal(size=(n_times, n_sensors))
     spec = BackendSpec(kind="mlp", mlp_hidden=(5, 3), mlp_epochs=15, mlp_learning_rate=0.05, seed=4)
     fitted, fit_mlp = [], backends._fit_mlp
     monkeypatch.setattr(backends, "_fit_mlp", lambda *args: fitted.append(args) or fit_mlp(*args))
     ens = train_ensemble(
-        times, sensors, X, y, spec, n_models=6, aggregator=AggregatorSpec("mean"), seed=2
+        np.arange(n_times), X, y, spec, n_models=6, aggregator=AggregatorSpec("mean"), seed=2
     )
     assert (ens.plan.multiplicity > 1).any(), "no bag repeats a time"
     stacks = ens.model.weights + ens.model.biases
@@ -302,38 +305,34 @@ def test_mlp_ensemble_models_share_no_memory_and_equal_standalone_fits(monkeypat
     assert len(fitted) == ens.n_models
     for b, (_, X_fit, y_fit, draws) in enumerate(fitted):
         # each bag trains once over its distinct rows, a row weighted by its time's draws
-        distinct = [t * n_sensors + k for t in np.unique(ens.plan.in_bag[b]) for k in range(n_sensors)]
-        assert np.array_equal(X_fit, X[distinct]) and np.array_equal(y_fit, y[distinct])
+        distinct = np.unique(ens.plan.in_bag[b])
+        assert np.array_equal(X_fit, X[distinct].reshape(-1, 4))
+        assert np.array_equal(y_fit, y[distinct].ravel())
         drawn = ens.plan.multiplicity[b]
         assert np.array_equal(draws, np.repeat(drawn[drawn > 0], n_sensors))
         assert draws.sum() == ens.plan.in_bag[b].size * n_sensors
     monkeypatch.undo()
     for b in range(ens.n_models):
         # ... and equals a fit on its rows in ascending time order, duplicates repeated
-        bag = [t * n_sensors + k for t in np.sort(ens.plan.in_bag[b]) for k in range(n_sensors)]
-        alone = fit(spec, X[bag], y[bag])
+        bag = np.sort(ens.plan.in_bag[b])
+        alone = fit(spec, X[bag].reshape(-1, 4), y[bag].ravel())
         for got, want in zip(stacks, alone.weights + alone.biases):
             assert np.max(np.abs(got[b] - want[0])) <= 1e-10 * np.max(np.abs(want[0])), b
 
 
 @pytest.mark.parametrize("hidden, lr", [((5, 3), 0.05), ((16, 16), 1e-3), ((16, 16), 0.05)])
 def test_bagged_mlp_fits_equal_fits_on_gathered_bags(hidden, lr):
-    # blocks of 1-5 rows in shuffled order, bags that draw some blocks repeatedly
+    # 20 blocks of 3 rows, bags that draw some blocks repeatedly
     rng = np.random.default_rng(12)
-    sizes = rng.integers(1, 6, size=20)
-    stops = np.cumsum(sizes)
-    order = rng.permutation(stops[-1])
-    X = rng.normal(size=(stops[-1], 6))
-    y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=stops[-1])
+    X = rng.normal(size=(20, 3, 6))
+    y = np.sin(X[:, :, 0]) + 0.1 * rng.normal(size=(20, 3))
     counts = rng.multinomial(20, np.full(20, 1 / 20), size=4)
     assert (counts > 1).any() and (counts == 0).any()
-    bags = Bags(order, stops - sizes, stops, counts)
     spec = BackendSpec(kind="mlp", mlp_hidden=hidden, mlp_epochs=100, mlp_learning_rate=lr, seed=1)
-    model = fit(spec, X, y, bags)
+    model = fit(spec, X, y, counts)
     for b in range(len(counts)):
         blocks = np.repeat(np.arange(20), counts[b])
-        gathered = np.concatenate([order[bags.starts[i] : stops[i]] for i in blocks])
-        alone = fit(spec, X[gathered], y[gathered])
+        alone = fit(spec, X[blocks].reshape(-1, 6), y[blocks].ravel())
         for name, want in alone.params.items():
             got, want = model.params[name][b], want[0]
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (b, name)

@@ -189,9 +189,9 @@ def test_detect_features_equal_full_panel_rows(tmp_path, monkeypatch):
     seen = {}
     detect_stream = ecad.cli.detect_stream
 
-    def recording_detect_stream(ensemble, times, sensors, X, y, *args, **kwargs):
-        seen.update(times=times, sensors=sensors, X=X, y=y)
-        return detect_stream(ensemble, times, sensors, X, y, *args, **kwargs)
+    def recording_detect_stream(ensemble, times, X, y, *args, **kwargs):
+        seen.update(times=times, X=X, y=y)
+        return detect_stream(ensemble, times, X, y, *args, **kwargs)
 
     monkeypatch.setattr(ecad.cli, "detect_stream", recording_detect_stream)
     detect_stage(cfg)
@@ -206,10 +206,9 @@ def test_detect_features_equal_full_panel_rows(tmp_path, monkeypatch):
         sensors,
     )
     neighbors = neighbor_sets(sensors, cfg.features.neighbor_size)
-    times, sensor_ids, X, y = build_features(full, neighbors, cfg.features.n_lags)
+    times, X, y = build_features(full, neighbors, cfg.features.n_lags)
     test_rows = times >= train.n_times
     assert np.array_equal(seen["times"], times[test_rows])
-    assert np.array_equal(seen["sensors"], sensor_ids[test_rows])
     assert np.array_equal(seen["X"], X[test_rows])
     assert np.array_equal(seen["y"], y[test_rows])
 

@@ -154,20 +154,19 @@ def test_loo_kernel_matches_loo_predict(kind):
     # training scores and the detection matrix both equal the scalar LOO predictor
     rng = np.random.default_rng(8)
     values = rng.normal(size=(30, 2))
-    times = np.repeat(np.arange(2, 30), 2)
-    sensors = np.tile(np.arange(2), 28)
-    features = np.stack([values[t - 2 : t, k] for t, k in zip(times, sensors)])
-    targets = values[times, sensors]
-    ens = train_ensemble(
-        times, sensors, features, targets, BackendSpec(kind="ridge"), 6, AggregatorSpec(kind), seed=0
-    )
+    times = np.arange(2, 30)
+    features = np.stack([values[times - 2], values[times - 1]], axis=2)  # (t, k) holds values[t-2:t, k]
+    targets = values[2:]
+    ens = train_ensemble(times, features, targets, BackendSpec(kind="ridge"), 6, AggregatorSpec(kind), seed=0)
     sizes = set(ens.usable_loo_mask.sum(axis=1).tolist())
     assert {1, 2, 3, 4} <= sizes
 
     usable = np.isin(times, ens.usable_times)
     assert ens.scores.shape == (ens.usable_times.size, 2)
-    for s, t, x, v in zip(ens.scores.ravel(), times[usable], features[usable], targets[usable]):
-        assert s == pytest.approx(abs(v - loo_predict(ens, int(t), x)), abs=1e-12)
+    for i, t in enumerate(times[usable]):
+        for k in range(2):
+            want = abs(targets[usable][i, k] - loo_predict(ens, int(t), features[usable][i, k]))
+            assert ens.scores[i, k] == pytest.approx(want, abs=1e-12)
 
     X = rng.normal(size=(5, 2))
     matrix = loo_prediction_matrix(ens, X, chunk=3)
@@ -195,8 +194,7 @@ def scoring_ensemble(request):
     times = np.arange(2, 700)
     X = np.stack([values[t - 2 : t].ravel() for t in times])
     return train_ensemble(
-        times, np.zeros_like(times), X, values[2:, 0],
-        BackendSpec(kind="ridge"), 25, AggregatorSpec(request.param), seed=0,
+        times, X[:, None], values[2:, :1], BackendSpec(kind="ridge"), 25, AggregatorSpec(request.param), seed=0
     )
 
 
@@ -318,21 +316,19 @@ def test_score_store_rejects_cold_input():
 def _train_small_ensemble(seed=0, T=80, K=2):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(T, K)).cumsum(axis=0) * 0.05 + rng.normal(size=(T, K))
-    times = np.repeat(np.arange(1, T), K)
-    sensors = np.tile(np.arange(K), T - 1)
-    X = values[times - 1, sensors][:, None]
-    ens = train_ensemble(times, sensors, X, values[times, sensors], BackendSpec(kind="ridge"), 10, seed=seed)
+    # one feature per (t, k): the sensor's value at t-1
+    ens = train_ensemble(np.arange(1, T), values[:-1, :, None], values[1:], BackendSpec(kind="ridge"), 10, seed=seed)
     return ens, values
 
 
 def test_detect_stream_flags_huge_spike_with_p_zero():
     ens, values = _train_small_ensemble()
     T, K = values.shape
-    stream_x = values[T - 1][:, None]
+    stream_x = values[T - 1][None, :, None]
     spike_y = values[:, 0].mean() + 10.0 * values[:, 0].std() + values[:, 0].max()
-    dets = detect_stream(ens, [T, T], [0, 1], stream_x, [spike_y, values[T - 1, 1]], alpha=0.05)
-    assert dets[0].flagged
-    assert dets[0].p_value == 0.0
+    dets = detect_stream(ens, [T], stream_x, [[spike_y, values[T - 1, 1]]], alpha=0.05)
+    assert dets.flagged[0]
+    assert dets.p_value[0] == 0.0
 
 
 def test_detect_stream_single_sensor_matches_plain_algorithm():
@@ -340,9 +336,9 @@ def test_detect_stream_single_sensor_matches_plain_algorithm():
     T = values.shape[0]
     rng = np.random.default_rng(9)
     stream_y = rng.normal(size=10) + values[:, 0].mean()
-    stream_x = rng.normal(size=(10, 1))
+    stream_x = rng.normal(size=(10, 1, 1))
     stream_t = np.arange(T, T + 10)
-    dets = detect_stream(ens, stream_t, np.zeros(10, dtype=int), stream_x, stream_y, alpha=0.1)
+    dets = detect_stream(ens, stream_t, stream_x, stream_y[:, None], alpha=0.1)
 
     # standalone single-series reference: list window, count, flag, slide
     window = ens.scores[:, 0].tolist()
@@ -360,12 +356,7 @@ def test_detect_stream_eviction_audit():
     T = values.shape[0]
     n_steps = 5
     stream = detect_stream(
-        ens,
-        np.repeat(np.arange(T, T + n_steps), 2),
-        np.tile([0, 1], n_steps),
-        np.zeros((2 * n_steps, 1)),
-        np.zeros(2 * n_steps),
-        alpha=0.05,
+        ens, np.arange(T, T + n_steps), np.zeros((n_steps, 2, 1)), np.zeros((n_steps, 2)), alpha=0.05
     )
     # after n steps at sensor 1, exactly the n oldest initial scores are gone
     replica = ScoreStore(ens.usable_times, ens.scores)
@@ -381,78 +372,88 @@ def test_detect_stream_eviction_audit():
 
 
 def test_detect_stream_rejects_out_of_order_and_unknown_sensor():
-    # the stream must be the time x sensor grid of build_features
+    # the stream is a time x sensor grid over strictly increasing times, with
+    # the ensemble's sensors as its columns
     ens, values = _train_small_ensemble(seed=5)
     T = values.shape[0]
-    with pytest.raises(ValueError, match="time x sensor grid"):
-        detect_stream(
-            ens, [T + 1, T], [0, 0], np.zeros((2, 1)), np.zeros(2), alpha=0.05
-        )
-    with pytest.raises(ValueError, match="time x sensor grid"):
-        detect_stream(ens, [T + 1, T + 1, T, T], [0, 1, 0, 1], np.zeros((4, 1)), np.zeros(4), alpha=0.05)
-    with pytest.raises(ValueError, match="time x sensor grid"):
-        detect_stream(ens, [T, T], [0, 7], np.zeros((2, 1)), np.zeros(2), alpha=0.05)
-    # a timestamp that lacks a sensor, or holds its sensors out of order
-    with pytest.raises(ValueError, match="time x sensor grid"):
-        detect_stream(ens, [T, T, T + 1], [0, 1, 0], np.zeros((3, 1)), np.zeros(3), alpha=0.05)
-    with pytest.raises(ValueError, match="time x sensor grid"):
-        detect_stream(ens, [T, T], [1, 0], np.zeros((2, 1)), np.zeros(2), alpha=0.05)
+    with pytest.raises(ValueError, match="strictly increase"):
+        detect_stream(ens, [T + 1, T, T + 2], np.zeros((3, 2, 1)), np.zeros((3, 2)), alpha=0.05)
+    # a sensor 2 the ensemble never saw, or a missing sensor 1
+    for K in (3, 1):
+        with pytest.raises(ValueError, match=f"the stream has {K} sensors, but the ensemble was trained on 2"):
+            detect_stream(ens, [T], np.zeros((1, K, 1)), np.zeros((1, K)), alpha=0.05)
+
+
+@pytest.mark.parametrize(
+    "times, x_shape, y_shape",
+    [
+        ([0, 1], (2, 2, 1), (2, 3)),  # y with K+1 columns against X
+        ([0, 1], (2, 3, 1), (2, 2)),  # X with K+1 sensors against y
+        ([0, 1], (3, 2, 1), (3, 2)),  # times one short
+        ([0, 1, 2], (3, 2, 1), (2, 2)),  # y one time short
+        ([0, 1], (2, 2), (2, 2)),  # X without a feature axis
+        ([[0, 1]], (2, 2, 1), (2, 2)),  # 2-D times
+    ],
+    ids=["y-extra-sensor", "x-extra-sensor", "times-short", "y-short", "x-flat", "times-2d"],
+)
+def test_detect_stream_refuses_arrays_that_are_not_the_grid(times, x_shape, y_shape):
+    ens, values = _train_small_ensemble(seed=5)
+    times = np.asarray(times) + values.shape[0]
+    with pytest.raises(ValueError, match="do not form a time x sensor grid"):
+        detect_stream(ens, times, np.zeros(x_shape), np.zeros(y_shape), alpha=0.05)
 
 
 def test_detect_stream_exclude_flagged_keeps_window_clean():
     ens, values = _train_small_ensemble(seed=6, K=1)
     T = values.shape[0]
     spike = values[:, 0].max() + 10 * values[:, 0].std() + 10
-    stream_y = np.array([spike, spike])
-    stream_x = np.zeros((2, 1))
+    stream_y = np.array([[spike], [spike]])
+    stream_x = np.zeros((2, 1, 1))
     kept = detect_stream(
-        ens, [T, T + 1], [0, 0], stream_x, stream_y, alpha=0.05,
-        exclude_flagged_from_window=True,
+        ens, [T, T + 1], stream_x, stream_y, alpha=0.05, exclude_flagged_from_window=True
     )
     slid = detect_stream(
-        ens, [T, T + 1], [0, 0], stream_x, stream_y, alpha=0.05,
-        exclude_flagged_from_window=False,
+        ens, [T, T + 1], stream_x, stream_y, alpha=0.05, exclude_flagged_from_window=False
     )
-    assert kept[0].flagged and slid[0].flagged
+    assert kept.flagged[0] and slid.flagged[0]
     # with exclusion the second identical spike still beats the whole window;
     # with sliding it ties against the first spike's score
-    assert kept[1].p_value == 0.0
-    assert slid[1].p_value > 0.0
+    assert kept.p_value[1] == 0.0
+    assert slid.p_value[1] > 0.0
 
 
 def test_detect_stream_locality_variants():
     ens, values = _train_small_ensemble(seed=7, K=2)
     T = values.shape[0]
     neighbors = np.array([[0, 1], [1, 0]])
-    stream_t = [T, T]
-    stream_k = [0, 1]
-    stream_x = np.zeros((2, 1))
-    stream_y = np.zeros(2)
-    plain = detect_stream(ens, stream_t, stream_k, stream_x, stream_y, alpha=0.05)
+    stream_t = [T]
+    stream_x = np.zeros((1, 2, 1))
+    stream_y = np.zeros((1, 2))
+    plain = detect_stream(ens, stream_t, stream_x, stream_y, alpha=0.05)
     printed = detect_stream(
-        ens, stream_t, stream_k, stream_x, stream_y, alpha=0.05,
+        ens, stream_t, stream_x, stream_y, alpha=0.05,
         locality=LocalityConfig(enabled=True, n_lags=2, neighbor_size=2, variant="as_printed"),
     )
     local = detect_stream(
-        ens, stream_t, stream_k, stream_x, stream_y, alpha=0.05,
+        ens, stream_t, stream_x, stream_y, alpha=0.05,
         locality=LocalityConfig(enabled=True, n_lags=2, neighbor_size=2),
         neighbors=neighbors,
     )
     window_len = len(ens.scores)
-    assert plain[0].comparison_count == window_len
+    assert plain.comparison_count[0] == window_len
     # as_printed compares against every retained score of both sensors
-    assert printed[0].comparison_count == 2 * window_len
+    assert printed.comparison_count[0] == 2 * window_len
     # neighbor variant with all sensors as neighbors also saturates
-    assert local[0].comparison_count == 2 * window_len
-    # second item at sensor 1: sensor 0 already slid, still full saturation
-    assert printed[1].comparison_count == 2 * window_len
+    assert local.comparison_count[0] == 2 * window_len
+    # the point of sensor 1 at the same time: still full saturation
+    assert printed.comparison_count[1] == 2 * window_len
 
 
 def test_detect_stream_requires_neighbors_for_local_variant():
     ens, _ = _train_small_ensemble(seed=8)
     with pytest.raises(ValueError, match="neighbor array"):
         detect_stream(
-            ens, [99], [0], np.zeros((1, 1)), np.zeros(1), alpha=0.05,
+            ens, [99], np.zeros((1, 2, 1)), np.zeros((1, 2)), alpha=0.05,
             locality=LocalityConfig(enabled=True),
         )
 
@@ -473,7 +474,7 @@ def test_detect_stream_rejects_malformed_neighbor_array(neighbors, message):
     ens, values = _train_small_ensemble(seed=8)
     with pytest.raises(ValueError, match=message):
         detect_stream(
-            ens, [values.shape[0]], [0], np.zeros((1, 1)), np.zeros(1), alpha=0.05,
+            ens, [values.shape[0]], np.zeros((1, 2, 1)), np.zeros((1, 2)), alpha=0.05,
             locality=LocalityConfig(enabled=True), neighbors=neighbors,
         )
 
@@ -482,11 +483,8 @@ def test_detection_record_invariants():
     ens, values = _train_small_ensemble(seed=10)
     T = values.shape[0]
     rng = np.random.default_rng(11)
-    n = 20
-    stream_t = np.repeat(np.arange(T, T + 10), 2)
-    stream_k = np.tile([0, 1], 10)
     dets = detect_stream(
-        ens, stream_t, stream_k, rng.normal(size=(n, 1)), rng.normal(size=n), alpha=0.05
+        ens, np.arange(T, T + 10), rng.normal(size=(10, 2, 1)), rng.normal(size=(10, 2)), alpha=0.05
     )
     for d in dets:
         assert isinstance(d, Detection)
@@ -500,13 +498,9 @@ def test_detections_columns_match_rows():
     ens, values = _train_small_ensemble(seed=12)
     T = values.shape[0]
     rng = np.random.default_rng(12)
-    dets = detect_stream(
-        ens, np.repeat([T, T + 1], 2), [0, 1, 0, 1], rng.normal(size=(4, 1)), rng.normal(size=4),
-        alpha=0.05,
-    )
+    dets = detect_stream(ens, [T, T + 1], rng.normal(size=(2, 2, 1)), rng.normal(size=(2, 2)), alpha=0.05)
     assert isinstance(dets, Detections) and len(dets) == 4
     rows = list(dets)
-    assert rows[-1] == dets[-1] == dets[3]
     assert [r.t for r in rows] == dets.t.tolist() == [T, T, T + 1, T + 1]
     assert [r.k for r in rows] == dets.k.tolist() == [0, 1, 0, 1]
     assert [r.test_score for r in rows] == dets.test_score.tolist()
@@ -518,24 +512,24 @@ def test_detections_columns_match_rows():
 def test_detect_stream_rejects_time_going_back_across_sensors():
     ens, values = _train_small_ensemble(seed=5)
     T = values.shape[0]
-    with pytest.raises(ValueError, match="time x sensor grid"):
-        detect_stream(ens, [T + 1, T], [0, 1], np.zeros((2, 1)), np.zeros(2), alpha=0.05)
+    with pytest.raises(ValueError, match="strictly increase"):
+        detect_stream(ens, [T + 1, T], np.zeros((2, 2, 1)), np.zeros((2, 2)), alpha=0.05)
 
 
 def test_detect_stream_rejects_duplicate_item():
     ens, values = _train_small_ensemble(seed=5)
     T = values.shape[0]
-    with pytest.raises(ValueError, match="time x sensor grid"):
-        detect_stream(ens, [T, T, T], [0, 1, 0], np.zeros((3, 1)), np.zeros(3), alpha=0.05)
-    with pytest.raises(ValueError, match="time x sensor grid"):
-        detect_stream(ens, [T, T, T, T], [0, 1, 0, 1], np.zeros((4, 1)), np.zeros(4), alpha=0.05)
+    # a repeated time, next to the first one or after a later one
+    for times in ([T, T], [T, T + 1, T + 1], [T, T + 1, T]):
+        with pytest.raises(ValueError, match="strictly increase"):
+            detect_stream(ens, times, np.zeros((len(times), 2, 1)), np.zeros((len(times), 2)), alpha=0.05)
 
 
 def test_detect_stream_rejects_time_inside_retained_window():
     ens, values = _train_small_ensemble(seed=5)
     last = int(ens.usable_times[-1])
     with pytest.raises(ValueError, match="out-of-order.*already holds"):
-        detect_stream(ens, [last, last], [0, 1], np.zeros((2, 1)), np.zeros(2), alpha=0.05)
+        detect_stream(ens, [last], np.zeros((1, 2, 1)), np.zeros((1, 2)), alpha=0.05)
 
 
 def _locality_stream(seed, n_times):
@@ -544,12 +538,10 @@ def _locality_stream(seed, n_times):
     T = values.shape[0]
     rng = np.random.default_rng(seed)
     steps = rng.integers(1, 3, size=n_times)
-    stream_t = np.repeat(T + np.cumsum(steps) - steps[0], 12)
-    stream_k = np.tile(np.arange(12), n_times)
-    n = stream_t.size
-    stream_x = rng.normal(size=(n, 1))
-    stream_y = rng.normal(size=n) + np.where(rng.random(n) < 0.15, 12.0, 0.0)
-    return ens, stream_t, stream_k, stream_x, stream_y
+    stream_t = T + np.cumsum(steps) - steps[0]
+    stream_x = rng.normal(size=(n_times, 12, 1))
+    stream_y = rng.normal(size=(n_times, 12)) + np.where(rng.random((n_times, 12)) < 0.15, 12.0, 0.0)
+    return ens, stream_t, stream_x, stream_y
 
 
 # row k holds sensor k itself, then k + 3 and k + 6 (mod 12)
@@ -560,13 +552,15 @@ _NEIGHBORS = (np.arange(12)[:, None] + 3 * np.arange(3)) % 12
 def test_detect_stream_locality_ignores_scores_of_the_same_timestamp(variant):
     # every point of timestamp t ranks against the store as it stood at the end
     # of t-1, so moving the other sensors' points at t changes none of its results
-    ens, stream_t, stream_k, stream_x, stream_y = _locality_stream(21, 12)
+    ens, stream_t, stream_x, stream_y = _locality_stream(21, 12)
     locality = LocalityConfig(enabled=True, n_lags=3, variant=variant)
-    moved = (stream_t == stream_t[-1]) & (stream_k % 2 == 1)
+    moved = np.zeros(stream_y.shape, dtype=bool)
+    moved[-1, 1::2] = True  # the odd sensors at the last time
     runs = [
-        detect_stream(ens, stream_t, stream_k, stream_x, y, alpha=0.1, locality=locality, neighbors=_NEIGHBORS)
+        detect_stream(ens, stream_t, stream_x, y, alpha=0.1, locality=locality, neighbors=_NEIGHBORS)
         for y in (stream_y, stream_y + np.where(moved, 50.0, 0.0))
     ]
+    moved = moved.ravel()
     for name in ("test_score", "p_value", "flagged", "comparison_count"):
         first, second = (getattr(dets, name) for dets in runs)
         assert np.array_equal(first[~moved], second[~moved]), name
@@ -574,15 +568,14 @@ def test_detect_stream_locality_ignores_scores_of_the_same_timestamp(variant):
     assert runs[0].flagged.any()
 
 
-def _replay(ens, stream_t, stream_k, scores, alpha, locality, neighbors, exclude_flagged):
-    """(rank count, comparison-set size) per item, ranked point by point against a
+def _replay(ens, stream_t, scores, alpha, locality, neighbors, exclude_flagged):
+    """(rank count, comparison-set size) per (t, k), ranked point by point against a
     copy of the store taken at the end of the previous timestamp."""
     store = ScoreStore(ens.usable_times, ens.scores)
     out = []
-    for t in dict.fromkeys(stream_t.tolist()):
+    for t, row in zip(stream_t.tolist(), scores.reshape(len(stream_t), -1).tolist()):
         snapshot = copy.deepcopy(store)
-        for j in np.flatnonzero(stream_t == t):
-            k, s = int(stream_k[j]), float(scores[j])
+        for k, s in enumerate(row):
             if not locality.enabled:
                 window = snapshot.score_grid[k]
             elif locality.variant == "as_printed":
@@ -608,17 +601,15 @@ def _replay(ens, stream_t, stream_k, scores, alpha, locality, neighbors, exclude
     ids=["plain", "neighbors", "neighbors-saturated", "as_printed"],
 )
 def test_detect_stream_matches_point_by_point_oracle(locality, exclude_flagged):
-    ens, stream_t, stream_k, stream_x, stream_y = _locality_stream(31, 15)
+    ens, stream_t, stream_x, stream_y = _locality_stream(31, 15)
     alpha = 0.1
     dets = detect_stream(
-        ens, stream_t, stream_k, stream_x, stream_y, alpha=alpha, locality=locality,
+        ens, stream_t, stream_x, stream_y, alpha=alpha, locality=locality,
         neighbors=_NEIGHBORS, exclude_flagged_from_window=exclude_flagged,
     )
     # the saturated case reaches back past every retained score
     assert locality.n_lags < 500 or locality.n_lags > len(ens.scores)
-    expected = _replay(
-        ens, stream_t, stream_k, dets.test_score, alpha, locality, _NEIGHBORS, exclude_flagged
-    )
+    expected = _replay(ens, stream_t, dets.test_score, alpha, locality, _NEIGHBORS, exclude_flagged)
     assert dets.comparison_count.tolist() == [size for _, size in expected]
     assert dets.p_value.tolist() == [count / size for count, size in expected]
     assert dets.flagged.any() and not dets.flagged.all()
@@ -639,12 +630,12 @@ def _division_loo_aggregate(preds, excluded, agg):
 def test_detect_stream_mean_matches_division_kernel_oracle(monkeypatch, locality, exclude_flagged):
     # the mean's weights hold 1/|S_i|: on this stream that moves the last bits
     # of some test scores (45 of 720) and no rank count against the window
-    ens, stream_t, stream_k, stream_x, stream_y = _locality_stream(41, 60)
+    ens, stream_t, stream_x, stream_y = _locality_stream(41, 60)
     assert ens.aggregator.kind == "mean"
 
     def run():
         return detect_stream(
-            ens, stream_t, stream_k, stream_x, stream_y, alpha=0.1, locality=locality,
+            ens, stream_t, stream_x, stream_y, alpha=0.1, locality=locality,
             neighbors=_NEIGHBORS, exclude_flagged_from_window=exclude_flagged,
         )
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ecad.backends import BackendSpec, Bags, fit
+from ecad.backends import BackendSpec, fit
 from ecad.ensemble import (
     AggregatorSpec,
     bootstrap_indices,
@@ -30,12 +30,10 @@ def _trimmed_mean_oracle(values, fraction):
 
 
 def _features_from_matrix(values, n_lags=1):
-    """Self-only lag features (times, sensors, X, y) of a T x K matrix, by time then sensor."""
-    T, K = values.shape
-    times = np.repeat(np.arange(n_lags, T), K)
-    sensors = np.tile(np.arange(K), T - n_lags)
-    X = np.stack([values[times - lag, sensors] for lag in range(1, n_lags + 1)], axis=1)
-    return times, sensors, X, values[times, sensors]
+    """Self-only lag features (times, X, y) of a T x K matrix: X[i, k] holds sensor k's lags 1..n_lags."""
+    T = len(values)
+    X = np.stack([values[n_lags - lag : T - lag] for lag in range(1, n_lags + 1)], axis=2)
+    return np.arange(n_lags, T), X, values[n_lags:]
 
 
 def test_bootstrap_single_index_has_empty_loo():
@@ -107,35 +105,36 @@ def test_single_bag_scores_only_out_of_bag_times():
 
 
 def test_train_ensemble_rejects_unequal_length_arrays():
-    times, sensors, X, y = _features_from_matrix(np.random.default_rng(8).normal(size=(10, 2)))
+    times, X, y = _features_from_matrix(np.random.default_rng(8).normal(size=(10, 2)))
     spec = BackendSpec(kind="ridge")
-    for args in [
-        (times[:-1], sensors, X, y),
-        (times, sensors[:-1], X, y),
-        (times, sensors, X[:-1], y),
-        (times, sensors, X, y[:-1]),
-    ]:
-        with pytest.raises(ValueError, match="feature arrays differ in length"):
+    for args in [(times[:-1], X, y), (times, X[:-1], y), (times, X, y[:-1])]:
+        with pytest.raises(ValueError, match="do not form a time x sensor grid"):
             train_ensemble(*args, spec, 3, seed=0)
 
 
 @pytest.mark.parametrize(
-    "head",
-    [[1, 2, 3], [0, 1, 3, 2], [0, 1, 0, 1], [2, 3, 0, 1]],
-    ids=["missing-row", "reordered-sensors", "repeated-time", "time-going-back"],
+    "edit, message",
+    [
+        (lambda t, X, y: (t, X[1:], y), "do not form a time x sensor grid"),
+        (lambda t, X, y: (t, X[:, :1], y), "do not form a time x sensor grid"),
+        (lambda t, X, y: (np.r_[t[0], t[:-1]], X, y), "strictly increase"),
+        (lambda t, X, y: (np.r_[t[1], t[0], t[2:]], X, y), "strictly increase"),
+    ],
+    ids=["missing-row", "sensor-mismatch", "repeated-time", "time-going-back"],
 )
-def test_train_ensemble_refuses_rows_that_are_not_the_grid(head):
-    # the first four rows are times 1 and 2 of sensors 0 and 1; head replaces them
-    times, sensors, X, y = _features_from_matrix(np.random.default_rng(8).normal(size=(10, 2)))
-    rows = np.r_[head, 4 : len(times)]
-    with pytest.raises(ValueError, match="time x sensor grid"):
-        train_ensemble(times[rows], sensors[rows], X[rows], y[rows], BackendSpec(kind="ridge"), 3, seed=0)
+def test_train_ensemble_refuses_rows_that_are_not_the_grid(edit, message):
+    # X lacking the row of one time, X with a sensor fewer than y, a time
+    # repeated, or the first two times swapped
+    feats = edit(*_features_from_matrix(np.random.default_rng(8).normal(size=(10, 2))))
+    with pytest.raises(ValueError, match=message):
+        train_ensemble(*feats, BackendSpec(kind="ridge"), 3, seed=0)
 
 
 def test_train_ensemble_rejects_empty_arrays():
-    times, sensors, X, y = _features_from_matrix(np.random.default_rng(8).normal(size=(10, 2)))
-    with pytest.raises(ValueError, match="no feature rows"):
-        train_ensemble(times[:0], sensors[:0], X[:0], y[:0], BackendSpec(kind="ridge"), 3, seed=0)
+    times, X, y = _features_from_matrix(np.random.default_rng(8).normal(size=(10, 2)))
+    for args in [(times[:0], X[:0], y[:0]), (times, X[:, :0], y[:, :0])]:
+        with pytest.raises(ValueError, match="no feature rows"):
+            train_ensemble(*args, BackendSpec(kind="ridge"), 3, seed=0)
 
 
 def test_noiseless_linear_scores_are_zero():
@@ -172,7 +171,7 @@ def test_loo_predict_mean_and_median():
     ]:
         ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 6, aggregator=agg, seed=4)
         t = int(ens.usable_times[0])
-        x = feats[2][0]
+        x = feats[1][0, 0]
         preds = ens.model.predict(x[None, :])[:, 0]
         expected = combine(list(preds[np.flatnonzero(ens.plan.loo_set(t))]))
         assert loo_predict(ens, t, x) == pytest.approx(float(expected), abs=1e-12)
@@ -303,17 +302,14 @@ def test_loo_aggregate_network_on_every_zero_one_input(agg):
 )
 def test_training_scores_equal_per_time_reference(agg):
     rng = np.random.default_rng(12)
-    times, sensors, X, y = _features_from_matrix(rng.normal(size=(60, 3)), n_lags=2)
-    ens = train_ensemble(
-        times, sensors, X, y, BackendSpec(kind="ridge"), 9, aggregator=agg, seed=3
-    )
-    preds = ens.model.predict(X)
+    times, X, y = _features_from_matrix(rng.normal(size=(60, 3)), n_lags=2)
+    ens = train_ensemble(times, X, y, BackendSpec(kind="ridge"), 9, aggregator=agg, seed=3)
+    preds = ens.model.predict(X.reshape(-1, 2)).reshape(-1, *y.shape)  # (B, T', K)
     want = []
     for t in ens.usable_times:
-        rows = np.flatnonzero(times == t)
-        assert sensors[rows].tolist() == [0, 1, 2]
-        loo = _reference_loo_aggregate(preds[:, rows], ens.plan.loo_set(int(t))[None, :], agg)[0]
-        want.append(np.abs(y[rows] - loo))
+        i = int(np.searchsorted(times, t))
+        loo = _reference_loo_aggregate(preds[:, i], ens.plan.loo_set(int(t))[None, :], agg)[0]
+        want.append(np.abs(y[i] - loo))
     if agg.kind == "mean":
         assert np.allclose(ens.scores, want, rtol=0.0, atol=1e-12)
     else:
@@ -335,9 +331,9 @@ def test_mean_over_identical_models_equals_single_model():
     from ecad.backends import fit as fit_backend
 
     values = np.cumsum(np.ones((20, 1)), axis=0) + 0.25
-    _, _, X, y = _features_from_matrix(values)
-    model = fit_backend(BackendSpec(kind="ridge"), X, y)
-    x = X[5][None, :]
+    _, X, y = _features_from_matrix(values)
+    model = fit_backend(BackendSpec(kind="ridge"), X.reshape(-1, 1), y.ravel())
+    x = X[5]
     single = model.predict(x)[0, 0]
     preds = np.array([single] * 4)
     assert _aggregate_all(preds, AggregatorSpec("mean")) == single
@@ -349,7 +345,7 @@ def test_loo_predict_empty_set_errors():
     in_bag_times = set(ens.plan.in_bag[0].tolist())
     t = next(iter(in_bag_times))
     with pytest.raises(ValueError, match="empty leave-one-out"):
-        loo_predict(ens, int(t), feats[2][0])
+        loo_predict(ens, int(t), feats[1][0, 0])
 
 
 def test_ensemble_roundtrip_through_disk(tmp_path):
@@ -364,7 +360,7 @@ def test_ensemble_roundtrip_through_disk(tmp_path):
     assert np.array_equal(loaded.plan.in_bag, ens.plan.in_bag)
     assert np.array_equal(loaded.scores, ens.scores)
     assert np.array_equal(loaded.usable_times, ens.usable_times)
-    x = feats[2][:1]
+    x = feats[1][0]
     assert np.array_equal(loaded.model.predict(x), ens.model.predict(x))
 
 
@@ -493,40 +489,30 @@ def test_mlp_backend_trains_in_ensemble():
     assert np.isfinite(ens.scores).all()
 
 
-def _bagged_ridge_data(rng, n_times=40, d=4, offset=1e4):
-    """Rows at shuffled times with 1-5 rows each; features and targets far from zero."""
-    rows_per_time = rng.integers(1, 6, size=n_times)
-    times = np.repeat(np.arange(n_times), rows_per_time)
-    X = rng.normal(size=(times.size, d)) + offset
-    y = X @ rng.normal(size=d) + rng.normal(size=times.size)
-    perm = rng.permutation(times.size)
-    return times[perm], X[perm], y[perm]
-
-
 @pytest.mark.parametrize("lam", [0.0, 0.7, 1.0])
 @pytest.mark.parametrize("n_models", [1, 25])
 def test_bagged_ridge_models_equal_fits_on_gathered_bags(lam, n_models):
-    # blocks of unequal sizes, their rows scattered, and bags that repeat blocks
-    times, X, y = _bagged_ridge_data(np.random.default_rng(21))
+    # 40 blocks of 3 rows, features and targets far from zero, and bags that repeat blocks
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(40, 3, 4)) + 1e4
+    y = X @ rng.normal(size=4) + rng.normal(size=(40, 3))
     spec = BackendSpec(kind="ridge", ridge_lambda=lam)
-    plan = bootstrap_indices(np.unique(times), n_models, seed=5)
-    order = np.argsort(times, kind="stable")
-    starts = np.searchsorted(times[order], plan.available, side="left")
-    stops = np.searchsorted(times[order], plan.available, side="right")
-    model = fit(spec, X, y, Bags(order, starts, stops, plan.multiplicity))
+    plan = bootstrap_indices(np.arange(len(X)), n_models, seed=5)
+    model = fit(spec, X, y, plan.multiplicity)
     assert (plan.multiplicity > 1).any(), "no bag repeats a time"
     params = model.params
     assert list(params) == ["weights", "x_mean", "y_mean"]
     for b in range(n_models):
-        rows = np.concatenate([np.flatnonzero(times == t) for t in plan.in_bag[b]])
-        want = fit(spec, X[rows], y[rows])
+        bag = plan.in_bag[b]
+        want = fit(spec, X[bag].reshape(-1, 4), y[bag].ravel())
         for name, ref in want.params.items():
             got, ref = params[name][b], ref[0]
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), b
-    stacked = model.predict(X)
-    assert stacked.shape == (n_models, len(y))
+    rows = X.reshape(-1, 4)
+    stacked = model.predict(rows)
+    assert stacked.shape == (n_models, y.size)
     for b in range(n_models):
-        alone = (X - params["x_mean"][b]) @ params["weights"][b] + params["y_mean"][b]
+        alone = (rows - params["x_mean"][b]) @ params["weights"][b] + params["y_mean"][b]
         assert np.max(np.abs(stacked[b] - alone)) <= 1e-12 * np.max(np.abs(alone)), b
 
 
@@ -554,22 +540,17 @@ def test_ridge_training_memory_stays_near_one_prediction_matrix():
     # 40 sensors x 2000 times x 25 features, B = 25: the (B, n) prediction
     # matrix is as large as X.  Measured peaks: the fit about 0.17 X.nbytes
     # (the per-block statistics of one chunk of times and the input check),
-    # and train_ensemble about 1.63 X.nbytes (the predictions, the LOO
-    # membership of every row, and row index arrays).  A centred copy of X
-    # during the fit, or a second layout of the predictions, exceeds them.
+    # and train_ensemble about 1.23 X.nbytes (the predictions and the LOO
+    # membership of every row).  A centred copy of X during the fit, a copy
+    # of X to flatten it, or a second layout of the predictions, exceeds them.
     rng = np.random.default_rng(3)
     n_times, n_sensors, d, n_models = 2000, 40, 25, 25
-    times = np.repeat(np.arange(n_times), n_sensors)
-    sensors = np.tile(np.arange(n_sensors), n_times)
-    X = rng.normal(size=(times.size, d))
-    y = X @ rng.normal(size=d) + rng.normal(size=times.size)
+    X = rng.normal(size=(n_times, n_sensors, d))
+    y = X @ rng.normal(size=d) + rng.normal(size=(n_times, n_sensors))
     spec = BackendSpec(kind="ridge")
-    plan = bootstrap_indices(np.unique(times), n_models, seed=1)
-    starts = np.arange(n_times) * n_sensors
-    bags = Bags(np.arange(times.size), starts, starts + n_sensors, plan.multiplicity)
-    fit_peak = _traced_peak(fit, spec, X, y, bags)
+    times = np.arange(n_times)
+    plan = bootstrap_indices(times, n_models, seed=1)
+    fit_peak = _traced_peak(fit, spec, X, y, plan.multiplicity)
     assert fit_peak < 0.5 * X.nbytes, fit_peak / X.nbytes
-    train_peak = _traced_peak(
-        train_ensemble, times, sensors, X, y, spec, n_models, AggregatorSpec("mean"), seed=1
-    )
+    train_peak = _traced_peak(train_ensemble, times, X, y, spec, n_models, AggregatorSpec("mean"), seed=1)
     assert train_peak < 2.0 * X.nbytes, train_peak / X.nbytes

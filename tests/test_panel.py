@@ -318,11 +318,10 @@ def test_build_features_single_sensor_lags():
     panel = TimeSeriesPanel(
         np.array([[1.0], [2.0], [3.0], [4.0]]), np.ones((4, 1), dtype=bool)
     )
-    times, sensors, X, y = build_features(panel, np.array([[0]]), 2)
+    times, X, y = build_features(panel, np.array([[0]]), 2)
     assert times.tolist() == [2, 3]
-    assert sensors.tolist() == [0, 0]
-    assert y.tolist() == [3.0, 4.0]
-    assert X.tolist() == [[2.0, 1.0], [3.0, 2.0]]
+    assert y.tolist() == [[3.0], [4.0]]
+    assert X.tolist() == [[[2.0, 1.0]], [[3.0, 2.0]]]
 
 
 def test_build_features_rejects_neighbor_array_of_other_sensor_count():
@@ -336,9 +335,9 @@ def test_build_features_dimension_is_lags_times_neighbors():
     rng = np.random.default_rng(6)
     sensors = rng.uniform(size=(6, 2))
     panel = TimeSeriesPanel(rng.normal(size=(12, 6)), np.ones((12, 6), dtype=bool), sensors)
-    times, sensor_ids, X, y = build_features(panel, neighbor_sets(sensors, 5), 5)
-    assert X.shape == ((12 - 5) * 6, 25)
-    assert times.shape == sensor_ids.shape == y.shape == ((12 - 5) * 6,)
+    times, X, y = build_features(panel, neighbor_sets(sensors, 5), 5)
+    assert X.shape == (12 - 5, 6, 25)
+    assert y.shape == (12 - 5, 6) and times.shape == (12 - 5,)
 
 
 def test_build_features_matches_direct_index_lookup():
@@ -347,15 +346,14 @@ def test_build_features_matches_direct_index_lookup():
     values = rng.normal(size=(10, 3))
     panel = TimeSeriesPanel(values, np.ones((10, 3), dtype=bool), sensors)
     neighbors = neighbor_sets(sensors, 2)
-    times, sensor_ids, X, y = build_features(panel, neighbors, 3)
-    assert [(t, k) for t, k in zip(times.tolist(), sensor_ids.tolist())] == [
-        (t, k) for t in range(3, 10) for k in range(3)
-    ]
-    for t, k, x, v in zip(times, sensor_ids, X, y):
-        assert v == values[t, k]
-        for j, nb in enumerate(neighbors[k]):
-            for lag in range(1, 4):
-                assert x[j * 3 + (lag - 1)] == values[t - lag, nb]
+    times, X, y = build_features(panel, neighbors, 3)
+    assert times.tolist() == list(range(3, 10))
+    for i, t in enumerate(times):
+        for k in range(3):
+            assert y[i, k] == values[t, k]
+            for j, nb in enumerate(neighbors[k]):
+                for lag in range(1, 4):
+                    assert X[i, k, j * 3 + (lag - 1)] == values[t - lag, nb]
 
 
 def test_build_features_is_pure():
@@ -378,20 +376,20 @@ def test_build_features_never_leaks_future_values():
     panel = TimeSeriesPanel(values, np.ones((8, 3), dtype=bool), sensors)
     neighbors = neighbor_sets(sensors, 3)
     n_lags = 3
-    times, _, X, _ = build_features(panel, neighbors, n_lags)
+    times, X, _ = build_features(panel, neighbors, n_lags)
     target_t = 5
     target = times == target_t
-    assert target.sum() == 3
+    assert target.sum() == 1
     bumped = values.copy()
     bumped[target_t:] += 100.0
-    _, _, bumped_X, _ = build_features(
+    _, bumped_X, _ = build_features(
         TimeSeriesPanel(bumped, np.ones((8, 3), dtype=bool), sensors), neighbors, n_lags
     )
     assert np.array_equal(X[target], bumped_X[target])
     # and perturbing time t - n_lags - 1 must also leave row t unchanged
     older = values.copy()
     older[target_t - n_lags - 1] += 100.0
-    _, _, older_X, _ = build_features(
+    _, older_X, _ = build_features(
         TimeSeriesPanel(older, np.ones((8, 3), dtype=bool), sensors), neighbors, n_lags
     )
     assert np.array_equal(X[target], older_X[target])
