@@ -39,7 +39,6 @@ from .ensemble import (
 from .evaluation import evaluate_sensors, rguess_expected_f1
 from .imputation import ImputeReport, ImputerConfig, impute
 from .panel import (
-    TimeSeriesPanel,
     build_features,
     load_panel,
     load_sensors,

@@ -28,7 +28,6 @@ from .ensemble import load_ensemble, save_ensemble, train_ensemble
 from .evaluation import SensorEvaluation, evaluate_sensors
 from .imputation import impute
 from .panel import (
-    TimeSeriesPanel,
     build_features,
     grid_rows,
     load_panel,
@@ -99,16 +98,24 @@ def _read_artifact(reader, path: Path, *args):
         raise StageError("config", f"artifact {path}: {exc}") from exc
 
 
-def _read_sensors(path: Path, panel: TimeSeriesPanel, panel_path: Path) -> np.ndarray:
+def _read_sensors(path: Path, panel: np.ndarray, panel_path: Path) -> np.ndarray:
     """The coordinates in ``path``, refused unless they hold one sensor per column of ``panel``."""
     sensors = _read_artifact(load_sensors, path)
-    if len(sensors) != panel.n_sensors:
+    if len(sensors) != panel.shape[1]:
         raise StageError(
             "config",
             f"sensor file {path} lists {len(sensors)} sensors, "
-            f"but panel {panel_path} has {panel.n_sensors}",
+            f"but panel {panel_path} has {panel.shape[1]}",
         )
     return sensors
+
+
+def _read_complete_panel(cfg: PipelineConfig, path: Path) -> np.ndarray:
+    """The panel in ``path``, refused as a config error if it has a missing cell."""
+    panel = _read_artifact(load_panel, path, cfg.missing_token)
+    if np.isnan(panel).any():
+        raise StageError("config", f"panel {path} has missing entries")
+    return panel
 
 
 def _neighbors(coords: np.ndarray, size: int, key: str, sensors_path: Path) -> np.ndarray:
@@ -131,24 +138,19 @@ def generate_stage(cfg: PipelineConfig) -> dict:
     """Generate the scenario, mask training cells, and write all input artifacts."""
     out = cfg.out_path()
     out.mkdir(parents=True, exist_ok=True)
-    panel, truth = generate(cfg.scenario)
+    values, coords, truth = generate(cfg.scenario)
     n_train = cfg.scenario.n_train
 
-    train = TimeSeriesPanel(
-        panel.values[:n_train].copy(), panel.mask[:n_train].copy(), panel.sensors
-    )
+    train, test = values[:n_train], values[n_train:]
     if cfg.scenario.missing_fraction > 0:
         train = inject_missing(train, cfg.scenario.missing_fraction, cfg.scenario.seed or 0)
-    test = TimeSeriesPanel(
-        panel.values[n_train:].copy(), panel.mask[n_train:].copy(), panel.sensors
-    )
 
     save_panel(train, _artifact(cfg, "train_panel"), cfg.missing_token)
     save_panel(test, _artifact(cfg, "test_panel"), cfg.missing_token)
-    save_sensors(panel.sensors, _artifact(cfg, "sensors"))
+    save_sensors(coords, _artifact(cfg, "sensors"))
 
-    labeled_times = np.arange(truth.first_labeled_t, panel.n_times)
-    t, k = grid_rows(labeled_times, panel.n_sensors)
+    labeled_times = np.arange(truth.first_labeled_t, len(values))
+    t, k = grid_rows(labeled_times, len(coords))
     write_csv(
         _artifact(cfg, "truth"),
         {
@@ -163,10 +165,10 @@ def generate_stage(cfg: PipelineConfig) -> dict:
     labeled = truth.labels[truth.first_labeled_t :]
     return {
         "stage": "generate",
-        "sensors": panel.n_sensors,
+        "sensors": len(coords),
         "train_rows": n_train,
         "test_rows": cfg.scenario.n_test,
-        "missing_per_column": int(n_train - train.observed_counts().min()),
+        "missing_per_column": int(np.isnan(train).sum(axis=0).max()),
         "labeled_fraction": round(float(labeled.mean()), 6),
     }
 
@@ -197,10 +199,8 @@ def impute_stage(cfg: PipelineConfig) -> dict:
 def _train_impl(cfg: PipelineConfig, stage: str) -> dict:
     panel_path = _require(cfg, "completed_panel", "impute")
     sensors_path = _require(cfg, "sensors", "generate")
-    panel = _read_artifact(load_panel, panel_path, cfg.missing_token)
+    panel = _read_complete_panel(cfg, panel_path)
     coords = _read_sensors(sensors_path, panel, panel_path)
-    if not panel.is_complete:
-        raise StageError("config", f"completed panel {panel_path} still has missing entries")
     neighbors = _neighbors(coords, cfg.features.neighbor_size, "features.neighbor_size", sensors_path)
     times, X, y = build_features(panel, neighbors, cfg.features.n_lags)
     try:
@@ -243,15 +243,14 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     sensors_path = _require(cfg, "sensors", "generate")
 
     ensemble = _read_artifact(load_ensemble, ensemble_path)
-    train = _read_artifact(load_panel, train_path, cfg.missing_token)
-    test = _read_artifact(load_panel, test_path, cfg.missing_token)
-    if not test.is_complete:
-        raise StageError("config", f"test panel {test_path} has missing entries")
-    if train.n_sensors != test.n_sensors:
+    train = _read_complete_panel(cfg, train_path)
+    test = _read_complete_panel(cfg, test_path)
+    n_train, n_sensors = train.shape
+    if n_sensors != test.shape[1]:
         raise StageError(
             "config",
-            f"training panel {train_path} has {train.n_sensors} sensors, "
-            f"but test panel {test_path} has {test.n_sensors}",
+            f"training panel {train_path} has {n_sensors} sensors, "
+            f"but test panel {test_path} has {test.shape[1]}",
         )
     sensors = _read_sensors(sensors_path, test, test_path)
     n_lags, neighbor_size = cfg.features.n_lags, cfg.features.neighbor_size
@@ -263,34 +262,29 @@ def detect_stage(cfg: PipelineConfig) -> dict:
             f"but features.n_lags {n_lags} x neighbor_size {neighbor_size} gives "
             f"{n_lags * neighbor_size}; retrain or restore the training feature config",
         )
-    if ensemble.n_sensors != test.n_sensors:
+    if ensemble.n_sensors != n_sensors:
         raise StageError(
             "config",
             f"ensemble {ensemble_path} was trained on {ensemble.n_sensors} sensors, "
-            f"but test panel {test_path} has {test.n_sensors}",
+            f"but test panel {test_path} has {n_sensors}",
         )
-    # the test stream starts at time train.n_times, after every retained training score
+    # the test stream starts at time n_train, after every retained training score
     last_scored = int(ensemble.usable_times.max(initial=-1))
-    if last_scored >= train.n_times:
+    if last_scored >= n_train:
         raise StageError(
             "config",
             f"ensemble {ensemble_path} holds training scores up to time {last_scored}, but "
-            f"training panel {train_path} has only {train.n_times} rows; the two come from "
+            f"training panel {train_path} has only {n_train} rows; the two come from "
             "different horizons, so retrain the ensemble on this panel",
         )
 
     # the test rows' lags reach back n_lags hours into the training panel
-    if train.n_times < n_lags:
+    if n_train < n_lags:
         raise StageError(
             "config", f"training panel {train_path} is shorter than the lag depth {n_lags}"
         )
-    history = train.values[train.n_times - n_lags :]
     times, X, y = build_features(
-        TimeSeriesPanel(
-            np.vstack([history, test.values]),
-            np.ones((n_lags + test.n_times, train.n_sensors), dtype=bool),
-            sensors,
-        ),
+        np.vstack([train[n_train - n_lags :], test]),
         _neighbors(sensors, neighbor_size, "features.neighbor_size", sensors_path),
         n_lags,
     )
@@ -301,7 +295,7 @@ def detect_stage(cfg: PipelineConfig) -> dict:
         )
     detections = detect_stream(
         ensemble,
-        times + (train.n_times - n_lags),
+        times + (n_train - n_lags),
         X,
         y,
         cfg.detector.alpha,

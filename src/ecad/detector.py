@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .ensemble import Ensemble, loo_aggregate
-from .panel import as_grid, grid_rows
+from .panel import as_grid, check_neighbors, grid_rows
 
 __all__ = [
     "nearest_rank_index",
@@ -290,19 +290,6 @@ class _NeighborSets:
         return count, self.width * window + self.outside @ recent.sum(axis=1)
 
 
-def _check_neighbors(neighbors: np.ndarray, n_sensors: int) -> np.ndarray:
-    """``neighbors`` as an array, refused unless each of its K rows holds m >= 1 distinct ids in [0, K)."""
-    neighbors = np.asarray(neighbors)
-    if neighbors.ndim != 2 or len(neighbors) != n_sensors or not neighbors.size or neighbors.dtype.kind not in "iu":
-        raise ValueError(
-            f"neighbor array must be an integer ({n_sensors}, m) array, got {neighbors.dtype} {neighbors.shape}"
-        )
-    ids = np.sort(neighbors, axis=1)
-    if ids[:, 0].min() < 0 or ids[:, -1].max() >= n_sensors or (ids[:, 1:] == ids[:, :-1]).any():
-        raise ValueError(f"each row of the neighbor array must hold distinct sensor ids in [0, {n_sensors})")
-    return neighbors
-
-
 def detect_stream(
     ensemble: Ensemble,
     times: Sequence[int],
@@ -338,7 +325,7 @@ def detect_stream(
     elif locality.enabled:
         if neighbors is None:
             raise ValueError("locality with neighbor_sensors variant requires the (K, m) neighbor array")
-        neighbors = _check_neighbors(neighbors, n_sensors)
+        neighbors = check_neighbors(neighbors, n_sensors)
 
     times, X, y = as_grid(times, X, y)
     if y.shape[1] != n_sensors:

@@ -265,7 +265,6 @@ class Ensemble:
     plan: BootstrapPlan
     model: RidgeModel | MLPModel
     aggregator: AggregatorSpec
-    backend: BackendSpec
     scores: np.ndarray
 
     @property
@@ -307,9 +306,9 @@ def train_ensemble(
     rows (every sensor) whose time index lies in its bag, honoring duplicates.
     The training score of (i, k) is
     |y_ik - aggregate(predictions at x_ik of the models excluding time i)|;
-    times whose LOO set is empty are dropped with a warning.  A model that
-    cannot be fitted on its data (for instance an MLP that diverges) raises
-    ValueError naming the bag.
+    times whose LOO set is empty are dropped with a warning, and ValueError
+    is raised if that leaves no time.  A model that cannot be fitted on its
+    data (for instance an MLP that diverges) raises ValueError naming the bag.
     """
     times, X, y = as_grid(times, X, y)
     if not y.size:
@@ -318,12 +317,17 @@ def train_ensemble(
     aggregator.validate()
     n_sensors = y.shape[1]
     plan = bootstrap_indices(times, n_models, seed)
+    usable, excluded = plan.usable, plan.excluded
+    if not usable.any():
+        raise ValueError(
+            f"no training time has a leave-one-out model set: each of the {usable.size} times "
+            f"lies in all {n_models} bootstrap bags; use more models or a longer training panel"
+        )
     try:
         model = fit(spec, X, y, plan.multiplicity)
     except ValueError as exc:  # numpy's LinAlgError is a ValueError
         raise ValueError(f"bootstrap ensemble failed to fit: {exc}") from exc
 
-    usable, excluded = plan.usable, plan.excluded
     if not usable.all():
         logger.warning(
             "dropped %d of %d time indices with empty leave-one-out model sets",
@@ -350,7 +354,6 @@ def train_ensemble(
         plan=plan,
         model=model,
         aggregator=aggregator,
-        backend=spec,
         scores=np.abs(y[usable] - loo),
     )
 
@@ -366,7 +369,7 @@ def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
     """Serialize the ensemble to a versioned .npz artifact."""
     meta = {
         "format_version": ENSEMBLE_FORMAT_VERSION,
-        "backend": asdict(ensemble.backend),
+        "backend": asdict(ensemble.model.spec),
         "aggregator": asdict(ensemble.aggregator),
         "n_models": ensemble.n_models,
         "n_sensors": ensemble.n_sensors,
@@ -434,6 +437,8 @@ def load_ensemble(path: str | Path) -> Ensemble:
         plan = BootstrapPlan(n_models, available, in_bag, seed=seed)
         # the score members are the rows of the usable-time x sensor grid, flat
         n_usable = int(np.count_nonzero(plan.usable))
+        if n_usable == 0:
+            raise ValueError("the ensemble holds no training score: every available time lies in every bag")
         for key, want in zip(("score_times", "score_sensors"), grid_rows(available[plan.usable], n_sensors)):
             if not np.array_equal(member(key), want):
                 raise ValueError(
@@ -471,6 +476,5 @@ def load_ensemble(path: str | Path) -> Ensemble:
             plan=plan,
             model=model_type(backend, params),
             aggregator=aggregator,
-            backend=backend,
             scores=values.reshape(n_usable, n_sensors),
         )

@@ -1,8 +1,9 @@
 """Iterative column-wise regression imputation for incomplete training panels.
 
-Each sweep regresses every column in turn on the current values of the other
-columns (fitting on the rows where that column is observed) and replaces the
-column's missing entries with the fitted predictions.  Sweeps repeat until the
+A panel is a ``(T, K)`` array with NaN at its missing cells.  Each sweep
+regresses every column in turn on the current values of the other columns
+(fitting on the rows where that column is observed) and replaces the column's
+missing entries with the fitted predictions.  Sweeps repeat until the
 largest per-sweep change falls below the tolerance or the iteration cap is hit.
 Observed entries are never modified.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import BackendSpec, fit
-from .panel import TimeSeriesPanel
+from .panel import as_panel
 
 __all__ = ["ImputerConfig", "ImputeReport", "impute"]
 
@@ -52,17 +53,18 @@ class ImputeReport:
     missing_per_column: list[int]
 
 
-def impute(panel: TimeSeriesPanel, cfg: ImputerConfig = ImputerConfig()) -> tuple[TimeSeriesPanel, ImputeReport]:
+def impute(panel: np.ndarray, cfg: ImputerConfig = ImputerConfig()) -> tuple[np.ndarray, ImputeReport]:
     """Complete a panel by iterative column-on-columns regression.
 
-    Returns a panel with an all-true mask whose observed entries are
-    bit-identical to the input, plus a report of the sweeps performed.
-    Requires at least two observed entries per column and at least one
-    observed entry per row.
+    ``panel`` is a ``(T, K)`` array with NaN at its missing cells.  Returns a
+    copy without NaN whose observed entries are bit-identical to the input,
+    plus a report of the sweeps performed.  Requires at least two observed
+    entries per column and at least one observed entry per row.
     """
     cfg.validate()
-    mask = panel.mask
-    T, K = panel.n_times, panel.n_sensors
+    panel = as_panel(panel)
+    mask = ~np.isnan(panel)
+    T, K = panel.shape
     observed_per_column = mask.sum(axis=0)
     if (observed_per_column < 2).any():
         bad = int(np.argmin(observed_per_column))
@@ -74,11 +76,10 @@ def impute(panel: TimeSeriesPanel, cfg: ImputerConfig = ImputerConfig()) -> tupl
         raise ValueError(f"row {bad} is fully missing")
 
     missing_per_column = [int(T - c) for c in observed_per_column]
+    values = panel.copy()
     if mask.all():
-        completed = TimeSeriesPanel(panel.values.copy(), np.ones_like(mask), panel.sensors)
-        return completed, ImputeReport(0, 0.0, [], missing_per_column)
+        return values, ImputeReport(0, 0.0, [], missing_per_column)
 
-    values = panel.values.copy()
     col_means = np.array([values[mask[:, k], k].mean() for k in range(K)])
     for k in range(K):
         values[~mask[:, k], k] = col_means[k]
@@ -102,7 +103,6 @@ def impute(panel: TimeSeriesPanel, cfg: ImputerConfig = ImputerConfig()) -> tupl
             break
 
     # observed entries were never written; check the contract even under python -O
-    if not np.array_equal(values[mask], panel.values[mask]):
+    if not np.array_equal(values[mask], panel[mask]):
         raise RuntimeError("imputation overwrote observed entries")
-    completed = TimeSeriesPanel(values, np.ones_like(mask), panel.sensors)
-    return completed, ImputeReport(sweeps, delta_trace[-1], delta_trace, missing_per_column)
+    return values, ImputeReport(sweeps, delta_trace[-1], delta_trace, missing_per_column)

@@ -1,15 +1,17 @@
-"""Panel data model: sensor geometry, observation masks, lagged feature construction.
+"""Panel data model: value panels, sensor geometry, lagged feature construction.
 
-Sensor geometry is a ``(K, 2)`` array of planar coordinates whose row k is
-sensor k; ``neighbor_sets`` ranks every sensor's neighbours from it into a
-``(K, m)`` array of sensor ids, again with row k for sensor k.
+A value panel is a float64 ``(T, K)`` array, row t for hour t and column k
+for sensor k, with NaN where a cell was not observed; ``as_panel`` is the one
+check of that shape.  Sensor geometry is a ``(K, 2)`` array of planar
+coordinates whose row k is sensor k; ``neighbor_sets`` ranks every sensor's
+neighbours from it into a ``(K, m)`` array of sensor ids, again with row k
+for sensor k, and ``check_neighbors`` is the one check of such an array.
 
 ``build_features`` turns a complete panel into the time x sensor grid every
 later stage consumes: ``(times, X, y)`` with ``X`` of shape ``(T', K, d)`` and
 ``y`` of shape ``(T', K)``, so sensor k is column k at every time.
 ``as_grid`` is the one check of those shapes, and ``grid_rows`` flattens a
-grid into its ``(t, k)`` rows where an artifact stores one.  Panels are
-read-only after construction, so they are safe to share across threads.
+grid into its ``(t, k)`` rows where an artifact stores one.
 
 The CSV format of every pipeline artifact lives here: ``read_csv`` is the only
 parser of CSV text and ``write_csv`` the only formatter.
@@ -18,14 +20,13 @@ parser of CSV text and ``write_csv`` the only formatter.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
-    "TimeSeriesPanel",
+    "as_panel",
     "read_csv",
     "write_csv",
     "load_panel",
@@ -33,63 +34,19 @@ __all__ = [
     "load_sensors",
     "save_sensors",
     "neighbor_sets",
+    "check_neighbors",
     "build_features",
     "as_grid",
     "grid_rows",
 ]
 
 
-@dataclass
-class TimeSeriesPanel:
-    """T x K matrix of flow values with a per-entry observation mask.
-
-    ``mask[t, k]`` is True where ``values[t, k]`` was observed.  Masked-out
-    entries hold placeholder numbers that must never enter a fit or score
-    computation; the imputer replaces them before any training happens.
-    ``sensors`` is the ``(K, 2)`` array of sensor coordinates, row k for
-    column k; it is optional because value panels and sensor coordinates
-    travel in separate files.
-    """
-
-    values: np.ndarray
-    mask: np.ndarray
-    sensors: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.values.ndim != 2:
-            raise ValueError(f"panel values must be 2-D, got shape {self.values.shape}")
-        if self.mask.shape != self.values.shape:
-            raise ValueError(
-                f"mask shape {self.mask.shape} does not match values shape {self.values.shape}"
-            )
-        if self.sensors is not None:
-            self.sensors = np.asarray(self.sensors, dtype=np.float64)
-            if self.sensors.shape != (self.values.shape[1], 2):
-                raise ValueError(
-                    f"sensor coordinates of shape {self.sensors.shape} attached to a panel "
-                    f"with {self.values.shape[1]} columns"
-                )
-
-    @property
-    def n_times(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_sensors(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def is_complete(self) -> bool:
-        return bool(self.mask.all())
-
-    def observed_counts(self) -> np.ndarray:
-        """Per-sensor count of observed entries (column sums of the mask)."""
-        return self.mask.sum(axis=0)
-
-    def copy(self) -> "TimeSeriesPanel":
-        return TimeSeriesPanel(self.values.copy(), self.mask.copy(), self.sensors)
+def as_panel(values: np.ndarray) -> np.ndarray:
+    """``values`` as a float64 ``(T, K)`` panel, NaN where unobserved, else ValueError."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError(f"panel values must be 2-D, got shape {values.shape}")
+    return values
 
 
 def read_csv(
@@ -221,25 +178,24 @@ def write_csv(path: str | Path, columns: Mapping[str, Sequence | np.ndarray]) ->
             fh.write("\n")
 
 
-def load_panel(path: str | Path, missing_token: str = "NA") -> TimeSeriesPanel:
+def load_panel(path: str | Path, missing_token: str = "NA") -> np.ndarray:
     """Read a value panel from CSV: one column per sensor, one row per hour.
 
-    Cells equal to ``missing_token`` are marked unobserved and stored as NaN
-    placeholders.
+    Cells equal to ``missing_token`` read as NaN, the panel's unobserved cells.
     """
-    values = np.column_stack(read_csv(path, missing_token=missing_token))
-    return TimeSeriesPanel(values, ~np.isnan(values))
+    return np.column_stack(read_csv(path, missing_token=missing_token))
 
 
-def save_panel(panel: TimeSeriesPanel, path: str | Path, missing_token: str = "NA") -> None:
-    """Write a panel to CSV; unobserved cells become ``missing_token``.
+def save_panel(values: np.ndarray, path: str | Path, missing_token: str = "NA") -> None:
+    """Write a panel to CSV; its NaN (unobserved) cells become ``missing_token``.
 
     Observed values are written with full round-trip precision so a save/load
     cycle is bit-exact.
     """
-    cells = panel.values.astype(object)
-    cells[~panel.mask] = missing_token
-    write_csv(path, {f"sensor_{k}": cells[:, k] for k in range(panel.n_sensors)})
+    values = as_panel(values)
+    cells = values.astype(object)
+    cells[np.isnan(values)] = missing_token
+    write_csv(path, {f"sensor_{k}": cells[:, k] for k in range(values.shape[1])})
 
 
 def load_sensors(path: str | Path) -> np.ndarray:
@@ -283,37 +239,50 @@ def neighbor_sets(coords: np.ndarray, size: int) -> np.ndarray:
     return order[:, :size]
 
 
+def check_neighbors(neighbors: np.ndarray, n_sensors: int) -> np.ndarray:
+    """``neighbors`` as an array, refused unless each of its K rows holds m >= 1 distinct ids in [0, K)."""
+    neighbors = np.asarray(neighbors)
+    if neighbors.ndim != 2 or len(neighbors) != n_sensors or not neighbors.size or neighbors.dtype.kind not in "iu":
+        raise ValueError(
+            f"neighbor array must be an integer ({n_sensors}, m) array, got {neighbors.dtype} {neighbors.shape}"
+        )
+    ids = np.sort(neighbors, axis=1)
+    if ids[:, 0].min() < 0 or ids[:, -1].max() >= n_sensors or (ids[:, 1:] == ids[:, :-1]).any():
+        raise ValueError(f"each row of the neighbor array must hold distinct sensor ids in [0, {n_sensors})")
+    return neighbors
+
+
 def build_features(
-    panel: TimeSeriesPanel,
+    values: np.ndarray,
     neighbors: np.ndarray,
     n_lags: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lagged neighbor features of every (t, k) with t in [n_lags, T): (times, X, y).
 
-    ``neighbors`` is a ``(K, m)`` array of sensor ids, row k for sensor k, as
-    ``neighbor_sets`` returns it.  ``times`` is ``n_lags .. T-1``, and
-    ``(X[i, k], y[i, k])`` is the supervised example of sensor k at
-    ``times[i]``, with ``y[i, k] = values[times[i], k]``.  ``X[i, k]`` is
-    neighbor-major: for each neighbor in the sensor's row the lags appear from
-    t-1 down to t-n_lags, so only strictly earlier values are referenced and
-    the width is ``n_lags * m``.  Requires a complete panel; run the imputer
+    ``values`` is a ``(T, K)`` panel and ``neighbors`` a ``(K, m)`` array of
+    sensor ids, row k for sensor k, as ``neighbor_sets`` returns it.
+    ``times`` is ``n_lags .. T-1``, and ``(X[i, k], y[i, k])`` is the
+    supervised example of sensor k at ``times[i]``, with
+    ``y[i, k] = values[times[i], k]``.  ``X[i, k]`` is neighbor-major: for
+    each neighbor in the sensor's row the lags appear from t-1 down to
+    t-n_lags, so only strictly earlier values are referenced and the width is
+    ``n_lags * m``.  Requires a complete panel (no NaN); run the imputer
     first if there are missing entries.  Pure function: identical inputs give
     bit-identical arrays.
     """
-    if not panel.is_complete:
+    values = as_panel(values)
+    if np.isnan(values).any():
         raise ValueError("panel has missing entries; impute before building features")
     if n_lags < 1:
         raise ValueError(f"lag depth must be >= 1, got {n_lags}")
-    T, K = panel.n_times, panel.n_sensors
+    T, K = values.shape
     if n_lags >= T:
         raise ValueError(f"lag depth {n_lags} must be smaller than panel length {T}")
-    neighbors = np.asarray(neighbors)
-    if neighbors.ndim != 2 or len(neighbors) != K:
-        raise ValueError(f"neighbor array of shape {neighbors.shape} for a panel of {K} sensors")
+    neighbors = check_neighbors(neighbors, K)
     # lag_rows[i, l] is the time l+1 steps before target time n_lags + i
     lag_rows = np.arange(n_lags, T)[:, None] - np.arange(1, n_lags + 1)
-    X = panel.values[lag_rows[:, None, None, :], neighbors[None, :, :, None]]  # (T - n_lags, K, m, n_lags)
-    return np.arange(n_lags, T), X.reshape(T - n_lags, K, -1), panel.values[n_lags:]
+    X = values[lag_rows[:, None, None, :], neighbors[None, :, :, None]]  # (T - n_lags, K, m, n_lags)
+    return np.arange(n_lags, T), X.reshape(T - n_lags, K, -1), values[n_lags:]
 
 
 def as_grid(times: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,13 +1,16 @@
 """Synthetic spatio-temporal scenarios: generation, truth labeling, missingness.
 
-Sensors are placed uniformly on the unit square, held as a ``(K, 2)``
-coordinate array whose row k is sensor k, and every sensor shares one
+``generate`` returns a complete ``(T, K)`` value panel, the ``(K, 2)``
+coordinates of its sensors and the ground truth, three separate values.
+Sensors are placed uniformly on the unit square, row k of the coordinates
+for column k of the panel, and every sensor shares one
 data-generating recursion over its nearest neighbors' lagged values plus a
 Gaussian error process (iid or AR(1) per sensor, independent across sensors).
 Anomalies are injected additively after clean generation, and ground truth is
 then labeled by comparing each value against nearest-rank quantiles of the
 pool of recent values at nearby sensors — so the truth has two layers: what
-was injected, and what the rule actually labels.
+was injected, and what the rule actually labels.  ``inject_missing`` hides
+training cells by setting them to NaN, the panel's mark of an unobserved cell.
 
 Everything here is a pure function of (config, seed) and safe to parallelize
 across seeds.
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detector import nearest_rank_index
-from .panel import TimeSeriesPanel, neighbor_sets
+from .panel import as_panel, neighbor_sets
 
 __all__ = [
     "ErrorSpec",
@@ -206,11 +209,12 @@ def _simulate_clean(cfg: ScenarioConfig, coords: np.ndarray, eps: np.ndarray) ->
     return values
 
 
-def generate(cfg: ScenarioConfig) -> tuple[TimeSeriesPanel, ScenarioTruth]:
-    """Generate a complete train+test panel and its ground truth.
+def generate(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, ScenarioTruth]:
+    """Generate a complete train+test panel: ``(values, coords, truth)``.
 
-    Deterministic given the config: identical configs give bit-identical
-    panels and truth.
+    ``values`` is the ``(n_train + n_test, K)`` panel and ``coords`` the
+    ``(K, 2)`` sensor coordinates.  Deterministic given the config: identical
+    configs give bit-identical panels, coordinates and truth.
     """
     cfg.validate()
     T = cfg.n_train + cfg.n_test
@@ -231,9 +235,7 @@ def generate(cfg: ScenarioConfig) -> tuple[TimeSeriesPanel, ScenarioTruth]:
     labels = label_ground_truth(
         values, coords, cfg.truth.alpha, cfg.truth.lag_depth, cfg.truth.neighborhood_size
     )
-    panel = TimeSeriesPanel(values, np.ones_like(values, dtype=bool), coords)
-    truth = ScenarioTruth(labels, injected, cfg.truth.lag_depth, cfg.truth)
-    return panel, truth
+    return values, coords, ScenarioTruth(labels, injected, cfg.truth.lag_depth, cfg.truth)
 
 
 def label_ground_truth(
@@ -274,45 +276,36 @@ def label_ground_truth(
     return labels
 
 
-def inject_missing(
-    panel: TimeSeriesPanel,
-    fraction: float,
-    seed: int,
-    n_train_rows: int | None = None,
-) -> TimeSeriesPanel:
-    """Mask exactly round(fraction * n_train_rows) cells per column, uniformly.
+def inject_missing(values: np.ndarray, fraction: float, seed: int) -> np.ndarray:
+    """A copy of the complete panel ``values`` with round(fraction * T) cells per column set to NaN.
 
-    Only the first ``n_train_rows`` rows are eligible (defaults to the whole
-    panel); later rows are never masked.  Columns draw independently, so
-    distinct columns almost surely lose different time sets.  A row the draws
-    leave fully masked swaps one cell, within its column, with an observed cell
-    of a row that keeps another, so per-column counts stay exact.
+    Each column's cells are drawn uniformly and independently, so distinct
+    columns almost surely lose different time sets.  A row the draws leave
+    fully missing swaps one cell, within its column, with an observed cell of
+    a row that keeps another, so per-column counts stay exact.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"missing fraction must be in [0, 1), got {fraction}")
-    rows = panel.n_times if n_train_rows is None else int(n_train_rows)
-    if not 0 < rows <= panel.n_times:
-        raise ValueError(f"n_train_rows {rows} out of range for panel length {panel.n_times}")
+    values = as_panel(values)
+    rows, n_sensors = values.shape
     n_mask = int(round(fraction * rows))
     if rows - n_mask < 2:
         raise ValueError(
             f"masking {n_mask} of {rows} training rows leaves fewer than 2 observed per column"
         )
-    if n_mask and panel.n_sensors * (rows - n_mask) < rows:
-        raise ValueError(f"{panel.n_sensors} columns of {rows - n_mask} cells cannot cover every row")
-    out = panel.copy()
-    if n_mask == 0:
-        return out
+    if n_mask and n_sensors * (rows - n_mask) < rows:
+        raise ValueError(f"{n_sensors} columns of {rows - n_mask} cells cannot cover every row")
     rng = np.random.default_rng(seed)
-    for k in range(panel.n_sensors):
-        idx = rng.choice(rows, size=n_mask, replace=False)
-        out.mask[idx, k] = False
-    mask = out.mask[:rows]
-    for r in np.flatnonzero(~mask.any(axis=1)):
-        # observed cells of rows with >= 2 of them, in columns where row r was observed
-        donors = np.argwhere(mask & (mask.sum(axis=1) >= 2)[:, None] & panel.mask[r])
+    observed = ~np.isnan(values)
+    for k in range(n_sensors):
+        observed[rng.choice(rows, size=n_mask, replace=False), k] = False
+    for r in np.flatnonzero(~observed.any(axis=1)):
+        # observed cells of rows with >= 2 of them, in columns where row r had a value
+        donors = np.argwhere(observed & (observed.sum(axis=1) >= 2)[:, None] & ~np.isnan(values[r]))
         if donors.size == 0:
             raise ValueError(f"row {r} cannot be left an observed cell")
         s, k = donors[rng.integers(len(donors))]
-        mask[s, k], mask[r, k] = False, True
+        observed[s, k], observed[r, k] = False, True
+    out = values.copy()
+    out[~observed] = np.nan
     return out

@@ -19,7 +19,7 @@ from ecad.detector import p_value
 from ecad.ensemble import loo_predict, train_ensemble
 from ecad.evaluation import rguess_expected_f1
 from ecad.imputation import ImputerConfig, impute
-from ecad.panel import TimeSeriesPanel, build_features, neighbor_sets
+from ecad.panel import build_features, neighbor_sets
 from ecad.scenario import (
     ErrorSpec,
     ScenarioConfig,
@@ -63,9 +63,9 @@ def _calibration_flag_rate(seed: int, error: ErrorSpec) -> float:
         error=error,
         seed=seed,
     )
-    panel, _ = generate(cfg)
-    neighbors = neighbor_sets(panel.sensors, 5)
-    times, X, y = build_features(panel, neighbors, 5)
+    values, coords, _ = generate(cfg)
+    neighbors = neighbor_sets(coords, 5)
+    times, X, y = build_features(values, neighbors, 5)
     train_sel = times < cfg.n_train
     ensemble = train_ensemble(
         times[train_sel], X[train_sel], y[train_sel], BackendSpec(kind="ridge"), 25, seed=seed + 1000
@@ -242,12 +242,11 @@ def test_criterion_7_imputation_beats_mean_fill():
         a = rng.uniform(1.0, 3.0, size=200)
         b = rng.uniform(0.5, 2.0, size=8)
         values = np.outer(a, b)
-        panel = TimeSeriesPanel(values.copy(), np.ones_like(values, dtype=bool))
-        masked = inject_missing(panel, 0.4, seed=seed)
-        held = ~masked.mask
+        masked = inject_missing(values, 0.4, seed=seed)
+        held = np.isnan(masked)
         completed, _ = impute(masked, ImputerConfig())
-        rmse = float(np.sqrt(np.mean((completed.values[held] - values[held]) ** 2)))
-        col_means = np.array([values[masked.mask[:, k], k].mean() for k in range(8)])
+        rmse = float(np.sqrt(np.mean((completed[held] - values[held]) ** 2)))
+        col_means = np.array([values[~held[:, k], k].mean() for k in range(8)])
         baseline = float(
             np.sqrt(np.mean((np.broadcast_to(col_means, values.shape)[held] - values[held]) ** 2))
         )

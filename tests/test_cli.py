@@ -27,7 +27,6 @@ from ecad.config import (
     resolve_seeds,
 )
 from ecad.panel import (
-    TimeSeriesPanel,
     build_features,
     load_panel,
     load_sensors,
@@ -200,14 +199,9 @@ def test_detect_features_equal_full_panel_rows(tmp_path, monkeypatch):
     train = load_panel(run / ARTIFACTS["completed_panel"])
     test = load_panel(run / ARTIFACTS["test_panel"])
     sensors = load_sensors(run / ARTIFACTS["sensors"])
-    full = TimeSeriesPanel(
-        np.vstack([train.values, test.values]),
-        np.ones((train.n_times + test.n_times, train.n_sensors), dtype=bool),
-        sensors,
-    )
     neighbors = neighbor_sets(sensors, cfg.features.neighbor_size)
-    times, X, y = build_features(full, neighbors, cfg.features.n_lags)
-    test_rows = times >= train.n_times
+    times, X, y = build_features(np.vstack([train, test]), neighbors, cfg.features.n_lags)
+    test_rows = times >= len(train)
     assert np.array_equal(seen["times"], times[test_rows])
     assert np.array_equal(seen["X"], X[test_rows])
     assert np.array_equal(seen["y"], y[test_rows])
@@ -286,6 +280,24 @@ def test_corrupt_csv_artifact_is_a_config_error(tmp_path, capsys, stage, artifac
     assert main([stage, "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert "category=config" in err and f"artifact {path}:" in err
+
+
+@pytest.mark.parametrize(
+    "stage, artifact",
+    [("train", "completed_panel"), ("detect", "completed_panel"), ("detect", "test_panel")],
+)
+def test_panel_with_a_missing_cell_is_a_config_error(tmp_path, capsys, stage, artifact):
+    # the last row of the completed panel is one the test rows' lags read
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    path = tmp_path / "run" / ARTIFACTS[artifact]
+    _replace_cell(path, -1, 1, "NA")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(config_to_dict(cfg)))
+    capsys.readouterr()
+    assert main([stage, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "category=config" in err and f"panel {path} has missing entries" in err
 
 
 def test_detect_rejects_ensemble_that_is_not_an_archive(tmp_path, capsys):
@@ -570,6 +582,26 @@ def test_train_reports_diverged_mlp_as_config_error(tmp_path, capsys):
     assert main(["train", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "category=config" in err and "mlp_learning_rate" in err
+    assert not (tmp_path / "run" / ARTIFACTS["ensemble"]).exists()
+
+
+def test_train_without_a_leave_one_out_time_is_a_config_error(tmp_path, capsys):
+    # 7 training rows at 5 lags leave 2 times, and at this seed the one bag draws both
+    payload = {
+        "out_dir": str(tmp_path / "run"),
+        "scenario": {"n_sensors": 4, "n_train": 7, "n_test": 5, "missing_fraction": 0.0, "truth": {"lag_depth": 2}},
+        "features": {"n_lags": 5, "neighbor_size": 2},
+        "ensemble": {"n_models": 1},
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(payload))
+    assert main(["generate", "--config", str(path), "--seed", "1"]) == 0
+    assert main(["impute", "--config", str(path), "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "stage=train" in err and "category=config" in err
+    assert "no training time has a leave-one-out model set" in err
     assert not (tmp_path / "run" / ARTIFACTS["ensemble"]).exists()
 
 

@@ -45,7 +45,6 @@ def _manual_ensemble(predictions, dim=2):
         plan=plan,
         model=_constant_models(predictions, dim),
         aggregator=AggregatorSpec("mean"),
-        backend=BackendSpec(kind="ridge"),
         scores=np.abs(np.asarray(predictions, dtype=float))[:, None],
     )
 
@@ -219,7 +218,6 @@ def test_batch_test_scores_edge_batches():
         plan=plan,
         model=_constant_models([1.0, 2.0]),
         aggregator=AggregatorSpec("mean"),
-        backend=BackendSpec(kind="ridge"),
         scores=np.empty((0, 1)),
     )
     for n_points in (0, 3):

@@ -137,6 +137,13 @@ def test_train_ensemble_rejects_empty_arrays():
             train_ensemble(*args, BackendSpec(kind="ridge"), 3, seed=0)
 
 
+def test_train_ensemble_refuses_when_no_time_has_a_loo_set():
+    # a single training time lies in every bag, so no model can score it
+    feats = _features_from_matrix(np.random.default_rng(8).normal(size=(2, 3)))
+    with pytest.raises(ValueError, match="no training time has a leave-one-out model set"):
+        train_ensemble(*feats, BackendSpec(kind="ridge"), 3, seed=0)
+
+
 def test_noiseless_linear_scores_are_zero():
     t = np.arange(60, dtype=float)
     values = np.column_stack([2.0 * t + 1.0, 2.0 * t + 5.0])
@@ -356,7 +363,7 @@ def test_ensemble_roundtrip_through_disk(tmp_path):
     save_ensemble(ens, path)
     loaded = load_ensemble(path)
     assert loaded.n_models == ens.n_models
-    assert loaded.backend == ens.backend
+    assert loaded.model.spec == ens.model.spec
     assert np.array_equal(loaded.plan.in_bag, ens.plan.in_bag)
     assert np.array_equal(loaded.scores, ens.scores)
     assert np.array_equal(loaded.usable_times, ens.usable_times)
@@ -387,6 +394,13 @@ def _duplicate_second_available_time(arrays):
     arrays["available"] = np.r_[available[0], available[0], available[2:]]
 
 
+def _put_every_time_in_every_bag(arrays):
+    """Every bag draws each available time once, so no time has a score row."""
+    arrays["in_bag"] = np.tile(arrays["available"], (len(arrays["in_bag"]), 1))
+    for key in ("score_times", "score_sensors", "score_values"):
+        arrays[key] = arrays[key][:0]
+
+
 @pytest.mark.parametrize(
     "corrupt, name",
     [
@@ -405,6 +419,7 @@ def _duplicate_second_available_time(arrays):
         (lambda a: a.update(score_values=np.full_like(a["score_values"], np.nan)), "score_values holds non-finite"),
         (lambda a: a.update(available=a["available"][::-1].copy()), "available"),
         (_duplicate_second_available_time, "available"),
+        (_put_every_time_in_every_bag, "holds no training score"),
     ],
 )
 def test_ensemble_shape_refusal(tmp_path, corrupt, name):

@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ecad.imputation import impute
 from ecad.panel import (
     _WRITE_BLOCK_CELLS,
-    TimeSeriesPanel,
+    as_panel,
     build_features,
     load_panel,
     load_sensors,
@@ -22,10 +23,10 @@ def test_load_panel_counts_missing_cells(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text("sensor_0,sensor_1\n1.0,2.0\n3.0,NA\n5.0,6.0\n")
     panel = load_panel(path)
-    assert panel.values.shape == (3, 2)
-    assert panel.mask.sum() == 5
-    assert not panel.mask[1, 1]
-    assert panel.values[2, 1] == 6.0
+    assert panel.shape == (3, 2) and panel.dtype == np.float64
+    assert np.count_nonzero(~np.isnan(panel)) == 5
+    assert np.isnan(panel[1, 1])
+    assert panel[2, 1] == 6.0
 
 
 def test_load_panel_header_only_is_empty(tmp_path):
@@ -67,42 +68,37 @@ def test_load_panel_custom_missing_token(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text("sensor_0\n1.0\nmissing\n")
     panel = load_panel(path, missing_token="missing")
-    assert panel.mask.sum() == 1
+    assert np.isnan(panel).tolist() == [[False], [True]]
     # a token that parses as a number still reads as missing, and so does one padded with spaces
     path.write_text("sensor_0,sensor_1\n1.0,-999\n-999,2.5\n-9990,-999.0\n")
     panel = load_panel(path, missing_token="-999")
-    assert panel.mask.tolist() == [[True, False], [False, True], [True, True]]
-    assert panel.values[2].tolist() == [-9990.0, -999.0]
+    assert np.isnan(panel).tolist() == [[False, True], [True, False], [False, False]]
+    assert panel[2].tolist() == [-9990.0, -999.0]
     path.write_text("sensor_0,sensor_1\n1.0, NA\n\tNA ,2.5\n")
-    assert load_panel(path).mask.tolist() == [[True, False], [False, True]]
+    assert np.isnan(load_panel(path)).tolist() == [[False, True], [True, False]]
     # an empty token marks empty cells, and a blank line is still no row
     path.write_text("sensor_0,sensor_1\n1.0,\n\n,2.5\n")
-    assert load_panel(path, missing_token="").mask.tolist() == [[True, False], [False, True]]
+    assert np.isnan(load_panel(path, missing_token="")).tolist() == [[False, True], [True, False]]
 
 
 def test_panel_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.normal(size=(20, 4)) * 1e3
-    mask = rng.random((20, 4)) > 0.3
-    mask[0] = True
-    panel = TimeSeriesPanel(values, mask)
+    values[rng.random((20, 4)) <= 0.3] = np.nan
     path = tmp_path / "panel.csv"
-    save_panel(panel, path)
-    loaded = load_panel(path)
-    assert np.array_equal(loaded.mask, mask)
-    assert np.array_equal(loaded.values[mask], values[mask])
+    save_panel(values, path)
+    assert path.read_text().count("NA") == np.count_nonzero(np.isnan(values))
+    assert load_panel(path).tobytes() == values.tobytes()
 
 
 def test_forty_percent_missingness_gives_point_six_t_observed(tmp_path):
     # paper-scale masking: each column keeps 0.6 T observed cells (+-1 rounding)
     T, K = 1000, 20
     rng = np.random.default_rng(1)
-    panel = TimeSeriesPanel(rng.normal(size=(T, K)), np.ones((T, K), dtype=bool))
-    masked = inject_missing(panel, 0.4, seed=7)
+    masked = inject_missing(rng.normal(size=(T, K)), 0.4, seed=7)
     path = tmp_path / "panel.csv"
     save_panel(masked, path)
-    loaded = load_panel(path)
-    observed = loaded.observed_counts()
+    observed = np.count_nonzero(~np.isnan(load_panel(path)), axis=0)
     assert np.all(np.abs(observed - 0.6 * T) <= 1)
 
 
@@ -250,12 +246,19 @@ def test_sensor_csv_roundtrip(tmp_path):
     assert load_sensors(path).tobytes() == sensors.tobytes()
 
 
-def test_panel_sensors_are_one_coordinate_pair_per_column():
-    values, mask = np.zeros((5, 3)), np.ones((5, 3), dtype=bool)
-    assert TimeSeriesPanel(values, mask, [[0.1, 0.2]] * 3).sensors.shape == (3, 2)
-    for coords in (np.zeros((2, 2)), np.zeros((3, 3)), np.zeros(6)):
-        with pytest.raises(ValueError, match="sensor coordinates of shape"):
-            TimeSeriesPanel(values, mask, coords)
+def test_as_panel_is_a_float_array_of_two_dimensions():
+    panel = as_panel([[1, 2], [3, 4]])
+    assert panel.dtype == np.float64 and panel.shape == (2, 2)
+    for values in (np.zeros(6), np.zeros((2, 3, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="panel values must be 2-D"):
+            as_panel(values)
+    # the refusal of every function that takes a panel
+    with pytest.raises(ValueError, match="panel values must be 2-D"):
+        build_features(np.zeros(6), np.zeros((6, 1), dtype=int), 1)
+    with pytest.raises(ValueError, match="panel values must be 2-D"):
+        inject_missing(np.zeros(6), 0.2, seed=0)
+    with pytest.raises(ValueError, match="panel values must be 2-D"):
+        impute(np.ones(10))
 
 
 def test_load_sensors_rejects_unscaled_coords(tmp_path):
@@ -315,26 +318,27 @@ def test_neighbor_sets_size_errors():
 
 
 def test_build_features_single_sensor_lags():
-    panel = TimeSeriesPanel(
-        np.array([[1.0], [2.0], [3.0], [4.0]]), np.ones((4, 1), dtype=bool)
-    )
-    times, X, y = build_features(panel, np.array([[0]]), 2)
+    times, X, y = build_features(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([[0]]), 2)
     assert times.tolist() == [2, 3]
     assert y.tolist() == [[3.0], [4.0]]
     assert X.tolist() == [[[2.0, 1.0]], [[3.0, 2.0]]]
 
 
 def test_build_features_rejects_neighbor_array_of_other_sensor_count():
-    panel = TimeSeriesPanel(np.zeros((6, 3)), np.ones((6, 3), dtype=bool))
-    for neighbors in (np.array([[0], [1]]), np.array([0, 1, 2])):
-        with pytest.raises(ValueError, match="neighbor array of shape"):
+    panel = np.zeros((6, 3))
+    for neighbors in (np.array([[0], [1]]), np.array([0, 1, 2]), np.array([[0.0], [1.0], [2.0]])):
+        with pytest.raises(ValueError, match=r"neighbor array must be an integer \(3, m\) array"):
             build_features(panel, neighbors, 2)
+    # a negative id would read column K - 1 and an id >= K raise a bare IndexError
+    for neighbors in ([[0], [-1], [2]], [[0], [1], [3]], [[0, 1], [1, 1], [2, 0]]):
+        with pytest.raises(ValueError, match=r"distinct sensor ids in \[0, 3\)"):
+            build_features(panel, np.array(neighbors), 2)
 
 
 def test_build_features_dimension_is_lags_times_neighbors():
     rng = np.random.default_rng(6)
     sensors = rng.uniform(size=(6, 2))
-    panel = TimeSeriesPanel(rng.normal(size=(12, 6)), np.ones((12, 6), dtype=bool), sensors)
+    panel = rng.normal(size=(12, 6))
     times, X, y = build_features(panel, neighbor_sets(sensors, 5), 5)
     assert X.shape == (12 - 5, 6, 25)
     assert y.shape == (12 - 5, 6) and times.shape == (12 - 5,)
@@ -344,9 +348,8 @@ def test_build_features_matches_direct_index_lookup():
     rng = np.random.default_rng(7)
     sensors = rng.uniform(size=(3, 2))
     values = rng.normal(size=(10, 3))
-    panel = TimeSeriesPanel(values, np.ones((10, 3), dtype=bool), sensors)
     neighbors = neighbor_sets(sensors, 2)
-    times, X, y = build_features(panel, neighbors, 3)
+    times, X, y = build_features(values, neighbors, 3)
     assert times.tolist() == list(range(3, 10))
     for i, t in enumerate(times):
         for k in range(3):
@@ -359,7 +362,7 @@ def test_build_features_matches_direct_index_lookup():
 def test_build_features_is_pure():
     rng = np.random.default_rng(8)
     sensors = rng.uniform(size=(4, 2))
-    panel = TimeSeriesPanel(rng.normal(size=(9, 4)), np.ones((9, 4), dtype=bool), sensors)
+    panel = rng.normal(size=(9, 4))
     neighbors = neighbor_sets(sensors, 3)
     first = build_features(panel, neighbors, 2)
     second = build_features(panel, neighbors, 2)
@@ -373,37 +376,30 @@ def test_build_features_never_leaks_future_values():
     rng = np.random.default_rng(9)
     sensors = rng.uniform(size=(3, 2))
     values = rng.normal(size=(8, 3))
-    panel = TimeSeriesPanel(values, np.ones((8, 3), dtype=bool), sensors)
     neighbors = neighbor_sets(sensors, 3)
     n_lags = 3
-    times, X, _ = build_features(panel, neighbors, n_lags)
+    times, X, _ = build_features(values, neighbors, n_lags)
     target_t = 5
     target = times == target_t
     assert target.sum() == 1
     bumped = values.copy()
     bumped[target_t:] += 100.0
-    _, bumped_X, _ = build_features(
-        TimeSeriesPanel(bumped, np.ones((8, 3), dtype=bool), sensors), neighbors, n_lags
-    )
+    _, bumped_X, _ = build_features(bumped, neighbors, n_lags)
     assert np.array_equal(X[target], bumped_X[target])
     # and perturbing time t - n_lags - 1 must also leave row t unchanged
     older = values.copy()
     older[target_t - n_lags - 1] += 100.0
-    _, older_X, _ = build_features(
-        TimeSeriesPanel(older, np.ones((8, 3), dtype=bool), sensors), neighbors, n_lags
-    )
+    _, older_X, _ = build_features(older, neighbors, n_lags)
     assert np.array_equal(X[target], older_X[target])
 
 
 def test_build_features_rejects_incomplete_panel():
-    mask = np.ones((5, 2), dtype=bool)
-    mask[2, 1] = False
-    panel = TimeSeriesPanel(np.zeros((5, 2)), mask)
+    panel = np.zeros((5, 2))
+    panel[2, 1] = np.nan
     with pytest.raises(ValueError, match="missing"):
-        build_features(panel, {0: (0,), 1: (1,)}, 2)
+        build_features(panel, np.array([[0], [1]]), 2)
 
 
 def test_build_features_rejects_excessive_lag():
-    panel = TimeSeriesPanel(np.zeros((4, 1)), np.ones((4, 1), dtype=bool))
     with pytest.raises(ValueError, match="lag depth"):
-        build_features(panel, {0: (0,)}, 4)
+        build_features(np.zeros((4, 1)), np.array([[0]]), 4)

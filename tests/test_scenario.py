@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ecad.backends import BackendSpec, fit
-from ecad.panel import TimeSeriesPanel, build_features, neighbor_sets
+from ecad.panel import build_features, neighbor_sets
 from ecad.scenario import (
     ErrorSpec,
     InjectionSpec,
@@ -17,21 +17,22 @@ from ecad.scenario import (
 
 def test_generate_is_reproducible():
     cfg = ScenarioConfig(n_sensors=6, n_train=80, n_test=40, seed=11)
-    panel_a, truth_a = generate(cfg)
-    panel_b, truth_b = generate(cfg)
-    assert np.array_equal(panel_a.values, panel_b.values)
+    values_a, coords_a, truth_a = generate(cfg)
+    values_b, coords_b, truth_b = generate(cfg)
+    assert values_a.shape == (120, 6) and coords_a.shape == (6, 2)
+    assert np.array_equal(values_a, values_b)
     assert np.array_equal(truth_a.labels, truth_b.labels)
     assert np.array_equal(truth_a.injected, truth_b.injected)
-    assert np.array_equal(panel_a.sensors, panel_b.sensors)
+    assert np.array_equal(coords_a, coords_b)
 
 
 def test_noiseless_linear_panel_is_the_recursion_fixed_point():
     cfg = ScenarioConfig(n_sensors=4, n_train=50, n_test=0, noise_sigma=0.0, seed=0)
-    panel, _ = generate(cfg)
+    values, coords, _ = generate(cfg)
     # zero noise starts at the base level and the recursion stays there
-    assert np.allclose(panel.values, panel.values[0, 0])
-    nb = neighbor_sets(panel.sensors, 3)
-    _, X, y = build_features(panel, nb, 2)
+    assert np.allclose(values, values[0, 0])
+    nb = neighbor_sets(coords, 3)
+    _, X, y = build_features(values, nb, 2)
     X, y = X.reshape(-1, X.shape[2]), y.ravel()
     model = fit(BackendSpec(kind="ridge", ridge_lambda=0.0), X, y)
     assert np.max(np.abs(model.predict(X) - y)) < 1e-8
@@ -41,9 +42,9 @@ def test_linear_model_coefficients_recoverable_by_regression():
     # structural check of the generative recursion: a near-unregularized fit on
     # the true (neighbor, lag) layout recovers the generator's coefficients
     cfg = ScenarioConfig(n_sensors=10, n_train=4000, n_test=0, noise_sigma=1.0, seed=2)
-    panel, _ = generate(cfg)
-    nb = neighbor_sets(panel.sensors, 3)
-    _, X, y = build_features(panel, nb, 2)
+    values, coords, _ = generate(cfg)
+    nb = neighbor_sets(coords, 3)
+    _, X, y = build_features(values, nb, 2)
     model = fit(BackendSpec(kind="ridge", ridge_lambda=1e-8), X.reshape(-1, X.shape[2]), y.ravel())
     assert np.max(np.abs(model.params["weights"][0] - _ar_coefficients(3, 2).ravel())) < 0.02
 
@@ -53,8 +54,7 @@ def test_seasonal_model_has_daily_cycle():
         n_sensors=5, n_train=480, n_test=0, model="seasonal_nonlinear",
         noise_sigma=0.5, seed=3,
     )
-    panel, _ = generate(cfg)
-    values = panel.values[:, 0]
+    values = generate(cfg)[0][:, 0]
     # fold on the 24h period: the cycle should explain a visible share of variance
     folded = values[: 480 // 24 * 24].reshape(-1, 24).mean(axis=0)
     assert folded.max() - folded.min() > 2 * values.std() * 0.3
@@ -64,8 +64,7 @@ def test_average_pairwise_distance_matches_uniform_square():
     # expected distance between two uniform points on the unit square is 0.5214
     means = []
     for seed in range(200):
-        panel, _ = generate(ScenarioConfig(n_sensors=20, n_train=10, n_test=0, seed=seed))
-        coords = panel.sensors
+        _, coords, _ = generate(ScenarioConfig(n_sensors=20, n_train=10, n_test=0, seed=seed))
         diffs = coords[:, None, :] - coords[None, :, :]
         dists = np.hypot(diffs[..., 0], diffs[..., 1])
         iu = np.triu_indices(20, k=1)
@@ -81,8 +80,8 @@ def test_ar1_errors_are_autocorrelated():
     )
     # compare residual autocorrelation of the two error processes
     def lag1_corr(cfg):
-        panel, _ = generate(cfg)
-        v = panel.values[:, 0] - panel.values[:, 0].mean()
+        values = generate(cfg)[0][:, 0]
+        v = values - values.mean()
         return float(np.corrcoef(v[1:], v[:-1])[0, 1])
 
     assert lag1_corr(ar_cfg) > lag1_corr(iid_cfg) + 0.1
@@ -142,7 +141,7 @@ def test_injected_spikes_are_labeled_on_linear_scenario():
         noise_sigma=1.0, injection=InjectionSpec(rate=0.02, magnitude_sigma=6.0),
         truth=TruthSpec(alpha=0.01, lag_depth=3, neighborhood_size=4), seed=11,
     )
-    panel, truth = generate(cfg)
+    _, _, truth = generate(cfg)
     injected = truth.injected.copy()
     injected[: truth.first_labeled_t] = False
     assert injected.sum() > 50
@@ -156,62 +155,56 @@ def test_injection_region_test_keeps_training_clean():
         n_sensors=5, n_train=100, n_test=100,
         injection=InjectionSpec(rate=0.3, magnitude_sigma=8.0, region="test"), seed=5,
     )
-    _, truth = generate(cfg)
+    _, _, truth = generate(cfg)
     assert not truth.injected[:100].any()
     assert truth.injected[100:].any()
 
 
 def test_inject_missing_zero_fraction_is_identity():
-    panel = TimeSeriesPanel(np.ones((20, 3)), np.ones((20, 3), dtype=bool))
+    panel = np.ones((20, 3))
     out = inject_missing(panel, 0.0, seed=0)
-    assert out.mask.all()
+    assert np.array_equal(out, panel) and out is not panel
 
 
 def test_inject_missing_exact_counts():
-    panel = TimeSeriesPanel(np.ones((1000, 4)), np.ones((1000, 4), dtype=bool))
+    panel = np.arange(4000.0).reshape(1000, 4)
     out = inject_missing(panel, 0.4, seed=1)
-    assert np.all(out.observed_counts() == 600)
+    observed = ~np.isnan(out)
+    assert np.all(observed.sum(axis=0) == 600)
+    # the cells it keeps hold their values, and the input is left as it was
+    assert np.array_equal(out[observed], panel[observed])
+    assert not np.isnan(panel).any()
 
 
 def test_inject_missing_columns_draw_independently():
     differing = 0
     for seed in range(100):
-        panel = TimeSeriesPanel(np.ones((30, 2)), np.ones((30, 2), dtype=bool))
-        out = inject_missing(panel, 0.4, seed=seed)
-        if not np.array_equal(out.mask[:, 0], out.mask[:, 1]):
+        out = inject_missing(np.ones((30, 2)), 0.4, seed=seed)
+        if not np.array_equal(np.isnan(out[:, 0]), np.isnan(out[:, 1])):
             differing += 1
     assert differing >= 99
 
 
-def test_inject_missing_respects_train_boundary():
-    panel = TimeSeriesPanel(np.ones((50, 3)), np.ones((50, 3), dtype=bool))
-    out = inject_missing(panel, 0.4, seed=2, n_train_rows=30)
-    assert out.mask[30:].all()
-    assert np.all(out.mask[:30].sum(axis=0) == 30 - 12)
-
-
 def test_inject_missing_errors():
-    panel = TimeSeriesPanel(np.ones((4, 2)), np.ones((4, 2), dtype=bool))
+    panel = np.ones((4, 2))
     with pytest.raises(ValueError, match="fraction"):
         inject_missing(panel, 1.0, seed=0)
     with pytest.raises(ValueError, match="fewer than 2"):
         inject_missing(panel, 0.8, seed=0)
     # 3 columns keeping 4 of 10 rows each hold 12 observed cells: enough;
     # 2 columns hold 8, which cannot give each of 10 rows a cell
-    inject_missing(TimeSeriesPanel(np.ones((10, 3)), np.ones((10, 3), dtype=bool)), 0.6, seed=0)
+    inject_missing(np.ones((10, 3)), 0.6, seed=0)
     with pytest.raises(ValueError, match="every row"):
-        inject_missing(TimeSeriesPanel(np.ones((10, 2)), np.ones((10, 2), dtype=bool)), 0.6, seed=0)
+        inject_missing(np.ones((10, 2)), 0.6, seed=0)
 
 
 def test_inject_missing_never_masks_a_whole_row():
     repaired = 0
     for seed in range(300):
         rows, sensors = 12, 2 + seed % 3
-        panel = TimeSeriesPanel(np.ones((rows + 5, sensors)), np.ones((rows + 5, sensors), dtype=bool))
-        out = inject_missing(panel, 0.5, seed=seed, n_train_rows=rows)
-        assert out.mask.any(axis=1).all()
-        assert np.all(out.mask[:rows].sum(axis=0) == rows - 6)
-        assert out.mask[rows:].all()
+        observed = ~np.isnan(inject_missing(np.ones((rows, sensors)), 0.5, seed=seed))
+        assert observed.any(axis=1).all()
+        assert np.all(observed.sum(axis=0) == rows - 6)
         # the independent draws alone leave some row fully masked on these panels
         rng = np.random.default_rng(seed)
         drawn = np.ones((rows, sensors), dtype=bool)
