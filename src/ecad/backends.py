@@ -54,17 +54,15 @@ class BackendSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mlp_hidden", tuple(int(w) for w in self.mlp_hidden))
-
-    def validate(self) -> None:
         if self.kind not in MODEL_TYPES:
             raise ValueError(f"unknown backend kind {self.kind!r}; expected one of {tuple(MODEL_TYPES)}")
-        if self.ridge_lambda < 0:
+        if not self.ridge_lambda >= 0:
             raise ValueError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
         if any(w < 1 for w in self.mlp_hidden):
             raise ValueError(f"all hidden widths must be >= 1, got {self.mlp_hidden}")
         if self.mlp_epochs < 1:
             raise ValueError(f"mlp_epochs must be >= 1, got {self.mlp_epochs}")
-        if self.mlp_learning_rate <= 0:
+        if not self.mlp_learning_rate > 0:
             raise ValueError(f"mlp_learning_rate must be > 0, got {self.mlp_learning_rate}")
 
 
@@ -428,7 +426,6 @@ def fit(
     repeated.  A fit whose state is not finite (an MLP step size too large
     for the data) raises ValueError naming the bag.
     """
-    spec.validate()
     if counts is not None:
         counts = np.asarray(counts)
     X, y = _check_training_inputs(X, y, counts)

@@ -1,9 +1,15 @@
 """Pipeline configuration: one JSON file with full-default fallback.
 
 Every field has a default, so ``run-all --seed N`` works with an empty config.
-Unknown keys are rejected to catch typos early.  Stage seeds, when left null,
-are derived deterministically from the master seed so a single integer pins
-the whole pipeline.
+The loader reads the schema from the dataclasses themselves: a field whose
+type is a dataclass is a nested section, any other field takes the JSON types
+of its annotation.  Unknown keys, values of the wrong JSON type and the
+non-standard constants ``NaN`` and ``Infinity`` are rejected to catch typos
+early.  Every section checks its own values when it is built (its
+``__post_init__``), and ``PipelineConfig`` adds the checks that span sections,
+so an out-of-range value is refused where the config is made, not by a later
+stage.  Stage seeds, when left null, are derived deterministically from the
+master seed so a single integer pins the whole pipeline.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
 import numpy as np
 
@@ -20,7 +26,7 @@ from .backends import BackendSpec
 from .detector import LocalityConfig
 from .ensemble import AggregatorSpec
 from .imputation import ImputerConfig
-from .scenario import ErrorSpec, InjectionSpec, ScenarioConfig, TruthSpec
+from .scenario import ScenarioConfig
 
 __all__ = ["EnsembleConfig", "FeatureConfig", "DetectorConfig", "PipelineConfig", "load_config"]
 
@@ -37,10 +43,9 @@ class EnsembleConfig:
     aggregator: AggregatorSpec = field(default_factory=AggregatorSpec)
     seed: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_models < 1:
             raise ValueError(f"n_models must be >= 1, got {self.n_models}")
-        self.aggregator.validate()
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,7 @@ class FeatureConfig:
     n_lags: int = 5
     neighbor_size: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_lags < 1:
             raise ValueError(f"feature lag depth must be >= 1, got {self.n_lags}")
         if self.neighbor_size < 1:
@@ -61,10 +66,9 @@ class DetectorConfig:
     locality: LocalityConfig = field(default_factory=LocalityConfig)
     exclude_flagged_from_window: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        self.locality.validate()
 
 
 @dataclass(frozen=True)
@@ -79,13 +83,8 @@ class PipelineConfig:
     features: FeatureConfig = field(default_factory=FeatureConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
 
-    def validate(self) -> None:
-        self.scenario.validate()
-        self.imputer.validate()
-        self.backend.validate()
-        self.ensemble.validate()
-        self.features.validate()
-        self.detector.validate()
+    def __post_init__(self) -> None:
+        # each section checks its own fields when it is built; these checks span sections
         n_sensors, locality = self.scenario.n_sensors, self.detector.locality
         if self.features.neighbor_size > n_sensors:
             raise ValueError(
@@ -131,21 +130,6 @@ def resolve_seeds(cfg: PipelineConfig) -> PipelineConfig:
     )
 
 
-_NESTED_TYPES: dict[type, dict[str, type]] = {
-    PipelineConfig: {
-        "scenario": ScenarioConfig,
-        "imputer": ImputerConfig,
-        "backend": BackendSpec,
-        "ensemble": EnsembleConfig,
-        "features": FeatureConfig,
-        "detector": DetectorConfig,
-    },
-    ScenarioConfig: {"error": ErrorSpec, "injection": InjectionSpec, "truth": TruthSpec},
-    ImputerConfig: {"inner_backend": BackendSpec},
-    EnsembleConfig: {"aggregator": AggregatorSpec},
-    DetectorConfig: {"locality": LocalityConfig},
-}
-
 # JSON types each field annotation accepts; a bool is never taken for a number
 _JSON_TYPES: dict[str, tuple[type, ...]] = {
     "int": (int,),
@@ -167,17 +151,17 @@ def _from_dict(cls: type, payload: dict[str, Any], path: str) -> Any:
     if not isinstance(payload, dict):
         raise ValueError(f"config section {path or 'root'} must be an object")
     annotations = {f.name: f.type for f in fields(cls)}
+    hints = get_type_hints(cls)
     unknown = set(payload) - set(annotations)
     if unknown:
         raise ValueError(
             f"unknown config keys at {path or 'root'}: {sorted(unknown)}; known: {sorted(annotations)}"
         )
     kwargs: dict[str, Any] = {}
-    nested = _NESTED_TYPES.get(cls, {})
     for key, value in payload.items():
         child = f"{path}.{key}" if path else key
-        if key in nested:
-            value = _from_dict(nested[key], value, child)
+        if dataclasses.is_dataclass(hints[key]):
+            value = _from_dict(hints[key], value, child)
         elif not _json_type_ok(annotations[key], value):
             raise ValueError(f"config key {child} must be of type {annotations[key]}, got {value!r}")
         kwargs[key] = value
@@ -192,6 +176,11 @@ def config_to_dict(cfg: PipelineConfig) -> dict[str, Any]:
     return dataclasses.asdict(cfg)
 
 
+def _refuse_constant(name: str) -> float:
+    # Python's json reads NaN, Infinity and -Infinity, which JSON itself does not have
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_config(path: str | Path | None, seed: int | None = None, out_dir: str | None = None) -> PipelineConfig:
     """Load a pipeline config JSON; flags override the file's seed and out_dir."""
     if path is None:
@@ -201,14 +190,12 @@ def load_config(path: str | Path | None, seed: int | None = None, out_dir: str |
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            payload = json.loads(path.read_text(), parse_constant=_refuse_constant)
+        except ValueError as exc:  # a json.JSONDecodeError, or a constant refused above
             raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
         cfg = config_from_dict(payload)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=int(seed))
     if out_dir is not None:
         cfg = dataclasses.replace(cfg, out_dir=str(out_dir))
-    cfg = resolve_seeds(cfg)
-    cfg.validate()
-    return cfg
+    return resolve_seeds(cfg)

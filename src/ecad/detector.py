@@ -112,7 +112,7 @@ class LocalityConfig:
     neighbor_size: int = 5
     variant: str = "neighbor_sensors"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.variant not in LOCALITY_VARIANTS:
             raise ValueError(
                 f"unknown locality variant {self.variant!r}; expected one of {LOCALITY_VARIANTS}"
@@ -199,7 +199,7 @@ def loo_prediction_matrix(
     ``chunk`` points is returned as the kernel builds it, without a copy.
     """
     X = np.asarray(X, dtype=np.float64)
-    mask = ensemble.usable_loo_mask  # (n_usable, B)
+    mask = ensemble.plan.usable_excluded  # (n_usable, B)
     if mask.shape[0] == 0:
         raise ValueError("no leave-one-out predictor available: every time index is in every bag")
     if X.shape[0] <= chunk:
@@ -318,7 +318,6 @@ def detect_stream(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     locality = locality or LocalityConfig()
-    locality.validate()
     n_sensors = ensemble.n_sensors
     if locality.enabled and locality.variant == "as_printed":
         neighbors = np.broadcast_to(np.arange(n_sensors), (n_sensors, n_sensors))

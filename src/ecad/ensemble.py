@@ -61,7 +61,7 @@ class AggregatorSpec:
     kind: str = "mean"
     trim_fraction: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in AGGREGATOR_KINDS:
             raise ValueError(
                 f"unknown aggregator {self.kind!r}; expected one of {AGGREGATOR_KINDS}"
@@ -165,7 +165,6 @@ def loo_aggregate(preds: np.ndarray, excluded: np.ndarray, agg: AggregatorSpec) 
     per-set sort exactly and do not depend on the number of points.
     Non-finite predictions are rejected.
     """
-    agg.validate()
     _check_finite_predictions(preds)
     counts = excluded.sum(axis=1)
     if (counts == 0).any():
@@ -280,11 +279,6 @@ class Ensemble:
         return self.plan.available[self.plan.usable]
 
     @property
-    def usable_loo_mask(self) -> np.ndarray:
-        """(n_usable, n_models) boolean matrix: the LOO model set of each usable time."""
-        return self.plan.usable_excluded
-
-    @property
     def dropped_empty_loo(self) -> int:
         return int(np.count_nonzero(~self.plan.usable))
 
@@ -313,8 +307,6 @@ def train_ensemble(
     times, X, y = as_grid(times, X, y)
     if not y.size:
         raise ValueError("no feature rows to train on")
-    spec.validate()
-    aggregator.validate()
     n_sensors = y.shape[1]
     plan = bootstrap_indices(times, n_models, seed)
     usable, excluded = plan.usable, plan.excluded
@@ -403,6 +395,8 @@ def load_ensemble(path: str | Path) -> Ensemble:
         if "meta" not in data.files:
             raise ValueError("the file is not an ensemble artifact: it has no meta record")
         meta = json.loads(str(data["meta"]))
+        if not isinstance(meta, dict):
+            raise ValueError("the ensemble meta record is not a JSON object")
         version = meta.get("format_version")
         if version != ENSEMBLE_FORMAT_VERSION:
             raise ValueError(
@@ -417,8 +411,6 @@ def load_ensemble(path: str | Path) -> Ensemble:
             raise ValueError(f"the ensemble meta record lacks the key {exc}") from None
         except TypeError as exc:
             raise ValueError(f"the ensemble meta record is malformed: {exc}") from None
-        backend.validate()
-        aggregator.validate()
 
         def member(key: str) -> np.ndarray:
             if key not in data.files:

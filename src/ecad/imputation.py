@@ -35,12 +35,11 @@ class ImputerConfig:
         default_factory=lambda: BackendSpec(kind="ridge", ridge_lambda=1.0)
     )
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        self.inner_backend.validate()
 
 
 @dataclass
@@ -61,7 +60,6 @@ def impute(panel: np.ndarray, cfg: ImputerConfig = ImputerConfig()) -> tuple[np.
     plus a report of the sweeps performed.  Requires at least two observed
     entries per column and at least one observed entry per row.
     """
-    cfg.validate()
     panel = as_panel(panel)
     mask = ~np.isnan(panel)
     T, K = panel.shape

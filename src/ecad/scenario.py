@@ -55,7 +55,7 @@ class ErrorSpec:
     kind: str = "iid"
     rho: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in ("iid", "ar1"):
             raise ValueError(f"unknown error dependence {self.kind!r}")
         if self.kind == "ar1" and not abs(self.rho) < 1:
@@ -74,10 +74,10 @@ class InjectionSpec:
     magnitude_sigma: float = 8.0
     region: str = "everywhere"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.rate < 0.5:
             raise ValueError(f"injection rate must be in [0, 0.5), got {self.rate}")
-        if self.magnitude_sigma <= 0:
+        if not self.magnitude_sigma > 0:
             raise ValueError(f"magnitude_sigma must be > 0, got {self.magnitude_sigma}")
         if self.region not in INJECTION_REGIONS:
             raise ValueError(f"unknown injection region {self.region!r}")
@@ -91,7 +91,7 @@ class TruthSpec:
     lag_depth: int = 3
     neighborhood_size: int = 4
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 0.5:
             raise ValueError(f"truth alpha must be in (0, 0.5), got {self.alpha}")
         if self.lag_depth < 1:
@@ -113,7 +113,7 @@ class ScenarioConfig:
     truth: TruthSpec = field(default_factory=TruthSpec)
     seed: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_sensors < 1:
             raise ValueError(f"need at least one sensor, got {self.n_sensors}")
         if self.n_train < _TRUE_LAGS + 1 or self.n_test < 0:
@@ -122,7 +122,7 @@ class ScenarioConfig:
             )
         if self.model not in SCENARIO_MODELS:
             raise ValueError(f"unknown scenario model {self.model!r}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.missing_fraction < 1.0:
             raise ValueError(f"missing_fraction must be in [0, 1), got {self.missing_fraction}")
@@ -133,14 +133,11 @@ class ScenarioConfig:
                 f"truth lag depth {self.truth.lag_depth} must be smaller than the panel length "
                 f"n_train + n_test = {self.n_train + self.n_test}"
             )
-        self.error.validate()
-        self.injection.validate()
-        self.truth.validate()
 
 
 @dataclass
 class ScenarioTruth:
-    """Ground-truth labels plus the injection map and the rule parameters used.
+    """Ground-truth labels plus the injection map.
 
     Labels are defined only for t >= first_labeled_t; earlier rows are
     unlabeled and must be excluded from evaluation.
@@ -149,7 +146,6 @@ class ScenarioTruth:
     labels: np.ndarray
     injected: np.ndarray
     first_labeled_t: int
-    params: TruthSpec
 
 
 def _draw_errors(rng: np.random.Generator, T: int, K: int, sigma: float, spec: ErrorSpec) -> np.ndarray:
@@ -216,7 +212,6 @@ def generate(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, ScenarioTruth
     ``(K, 2)`` sensor coordinates.  Deterministic given the config: identical
     configs give bit-identical panels, coordinates and truth.
     """
-    cfg.validate()
     T = cfg.n_train + cfg.n_test
     root = np.random.SeedSequence([0x5EC0, 0 if cfg.seed is None else cfg.seed])
     coord_rng, noise_rng, inject_rng = (np.random.default_rng(s) for s in root.spawn(3))
@@ -235,7 +230,7 @@ def generate(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, ScenarioTruth
     labels = label_ground_truth(
         values, coords, cfg.truth.alpha, cfg.truth.lag_depth, cfg.truth.neighborhood_size
     )
-    return values, coords, ScenarioTruth(labels, injected, cfg.truth.lag_depth, cfg.truth)
+    return values, coords, ScenarioTruth(labels, injected, cfg.truth.lag_depth)
 
 
 def label_ground_truth(

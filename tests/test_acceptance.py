@@ -212,7 +212,6 @@ def _seasonal_trial(seed: int, out_dir: Path) -> tuple[float, float, float]:
         },
     }
     cfg = resolve_seeds(config_from_dict(payload))
-    cfg.validate()
     run_all(cfg)
     agg = json.loads((out_dir / ARTIFACTS["report_json"]).read_text())["aggregate"]
     return agg["mean_f1"], agg["mean_rguess_f1"], agg["mean_q"]
@@ -288,7 +287,6 @@ def test_criterion_9_run_all_determinism(tmp_path):
         "ensemble": {"n_models": 10},
     }
     cfg = resolve_seeds(config_from_dict(payload))
-    cfg.validate()
     run_all(cfg)
     first = {
         name: (tmp_path / "run" / ARTIFACTS[name]).read_bytes()

@@ -201,11 +201,11 @@ def test_mlp_standardizes_inputs():
 
 def test_backend_spec_validation():
     with pytest.raises(ValueError):
-        BackendSpec(ridge_lambda=-1.0).validate()
+        BackendSpec(ridge_lambda=-1.0)
     with pytest.raises(ValueError):
-        BackendSpec(kind="mlp", mlp_hidden=(0,)).validate()
+        BackendSpec(kind="mlp", mlp_hidden=(0,))
     with pytest.raises(ValueError):
-        BackendSpec(kind="mlp", mlp_learning_rate=0.0).validate()
+        BackendSpec(kind="mlp", mlp_learning_rate=0.0)
 
 
 def _reference_loss_and_gradients(weights, biases, X, y):

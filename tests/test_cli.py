@@ -18,7 +18,10 @@ from ecad.cli import (
     run_all,
     train_stage,
 )
+from ecad.backends import BackendSpec
 from ecad.config import (
+    DetectorConfig,
+    EnsembleConfig,
     FeatureConfig,
     PipelineConfig,
     config_from_dict,
@@ -26,12 +29,16 @@ from ecad.config import (
     load_config,
     resolve_seeds,
 )
+from ecad.detector import LocalityConfig
+from ecad.ensemble import AggregatorSpec
+from ecad.imputation import ImputerConfig
 from ecad.panel import (
     build_features,
     load_panel,
     load_sensors,
     neighbor_sets,
 )
+from ecad.scenario import ErrorSpec, InjectionSpec, ScenarioConfig, TruthSpec
 
 
 def _small_cfg(out_dir, seed=0, backend=None, aggregator=None, **scenario_overrides):
@@ -53,9 +60,7 @@ def _small_cfg(out_dir, seed=0, backend=None, aggregator=None, **scenario_overri
         payload["ensemble"]["aggregator"] = aggregator
     if backend is not None:
         payload["backend"] = backend
-    cfg = resolve_seeds(config_from_dict(payload))
-    cfg.validate()
-    return cfg
+    return resolve_seeds(config_from_dict(payload))
 
 
 def test_run_all_produces_every_artifact(tmp_path):
@@ -391,15 +396,27 @@ def _edit_meta(edit):
     return corrupt
 
 
+def _replace_meta(record):
+    """An ensemble corruption that replaces the meta record with ``record``."""
+
+    def corrupt(arrays):
+        arrays["meta"] = np.array(json.dumps(record))
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "corrupt, message",
     [
-        lambda m: m["backend"].update(bogus=1),
-        lambda m: m["aggregator"].update(bogus=1),
-        lambda m: m.pop("backend"),
-        lambda m: m.pop("n_models"),
-        lambda m: m["aggregator"].update(kind="bogus"),
-        lambda m: m["backend"].update(mlp_hidden=3),
+        (_edit_meta(lambda m: m["backend"].update(bogus=1)), "malformed"),
+        (_edit_meta(lambda m: m["aggregator"].update(bogus=1)), "malformed"),
+        (_edit_meta(lambda m: m.pop("backend")), "lacks the key 'backend'"),
+        (_edit_meta(lambda m: m.pop("n_models")), "lacks the key 'n_models'"),
+        (_edit_meta(lambda m: m["aggregator"].update(kind="bogus")), "unknown aggregator 'bogus'"),
+        (_edit_meta(lambda m: m["backend"].update(mlp_hidden=3)), "malformed"),
+        (_edit_meta(lambda m: m["backend"].update(ridge_lambda="x")), "malformed"),
+        (_replace_meta([]), "not a JSON object"),
+        (_replace_meta(5), "not a JSON object"),
     ],
     ids=[
         "unknown-backend-key",
@@ -408,16 +425,19 @@ def _edit_meta(edit):
         "no-n-models",
         "bogus-aggregator",
         "scalar-mlp-hidden",
+        "string-ridge-lambda",
+        "list-meta",
+        "number-meta",
     ],
 )
-def test_detect_rejects_ensemble_with_corrupt_meta(tmp_path, capsys, edit):
+def test_detect_rejects_ensemble_with_corrupt_meta(tmp_path, capsys, corrupt, message):
     cfg = _small_cfg(tmp_path / "run")
     run_all(cfg)
     path = tmp_path / "run" / ARTIFACTS["ensemble"]
-    _rewrite_ensemble(path, _edit_meta(edit))
+    _rewrite_ensemble(path, corrupt)
     code, err = _detect_exit(cfg, tmp_path, capsys)
     assert code == 2
-    assert "category=config" in err and f"artifact {path}:" in err
+    assert "category=config" in err and f"artifact {path}:" in err and message in err
 
 
 def test_detect_rejects_ensemble_with_unequal_sensor_scores(tmp_path, capsys):
@@ -518,7 +538,6 @@ def test_detect_rejects_locality_neighborhood_larger_than_the_sensor_file(tmp_pa
             locality=dataclasses.replace(cfg.detector.locality, enabled=True, neighbor_size=9),
         ),
     )
-    wide.validate()
     detections = tmp_path / "run" / ARTIFACTS["detections"]
     before = detections.read_bytes()
     code, err = _detect_exit(wide, tmp_path, capsys)
@@ -667,6 +686,9 @@ def test_load_config_overrides_and_validation(tmp_path, capsys):
     invalid.write_text(json.dumps({"detector": {"alpha": 2.0}}))
     with pytest.raises(ValueError, match="alpha"):
         load_config(invalid)
+    # the config is checked when it is built, not only by load_config
+    with pytest.raises(ValueError, match="alpha"):
+        config_from_dict({"detector": {"alpha": 2.0}})
 
     # configs that would fail only in a later stage: no test rows to detect on,
     # and a truth lag depth that reaches past the panel
@@ -693,6 +715,70 @@ def test_load_config_overrides_and_validation(tmp_path, capsys):
         assert main(["generate", "--config", str(invalid), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "category=config" in err and f"config key {key} must be of type" in err
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BackendSpec(kind="bogus"), "unknown backend kind"),
+        (lambda: AggregatorSpec(kind="bogus"), "unknown aggregator"),
+        (lambda: LocalityConfig(variant="bogus"), "unknown locality variant"),
+        (lambda: ImputerConfig(max_iters=0), "max_iters must be >= 1"),
+        (lambda: ErrorSpec("ar1", 1.0), r"\|rho\| < 1"),
+        (lambda: InjectionSpec(region="bogus"), "unknown injection region"),
+        (lambda: TruthSpec(lag_depth=0), "truth lag depth must be >= 1"),
+        (lambda: ScenarioConfig(model="chaos"), "unknown scenario model"),
+        (lambda: EnsembleConfig(n_models=0), "n_models must be >= 1"),
+        (lambda: FeatureConfig(n_lags=0), "feature lag depth must be >= 1"),
+        (lambda: DetectorConfig(alpha=2.0), r"alpha must be in \(0, 1\)"),
+        (lambda: PipelineConfig(features=FeatureConfig(neighbor_size=30)), "exceeds scenario.n_sensors 20"),
+    ],
+    ids=[
+        "backend",
+        "aggregator",
+        "locality",
+        "imputer",
+        "error",
+        "injection",
+        "truth",
+        "scenario",
+        "ensemble",
+        "features",
+        "detector",
+        "pipeline",
+    ],
+)
+def test_every_spec_refuses_an_invalid_value_when_built(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "section, key, build, message",
+    [
+        (("backend",), "ridge_lambda", BackendSpec, "ridge_lambda must be >= 0"),
+        (("backend",), "mlp_learning_rate", BackendSpec, "mlp_learning_rate must be > 0"),
+        (("imputer",), "tol", ImputerConfig, "tol must be > 0"),
+        (("scenario",), "noise_sigma", ScenarioConfig, "noise_sigma must be >= 0"),
+        (("scenario", "injection"), "magnitude_sigma", InjectionSpec, "magnitude_sigma must be > 0"),
+    ],
+    ids=["ridge_lambda", "mlp_learning_rate", "tol", "noise_sigma", "magnitude_sigma"],
+)
+def test_nan_config_values_are_refused(tmp_path, section, key, build, message):
+    # NaN fails every comparison, so a range check written as `x < 0` lets it through
+    with pytest.raises(ValueError, match=message):
+        build(**{key: float("nan")})
+    payload = {key: float("nan")}
+    for name in reversed(section):
+        payload = {name: payload}
+    with pytest.raises(ValueError, match=message):
+        config_from_dict(payload)
+    # Python's json reads these constants, but JSON has none of them
+    path = tmp_path / "cfg.json"
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        path.write_text(json.dumps(payload).replace("NaN", constant))
+        with pytest.raises(ValueError, match=f"not valid JSON: {constant} is not a JSON number"):
+            load_config(path)
 
 
 def test_explicit_stage_seeds_survive_resolution(tmp_path):
@@ -732,7 +818,6 @@ def test_run_all_with_mlp_backend(tmp_path):
         "backend": {"kind": "mlp", "mlp_hidden": [4], "mlp_epochs": 30, "mlp_learning_rate": 0.05},
     }
     cfg = resolve_seeds(config_from_dict(payload))
-    cfg.validate()
     summaries = run_all(cfg)
     assert summaries[3]["points"] == 4 * 30
     report = json.loads((tmp_path / "run" / ARTIFACTS["report_json"]).read_text())
@@ -753,7 +838,6 @@ def test_run_all_with_locality_enabled(tmp_path, variant):
         },
     }
     cfg = resolve_seeds(config_from_dict(payload))
-    cfg.validate()
     summaries = run_all(cfg)
     assert summaries[3]["points"] == 4 * 40
     # local comparison sets are larger than one sensor's window, so counts in

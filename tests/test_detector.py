@@ -157,7 +157,7 @@ def test_loo_kernel_matches_loo_predict(kind):
     features = np.stack([values[times - 2], values[times - 1]], axis=2)  # (t, k) holds values[t-2:t, k]
     targets = values[2:]
     ens = train_ensemble(times, features, targets, BackendSpec(kind="ridge"), 6, AggregatorSpec(kind), seed=0)
-    sizes = set(ens.usable_loo_mask.sum(axis=1).tolist())
+    sizes = set(ens.plan.usable_excluded.sum(axis=1).tolist())
     assert {1, 2, 3, 4} <= sizes
 
     usable = np.isin(times, ens.usable_times)
@@ -200,7 +200,7 @@ def scoring_ensemble(request):
 def test_batch_test_scores_equal_dense_quantile(scoring_ensemble):
     ens, alpha = scoring_ensemble, 0.05
     block = _PREDICT_CHUNK
-    idx = nearest_rank_index(1.0 - alpha, ens.usable_loo_mask.shape[0])
+    idx = nearest_rank_index(1.0 - alpha, ens.plan.usable_excluded.shape[0])
     rng = np.random.default_rng(12)
     for n_points in (1, block - 1, block, block + 1, 3 * block + 7):
         X, y = rng.normal(size=(n_points, 20)), rng.normal(size=n_points)

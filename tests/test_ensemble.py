@@ -214,7 +214,6 @@ def _reference_loo_aggregate(preds, excluded, agg):
     divided by the window width, which is what ``np.mean(axis=0)`` does for two
     or more points; for a single point numpy switches to pairwise summation.
     """
-    agg.validate()
     counts = excluded.sum(axis=1)
     if (counts == 0).any():
         raise ValueError("cannot aggregate an empty leave-one-out model set")

@@ -91,9 +91,9 @@ def test_fully_missing_row_errors():
 
 def test_imputer_config_validation():
     with pytest.raises(ValueError):
-        ImputerConfig(max_iters=0).validate()
+        ImputerConfig(max_iters=0)
     with pytest.raises(ValueError):
-        ImputerConfig(tol=0.0).validate()
+        ImputerConfig(tol=0.0)
 
 
 def test_masked_placeholders_never_enter_the_computation():

@@ -1,9 +1,11 @@
 """The README's code examples run as written."""
 
+import json
 import re
 from pathlib import Path
 
 from ecad.cli import main
+from ecad.config import PipelineConfig, config_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,6 +17,17 @@ def _python_block(section: str) -> str:
     match = re.search(r"```python\n(.*?)```", body, re.DOTALL)
     assert match is not None, f"no python block under '## {section}'"
     return match.group(1)
+
+
+def test_configuration_schema_is_the_default_config():
+    # the loader reads its sections from the dataclasses, so the README's schema
+    # is the one hand-kept copy of them; every value it shows must be the default
+    text = README.read_text()
+    body = text[text.index("## Configuration\n") :]
+    match = re.search(r"```jsonc\n(.*?)```", body, re.DOTALL)
+    assert match is not None, "no jsonc block under '## Configuration'"
+    schema = json.loads(re.sub(r"\s*//.*", "", match.group(1)))
+    assert config_from_dict(schema) == PipelineConfig()
 
 
 def test_quickstart_output_is_what_run_all_prints(tmp_path, capsys):

@@ -216,10 +216,10 @@ def test_inject_missing_never_masks_a_whole_row():
 
 def test_scenario_config_validation():
     with pytest.raises(ValueError):
-        ScenarioConfig(model="chaos").validate()
+        ScenarioConfig(model="chaos")
     with pytest.raises(ValueError):
-        ScenarioConfig(injection=InjectionSpec(rate=0.6)).validate()
+        ScenarioConfig(injection=InjectionSpec(rate=0.6))
     with pytest.raises(ValueError):
-        ScenarioConfig(error=ErrorSpec("ar1", 1.0)).validate()
+        ScenarioConfig(error=ErrorSpec("ar1", 1.0))
     with pytest.raises(ValueError):
-        ScenarioConfig(n_sensors=3, truth=TruthSpec(neighborhood_size=4)).validate()
+        ScenarioConfig(n_sensors=3, truth=TruthSpec(neighborhood_size=4))
