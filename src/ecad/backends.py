@@ -266,6 +266,13 @@ def _backprop(
     The loss is ``sum(w * resid**2) / sum(w)`` and ``loss_scale`` is each
     row's ``(2 / sum(w)) * w``, its derivative with respect to the residual
     divided by the residual.
+
+    Every result equals that of the allocating products and ``sum(axis=0)``
+    bit for bit.  A bias gradient of a layer wider than 1 is einsum's column
+    sum, which adds the rows of a C-ordered delta in order, as ``sum(axis=0)``
+    does, but faster; a width-1 column is summed pairwise by ``sum`` and not
+    by einsum, so it keeps ``sum``.  A back-product over an inner width of 1
+    is one rounded product per cell, so it is a broadcast multiply.
     """
     pred = _forward(weights, biases, X, ws.outputs)
     np.subtract(pred, y, out=ws.resid)
@@ -280,9 +287,14 @@ def _backprop(
             np.greater(ws.outputs[layer], 0, out=mask)
             np.multiply(delta, mask, out=delta)
         np.matmul(inputs[layer].T, delta, out=ws.grad_w[layer])
-        np.sum(delta, axis=0, out=ws.grad_b[layer])
+        wide = delta.shape[1] > 1
+        if wide:
+            np.einsum("ij->j", delta, out=ws.grad_b[layer])
+        else:
+            np.sum(delta, axis=0, out=ws.grad_b[layer])
         if layer > 0:
-            np.matmul(delta, weights[layer].T, out=ws.deltas[layer - 1])
+            back = np.matmul if wide else np.multiply
+            back(delta, weights[layer].T, out=ws.deltas[layer - 1])
 
 
 def mlp_loss_and_gradients(

@@ -29,6 +29,7 @@ from .evaluation import SensorEvaluation, evaluate_sensors
 from .imputation import impute
 from .panel import (
     build_features,
+    distinct,
     grid_rows,
     load_panel,
     load_sensors,
@@ -342,7 +343,7 @@ def _read_truth(path: Path, t: np.ndarray, k: np.ndarray) -> np.ndarray:
         raise ValueError(f"more than one row for (t={truth_t[dup[0]]}, k={truth_k[dup[0]]})")
     # a (t, k) key is (rank of t) * n_k + (rank of k) among the distinct truth times
     # and sensors: ascending along the sorted rows, and below rows**2
-    times, ks = truth_t[new_t], np.unique(truth_k)
+    times, ks = truth_t[new_t], distinct(truth_k)
     key = (np.cumsum(new_t) - 1) * ks.size + np.searchsorted(ks, truth_k)
     ti = np.searchsorted(times, t).clip(max=times.size - 1)
     ki = np.searchsorted(ks, k).clip(max=ks.size - 1)

@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .backends import MODEL_TYPES, BackendSpec, MLPModel, RidgeModel, fit
-from .panel import as_grid, grid_rows
+from .panel import as_grid, distinct, grid_rows
 
 __all__ = [
     "AggregatorSpec",
@@ -174,7 +174,7 @@ def loo_aggregate(preds: np.ndarray, excluded: np.ndarray, agg: AggregatorSpec) 
     n = preds.shape[1]
     out = np.empty((n, excluded.shape[0]))
     groups = []
-    for count in np.unique(counts).tolist():
+    for count in distinct(counts).tolist():
         idx = np.flatnonzero(counts == count)
         members = np.nonzero(excluded[idx])[1].reshape(idx.size, count).T  # (count, g)
         groups.append((idx, members, *agg.rank_window(count)))
@@ -241,7 +241,9 @@ def bootstrap_indices(available: Iterable[int], n_models: int, seed: int) -> Boo
     Each multiset has exactly ``len(available)`` entries drawn i.i.d. uniformly
     with replacement; deterministic given the seed.
     """
-    avail = np.unique(np.asarray(list(available), dtype=np.int64))
+    if not isinstance(available, np.ndarray):
+        available = list(available)
+    avail = distinct(np.asarray(available, dtype=np.int64))
     if avail.size == 0:
         raise ValueError("available time index set is empty")
     if n_models < 1:
@@ -337,7 +339,7 @@ def train_ensemble(
         # set of that size: wire r of (i, k) is the prediction of i's r-th LOO member
         grid = predictions.reshape(len(predictions), *y.shape)  # (B, T', K)
         loo = np.empty(y.shape)
-        for count in np.unique(counts[usable]).tolist():
+        for count in distinct(counts[usable]).tolist():
             rows = np.flatnonzero(usable & (counts == count))
             members = np.nonzero(excluded[rows])[1].reshape(rows.size, count)
             loo[rows] = _window_mean(grid[members.T, rows], *aggregator.rank_window(count))
@@ -403,14 +405,18 @@ def load_ensemble(path: str | Path) -> Ensemble:
                 f"ensemble artifact format version {version} is not supported "
                 f"(expected {ENSEMBLE_FORMAT_VERSION})"
             )
+        int_keys = ("n_models", "n_sensors", "seed")
         try:
             backend = BackendSpec(**meta["backend"])
             aggregator = AggregatorSpec(**meta["aggregator"])
-            n_models, n_sensors, seed = (int(meta[key]) for key in ("n_models", "n_sensors", "seed"))
+            n_models, n_sensors, seed = (meta[key] for key in int_keys)
         except KeyError as exc:
             raise ValueError(f"the ensemble meta record lacks the key {exc}") from None
         except TypeError as exc:
             raise ValueError(f"the ensemble meta record is malformed: {exc}") from None
+        for key in int_keys:
+            if type(meta[key]) is not int:  # a bool is an int to isinstance
+                raise ValueError(f"the ensemble meta record's {key} must be an integer, got {meta[key]!r}")
 
         def member(key: str) -> np.ndarray:
             if key not in data.files:

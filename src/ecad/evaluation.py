@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .panel import distinct
+
 __all__ = ["rguess_expected_f1", "SensorEvaluation", "evaluate_sensors"]
 
 
@@ -60,7 +62,8 @@ def evaluate_sensors(sensors: np.ndarray, labels: np.ndarray, flags: np.ndarray)
     flags = np.asarray(flags, dtype=bool)
     if not (len(sensors) == len(labels) == len(flags)):
         raise ValueError("sensors, labels, and flags must have equal lengths")
-    sensor, index = np.unique(sensors, return_inverse=True)
+    sensor = distinct(sensors)
+    index = np.searchsorted(sensor, sensors)
 
     def count(cell: np.ndarray) -> np.ndarray:
         return np.bincount(index[cell], minlength=sensor.size)

@@ -254,7 +254,9 @@ def _reference_fit_mlp(spec, X, y):
     return weights, biases
 
 
-@pytest.mark.parametrize("hidden", [(16, 16), (32,), (4,)])
+# (64, 64) is the default net; (1,) sends a hidden layer through the width-1 bias sum
+# and the width-1 back-product
+@pytest.mark.parametrize("hidden", [(16, 16), (32,), (4,), (64, 64), (1,)])
 @pytest.mark.parametrize("n_rows", [1, 7, 3950])
 @pytest.mark.parametrize("lr", [1e-3, 0.05])
 def test_mlp_fit_bit_identical_to_allocating_reference(hidden, n_rows, lr):
@@ -268,6 +270,20 @@ def test_mlp_fit_bit_identical_to_allocating_reference(hidden, n_rows, lr):
     for got, want in zip(model.weights + model.biases, ref_w + ref_b):
         assert got.shape == (1, *want.shape)
         assert np.array_equal(got[0], want)
+
+
+@pytest.mark.parametrize("width", [1, 2, 16, 64])
+@pytest.mark.parametrize("n_rows", [1, 7, 2500])
+def test_backprop_bias_gradients_are_column_sums_bit_for_bit(width, n_rows):
+    rng = np.random.default_rng(width * n_rows)
+    weights, biases = init_mlp_params(5, (width,), rng)
+    biases = [rng.normal(size=b.shape) for b in biases]
+    X, y = rng.normal(size=(n_rows, 5)), rng.normal(size=n_rows)
+    ws = backends._MLPWorkspace(weights, n_rows)
+    backends._backprop(ws, weights, biases, X, y, rng.uniform(0.5, 2.0, n_rows) / n_rows)
+    # the deltas stay in the workspace: hidden layer 0 of the given width, output layer 1 of width 1
+    for grad, delta in zip(ws.grad_b, ws.deltas):
+        assert grad.tobytes() == delta.sum(axis=0).tobytes()
 
 
 def test_mlp_loss_and_gradients_equal_reference_and_are_not_reused():
