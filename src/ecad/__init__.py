@@ -21,18 +21,14 @@ from .detector import (
     LocalityConfig,
     ScoreStore,
     detect_stream,
-    empirical_quantile,
     local_window,
-    p_value,
 )
 from .ensemble import (
     AggregatorSpec,
     BootstrapPlan,
     Ensemble,
-    bootstrap_indices,
     load_ensemble,
     loo_aggregate,
-    loo_predict,
     save_ensemble,
     train_ensemble,
 )

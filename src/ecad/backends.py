@@ -33,7 +33,6 @@ __all__ = [
     "MLPModel",
     "MODEL_TYPES",
     "fit",
-    "mlp_loss_and_gradients",
 ]
 
 
@@ -231,11 +230,6 @@ def _layer_buffers(weights: list[np.ndarray], n_rows: int) -> list[np.ndarray]:
     return [np.empty((n_rows, W.shape[1])) for W in weights]
 
 
-def mlp_loss(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray, y: np.ndarray) -> float:
-    pred = _forward(weights, biases, X, _layer_buffers(weights, X.shape[0]))
-    return float(np.mean((pred - y) ** 2))
-
-
 class _MLPWorkspace:
     """Every buffer of one full-batch gradient step for a net over ``n_rows`` rows.
 
@@ -295,22 +289,6 @@ def _backprop(
         if layer > 0:
             back = np.matmul if wide else np.multiply
             back(delta, weights[layer].T, out=ws.deltas[layer - 1])
-
-
-def mlp_loss_and_gradients(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    X: np.ndarray,
-    y: np.ndarray,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean-squared-error loss and its gradients via backpropagation.
-
-    The gradient arrays are new on every call.
-    """
-    n = X.shape[0]
-    ws = _MLPWorkspace(weights, n)
-    _backprop(ws, weights, biases, X, y, np.full(n, 2.0 / n))
-    return float(np.mean(ws.resid**2)), ws.grad_w, ws.grad_b
 
 
 class MLPModel(_StackedModel):

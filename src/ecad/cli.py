@@ -419,6 +419,8 @@ _STAGES = {
     "detect": detect_stage,
     "evaluate": evaluate_stage,
 }
+# the order run_all calls its stages in, which main follows to print as they return
+_RUN_ALL = ("generate", "impute", "train", "detect", "evaluate")
 
 
 def _summary_line(summary: dict) -> str:
@@ -445,24 +447,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f'stage={args.command} status=error category=config message="{exc}"', file=sys.stderr)
         return 2
 
-    try:
-        if args.command == "run-all":
-            for summary in run_all(cfg):
-                print(_summary_line(summary))
-        else:
-            print(_summary_line(_STAGES[args.command](cfg)))
-    except StageError as exc:
-        print(
-            f'stage={args.command} status=error category={exc.category} message="{exc}"',
-            file=sys.stderr,
-        )
-        return 3 if exc.category == "missing-artifact" else 2
-    except Exception as exc:  # pragma: no cover - defensive surface for the CLI
-        print(
-            f'stage={args.command} status=error category=internal message="{exc}"',
-            file=sys.stderr,
-        )
-        return 1
+    # run-all prints each stage's summary as it returns, and an error names the failing stage
+    stages = _RUN_ALL if args.command == "run-all" else (args.command,)
+    for stage in stages:
+        try:
+            summary = _STAGES[stage](cfg)
+        except StageError as exc:
+            print(f'stage={stage} status=error category={exc.category} message="{exc}"', file=sys.stderr)
+            return 3 if exc.category == "missing-artifact" else 2
+        except Exception as exc:  # pragma: no cover - defensive surface for the CLI
+            print(f'stage={stage} status=error category=internal message="{exc}"', file=sys.stderr)
+            return 1
+        print(_summary_line(summary), flush=True)
     return 0
 
 

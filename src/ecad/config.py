@@ -32,7 +32,6 @@ __all__ = ["EnsembleConfig", "FeatureConfig", "DetectorConfig", "PipelineConfig"
 
 # Stage salts keep derived RNG streams independent of each other.
 _SALT_SCENARIO = 1
-_SALT_IMPUTER = 2
 _SALT_ENSEMBLE = 3
 _SALT_BACKEND = 4
 
@@ -115,19 +114,13 @@ def resolve_seeds(cfg: PipelineConfig) -> PipelineConfig:
     scenario = cfg.scenario
     if scenario.seed is None:
         scenario = dataclasses.replace(scenario, seed=_derived_seed(cfg.seed, _SALT_SCENARIO))
-    imputer = cfg.imputer
-    if imputer.inner_backend.seed is None:
-        inner = dataclasses.replace(imputer.inner_backend, seed=_derived_seed(cfg.seed, _SALT_IMPUTER))
-        imputer = dataclasses.replace(imputer, inner_backend=inner)
     ensemble = cfg.ensemble
     if ensemble.seed is None:
         ensemble = dataclasses.replace(ensemble, seed=_derived_seed(cfg.seed, _SALT_ENSEMBLE))
     backend = cfg.backend
     if backend.seed is None:
         backend = dataclasses.replace(backend, seed=_derived_seed(cfg.seed, _SALT_BACKEND))
-    return dataclasses.replace(
-        cfg, scenario=scenario, imputer=imputer, ensemble=ensemble, backend=backend
-    )
+    return dataclasses.replace(cfg, scenario=scenario, ensemble=ensemble, backend=backend)
 
 
 # JSON types each field annotation accepts; a bool is never taken for a number

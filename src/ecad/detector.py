@@ -35,8 +35,6 @@ from .panel import as_grid, check_neighbors, grid_rows
 
 __all__ = [
     "nearest_rank_index",
-    "empirical_quantile",
-    "p_value",
     "Detection",
     "Detections",
     "LocalityConfig",
@@ -60,23 +58,6 @@ def nearest_rank_index(level: float, n: int) -> int:
     if n < 1:
         raise ValueError("need at least one value")
     return max(0, math.ceil(round(level * n, 9)) - 1)
-
-
-def empirical_quantile(values: np.ndarray, level: float) -> float:
-    """Nearest-rank empirical quantile: sort ascending, take ceil(level*n)-th."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("cannot take a quantile of an empty vector")
-    idx = nearest_rank_index(level, values.size)
-    return float(np.partition(values, idx)[idx])
-
-
-def p_value(window: np.ndarray, score: float) -> float:
-    """Fraction of retained past scores that are >= the test score (ties count)."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.size == 0:
-        raise ValueError("cannot compute a p-value against an empty score window")
-    return int(np.count_nonzero(window >= score)) / window.size
 
 
 @dataclass(frozen=True)
@@ -184,31 +165,24 @@ def local_window(
     return np.concatenate(parts)
 
 
-# points per model-prediction call in loo_prediction_matrix and per scoring block
+# points per scoring block of batch_test_scores, and so per loo_prediction_matrix call
 _PREDICT_CHUNK = 512
 
 
-def loo_prediction_matrix(
-    ensemble: Ensemble, X: np.ndarray, chunk: int = _PREDICT_CHUNK
-) -> np.ndarray:
+def loo_prediction_matrix(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     """(n_points, n_usable_times) matrix of leave-one-out ensemble predictions.
 
     Point-major: row j holds point j's aggregated prediction over the LOO set
     of each usable time, so column i comes from the models that exclude usable
-    time i; times with empty LOO sets are already dropped.  A batch of at most
-    ``chunk`` points is returned as the kernel builds it, without a copy.
+    time i; times with empty LOO sets are already dropped.  One model
+    prediction covers every point of X, so the caller bounds the block
+    (``batch_test_scores`` passes at most ``_PREDICT_CHUNK`` points); the
+    matrix is returned as the kernel builds it, without a copy.
     """
-    X = np.asarray(X, dtype=np.float64)
     mask = ensemble.plan.usable_excluded  # (n_usable, B)
     if mask.shape[0] == 0:
         raise ValueError("no leave-one-out predictor available: every time index is in every bag")
-    if X.shape[0] <= chunk:
-        return loo_aggregate(ensemble.model.predict(X), mask, ensemble.aggregator)
-    out = np.empty((X.shape[0], mask.shape[0]))
-    for start in range(0, X.shape[0], chunk):
-        preds = ensemble.model.predict(X[start : start + chunk])  # (B, c)
-        out[start : start + chunk] = loo_aggregate(preds, mask, ensemble.aggregator)
-    return out
+    return loo_aggregate(ensemble.model.predict(X), mask, ensemble.aggregator)
 
 
 def batch_test_scores(
@@ -218,10 +192,10 @@ def batch_test_scores(
 
     One point-major (chunk, n_usable_times) block of LOO predictions is alive
     at a time, and each point's quantile is a contiguous partition of its row,
-    done in place.  A block is exactly one prediction chunk, so every model
-    prediction and LOO aggregate covers the same points as in one dense
-    ``loo_prediction_matrix`` call over the batch, and the scores are
-    bit-identical to it.
+    done in place.  Block j is the ``loo_prediction_matrix`` of points
+    ``j * _PREDICT_CHUNK`` onwards, at most ``_PREDICT_CHUNK`` of them, so the
+    scores are bit-identical to the quantiles of those matrices; blocks cut
+    elsewhere can move the last bits of a BLAS product.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

@@ -41,7 +41,6 @@ __all__ = [
     "bootstrap_indices",
     "train_ensemble",
     "Ensemble",
-    "loo_predict",
     "save_ensemble",
     "load_ensemble",
     "ENSEMBLE_FORMAT_VERSION",
@@ -227,13 +226,6 @@ class BootstrapPlan:
         """(n_usable, n_models) boolean matrix: the LOO model sets of the usable times."""
         return self.excluded[self.usable]
 
-    def loo_set(self, t: int) -> np.ndarray:
-        """(n_models,) boolean mask of the models whose bag excludes time t."""
-        pos = int(np.searchsorted(self.available, t))
-        if pos >= self.available.size or self.available[pos] != t:
-            raise ValueError(f"time index {t} is not in the available set")
-        return self.excluded[pos]
-
 
 def bootstrap_indices(available: Iterable[int], n_models: int, seed: int) -> BootstrapPlan:
     """Draw B bootstrap multisets over the available time indices.
@@ -350,13 +342,6 @@ def train_ensemble(
         aggregator=aggregator,
         scores=np.abs(y[usable] - loo),
     )
-
-
-def loo_predict(ensemble: Ensemble, t: int, x: np.ndarray) -> float:
-    """Aggregate the predictions at x of exactly the models whose bag excludes t."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    excluded = ensemble.plan.loo_set(t)[None, :]
-    return float(loo_aggregate(ensemble.model.predict(x), excluded, ensemble.aggregator)[0, 0])
 
 
 def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:

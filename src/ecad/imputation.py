@@ -10,7 +10,7 @@ Observed entries are never modified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +26,12 @@ class ImputerConfig:
 
     ``tol`` is the maximum absolute change between sweeps, in value units.
     Missing cells are initialized with their column's observed mean before the
-    first sweep.  ``inner_backend.seed`` seeds every inner fit.
+    first sweep.  Each column is regressed on the others by ridge with
+    penalty 1.
     """
 
     max_iters: int = 10
     tol: float = 1e-3
-    inner_backend: BackendSpec = field(
-        default_factory=lambda: BackendSpec(kind="ridge", ridge_lambda=1.0)
-    )
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
@@ -84,6 +82,7 @@ def impute(panel: np.ndarray, cfg: ImputerConfig = ImputerConfig()) -> tuple[np.
 
     delta_trace: list[float] = []
     others = [np.array([j for j in range(K) if j != k]) for k in range(K)]
+    spec = BackendSpec(kind="ridge")
     sweeps = 0
     for _ in range(cfg.max_iters):
         sweeps += 1
@@ -92,7 +91,7 @@ def impute(panel: np.ndarray, cfg: ImputerConfig = ImputerConfig()) -> tuple[np.
             obs = mask[:, k]
             if obs.all():
                 continue
-            model = fit(cfg.inner_backend, values[obs][:, others[k]], values[obs, k])
+            model = fit(spec, values[obs][:, others[k]], values[obs, k])
             predicted = model.predict(values[~obs][:, others[k]])[0]
             sweep_delta = max(sweep_delta, float(np.max(np.abs(predicted - values[~obs, k]))))
             values[~obs, k] = predicted

@@ -681,16 +681,17 @@ def test_load_config_overrides_and_validation(tmp_path, capsys):
     # stage seeds were derived from the master seed
     assert cfg.scenario.seed is not None
     assert cfg.ensemble.seed is not None
-    assert cfg.imputer.inner_backend.seed is not None
+    assert cfg.backend.seed is not None
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario": {"n_sensor": 5}}))
     with pytest.raises(ValueError, match="unknown config keys"):
         load_config(bad)
-    # the imputer is seeded by its inner backend's seed alone
-    bad.write_text(json.dumps({"imputer": {"seed": 5}}))
-    with pytest.raises(ValueError, match="unknown config keys at imputer"):
-        load_config(bad)
+    # the imputer's regression is a fixed ridge: it takes no seed and no backend
+    for imputer in ({"seed": 5}, {"inner_backend": {"kind": "ridge", "seed": 5}}, {"ridge_lambda": 0.25}):
+        bad.write_text(json.dumps({"imputer": imputer}))
+        with pytest.raises(ValueError, match="unknown config keys at imputer"):
+            load_config(bad)
 
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({"detector": {"alpha": 2.0}}))
@@ -793,10 +794,10 @@ def test_nan_config_values_are_refused(tmp_path, section, key, build, message):
 
 def test_explicit_stage_seeds_survive_resolution(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 3, "scenario": {"seed": 77}, "imputer": {"inner_backend": {"seed": 5}}}))
+    payload = {"seed": 3, "scenario": {"seed": 77}, "ensemble": {"seed": 5}, "backend": {"seed": 6}}
+    path.write_text(json.dumps(payload))
     cfg = load_config(path)
-    assert cfg.scenario.seed == 77
-    assert cfg.imputer.inner_backend.seed == 5
+    assert (cfg.scenario.seed, cfg.ensemble.seed, cfg.backend.seed) == (77, 5, 6)
 
 
 def test_summary_lines_are_machine_parsable(tmp_path, capsys):
@@ -808,6 +809,27 @@ def test_summary_lines_are_machine_parsable(tmp_path, capsys):
     assert fields["stage"] == "generate"
     assert fields["status"] == "ok"
     assert int(fields["sensors"]) == 20
+
+
+def test_run_all_prints_finished_stages_and_names_the_failing_one(tmp_path, capsys):
+    # 7 training hours less 5 lags leave 2 times, both in the one bootstrap bag,
+    # so train fails after generate and impute have written their artifacts
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "scenario": {"n_sensors": 4, "n_train": 7, "n_test": 5},
+        "ensemble": {"n_models": 1},
+        "features": {"n_lags": 5, "neighbor_size": 4},
+    }))
+    out = tmp_path / "run"
+    assert main(["run-all", "--seed", "1", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split()[0] for line in lines] == ["stage=generate", "stage=impute"]
+    assert all(line.endswith(" status=ok") for line in lines)
+    assert captured.err.startswith("stage=train status=error category=config ")
+    assert "no training time has a leave-one-out model set" in captured.err
+    assert (out / ARTIFACTS["completed_panel"]).exists()
+    assert not (out / ARTIFACTS["ensemble"]).exists()
 
 
 def test_detections_csv_sorted_by_time_then_sensor(tmp_path):
@@ -877,3 +899,17 @@ def test_no_stage_imports_numpy_ma(tmp_path):
         )
         result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert result.returncode == 0, (stage, result.returncode, result.stderr)
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """perfbench/tracing.py wraps ecad functions and methods by name, so deleting
+    or renaming one of them makes the benchmark's traced runs fail at install."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    src = str(Path(ecad.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        f"import sys; sys.path.insert(0, {str(perfbench)!r}); "
+        "import ecad, ecad.cli, tracing; tracing.install(tracing.Tracer(0), ecad)"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

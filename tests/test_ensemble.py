@@ -10,10 +10,11 @@ from ecad.ensemble import (
     bootstrap_indices,
     load_ensemble,
     loo_aggregate,
-    loo_predict,
     save_ensemble,
     train_ensemble,
 )
+
+from _oracles import loo_predict, loo_set
 
 
 def _aggregate_all(values, agg):
@@ -40,7 +41,7 @@ def test_bootstrap_single_index_has_empty_loo():
     plan = bootstrap_indices([0], 3, seed=0)
     assert plan.in_bag.shape == (3, 1)
     assert np.all(plan.in_bag == 0)
-    assert not plan.loo_set(0).any()
+    assert not loo_set(plan, 0).any()
 
 
 def test_bootstrap_shapes_and_membership():
@@ -161,7 +162,7 @@ def test_no_training_score_uses_in_bag_model():
     feats = _features_from_matrix(rng.normal(size=(30, 2)))
     ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 8, seed=3)
     for t in ens.usable_times:
-        loo = set(np.flatnonzero(ens.plan.loo_set(int(t))).tolist())
+        loo = set(np.flatnonzero(loo_set(ens.plan, int(t))).tolist())
         for b in range(ens.n_models):
             if int(t) in set(ens.plan.in_bag[b].tolist()):
                 assert b not in loo
@@ -180,7 +181,7 @@ def test_loo_predict_mean_and_median():
         t = int(ens.usable_times[0])
         x = feats[1][0, 0]
         preds = ens.model.predict(x[None, :])[:, 0]
-        expected = combine(list(preds[np.flatnonzero(ens.plan.loo_set(t))]))
+        expected = combine(list(preds[np.flatnonzero(loo_set(ens.plan, t))]))
         assert loo_predict(ens, t, x) == pytest.approx(float(expected), abs=1e-12)
 
 
@@ -314,7 +315,7 @@ def test_training_scores_equal_per_time_reference(agg):
     want = []
     for t in ens.usable_times:
         i = int(np.searchsorted(times, t))
-        loo = _reference_loo_aggregate(preds[:, i], ens.plan.loo_set(int(t))[None, :], agg)[0]
+        loo = _reference_loo_aggregate(preds[:, i], loo_set(ens.plan, int(t))[None, :], agg)[0]
         want.append(np.abs(y[i] - loo))
     if agg.kind == "mean":
         assert np.allclose(ens.scores, want, rtol=0.0, atol=1e-12)

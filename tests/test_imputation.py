@@ -88,7 +88,6 @@ def test_fully_missing_row_errors():
         impute(values)
 
 
-
 def test_imputer_config_validation():
     with pytest.raises(ValueError):
         ImputerConfig(max_iters=0)
