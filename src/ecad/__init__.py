@@ -33,7 +33,7 @@ from .ensemble import (
     train_ensemble,
 )
 from .evaluation import evaluate_sensors, rguess_expected_f1
-from .imputation import ImputeReport, ImputerConfig, impute
+from .imputation import ImputeReport, impute
 from .panel import (
     build_features,
     load_panel,

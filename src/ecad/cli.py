@@ -2,13 +2,13 @@
 
 Each stage reads its prerequisite artifacts from the output directory, writes
 its own, and prints a one-line key=value summary.  ``run-all`` chains every
-stage; ``retrain`` refits the ensemble from the completed panel, for use after
-a suspected change point.  All stages are idempotent and, for a fixed config
-and BLAS thread count, bit-reproducible (timestamps appear only in report
-metadata); another thread count can move the last bits of a BLAS result
-(see the README's Determinism section).  Every CSV
-artifact is read with ``panel.read_csv`` and written with ``panel.write_csv``;
-this module only names the columns.
+stage; rerunning ``train`` refits the ensemble from the completed panel, for
+use after a suspected change point.  All stages are idempotent and, for a
+fixed config and BLAS thread count, bit-reproducible (timestamps appear only
+in report metadata); another thread count can move the last bits of a BLAS
+result (see the README's Determinism section).  Every CSV artifact is read
+with ``panel.read_csv`` and written with ``panel.write_csv``; this module only
+names the columns.
 """
 
 from __future__ import annotations
@@ -178,17 +178,9 @@ def impute_stage(cfg: PipelineConfig) -> dict:
     """Complete the training panel and write it with the imputation report."""
     path = _require(cfg, "train_panel", "generate")
     panel = _read_artifact(load_panel, path, cfg.missing_token)
-    completed, report = impute(panel, cfg.imputer)
+    completed, report = impute(panel)
     save_panel(completed, _artifact(cfg, "completed_panel"), cfg.missing_token)
-    _write_json(
-        _artifact(cfg, "impute_report"),
-        {
-            "iterations": report.iterations,
-            "final_max_delta": report.final_max_delta,
-            "delta_trace": report.delta_trace,
-            "missing_per_column": report.missing_per_column,
-        },
-    )
+    _write_json(_artifact(cfg, "impute_report"), dataclasses.asdict(report))
     return {
         "stage": "impute",
         "sweeps": report.iterations,
@@ -197,7 +189,12 @@ def impute_stage(cfg: PipelineConfig) -> dict:
     }
 
 
-def _train_impl(cfg: PipelineConfig, stage: str) -> dict:
+def train_stage(cfg: PipelineConfig) -> dict:
+    """Fit the bootstrap ensemble on the completed training panel.
+
+    Rerun it after a suspected change point to refit from the current
+    completed panel; it overwrites the ensemble.
+    """
     panel_path = _require(cfg, "completed_panel", "impute")
     sensors_path = _require(cfg, "sensors", "generate")
     panel = _read_complete_panel(cfg, panel_path)
@@ -218,22 +215,12 @@ def _train_impl(cfg: PipelineConfig, stage: str) -> dict:
         raise StageError("config", str(exc)) from exc
     save_ensemble(ensemble, _artifact(cfg, "ensemble"))
     return {
-        "stage": stage,
+        "stage": "train",
         "models": ensemble.n_models,
         "rows": y.size,
         "dropped_empty_loo": ensemble.dropped_empty_loo,
         "scores": int(ensemble.scores.size),
     }
-
-
-def train_stage(cfg: PipelineConfig) -> dict:
-    """Fit the bootstrap ensemble on the completed training panel."""
-    return _train_impl(cfg, "train")
-
-
-def retrain_stage(cfg: PipelineConfig) -> dict:
-    """Refit the ensemble from the current completed panel (post change point)."""
-    return _train_impl(cfg, "retrain")
 
 
 def detect_stage(cfg: PipelineConfig) -> dict:
@@ -400,27 +387,14 @@ def _write_report(cfg: PipelineConfig, report: SensorEvaluation) -> dict:
     return aggregate
 
 
+# the stages in run order; stage "x" is the function x_stage, looked up by name
+# when it runs, so a wrapper set on this module's attribute reaches every caller
+_RUN_ALL = ("generate", "impute", "train", "detect", "evaluate")
+
+
 def run_all(cfg: PipelineConfig) -> list[dict]:
     """Run every stage in order; returns each stage's summary."""
-    return [
-        generate_stage(cfg),
-        impute_stage(cfg),
-        train_stage(cfg),
-        detect_stage(cfg),
-        evaluate_stage(cfg),
-    ]
-
-
-_STAGES = {
-    "generate": generate_stage,
-    "impute": impute_stage,
-    "train": train_stage,
-    "retrain": retrain_stage,
-    "detect": detect_stage,
-    "evaluate": evaluate_stage,
-}
-# the order run_all calls its stages in, which main follows to print as they return
-_RUN_ALL = ("generate", "impute", "train", "detect", "evaluate")
+    return [globals()[f"{name}_stage"](cfg) for name in _RUN_ALL]
 
 
 def _summary_line(summary: dict) -> str:
@@ -434,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Ensemble conformal anomaly detection pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*_STAGES, "run-all"]:
+    for name in [*_RUN_ALL, "run-all"]:
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", type=str, default=None, help="pipeline config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
@@ -451,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     stages = _RUN_ALL if args.command == "run-all" else (args.command,)
     for stage in stages:
         try:
-            summary = _STAGES[stage](cfg)
+            summary = globals()[f"{stage}_stage"](cfg)
         except StageError as exc:
             print(f'stage={stage} status=error category={exc.category} message="{exc}"', file=sys.stderr)
             return 3 if exc.category == "missing-artifact" else 2

@@ -25,7 +25,6 @@ import numpy as np
 from .backends import BackendSpec
 from .detector import LocalityConfig
 from .ensemble import AggregatorSpec
-from .imputation import ImputerConfig
 from .scenario import ScenarioConfig
 
 __all__ = ["EnsembleConfig", "FeatureConfig", "DetectorConfig", "PipelineConfig", "load_config"]
@@ -76,7 +75,6 @@ class PipelineConfig:
     out_dir: str = "runs/default"
     missing_token: str = "NA"
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    imputer: ImputerConfig = field(default_factory=ImputerConfig)
     backend: BackendSpec = field(default_factory=BackendSpec)
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)

@@ -147,6 +147,22 @@ def _check_finite_predictions(preds: np.ndarray) -> None:
         raise ValueError("cannot aggregate non-finite model predictions")
 
 
+def _size_groups(excluded: np.ndarray, agg: AggregatorSpec) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+    """The LOO sets of ``excluded`` (an (m, B) boolean matrix) grouped by size.
+
+    One ``(rows, members, lo, hi)`` per distinct set size: the rows of
+    ``excluded`` whose set has that size, their ``(count, g)`` member models
+    (column j lists the models of set ``rows[j]``) and ``agg.rank_window(count)``.
+    """
+    counts = excluded.sum(axis=1)
+    groups = []
+    for count in distinct(counts).tolist():
+        rows = np.flatnonzero(counts == count)
+        members = np.nonzero(excluded[rows])[1].reshape(rows.size, count).T
+        groups.append((rows, members, *agg.rank_window(count)))
+    return groups
+
+
 def loo_aggregate(preds: np.ndarray, excluded: np.ndarray, agg: AggregatorSpec) -> np.ndarray:
     """(n, m) aggregates of (B, n) model predictions over m leave-one-out model sets.
 
@@ -172,11 +188,7 @@ def loo_aggregate(preds: np.ndarray, excluded: np.ndarray, agg: AggregatorSpec) 
         return preds.T @ (excluded.T / counts)
     n = preds.shape[1]
     out = np.empty((n, excluded.shape[0]))
-    groups = []
-    for count in distinct(counts).tolist():
-        idx = np.flatnonzero(counts == count)
-        members = np.nonzero(excluded[idx])[1].reshape(idx.size, count).T  # (count, g)
-        groups.append((idx, members, *agg.rank_window(count)))
+    groups = _size_groups(excluded, agg)
     for start in range(0, n, _NETWORK_TILE):
         tile = preds[:, start : start + _NETWORK_TILE]
         for idx, members, lo, hi in groups:
@@ -321,21 +333,18 @@ def train_ensemble(
         )
     predictions = model.predict(X.reshape(-1, X.shape[2]))  # (B, T' * K)
     _check_finite_predictions(predictions)
-    counts = excluded.sum(axis=1)
     if aggregator.kind == "mean":
         # every row's sum over its time's LOO set in one pass over all rows
         sums = np.einsum("bj,bj->j", predictions, np.repeat(excluded.T, n_sensors, axis=1))
-        loo = sums.reshape(y.shape)[usable] / counts[usable, None]
+        loo = sums.reshape(y.shape)[usable] / excluded.sum(axis=1)[usable, None]
     else:
         # one selection network per LOO set size over every usable time with a
         # set of that size: wire r of (i, k) is the prediction of i's r-th LOO member
         grid = predictions.reshape(len(predictions), *y.shape)  # (B, T', K)
-        loo = np.empty(y.shape)
-        for count in distinct(counts[usable]).tolist():
-            rows = np.flatnonzero(usable & (counts == count))
-            members = np.nonzero(excluded[rows])[1].reshape(rows.size, count)
-            loo[rows] = _window_mean(grid[members.T, rows], *aggregator.rank_window(count))
-        loo = loo[usable]
+        times_used = np.flatnonzero(usable)
+        loo = np.empty((times_used.size, n_sensors))
+        for rows, members, lo, hi in _size_groups(plan.usable_excluded, aggregator):
+            loo[rows] = _window_mean(grid[members, times_used[rows]], lo, hi)
     return Ensemble(
         plan=plan,
         model=model,

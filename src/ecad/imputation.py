@@ -1,10 +1,11 @@
 """Iterative column-wise regression imputation for incomplete training panels.
 
-A panel is a ``(T, K)`` array with NaN at its missing cells.  Each sweep
-regresses every column in turn on the current values of the other columns
+A panel is a ``(T, K)`` array with NaN at its missing cells.  Missing cells
+start at their column's observed mean.  Each sweep regresses every column in
+turn on the current values of the other columns by ridge with penalty 1
 (fitting on the rows where that column is observed) and replaces the column's
-missing entries with the fitted predictions.  Sweeps repeat until the
-largest per-sweep change falls below the tolerance or the iteration cap is hit.
+missing entries with the fitted predictions.  Sweeps repeat until the largest
+per-sweep change falls below ``_TOL`` or ``_MAX_SWEEPS`` sweeps have run.
 Observed entries are never modified.
 """
 
@@ -17,27 +18,11 @@ import numpy as np
 from .backends import BackendSpec, fit
 from .panel import as_panel
 
-__all__ = ["ImputerConfig", "ImputeReport", "impute"]
+__all__ = ["ImputeReport", "impute"]
 
-
-@dataclass(frozen=True)
-class ImputerConfig:
-    """Settings for the round-robin imputer.
-
-    ``tol`` is the maximum absolute change between sweeps, in value units.
-    Missing cells are initialized with their column's observed mean before the
-    first sweep.  Each column is regressed on the others by ridge with
-    penalty 1.
-    """
-
-    max_iters: int = 10
-    tol: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+# the sweep cap, and the largest change of an imputed cell (in value units) that stops the sweeps
+_MAX_SWEEPS = 10
+_TOL = 1e-3
 
 
 @dataclass
@@ -50,7 +35,7 @@ class ImputeReport:
     missing_per_column: list[int]
 
 
-def impute(panel: np.ndarray, cfg: ImputerConfig = ImputerConfig()) -> tuple[np.ndarray, ImputeReport]:
+def impute(panel: np.ndarray) -> tuple[np.ndarray, ImputeReport]:
     """Complete a panel by iterative column-on-columns regression.
 
     ``panel`` is a ``(T, K)`` array with NaN at its missing cells.  Returns a
@@ -84,7 +69,7 @@ def impute(panel: np.ndarray, cfg: ImputerConfig = ImputerConfig()) -> tuple[np.
     others = [np.array([j for j in range(K) if j != k]) for k in range(K)]
     spec = BackendSpec(kind="ridge")
     sweeps = 0
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_SWEEPS):
         sweeps += 1
         sweep_delta = 0.0
         for k in range(K):
@@ -96,7 +81,7 @@ def impute(panel: np.ndarray, cfg: ImputerConfig = ImputerConfig()) -> tuple[np.
             sweep_delta = max(sweep_delta, float(np.max(np.abs(predicted - values[~obs, k]))))
             values[~obs, k] = predicted
         delta_trace.append(sweep_delta)
-        if sweep_delta < cfg.tol:
+        if sweep_delta < _TOL:
             break
 
     # observed entries were never written; check the contract even under python -O

@@ -236,8 +236,9 @@ def neighbor_sets(coords: np.ndarray, size: int) -> np.ndarray:
     """The ``(K, size)`` array whose row k lists sensor k's ``size`` nearest sensors.
 
     ``coords`` is the ``(K, 2)`` coordinate array, row k for sensor k.
-    Ordering is ascending Euclidean distance with ties broken by ascending
-    sensor id, so the sensor itself (distance 0) is always first.
+    The sensor itself is always first, even when another sensor shares its
+    coordinates; the rest follow by ascending Euclidean distance with ties
+    broken by ascending sensor id.
     """
     coords = np.asarray(coords, dtype=np.float64)
     n = len(coords)
@@ -247,8 +248,9 @@ def neighbor_sets(coords: np.ndarray, size: int) -> np.ndarray:
         raise ValueError(f"neighbor size {size} exceeds sensor count {n}")
     # row k holds every sensor's distance from sensor k; a stable sort keeps ties in id order
     offsets = coords[None, :, :] - coords[:, None, :]
-    order = np.argsort(np.hypot(offsets[..., 0], offsets[..., 1]), axis=1, kind="stable")
-    return order[:, :size]
+    distance = np.hypot(offsets[..., 0], offsets[..., 1])
+    np.fill_diagonal(distance, -1.0)  # the sensor itself, before any sensor at its coordinates
+    return np.argsort(distance, axis=1, kind="stable")[:, :size]
 
 
 def check_neighbors(neighbors: np.ndarray, n_sensors: int) -> np.ndarray:

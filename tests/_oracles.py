@@ -4,6 +4,7 @@ No pipeline stage runs these.  The detector ranks and partitions whole blocks
 of points, the ensemble aggregates every leave-one-out set at once, and an
 MLP fit reuses one workspace for all its epochs; each function here states
 the same quantity for one point, one time or one net, as plainly as it can.
+``gauss_solve`` solves the ridge oracles' normal equations without numpy.linalg.
 """
 
 from __future__ import annotations
@@ -67,3 +68,23 @@ def mlp_loss_and_gradients(
     ws = backends._MLPWorkspace(weights, n)
     backends._backprop(ws, weights, biases, X, y, np.full(n, 2.0 / n))
     return float(np.mean(ws.resid**2)), ws.grad_w, ws.grad_b
+
+
+def gauss_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense Gaussian elimination with partial pivoting, independent of numpy.linalg."""
+    A = [list(map(float, row)) for row in A]
+    b = list(map(float, b))
+    n = len(b)
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(A[r][col]))
+        A[col], A[pivot] = A[pivot], A[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        for r in range(col + 1, n):
+            factor = A[r][col] / A[col][col]
+            for c in range(col, n):
+                A[r][c] -= factor * A[col][c]
+            b[r] -= factor * b[col]
+    x = [0.0] * n
+    for r in range(n - 1, -1, -1):
+        x[r] = (b[r] - sum(A[r][c] * x[c] for c in range(r + 1, n))) / A[r][r]
+    return np.array(x)

@@ -5,27 +5,7 @@ from ecad import backends
 from ecad.backends import BackendSpec, fit, init_mlp_params
 from ecad.ensemble import AggregatorSpec, train_ensemble
 
-from _oracles import mlp_loss, mlp_loss_and_gradients
-
-
-def _gauss_solve(A, b):
-    """Dense Gaussian elimination with partial pivoting, independent of numpy.linalg."""
-    A = [list(map(float, row)) for row in A]
-    b = list(map(float, b))
-    n = len(b)
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(A[r][col]))
-        A[col], A[pivot] = A[pivot], A[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        for r in range(col + 1, n):
-            factor = A[r][col] / A[col][col]
-            for c in range(col, n):
-                A[r][c] -= factor * A[col][c]
-            b[r] -= factor * b[col]
-    x = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        x[r] = (b[r] - sum(A[r][c] * x[c] for c in range(r + 1, n))) / A[r][r]
-    return np.array(x)
+from _oracles import gauss_solve, mlp_loss, mlp_loss_and_gradients
 
 
 def test_ridge_interpolates_noiseless_linear_data():
@@ -53,7 +33,7 @@ def test_ridge_matches_hand_rolled_normal_equations():
     model = fit(BackendSpec(kind="ridge", ridge_lambda=1.0), X, y)
     Xc = X - X.mean(axis=0)
     yc = y - y.mean()
-    expected = _gauss_solve(Xc.T @ Xc + np.eye(3), Xc.T @ yc)
+    expected = gauss_solve(Xc.T @ Xc + np.eye(3), Xc.T @ yc)
     assert np.allclose(model.params["weights"][0], expected, atol=1e-10)
 
 

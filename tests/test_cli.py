@@ -18,7 +18,6 @@ from ecad.cli import (
     generate_stage,
     impute_stage,
     main,
-    retrain_stage,
     run_all,
     train_stage,
 )
@@ -35,7 +34,6 @@ from ecad.config import (
 )
 from ecad.detector import LocalityConfig
 from ecad.ensemble import AggregatorSpec
-from ecad.imputation import ImputerConfig
 from ecad.panel import (
     build_features,
     load_panel,
@@ -635,13 +633,14 @@ def test_train_without_a_leave_one_out_time_is_a_config_error(tmp_path, capsys):
 
 
 def test_retrain_refits_from_completed_panel(tmp_path):
+    # after a change point, rerunning train refits the ensemble from the completed panel
     cfg = _small_cfg(tmp_path / "run")
     generate_stage(cfg)
     impute_stage(cfg)
     first = train_stage(cfg)
     ensemble_bytes = (tmp_path / "run" / ARTIFACTS["ensemble"]).read_bytes()
-    summary = retrain_stage(cfg)
-    assert summary["stage"] == "retrain"
+    summary = train_stage(cfg)
+    assert summary["stage"] == "train"
     assert summary["models"] == first["models"]
     assert (tmp_path / "run" / ARTIFACTS["ensemble"]).read_bytes() == ensemble_bytes
 
@@ -687,11 +686,13 @@ def test_load_config_overrides_and_validation(tmp_path, capsys):
     bad.write_text(json.dumps({"scenario": {"n_sensor": 5}}))
     with pytest.raises(ValueError, match="unknown config keys"):
         load_config(bad)
-    # the imputer's regression is a fixed ridge: it takes no seed and no backend
-    for imputer in ({"seed": 5}, {"inner_backend": {"kind": "ridge", "seed": 5}}, {"ridge_lambda": 0.25}):
-        bad.write_text(json.dumps({"imputer": imputer}))
-        with pytest.raises(ValueError, match="unknown config keys at imputer"):
-            load_config(bad)
+    # the imputer's sweep rule is fixed: a config has no imputer section
+    bad.write_text(json.dumps({"imputer": {"max_iters": 3}}))
+    with pytest.raises(ValueError, match=r"unknown config keys at root: \['imputer'\]"):
+        load_config(bad)
+    capsys.readouterr()
+    assert main(["impute", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "category=config" in capsys.readouterr().err
 
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({"detector": {"alpha": 2.0}}))
@@ -734,7 +735,6 @@ def test_load_config_overrides_and_validation(tmp_path, capsys):
         (lambda: BackendSpec(kind="bogus"), "unknown backend kind"),
         (lambda: AggregatorSpec(kind="bogus"), "unknown aggregator"),
         (lambda: LocalityConfig(variant="bogus"), "unknown locality variant"),
-        (lambda: ImputerConfig(max_iters=0), "max_iters must be >= 1"),
         (lambda: ErrorSpec("ar1", 1.0), r"\|rho\| < 1"),
         (lambda: InjectionSpec(region="bogus"), "unknown injection region"),
         (lambda: TruthSpec(lag_depth=0), "truth lag depth must be >= 1"),
@@ -748,7 +748,6 @@ def test_load_config_overrides_and_validation(tmp_path, capsys):
         "backend",
         "aggregator",
         "locality",
-        "imputer",
         "error",
         "injection",
         "truth",
@@ -769,11 +768,10 @@ def test_every_spec_refuses_an_invalid_value_when_built(build, message):
     [
         (("backend",), "ridge_lambda", BackendSpec, "ridge_lambda must be >= 0"),
         (("backend",), "mlp_learning_rate", BackendSpec, "mlp_learning_rate must be > 0"),
-        (("imputer",), "tol", ImputerConfig, "tol must be > 0"),
         (("scenario",), "noise_sigma", ScenarioConfig, "noise_sigma must be >= 0"),
         (("scenario", "injection"), "magnitude_sigma", InjectionSpec, "magnitude_sigma must be > 0"),
     ],
-    ids=["ridge_lambda", "mlp_learning_rate", "tol", "noise_sigma", "magnitude_sigma"],
+    ids=["ridge_lambda", "mlp_learning_rate", "noise_sigma", "magnitude_sigma"],
 )
 def test_nan_config_values_are_refused(tmp_path, section, key, build, message):
     # NaN fails every comparison, so a range check written as `x < 0` lets it through
@@ -830,6 +828,31 @@ def test_run_all_prints_finished_stages_and_names_the_failing_one(tmp_path, caps
     assert "no training time has a leave-one-out model set" in captured.err
     assert (out / ARTIFACTS["completed_panel"]).exists()
     assert not (out / ARTIFACTS["ensemble"]).exists()
+
+
+def test_a_wrapper_on_a_stage_reaches_run_all_and_the_run_all_command(tmp_path, monkeypatch, capsys):
+    # both look a stage up by name when it runs, so a wrapper set on the module
+    # attribute (as a tracer installs one) sees every call
+    calls = []
+    train = ecad.cli.train_stage
+
+    def wrapped(cfg):
+        calls.append(cfg.out_dir)
+        return train(cfg)
+
+    monkeypatch.setattr(ecad.cli, "train_stage", wrapped)
+    run_all(_small_cfg(tmp_path / "a"))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(config_to_dict(_small_cfg(tmp_path / "b"))))
+    assert main(["run-all", "--config", str(config)]) == 0
+    assert calls == [str(tmp_path / "a"), str(tmp_path / "b")]
+    assert "stage=train " in capsys.readouterr().out
+
+
+def test_retrain_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["retrain"])
+    assert exc.value.code == 2 and "invalid choice: 'retrain'" in capsys.readouterr().err
 
 
 def test_detections_csv_sorted_by_time_then_sensor(tmp_path):

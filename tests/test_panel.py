@@ -297,6 +297,13 @@ def test_neighbor_sets_self_always_first():
         assert nb[k][0] == k
 
 
+def test_neighbor_sets_self_first_among_colocated_sensors():
+    # two lanes at one station share coordinates; each must still list itself first
+    coords = np.array([(0.5, 0.5), (0.1, 0.1), (0.5, 0.5), (0.9, 0.9)])
+    assert neighbor_sets(coords, 1).tolist() == [[0], [1], [2], [3]]
+    assert neighbor_sets(coords, 2).tolist() == [[0, 2], [1, 0], [2, 0], [3, 0]]
+
+
 def test_neighbor_sets_matches_brute_force_distance_sort():
     rng = np.random.default_rng(5)
     coords = rng.uniform(size=(20, 2))
