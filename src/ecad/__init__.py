@@ -22,6 +22,7 @@ from .detector import (
     ScoreStore,
     detect_stream,
     local_window,
+    stream_blocks,
 )
 from .ensemble import (
     AggregatorSpec,

@@ -65,6 +65,20 @@ class BackendSpec:
             raise ValueError(f"mlp_learning_rate must be > 0, got {self.mlp_learning_rate}")
 
 
+# bytes of an array's leading rows that _all_finite tests at a time
+_FINITE_SCAN_BYTES = 1 << 20
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether ``a`` holds no NaN or infinity, tested a block of leading rows at a time.
+
+    A block is about ``_FINITE_SCAN_BYTES`` of ``a`` (one row if a row is
+    larger), so no boolean array the size of ``a`` is made.
+    """
+    step = max(1, _FINITE_SCAN_BYTES * len(a) // max(1, a.nbytes))
+    return all(np.isfinite(a[i : i + step]).all() for i in range(0, len(a), step))
+
+
 def _check_training_inputs(
     X: np.ndarray, y: np.ndarray, counts: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +96,7 @@ def _check_training_inputs(
         raise ValueError(f"bag counts of shape {counts.shape} for {len(y)} blocks")
     if y.size < 1 or X.shape[-1] < 1:
         raise ValueError(f"need at least one sample and one feature, got X shape {X.shape}")
-    if not np.isfinite(X).all() or not np.isfinite(y).all():
+    if not _all_finite(X) or not _all_finite(y):
         raise ValueError("non-finite values in training data")
     return X, y
 
@@ -93,7 +107,7 @@ def _check_predict_input(X: np.ndarray, input_dim: int) -> np.ndarray:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
     if X.shape[1] != input_dim:
         raise ValueError(f"input dimension {X.shape[1]} does not match model dimension {input_dim}")
-    if not np.isfinite(X).all():
+    if not _all_finite(X):
         raise ValueError("non-finite values in prediction input")
     return X
 
@@ -145,8 +159,9 @@ class RidgeModel(_StackedModel):
 
 
 def _fit_ridge(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
-    x_mean = X.mean(axis=0)
-    y_mean = float(y.mean())
+    """The parameters of one ridge model fitted on the rows of (X, y), stacked as B = 1."""
+    x_mean = X.mean(axis=0, keepdims=True)
+    y_mean = y.mean(keepdims=True)
     Xc = X - x_mean
     yc = y - y_mean
     lam = spec.ridge_lambda
@@ -155,7 +170,7 @@ def _fit_ridge(spec: BackendSpec, X: np.ndarray, y: np.ndarray) -> dict[str, np.
         weights = np.linalg.solve(gram, Xc.T @ yc)
     else:
         weights = np.linalg.lstsq(Xc, yc, rcond=None)[0]
-    return {"weights": weights, "x_mean": x_mean, "y_mean": y_mean}
+    return {"weights": weights[None], "x_mean": x_mean, "y_mean": y_mean}
 
 
 # bytes of block statistics _fit_ridge_bags holds before adding them into the bags
@@ -420,10 +435,7 @@ def fit(
         counts = np.asarray(counts)
     X, y = _check_training_inputs(X, y, counts)
     if spec.kind == "ridge":
-        if counts is None:
-            params = {name: np.stack([v]) for name, v in _fit_ridge(spec, X, y).items()}
-        else:
-            params = _fit_ridge_bags(spec, X, y, counts)
+        params = _fit_ridge(spec, X, y) if counts is None else _fit_ridge_bags(spec, X, y, counts)
     else:
         fits = []
         for rows, targets, weights in _bag_rows(X, y, counts):
@@ -431,10 +443,10 @@ def fit(
             if not all(np.isfinite(a).all() for a in fits[-1].values()):
                 break  # a diverged bag ends the fit: the check below names it
         params = {name: np.stack([f[name] for f in fits]) for name in fits[0]}
-    finite = np.ones(len(params["x_mean"]), dtype=bool)
-    for stack in params.values():
-        finite &= np.isfinite(stack.reshape(len(stack), -1)).all(axis=1)
-    if not finite.all():
+    if not all(np.isfinite(stack).all() for stack in params.values()):
+        finite = np.logical_and.reduce(
+            [np.isfinite(stack.reshape(len(stack), -1)).all(axis=1) for stack in params.values()]
+        )
         where = "" if counts is None else f" of bag {np.argmin(finite)}"
         if spec.kind == "mlp":
             raise ValueError(

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig, config_to_dict, load_config
-from .detector import detect_stream
+from .detector import ScoreStore, detect_stream, stream_blocks
 from .ensemble import load_ensemble, save_ensemble, train_ensemble
 from .evaluation import SensorEvaluation, evaluate_sensors
 from .imputation import impute
@@ -224,7 +224,7 @@ def train_stage(cfg: PipelineConfig) -> dict:
 
 
 def detect_stage(cfg: PipelineConfig) -> dict:
-    """Stream the test panel through the detector and write detections.csv."""
+    """Stream the test panel through the detector a block of hours at a time; write detections.csv."""
     ensemble_path = _require(cfg, "ensemble", "train")
     train_path = _require(cfg, "completed_panel", "impute")
     test_path = _require(cfg, "test_panel", "generate")
@@ -271,37 +271,41 @@ def detect_stage(cfg: PipelineConfig) -> dict:
         raise StageError(
             "config", f"training panel {train_path} is shorter than the lag depth {n_lags}"
         )
-    times, X, y = build_features(
-        np.vstack([train[n_train - n_lags :], test]),
-        _neighbors(sensors, neighbor_size, "features.neighbor_size", sensors_path),
-        n_lags,
-    )
+    panel = np.vstack([train[n_train - n_lags :], test])
+    feature_neighbors = _neighbors(sensors, neighbor_size, "features.neighbor_size", sensors_path)
     locality_neighbors = None
     if cfg.detector.locality.enabled:
         locality_neighbors = _neighbors(
             sensors, cfg.detector.locality.neighbor_size, "detector.locality.neighbor_size", sensors_path
         )
-    detections = detect_stream(
-        ensemble,
-        times + (n_train - n_lags),
-        X,
-        y,
-        cfg.detector.alpha,
-        locality=cfg.detector.locality,
-        neighbors=locality_neighbors,
-        exclude_flagged_from_window=cfg.detector.exclude_flagged_from_window,
-    )
+    # one block of test times at a time, so the (T, K, d) test feature grid
+    # never exists whole; the blocks share one score store
+    store = ScoreStore(ensemble.usable_times, ensemble.scores)
+    columns = {name: [] for name in ("t", "k", "test_score", "p_value", "flagged")}
+    for block in stream_blocks(len(test), n_sensors):
+        times, X, y = build_features(panel[block.start : block.stop + n_lags], feature_neighbors, n_lags)
+        detections = detect_stream(
+            ensemble,
+            times + (n_train - n_lags + block.start),
+            X,
+            y,
+            cfg.detector.alpha,
+            locality=cfg.detector.locality,
+            neighbors=locality_neighbors,
+            exclude_flagged_from_window=cfg.detector.exclude_flagged_from_window,
+            store=store,
+        )
+        for name, parts in columns.items():
+            parts.append(getattr(detections, name))
 
-    write_csv(
-        _artifact(cfg, "detections"),
-        {name: getattr(detections, name) for name in ("t", "k", "test_score", "p_value", "flagged")},
-    )
-    n_flagged = int(np.count_nonzero(detections.flagged))
+    columns = {name: np.concatenate(parts) for name, parts in columns.items()}
+    write_csv(_artifact(cfg, "detections"), columns)
+    n_points, n_flagged = len(columns["t"]), int(np.count_nonzero(columns["flagged"]))
     return {
         "stage": "detect",
-        "points": len(detections),
+        "points": n_points,
         "flagged": n_flagged,
-        "flag_rate": round(n_flagged / max(1, len(detections)), 6),
+        "flag_rate": round(n_flagged / max(1, n_points), 6),
     }
 
 

@@ -20,6 +20,12 @@ once.  Sensor k is column k of the stream, row k of the store's (K, W) score
 and time grids (which start as the transpose of the ensemble's (W, K)
 training score grid) and row k of the (K, m) neighbor id array that locality
 reads.  A comparison set therefore never holds a score of its own timestamp.
+
+A stream can be detected in parts: ``detect_stream`` continues a
+``ScoreStore`` passed to it, and the blocks of ``stream_blocks`` fill whole
+scoring chunks, so running them in order through one store gives the results
+of one call over the whole stream, bit for bit, while only one block's
+features need exist at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .ensemble import Ensemble, loo_aggregate
-from .panel import as_grid, check_neighbors, grid_rows
+from .panel import as_grid, check_neighbors, grid_rows, time_blocks
 
 __all__ = [
     "nearest_rank_index",
@@ -41,6 +47,7 @@ __all__ = [
     "ScoreStore",
     "local_window",
     "loo_prediction_matrix",
+    "stream_blocks",
     "detect_stream",
 ]
 
@@ -185,6 +192,16 @@ def loo_prediction_matrix(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     return loo_aggregate(ensemble.model.predict(X), mask, ensemble.aggregator)
 
 
+def stream_blocks(n_times: int, n_sensors: int) -> list[slice]:
+    """The blocks of a test stream's times that `detect_stream` may take one call at a time.
+
+    Each block's points fill whole scoring chunks (``panel.time_blocks`` of
+    ``_PREDICT_CHUNK`` points), so every chunk, and with it every test score,
+    is the one a single call over the whole stream scores.
+    """
+    return time_blocks(n_times, n_sensors, _PREDICT_CHUNK)
+
+
 def batch_test_scores(
     ensemble: Ensemble, X: np.ndarray, y: np.ndarray, alpha: float
 ) -> np.ndarray:
@@ -273,14 +290,18 @@ def detect_stream(
     locality: LocalityConfig | None = None,
     neighbors: np.ndarray | None = None,
     exclude_flagged_from_window: bool = False,
+    store: ScoreStore | None = None,
 ) -> Detections:
     """Run sequential detection over a time x sensor grid of test points.
 
     ``(times, X, y)`` is laid out as ``panel.build_features`` returns it
     (``panel.as_grid``), with the ensemble's K sensors as the columns of y.
-    Its times strictly increase from a first time later than the last
-    retained training time.  The score store is initialized from the
-    ensemble's training score grid, row k for sensor k.  Each point of
+    Its times strictly increase from a first time later than the latest time
+    in the score store.  That store is ``store``, which detection continues
+    and advances in place, or else a fresh one initialized from the
+    ensemble's training score grid, row k for sensor k; so the blocks of
+    `stream_blocks`, run in order through one store, give the results of one
+    call over the whole stream, bit for bit.  Each point of
     timestamp t is ranked against its comparison set in the store as it stood
     at the end of t-1 (the sensor's own window, or the local union when
     locality is enabled) and flagged when p <= alpha; then all of t is pushed
@@ -304,8 +325,13 @@ def detect_stream(
     if y.shape[1] != n_sensors:
         raise ValueError(f"the stream has {y.shape[1]} sensors, but the ensemble was trained on {n_sensors}")
 
-    store = ScoreStore(ensemble.usable_times, ensemble.scores)
-    last = int(ensemble.usable_times[-1])
+    if store is None:
+        store = ScoreStore(ensemble.usable_times, ensemble.scores)
+    elif len(store.score_grid) != n_sensors:
+        raise ValueError(
+            f"the score store holds {len(store.score_grid)} sensors, but the ensemble was trained on {n_sensors}"
+        )
+    last = int(store.time_grid.max())
     if times.size and times[0] <= last:
         raise ValueError(f"out-of-order timestamp {times[0]}: the score store already holds time {last}")
     scores = batch_test_scores(ensemble, X.reshape(-1, X.shape[2]), y.reshape(-1), alpha)

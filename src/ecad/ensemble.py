@@ -10,6 +10,9 @@ each time as one block.
 A time's training score is aggregated exclusively from models whose bag
 excludes that time, which keeps the scores out-of-sample without any data
 splitting; the scores form one ``(n_usable_times, K)`` grid, `Ensemble.scores`.
+They are predicted and aggregated one block of whole times at a time
+(``panel.time_blocks``), so beside the feature grid training holds one
+block's ``(B, block)`` predictions, never those of every row.
 ``Ensemble.model.predict`` is the one source of per-model predictions,
 ``(B, n)``, for the training scores and for detection.  The artifact stores
 the score grid flat, as the ``score_times``, ``score_sensors`` and
@@ -32,7 +35,7 @@ from typing import Iterable
 import numpy as np
 
 from .backends import MODEL_TYPES, BackendSpec, MLPModel, RidgeModel, fit
-from .panel import as_grid, distinct, grid_rows
+from .panel import as_grid, distinct, grid_rows, time_blocks
 
 __all__ = [
     "AggregatorSpec",
@@ -80,6 +83,14 @@ class AggregatorSpec:
 
 # points per wire of the selection network in loo_aggregate
 _NETWORK_TILE = 128
+
+# train_ensemble predicts and aggregates the training scores a block of whole
+# times at a time, each block a multiple of this many points (`time_blocks`).
+# With OpenBLAS 0.3.31 at 1 and 2 threads, such blocks gave the predictions of
+# one (25, 25) ridge product over every row bit for bit on 286 grids of 5 to
+# 200 sensors, while blocks cut elsewhere, or a short last block, moved the
+# last bits of some
+_SCORE_CHUNK = 512
 
 
 @lru_cache(maxsize=None)  # one entry per (set size, rank window) in use: at most B per aggregator
@@ -331,20 +342,31 @@ def train_ensemble(
             "dropped %d of %d time indices with empty leave-one-out model sets",
             np.count_nonzero(~usable), usable.size,
         )
-    predictions = model.predict(X.reshape(-1, X.shape[2]))  # (B, T' * K)
-    _check_finite_predictions(predictions)
+    times_used = np.flatnonzero(usable)
+    loo = np.empty((times_used.size, n_sensors))
     if aggregator.kind == "mean":
-        # every row's sum over its time's LOO set in one pass over all rows
-        sums = np.einsum("bj,bj->j", predictions, np.repeat(excluded.T, n_sensors, axis=1))
-        loo = sums.reshape(y.shape)[usable] / excluded.sum(axis=1)[usable, None]
+        counts = excluded.sum(axis=1)
     else:
-        # one selection network per LOO set size over every usable time with a
-        # set of that size: wire r of (i, k) is the prediction of i's r-th LOO member
-        grid = predictions.reshape(len(predictions), *y.shape)  # (B, T', K)
-        times_used = np.flatnonzero(usable)
-        loo = np.empty((times_used.size, n_sensors))
-        for rows, members, lo, hi in _size_groups(plan.usable_excluded, aggregator):
-            loo[rows] = _window_mean(grid[members, times_used[rows]], lo, hi)
+        # one selection network per LOO set size and block: wire r of (i, k) is
+        # the prediction of i's r-th LOO member; a group's rows ascend in time
+        groups = [
+            (rows, members, lo, hi, times_used[rows])
+            for rows, members, lo, hi in _size_groups(plan.usable_excluded, aggregator)
+        ]
+    for block in time_blocks(len(y), n_sensors, _SCORE_CHUNK):
+        predictions = model.predict(X[block].reshape(-1, X.shape[2]))  # (B, block points)
+        _check_finite_predictions(predictions)
+        if aggregator.kind == "mean":
+            # every row's sum over its time's LOO set in one pass over the block's rows
+            sums = np.einsum("bj,bj->j", predictions, np.repeat(excluded[block].T, n_sensors, axis=1))
+            in_use = usable[block]
+            first, stop = np.searchsorted(times_used, (block.start, block.stop))
+            loo[first:stop] = sums.reshape(-1, n_sensors)[in_use] / counts[block][in_use, None]
+        else:
+            grid = predictions.reshape(len(predictions), -1, n_sensors)  # (B, block times, K)
+            for rows, members, lo, hi, at in groups:
+                i, j = np.searchsorted(at, (block.start, block.stop))
+                loo[rows[i:j]] = _window_mean(grid[members[:, i:j], at[i:j] - block.start], lo, hi)
     return Ensemble(
         plan=plan,
         model=model,

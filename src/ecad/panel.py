@@ -10,8 +10,10 @@ for sensor k, and ``check_neighbors`` is the one check of such an array.
 ``build_features`` turns a complete panel into the time x sensor grid every
 later stage consumes: ``(times, X, y)`` with ``X`` of shape ``(T', K, d)`` and
 ``y`` of shape ``(T', K)``, so sensor k is column k at every time.
-``as_grid`` is the one check of those shapes, and ``grid_rows`` flattens a
-grid into its ``(t, k)`` rows where an artifact stores one.
+``as_grid`` is the one check of those shapes, ``grid_rows`` flattens a
+grid into its ``(t, k)`` rows where an artifact stores one, and
+``time_blocks`` cuts a grid's times into the blocks that training and
+detection process one at a time.
 
 The CSV format of every pipeline artifact lives here: ``read_csv`` is the only
 parser of CSV text and ``write_csv`` the only formatter.  ``distinct`` is the
@@ -20,6 +22,7 @@ package's one way to take the sorted distinct values of an array.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -39,6 +42,7 @@ __all__ = [
     "build_features",
     "as_grid",
     "grid_rows",
+    "time_blocks",
     "distinct",
 ]
 
@@ -316,6 +320,19 @@ def as_grid(times: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray
     if (times[1:] <= times[:-1]).any():
         raise ValueError("the times of the grid must strictly increase")
     return times, X, y
+
+
+def time_blocks(n_times: int, n_sensors: int, chunk: int) -> list[slice]:
+    """Consecutive slices of a grid's ``n_times`` times, cut where whole chunks of points end.
+
+    A block holds ``chunk // gcd(chunk, n_sensors)`` times, the fewest whose
+    ``n_sensors`` points per time fill whole chunks of ``chunk`` points; the
+    last block also takes the remaining times, so that no block is shorter
+    than that unless the whole grid is.
+    """
+    step = chunk // math.gcd(chunk, n_sensors)
+    starts = list(range(0, n_times, step))[: max(1, n_times // step)]
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n_times])]
 
 
 def grid_rows(times: np.ndarray, n_sensors: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +34,13 @@ from ecad.config import (
     resolve_seeds,
 )
 from ecad.detector import LocalityConfig
-from ecad.ensemble import AggregatorSpec
+from ecad.ensemble import AggregatorSpec, load_ensemble
 from ecad.panel import (
     build_features,
     load_panel,
     load_sensors,
     neighbor_sets,
+    read_csv,
 )
 from ecad.scenario import ErrorSpec, InjectionSpec, ScenarioConfig, TruthSpec
 
@@ -188,15 +190,16 @@ def test_evaluate_memory_does_not_grow_with_the_largest_truth_index(tmp_path, ca
 
 
 def test_detect_features_equal_full_panel_rows(tmp_path, monkeypatch):
-    cfg = _small_cfg(tmp_path / "run")
+    # 300 test hours of 4 sensors are two detection blocks, 128 and 172 hours
+    cfg = _small_cfg(tmp_path / "run", n_test=300)
     generate_stage(cfg)
     impute_stage(cfg)
     train_stage(cfg)
-    seen = {}
+    seen = []
     detect_stream = ecad.cli.detect_stream
 
     def recording_detect_stream(ensemble, times, X, y, *args, **kwargs):
-        seen.update(times=times, X=X, y=y)
+        seen.append((times, X, y))
         return detect_stream(ensemble, times, X, y, *args, **kwargs)
 
     monkeypatch.setattr(ecad.cli, "detect_stream", recording_detect_stream)
@@ -209,9 +212,40 @@ def test_detect_features_equal_full_panel_rows(tmp_path, monkeypatch):
     neighbors = neighbor_sets(sensors, cfg.features.neighbor_size)
     times, X, y = build_features(np.vstack([train, test]), neighbors, cfg.features.n_lags)
     test_rows = times >= len(train)
-    assert np.array_equal(seen["times"], times[test_rows])
-    assert np.array_equal(seen["X"], X[test_rows])
-    assert np.array_equal(seen["y"], y[test_rows])
+    assert [len(block[0]) for block in seen] == [128, 172]
+    for i, whole in enumerate((times[test_rows], X[test_rows], y[test_rows])):
+        assert np.array_equal(np.concatenate([block[i] for block in seen]), whole)
+
+    # the blocks, sharing one score store, write what one call over every test row gives
+    ensemble = load_ensemble(run / ARTIFACTS["ensemble"])
+    whole = detect_stream(ensemble, times[test_rows], X[test_rows], y[test_rows], cfg.detector.alpha)
+    columns = {"t": np.int64, "k": np.int64, "test_score": float, "p_value": float, "flagged": bool}
+    for name, written in zip(columns, read_csv(run / ARTIFACTS["detections"], columns)):
+        assert np.array_equal(written, getattr(whole, name)), name
+    assert whole.flagged.any()
+
+
+def test_detect_memory_does_not_grow_with_the_test_horizon(tmp_path):
+    # features of 10 lags x 6 neighbours, 480 bytes a point: the test feature
+    # grid of a whole horizon made the stage's peak 3.2 times as high at 4x
+    # the hours (2.6 and 8.3 MB); built a block of hours at a time it is 1.26
+    # times (2.2 and 2.7 MB), and what grows is the test panel and the
+    # detection columns
+    peaks = []
+    for n_test in (600, 2400):
+        cfg = _small_cfg(tmp_path / str(n_test), n_sensors=6, n_train=100, n_test=n_test)
+        cfg = dataclasses.replace(cfg, features=FeatureConfig(n_lags=10, neighbor_size=6))
+        for stage in (generate_stage, impute_stage, train_stage):
+            stage(cfg)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            detect_stage(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def _detect_exit(cfg, tmp_path, capsys):

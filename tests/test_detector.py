@@ -17,8 +17,10 @@ from ecad.detector import (
     local_window,
     loo_prediction_matrix,
     nearest_rank_index,
+    stream_blocks,
 )
 from ecad.ensemble import AggregatorSpec, BootstrapPlan, Ensemble, train_ensemble
+from ecad.panel import build_features, neighbor_sets
 
 from _oracles import empirical_quantile, loo_predict, p_value
 
@@ -647,3 +649,51 @@ def test_detect_stream_mean_matches_division_kernel_oracle(monkeypatch, locality
     assert np.array_equal(dets.flagged, oracle.flagged)
     assert np.allclose(dets.test_score, oracle.test_score, rtol=0.0, atol=1e-12)
     assert dets.flagged.any() and not dets.flagged.all()
+
+
+@pytest.fixture(scope="module", params=["mean", "median", "trimmed_mean"])
+def blocked_stream(request):
+    """An ensemble of 7 sensors and a 1300-hour test stream: two detection blocks of 512 and 788 hours."""
+    rng = np.random.default_rng(17)
+    neighbors = neighbor_sets(rng.random((7, 2)), 3)
+    times, X, y = build_features(rng.normal(size=(1402, 7)), neighbors, n_lags=2)
+    ens = train_ensemble(
+        times[:100], X[:100], y[:100], BackendSpec(kind="ridge"), 15, AggregatorSpec(request.param), seed=2
+    )
+    spikes = np.where(rng.random((1300, 7)) < 0.05, 6.0, 0.0)
+    return ens, times[100:], X[100:], y[100:] + spikes, neighbors
+
+
+@pytest.mark.parametrize("exclude_flagged", [False, True], ids=["slide", "exclude"])
+@pytest.mark.parametrize(
+    "locality",
+    [LocalityConfig(), LocalityConfig(enabled=True, n_lags=3), LocalityConfig(enabled=True, variant="as_printed")],
+    ids=["plain", "neighbors", "as_printed"],
+)
+def test_blocked_detection_equals_one_call_over_the_stream(blocked_stream, locality, exclude_flagged):
+    ens, stream_t, stream_x, stream_y, neighbors = blocked_stream
+    options = dict(alpha=0.1, locality=locality, neighbors=neighbors, exclude_flagged_from_window=exclude_flagged)
+    whole_store = ScoreStore(ens.usable_times, ens.scores)
+    whole = detect_stream(ens, stream_t, stream_x, stream_y, store=whole_store, **options)
+    blocks = stream_blocks(len(stream_t), 7)
+    # an odd sensor count, and a horizon of about 2.5 blocks of 512 hours: the half block joins the second
+    assert [(b.start, b.stop) for b in blocks] == [(0, 512), (512, 1300)]
+    store = ScoreStore(ens.usable_times, ens.scores)
+    parts = [detect_stream(ens, stream_t[b], stream_x[b], stream_y[b], store=store, **options) for b in blocks]
+    for name in ("t", "k", "test_score", "p_value", "flagged", "comparison_count"):
+        assert np.array_equal(np.concatenate([getattr(part, name) for part in parts]), getattr(whole, name)), name
+    assert whole.flagged.any() and not whole.flagged.all()
+    # the blocks leave the store as the whole call does
+    for name in ("score_grid", "time_grid", "head"):
+        assert np.array_equal(getattr(store, name), getattr(whole_store, name)), name
+
+
+def test_detect_stream_refuses_a_store_it_cannot_continue():
+    ens = _manual_ensemble([1.0, 2.0, 3.0])
+    store = ScoreStore(ens.usable_times, ens.scores)
+    detect_stream(ens, [3, 4], np.zeros((2, 1, 2)), np.zeros((2, 1)), 0.1, store=store)
+    with pytest.raises(ValueError, match="out-of-order timestamp 4: the score store already holds time 4"):
+        detect_stream(ens, [4], np.zeros((1, 1, 2)), np.zeros((1, 1)), 0.1, store=store)
+    other = ScoreStore(ens.usable_times, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="the score store holds 2 sensors, but the ensemble was trained on 1"):
+        detect_stream(ens, [5], np.zeros((1, 1, 2)), np.zeros((1, 1)), 0.1, store=other)

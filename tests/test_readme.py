@@ -4,6 +4,8 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 from ecad.cli import main
 from ecad.config import PipelineConfig, config_from_dict
 
@@ -47,3 +49,7 @@ def test_library_use_example_runs():
     assert len(detections) == 200 * 8
     assert flagged == [(d.t, d.k) for d in detections if d.flagged]
     assert all(500 <= d.t < 700 for d in detections)
+    blocks = namespace["blocks"]
+    assert [len(block) for block in blocks] == [64 * 8, 64 * 8, 72 * 8]
+    for name in ("t", "k", "test_score", "p_value", "flagged", "comparison_count"):
+        assert np.array_equal(np.concatenate([getattr(b, name) for b in blocks]), getattr(detections, name)), name
