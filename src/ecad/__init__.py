@@ -22,7 +22,6 @@ from .detector import (
     ScoreStore,
     detect_stream,
     local_window,
-    stream_blocks,
 )
 from .ensemble import (
     AggregatorSpec,
@@ -42,6 +41,7 @@ from .panel import (
     neighbor_sets,
     save_panel,
     save_sensors,
+    time_blocks,
 )
 from .scenario import (
     ErrorSpec,

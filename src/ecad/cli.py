@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig, config_to_dict, load_config
-from .detector import ScoreStore, detect_stream, stream_blocks
+from .detector import ScoreStore, detect_stream
 from .ensemble import load_ensemble, save_ensemble, train_ensemble
 from .evaluation import SensorEvaluation, evaluate_sensors
 from .imputation import impute
@@ -37,6 +37,7 @@ from .panel import (
     read_csv,
     save_panel,
     save_sensors,
+    time_blocks,
     write_csv,
 )
 from .scenario import generate, inject_missing
@@ -200,7 +201,10 @@ def train_stage(cfg: PipelineConfig) -> dict:
     panel = _read_complete_panel(cfg, panel_path)
     coords = _read_sensors(sensors_path, panel, panel_path)
     neighbors = _neighbors(coords, cfg.features.neighbor_size, "features.neighbor_size", sensors_path)
-    times, X, y = build_features(panel, neighbors, cfg.features.n_lags)
+    try:
+        times, X, y = build_features(panel, neighbors, cfg.features.n_lags)
+    except ValueError as exc:  # a panel too short for the lag depth
+        raise StageError("config", f"training panel {panel_path}: {exc}") from exc
     try:
         ensemble = train_ensemble(
             times,
@@ -213,11 +217,13 @@ def train_stage(cfg: PipelineConfig) -> dict:
         )
     except ValueError as exc:
         raise StageError("config", str(exc)) from exc
+    rows = y.size
+    del times, X, y  # the feature grid is not needed while the artifact is written
     save_ensemble(ensemble, _artifact(cfg, "ensemble"))
     return {
         "stage": "train",
         "models": ensemble.n_models,
-        "rows": y.size,
+        "rows": rows,
         "dropped_empty_loo": ensemble.dropped_empty_loo,
         "scores": int(ensemble.scores.size),
     }
@@ -256,20 +262,16 @@ def detect_stage(cfg: PipelineConfig) -> dict:
             f"ensemble {ensemble_path} was trained on {ensemble.n_sensors} sensors, "
             f"but test panel {test_path} has {n_sensors}",
         )
-    # the test stream starts at time n_train, after every retained training score
-    last_scored = int(ensemble.usable_times.max(initial=-1))
-    if last_scored >= n_train:
+    # detection continues the training scores, so the ensemble must have been trained
+    # on every feature time of this panel and no other, the last being n_train - 1
+    trained, expected = ensemble.plan.available, np.arange(n_lags, n_train)
+    if not np.array_equal(trained, expected):
         raise StageError(
             "config",
-            f"ensemble {ensemble_path} holds training scores up to time {last_scored}, but "
-            f"training panel {train_path} has only {n_train} rows; the two come from "
-            "different horizons, so retrain the ensemble on this panel",
-        )
-
-    # the test rows' lags reach back n_lags hours into the training panel
-    if n_train < n_lags:
-        raise StageError(
-            "config", f"training panel {train_path} is shorter than the lag depth {n_lags}"
+            f"ensemble {ensemble_path} was trained on the {trained.size} times {trained[0]}..{trained[-1]}, "
+            f"but training panel {train_path} of {n_train} rows gives the {expected.size} times "
+            f"{n_lags}..{n_train - 1} at features.n_lags {n_lags}; "
+            "the two come from different horizons or lag depths, so retrain the ensemble on this panel",
         )
     panel = np.vstack([train[n_train - n_lags :], test])
     feature_neighbors = _neighbors(sensors, neighbor_size, "features.neighbor_size", sensors_path)
@@ -282,7 +284,7 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     # never exists whole; the blocks share one score store
     store = ScoreStore(ensemble.usable_times, ensemble.scores)
     columns = {name: [] for name in ("t", "k", "test_score", "p_value", "flagged")}
-    for block in stream_blocks(len(test), n_sensors):
+    for block in time_blocks(len(test), n_sensors):
         times, X, y = build_features(panel[block.start : block.stop + n_lags], feature_neighbors, n_lags)
         detections = detect_stream(
             ensemble,

@@ -22,10 +22,10 @@ training score grid) and row k of the (K, m) neighbor id array that locality
 reads.  A comparison set therefore never holds a score of its own timestamp.
 
 A stream can be detected in parts: ``detect_stream`` continues a
-``ScoreStore`` passed to it, and the blocks of ``stream_blocks`` fill whole
-scoring chunks, so running them in order through one store gives the results
-of one call over the whole stream, bit for bit, while only one block's
-features need exist at a time.
+``ScoreStore`` passed to it, and the blocks of ``panel.time_blocks`` fill whole
+scoring chunks of ``panel.PREDICT_CHUNK`` points, so running them in order
+through one store gives the results of one call over the whole stream, bit for
+bit, while only one block's features need exist at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .ensemble import Ensemble, loo_aggregate
-from .panel import as_grid, check_neighbors, grid_rows, time_blocks
+from .panel import PREDICT_CHUNK, as_grid, check_neighbors, grid_rows
 
 __all__ = [
     "nearest_rank_index",
@@ -47,7 +47,6 @@ __all__ = [
     "ScoreStore",
     "local_window",
     "loo_prediction_matrix",
-    "stream_blocks",
     "detect_stream",
 ]
 
@@ -172,10 +171,6 @@ def local_window(
     return np.concatenate(parts)
 
 
-# points per scoring block of batch_test_scores, and so per loo_prediction_matrix call
-_PREDICT_CHUNK = 512
-
-
 def loo_prediction_matrix(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     """(n_points, n_usable_times) matrix of leave-one-out ensemble predictions.
 
@@ -183,23 +178,13 @@ def loo_prediction_matrix(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     of each usable time, so column i comes from the models that exclude usable
     time i; times with empty LOO sets are already dropped.  One model
     prediction covers every point of X, so the caller bounds the block
-    (``batch_test_scores`` passes at most ``_PREDICT_CHUNK`` points); the
+    (``batch_test_scores`` passes at most ``PREDICT_CHUNK`` points); the
     matrix is returned as the kernel builds it, without a copy.
     """
     mask = ensemble.plan.usable_excluded  # (n_usable, B)
     if mask.shape[0] == 0:
         raise ValueError("no leave-one-out predictor available: every time index is in every bag")
     return loo_aggregate(ensemble.model.predict(X), mask, ensemble.aggregator)
-
-
-def stream_blocks(n_times: int, n_sensors: int) -> list[slice]:
-    """The blocks of a test stream's times that `detect_stream` may take one call at a time.
-
-    Each block's points fill whole scoring chunks (``panel.time_blocks`` of
-    ``_PREDICT_CHUNK`` points), so every chunk, and with it every test score,
-    is the one a single call over the whole stream scores.
-    """
-    return time_blocks(n_times, n_sensors, _PREDICT_CHUNK)
 
 
 def batch_test_scores(
@@ -210,7 +195,7 @@ def batch_test_scores(
     One point-major (chunk, n_usable_times) block of LOO predictions is alive
     at a time, and each point's quantile is a contiguous partition of its row,
     done in place.  Block j is the ``loo_prediction_matrix`` of points
-    ``j * _PREDICT_CHUNK`` onwards, at most ``_PREDICT_CHUNK`` of them, so the
+    ``j * PREDICT_CHUNK`` onwards, at most ``PREDICT_CHUNK`` of them, so the
     scores are bit-identical to the quantiles of those matrices; blocks cut
     elsewhere can move the last bits of a BLAS product.
     """
@@ -219,8 +204,8 @@ def batch_test_scores(
     X = np.asarray(X, dtype=np.float64)
     quantiles = np.empty(X.shape[0])
     # an empty batch still makes one call, which rejects an ensemble without LOO sets
-    for start in range(0, max(1, X.shape[0]), _PREDICT_CHUNK):
-        stop = start + _PREDICT_CHUNK
+    for start in range(0, max(1, X.shape[0]), PREDICT_CHUNK):
+        stop = start + PREDICT_CHUNK
         block = loo_prediction_matrix(ensemble, X[start:stop])
         idx = nearest_rank_index(1.0 - alpha, block.shape[1])
         block.partition(idx, axis=1)
@@ -300,8 +285,8 @@ def detect_stream(
     in the score store.  That store is ``store``, which detection continues
     and advances in place, or else a fresh one initialized from the
     ensemble's training score grid, row k for sensor k; so the blocks of
-    `stream_blocks`, run in order through one store, give the results of one
-    call over the whole stream, bit for bit.  Each point of
+    `panel.time_blocks`, run in order through one store, give the results of
+    one call over the whole stream, bit for bit.  Each point of
     timestamp t is ranked against its comparison set in the store as it stood
     at the end of t-1 (the sensor's own window, or the local union when
     locality is enabled) and flagged when p <= alpha; then all of t is pushed

@@ -11,8 +11,9 @@ A time's training score is aggregated exclusively from models whose bag
 excludes that time, which keeps the scores out-of-sample without any data
 splitting; the scores form one ``(n_usable_times, K)`` grid, `Ensemble.scores`.
 They are predicted and aggregated one block of whole times at a time
-(``panel.time_blocks``), so beside the feature grid training holds one
-block's ``(B, block)`` predictions, never those of every row.
+(``panel.time_blocks``, the package's one block rule), so beside the feature
+grid training holds one block's ``(B, block)`` predictions, never those of
+every row.
 ``Ensemble.model.predict`` is the one source of per-model predictions,
 ``(B, n)``, for the training scores and for detection.  The artifact stores
 the score grid flat, as the ``score_times``, ``score_sensors`` and
@@ -23,7 +24,6 @@ Ensembles are immutable after construction.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import zipfile
@@ -83,14 +83,6 @@ class AggregatorSpec:
 
 # points per wire of the selection network in loo_aggregate
 _NETWORK_TILE = 128
-
-# train_ensemble predicts and aggregates the training scores a block of whole
-# times at a time, each block a multiple of this many points (`time_blocks`).
-# With OpenBLAS 0.3.31 at 1 and 2 threads, such blocks gave the predictions of
-# one (25, 25) ridge product over every row bit for bit on 286 grids of 5 to
-# 200 sensors, while blocks cut elsewhere, or a short last block, moved the
-# last bits of some
-_SCORE_CHUNK = 512
 
 
 @lru_cache(maxsize=None)  # one entry per (set size, rank window) in use: at most B per aggregator
@@ -353,7 +345,7 @@ def train_ensemble(
             (rows, members, lo, hi, times_used[rows])
             for rows, members, lo, hi in _size_groups(plan.usable_excluded, aggregator)
         ]
-    for block in time_blocks(len(y), n_sensors, _SCORE_CHUNK):
+    for block in time_blocks(len(y), n_sensors):
         predictions = model.predict(X[block].reshape(-1, X.shape[2]))  # (B, block points)
         _check_finite_predictions(predictions)
         if aggregator.kind == "mean":
@@ -399,9 +391,9 @@ def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
     for b in range(ensemble.n_models):
         for name, stack in ensemble.model.params.items():
             arrays[f"model{b}_{name}"] = stack[b]
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    Path(path).write_bytes(buffer.getvalue())
+    # straight to the file: an in-memory archive would hold the whole artifact again
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_ensemble(path: str | Path) -> Ensemble:

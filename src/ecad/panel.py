@@ -12,8 +12,8 @@ later stage consumes: ``(times, X, y)`` with ``X`` of shape ``(T', K, d)`` and
 ``y`` of shape ``(T', K)``, so sensor k is column k at every time.
 ``as_grid`` is the one check of those shapes, ``grid_rows`` flattens a
 grid into its ``(t, k)`` rows where an artifact stores one, and
-``time_blocks`` cuts a grid's times into the blocks that training and
-detection process one at a time.
+``time_blocks``, the one block rule, cuts a grid's times into blocks of whole
+``PREDICT_CHUNK``-point chunks that training and detection process one at a time.
 
 The CSV format of every pipeline artifact lives here: ``read_csv`` is the only
 parser of CSV text and ``write_csv`` the only formatter.  ``distinct`` is the
@@ -42,6 +42,7 @@ __all__ = [
     "build_features",
     "as_grid",
     "grid_rows",
+    "PREDICT_CHUNK",
     "time_blocks",
     "distinct",
 ]
@@ -322,15 +323,24 @@ def as_grid(times: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray
     return times, X, y
 
 
-def time_blocks(n_times: int, n_sensors: int, chunk: int) -> list[slice]:
-    """Consecutive slices of a grid's ``n_times`` times, cut where whole chunks of points end.
+# points per prediction chunk: the training and the test scores are predicted
+# and aggregated this many points at a time, in blocks of whole chunks
+# (`time_blocks`).  With OpenBLAS 0.3.31 at 1 and 2 threads, such blocks gave
+# the predictions of one (25, 25) ridge product over every row bit for bit on
+# 286 grids of 5 to 200 sensors, while blocks cut elsewhere, or a short last
+# block, moved the last bits of some
+PREDICT_CHUNK = 512
 
-    A block holds ``chunk // gcd(chunk, n_sensors)`` times, the fewest whose
-    ``n_sensors`` points per time fill whole chunks of ``chunk`` points; the
-    last block also takes the remaining times, so that no block is shorter
-    than that unless the whole grid is.
+
+def time_blocks(n_times: int, n_sensors: int) -> list[slice]:
+    """Consecutive slices of a grid's ``n_times`` times, cut where whole prediction chunks end.
+
+    A block holds ``PREDICT_CHUNK // gcd(PREDICT_CHUNK, n_sensors)`` times, the
+    fewest whose ``n_sensors`` points per time fill whole chunks of
+    ``PREDICT_CHUNK`` points; the last block also takes the remaining times, so
+    that no block is shorter than that unless the whole grid is.
     """
-    step = chunk // math.gcd(chunk, n_sensors)
+    step = PREDICT_CHUNK // math.gcd(PREDICT_CHUNK, n_sensors)
     starts = list(range(0, n_times, step))[: max(1, n_times // step)]
     return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n_times])]
 

@@ -359,20 +359,31 @@ def test_detect_rejects_ensemble_of_other_feature_config(tmp_path, capsys):
     assert code == 2
     assert "category=config" in err
     assert "takes 6 features per point" in err and "gives 9" in err
+    # lag depth and neighbourhood swapped: as many features per point, but
+    # other training times (3..119, not 2..119) and other features
+    detections = (tmp_path / "run" / ARTIFACTS["detections"]).read_bytes()
+    swapped = dataclasses.replace(cfg, features=FeatureConfig(n_lags=3, neighbor_size=2))
+    code, err = _detect_exit(swapped, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err and "the 118 times 2..119" in err and "the 117 times 3..119" in err
+    assert ARTIFACTS["ensemble"] in err and ARTIFACTS["completed_panel"] in err and "retrain" in err
+    assert (tmp_path / "run" / ARTIFACTS["detections"]).read_bytes() == detections
 
 
 def test_detect_rejects_ensemble_of_other_horizon(tmp_path, capsys):
     cfg = _small_cfg(tmp_path / "run")
     run_all(cfg)
-    # a shorter training panel in the same directory: the ensemble's scores reach past it
-    shorter = _small_cfg(tmp_path / "run", n_train=100)
-    generate_stage(shorter)
-    impute_stage(shorter)
-    code, err = _detect_exit(shorter, tmp_path, capsys)
-    assert code == 2
-    assert "category=config" in err
-    assert "up to time 119" in err and "has only 100 rows" in err
-    assert ARTIFACTS["ensemble"] in err and ARTIFACTS["completed_panel"] in err and "retrain" in err
+    # a shorter training panel in the same directory: the ensemble's scores reach
+    # past it; a longer one: its last 30 rows would never have been scored
+    for n_train, times in ((100, "the 98 times 2..99"), (150, "the 148 times 2..149")):
+        regenerated = _small_cfg(tmp_path / "run", n_train=n_train)
+        generate_stage(regenerated)
+        impute_stage(regenerated)
+        code, err = _detect_exit(regenerated, tmp_path, capsys)
+        assert code == 2
+        assert "category=config" in err
+        assert "trained on the 118 times 2..119" in err and f"of {n_train} rows gives {times}" in err
+        assert ARTIFACTS["ensemble"] in err and ARTIFACTS["completed_panel"] in err and "retrain" in err
 
 
 def test_detect_rejects_ensemble_of_other_sensor_count(tmp_path, capsys):
@@ -643,6 +654,22 @@ def test_train_reports_diverged_mlp_as_config_error(tmp_path, capsys):
     assert main(["train", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "category=config" in err and "mlp_learning_rate" in err
+    assert not (tmp_path / "run" / ARTIFACTS["ensemble"]).exists()
+
+
+def test_train_on_a_panel_shorter_than_the_lag_depth_is_a_config_error(tmp_path, capsys):
+    short = _small_cfg(tmp_path / "run", n_train=4)
+    generate_stage(short)
+    impute_stage(short)
+    # a config whose own horizon is long enough, run on the 4-row panel
+    deeper = dataclasses.replace(_small_cfg(tmp_path / "run"), features=FeatureConfig(n_lags=6, neighbor_size=3))
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(config_to_dict(deeper)))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "stage=train" in err and "category=config" in err
+    assert ARTIFACTS["completed_panel"] in err and "lag depth 6 must be smaller than panel length 4" in err
     assert not (tmp_path / "run" / ARTIFACTS["ensemble"]).exists()
 
 

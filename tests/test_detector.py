@@ -7,7 +7,6 @@ import pytest
 from ecad import detector
 from ecad.backends import BackendSpec, RidgeModel
 from ecad.detector import (
-    _PREDICT_CHUNK,
     Detection,
     Detections,
     LocalityConfig,
@@ -17,10 +16,9 @@ from ecad.detector import (
     local_window,
     loo_prediction_matrix,
     nearest_rank_index,
-    stream_blocks,
 )
 from ecad.ensemble import AggregatorSpec, BootstrapPlan, Ensemble, train_ensemble
-from ecad.panel import build_features, neighbor_sets
+from ecad.panel import PREDICT_CHUNK, build_features, neighbor_sets, time_blocks
 
 from _oracles import empirical_quantile, loo_predict, p_value
 
@@ -201,16 +199,20 @@ def scoring_ensemble(request):
 
 def test_batch_test_scores_equal_dense_quantile(scoring_ensemble):
     ens, alpha = scoring_ensemble, 0.05
-    block = _PREDICT_CHUNK
+    block = PREDICT_CHUNK
     idx = nearest_rank_index(1.0 - alpha, ens.plan.usable_excluded.shape[0])
     rng = np.random.default_rng(12)
     for n_points in (1, block - 1, block, block + 1, 3 * block + 7):
         X, y = rng.normal(size=(n_points, 20)), rng.normal(size=n_points)
-        # one LOO matrix per 512-point block, as the scorer builds them: a matrix
+        # one LOO matrix per 512-point chunk, as the scorer builds them: a matrix
         # over the whole batch would move the last bits (see the fixture)
         matrix = np.concatenate([loo_prediction_matrix(ens, X[s : s + block]) for s in range(0, n_points, block)])
         dense = np.partition(matrix, idx, axis=1)[:, idx]
-        assert np.array_equal(batch_test_scores(ens, X, y, alpha), np.abs(y - dense))
+        scores = batch_test_scores(ens, X, y, alpha)
+        assert np.array_equal(scores, np.abs(y - dense))
+        # the time blocks of one sensor are whole chunks, so scored block by block the scores are the same
+        parts = [batch_test_scores(ens, X[b], y[b], alpha) for b in time_blocks(n_points, 1)]
+        assert np.array_equal(np.concatenate(parts), scores)
 
 
 def test_batch_test_scores_edge_batches():
@@ -675,9 +677,9 @@ def test_blocked_detection_equals_one_call_over_the_stream(blocked_stream, local
     options = dict(alpha=0.1, locality=locality, neighbors=neighbors, exclude_flagged_from_window=exclude_flagged)
     whole_store = ScoreStore(ens.usable_times, ens.scores)
     whole = detect_stream(ens, stream_t, stream_x, stream_y, store=whole_store, **options)
-    blocks = stream_blocks(len(stream_t), 7)
+    blocks = time_blocks(len(stream_t), 7)
     # an odd sensor count, and a horizon of about 2.5 blocks of 512 hours: the half block joins the second
-    assert [(b.start, b.stop) for b in blocks] == [(0, 512), (512, 1300)]
+    assert [(b.start, b.stop) for b in blocks] == [(0, PREDICT_CHUNK), (PREDICT_CHUNK, 1300)]
     store = ScoreStore(ens.usable_times, ens.scores)
     parts = [detect_stream(ens, stream_t[b], stream_x[b], stream_y[b], store=store, **options) for b in blocks]
     for name in ("t", "k", "test_score", "p_value", "flagged", "comparison_count"):

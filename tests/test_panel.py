@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from ecad.imputation import impute
 from ecad.panel import (
     _WRITE_BLOCK_CELLS,
+    PREDICT_CHUNK,
     as_panel,
     build_features,
     load_panel,
@@ -14,6 +16,7 @@ from ecad.panel import (
     read_csv,
     save_panel,
     save_sensors,
+    time_blocks,
     write_csv,
 )
 from ecad.scenario import inject_missing
@@ -410,3 +413,18 @@ def test_build_features_rejects_incomplete_panel():
 def test_build_features_rejects_excessive_lag():
     with pytest.raises(ValueError, match="lag depth"):
         build_features(np.zeros((4, 1)), np.array([[0]]), 4)
+
+
+@pytest.mark.parametrize("n_sensors", [1, 7, 40, 512, 513])
+def test_time_blocks_tile_the_times_in_whole_prediction_chunks(n_sensors):
+    step = PREDICT_CHUNK // math.gcd(PREDICT_CHUNK, n_sensors)  # times per block: 512, 512, 64, 1, 512
+    for n_times in sorted({1, step - 1, step, step + 1, 2 * step, (5 * step) // 2, (5 * step) // 2 + 1} - {0}):
+        blocks = time_blocks(n_times, n_sensors)
+        # the blocks tile [0, n_times) in order
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == n_times and all(b.step is None for b in blocks)
+        # every block but the last is a whole number of chunks of points
+        assert all((b.stop - b.start) * n_sensors % PREDICT_CHUNK == 0 for b in blocks[:-1])
+        # the last block is shorter than two blocks, and no block is shorter than one unless the grid is
+        sizes = [b.stop - b.start for b in blocks]
+        assert sizes[-1] < 2 * step and min(sizes) >= min(step, n_times), (n_times, sizes)
