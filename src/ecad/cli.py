@@ -3,18 +3,21 @@
 Each stage reads its prerequisite artifacts from the output directory, writes
 its own, and prints a one-line key=value summary.  ``run-all`` chains every
 stage; rerunning ``train`` refits the ensemble from the completed panel, for
-use after a suspected change point.  All stages are idempotent and, for a
-fixed config and BLAS thread count, bit-reproducible (timestamps appear only
-in report metadata); another thread count can move the last bits of a BLAS
-result (see the README's Determinism section).  Every CSV artifact is read
-with ``panel.read_csv`` and written with ``panel.write_csv``; this module only
-names the columns.
+use after a suspected change point; it saves the ensemble with its training
+context, which ``detect`` continues without parsing the training panel and
+refuses once an input file or the feature layout has changed.  All stages are
+idempotent and, for a fixed config and BLAS thread count, bit-reproducible
+(timestamps appear only in report metadata); another thread count can move the
+last bits of a BLAS result (see the README's Determinism section).  Every CSV
+artifact is read with ``panel.read_csv`` and written with ``panel.write_csv``;
+this module only names the columns.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 import time
@@ -132,6 +135,18 @@ def _neighbors(coords: np.ndarray, size: int, key: str, sensors_path: Path) -> n
     return neighbor_sets(coords, size)
 
 
+def _input_digests(cfg: PipelineConfig) -> dict[str, str]:
+    """The SHA-256 of the completed panel and the sensor file, by file name: an ensemble's inputs."""
+    digests = {}
+    for name, produced_by in (("completed_panel", "impute"), ("sensors", "generate")):
+        sha = hashlib.sha256()
+        with open(_require(cfg, name, produced_by), "rb") as fh:
+            while chunk := fh.read(1 << 16):  # a chunk at a time, not a copy of the file
+                sha.update(chunk)
+        digests[ARTIFACTS[name]] = sha.hexdigest()
+    return digests
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -219,7 +234,8 @@ def train_stage(cfg: PipelineConfig) -> dict:
         raise StageError("config", str(exc)) from exc
     rows = y.size
     del times, X, y  # the feature grid is not needed while the artifact is written
-    save_ensemble(ensemble, _artifact(cfg, "ensemble"))
+    lag_rows = panel[len(panel) - cfg.features.n_lags :]
+    save_ensemble(ensemble, _artifact(cfg, "ensemble"), lag_rows, _input_digests(cfg))
     return {
         "stage": "train",
         "models": ensemble.n_models,
@@ -232,48 +248,30 @@ def train_stage(cfg: PipelineConfig) -> dict:
 def detect_stage(cfg: PipelineConfig) -> dict:
     """Stream the test panel through the detector a block of hours at a time; write detections.csv."""
     ensemble_path = _require(cfg, "ensemble", "train")
-    train_path = _require(cfg, "completed_panel", "impute")
     test_path = _require(cfg, "test_panel", "generate")
     sensors_path = _require(cfg, "sensors", "generate")
 
-    ensemble = _read_artifact(load_ensemble, ensemble_path)
-    train = _read_complete_panel(cfg, train_path)
-    test = _read_complete_panel(cfg, test_path)
-    n_train, n_sensors = train.shape
-    if n_sensors != test.shape[1]:
-        raise StageError(
-            "config",
-            f"training panel {train_path} has {n_sensors} sensors, "
-            f"but test panel {test_path} has {test.shape[1]}",
-        )
-    sensors = _read_sensors(sensors_path, test, test_path)
+    ensemble, lag_rows, inputs = _read_artifact(load_ensemble, ensemble_path)
+    # detection continues the training scores, so it runs only on the inputs and
+    # at the feature layout that they came from
+    for name, digest in _input_digests(cfg).items():
+        if inputs.get(name) != digest:
+            raise StageError(
+                "config",
+                f"{cfg.out_path() / name} has changed since ensemble {ensemble_path} was trained on it; rerun train",
+            )
     n_lags, neighbor_size = cfg.features.n_lags, cfg.features.neighbor_size
-    input_dim = ensemble.model.input_dim
-    if input_dim != n_lags * neighbor_size:
+    trained = len(lag_rows), ensemble.model.input_dim // len(lag_rows)
+    if (n_lags, neighbor_size) != trained:
         raise StageError(
             "config",
-            f"ensemble {ensemble_path} takes {input_dim} features per point, "
-            f"but features.n_lags {n_lags} x neighbor_size {neighbor_size} gives "
-            f"{n_lags * neighbor_size}; retrain or restore the training feature config",
+            f"ensemble {ensemble_path} was trained at features.n_lags {trained[0]} and neighbor_size {trained[1]}, "
+            f"but the config gives {n_lags} and {neighbor_size}; rerun train or restore the training feature config",
         )
-    if ensemble.n_sensors != n_sensors:
-        raise StageError(
-            "config",
-            f"ensemble {ensemble_path} was trained on {ensemble.n_sensors} sensors, "
-            f"but test panel {test_path} has {n_sensors}",
-        )
-    # detection continues the training scores, so the ensemble must have been trained
-    # on every feature time of this panel and no other, the last being n_train - 1
-    trained, expected = ensemble.plan.available, np.arange(n_lags, n_train)
-    if not np.array_equal(trained, expected):
-        raise StageError(
-            "config",
-            f"ensemble {ensemble_path} was trained on the {trained.size} times {trained[0]}..{trained[-1]}, "
-            f"but training panel {train_path} of {n_train} rows gives the {expected.size} times "
-            f"{n_lags}..{n_train - 1} at features.n_lags {n_lags}; "
-            "the two come from different horizons or lag depths, so retrain the ensemble on this panel",
-        )
-    panel = np.vstack([train[n_train - n_lags :], test])
+    test = _read_complete_panel(cfg, test_path)
+    sensors = _read_sensors(sensors_path, test, test_path)
+    n_train, n_sensors = int(ensemble.plan.available[-1]) + 1, test.shape[1]
+    panel = np.vstack([lag_rows, test])
     feature_neighbors = _neighbors(sensors, neighbor_size, "features.neighbor_size", sensors_path)
     locality_neighbors = None
     if cfg.detector.locality.enabled:

@@ -182,6 +182,8 @@ def load_config(path: str | Path | None, seed: int | None = None, out_dir: str |
             raise FileNotFoundError(f"config file not found: {path}")
         try:
             payload = json.loads(path.read_text(), parse_constant=_refuse_constant)
+        except OSError as exc:  # a directory, say, or a file it may not read
+            raise ValueError(f"config file {path} cannot be read: {exc}") from exc
         except ValueError as exc:  # a json.JSONDecodeError, or a constant refused above
             raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
         cfg = config_from_dict(payload)

@@ -19,6 +19,9 @@ every row.
 the score grid flat, as the ``score_times``, ``score_sensors`` and
 ``score_values`` of its rows, and model b's parameters as the members
 ``model{b}_{name}``, one per name of the backend's ``param_shapes`` table.
+Its training context, which detection continues, is ``available`` (the times
+n_lags, n_lags + 1, ...), the member ``lag_rows`` (the training panel's last
+n_lags rows) and the meta ``inputs``, the SHA-256 of each input by file name.
 Ensembles are immutable after construction.
 """
 
@@ -367,8 +370,8 @@ def train_ensemble(
     )
 
 
-def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
-    """Serialize the ensemble to a versioned .npz artifact."""
+def save_ensemble(ensemble: Ensemble, path: str | Path, lag_rows: np.ndarray, inputs: dict[str, str]) -> None:
+    """Serialize the ensemble and its training context (see the module docstring) to a versioned .npz."""
     meta = {
         "format_version": ENSEMBLE_FORMAT_VERSION,
         "backend": asdict(ensemble.model.spec),
@@ -376,7 +379,7 @@ def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
         "n_models": ensemble.n_models,
         "n_sensors": ensemble.n_sensors,
         "seed": ensemble.plan.seed,
-        "dropped_empty_loo": ensemble.dropped_empty_loo,
+        "inputs": inputs,
     }
     # the score grid's rows, flat and ordered by (time, sensor)
     score_times, score_sensors = grid_rows(ensemble.usable_times, ensemble.n_sensors)
@@ -387,6 +390,7 @@ def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
         "score_times": score_times,
         "score_sensors": score_sensors,
         "score_values": ensemble.scores.ravel(),
+        "lag_rows": lag_rows,
     }
     for b in range(ensemble.n_models):
         for name, stack in ensemble.model.params.items():
@@ -396,91 +400,96 @@ def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
         np.savez(fh, **arrays)
 
 
-def load_ensemble(path: str | Path) -> Ensemble:
-    """Load a serialized ensemble, refusing mismatched format versions."""
-    path = Path(path)
+def load_ensemble(path: str | Path) -> tuple[Ensemble, np.ndarray, dict[str, str]]:
+    """The ensemble, lag rows and input digests of an artifact, refusing other format versions."""
     if not zipfile.is_zipfile(path):
         raise ValueError("the file is not an ensemble artifact: it is not an .npz archive")
-    with np.load(path, allow_pickle=False) as data:
-        if "meta" not in data.files:
-            raise ValueError("the file is not an ensemble artifact: it has no meta record")
-        meta = json.loads(str(data["meta"]))
-        if not isinstance(meta, dict):
-            raise ValueError("the ensemble meta record is not a JSON object")
-        version = meta.get("format_version")
-        if version != ENSEMBLE_FORMAT_VERSION:
-            raise ValueError(
-                f"ensemble artifact format version {version} is not supported "
-                f"(expected {ENSEMBLE_FORMAT_VERSION})"
-            )
-        int_keys = ("n_models", "n_sensors", "seed")
-        try:
-            backend = BackendSpec(**meta["backend"])
-            aggregator = AggregatorSpec(**meta["aggregator"])
-            n_models, n_sensors, seed = (meta[key] for key in int_keys)
-        except KeyError as exc:
-            raise ValueError(f"the ensemble meta record lacks the key {exc}") from None
-        except TypeError as exc:
-            raise ValueError(f"the ensemble meta record is malformed: {exc}") from None
-        for key in int_keys:
-            if type(meta[key]) is not int:  # a bool is an int to isinstance
-                raise ValueError(f"the ensemble meta record's {key} must be an integer, got {meta[key]!r}")
+    try:  # a damaged byte fails a CRC-32, a header field, or an offset or size check
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files}
+    except (zipfile.BadZipFile, NotImplementedError, EOFError, OSError) as exc:
+        raise ValueError(f"the ensemble archive is damaged: {exc}") from None
 
-        def member(key: str) -> np.ndarray:
-            if key not in data.files:
-                raise ValueError(f"ensemble array {key} is missing")
-            return data[key]
+    def member(key: str) -> np.ndarray:
+        if key not in arrays:
+            raise ValueError(f"ensemble array {key} is missing")
+        return arrays[key]
 
-        available, in_bag = member("available"), member("in_bag")
-        # BootstrapPlan.multiplicity searches the available times
-        if available.ndim != 1 or available.dtype.kind not in "iu" or (available[1:] <= available[:-1]).any():
-            raise ValueError("ensemble array available must be a strictly increasing 1-D integer array")
-        if in_bag.shape != (n_models, available.size) or not np.isin(in_bag, available).all():
-            raise ValueError(
-                f"ensemble array in_bag must be a {(n_models, available.size)} "
-                f"matrix of available times, got shape {in_bag.shape}"
-            )
-        plan = BootstrapPlan(n_models, available, in_bag, seed=seed)
-        # the score members are the rows of the usable-time x sensor grid, flat
-        n_usable = int(np.count_nonzero(plan.usable))
-        if n_usable == 0:
-            raise ValueError("the ensemble holds no training score: every available time lies in every bag")
-        for key, want in zip(("score_times", "score_sensors"), grid_rows(available[plan.usable], n_sensors)):
-            if not np.array_equal(member(key), want):
-                raise ValueError(
-                    f"ensemble array {key} does not hold the grid rows of the "
-                    f"{n_usable} usable times x {n_sensors} sensors"
-                )
-        values = member("score_values")
-        if values.shape != (n_usable * n_sensors,):
-            raise ValueError(
-                f"ensemble array score_values has shape {values.shape}, expected {(n_usable * n_sensors,)}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("ensemble array score_values holds non-finite values")
-        if (values < 0).any():
-            raise ValueError("ensemble array score_values holds negative scores")
-
-        # every model's parameters must have the shapes the backend's table gives
-        # for the input width of model 0
-        width = member("model0_x_mean").shape
-        if len(width) != 1:
-            raise ValueError(f"ensemble array model0_x_mean must be 1-D, got shape {width}")
-        model_type = MODEL_TYPES[backend.kind]
-        shapes = model_type.param_shapes(backend, width[0])
-        params = {name: np.empty((n_models, *shape)) for name, shape in shapes.items()}
-        for b in range(n_models):
-            for name, shape in shapes.items():
-                key = f"model{b}_{name}"
-                value = member(key)
-                if value.shape != shape:
-                    raise ValueError(f"ensemble array {key} has shape {value.shape}, expected {shape}")
-                if not np.isfinite(value).all():
-                    raise ValueError(f"ensemble array {key} holds non-finite values")
-                params[name][b] = value
-        return Ensemble(
-            plan=plan,
-            model=model_type(backend, params),
-            aggregator=aggregator,
-            scores=values.reshape(n_usable, n_sensors),
+    meta = json.loads(str(member("meta")))
+    if not isinstance(meta, dict):
+        raise ValueError("the ensemble meta record is not a JSON object")
+    version = meta.get("format_version")
+    if version != ENSEMBLE_FORMAT_VERSION:
+        raise ValueError(
+            f"ensemble artifact format version {version} is not supported "
+            f"(expected {ENSEMBLE_FORMAT_VERSION})"
         )
+    int_keys = ("n_models", "n_sensors", "seed")
+    try:
+        backend = BackendSpec(**meta["backend"])
+        aggregator = AggregatorSpec(**meta["aggregator"])
+        n_models, n_sensors, seed, inputs = (meta[key] for key in (*int_keys, "inputs"))
+    except KeyError as exc:
+        raise ValueError(f"the ensemble meta record lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"the ensemble meta record is malformed: {exc}") from None
+    for key in int_keys:
+        if type(meta[key]) is not int:  # a bool is an int to isinstance
+            raise ValueError(f"the ensemble meta record's {key} must be an integer, got {meta[key]!r}")
+    if not isinstance(inputs, dict) or not all(isinstance(v, str) for v in inputs.values()):
+        raise ValueError(f"the ensemble meta record's inputs must map file names to digests, got {inputs!r}")
+
+    available, in_bag, lag_rows = member("available"), member("in_bag"), member("lag_rows")
+    # the feature times n_lags, n_lags + 1, ... of the training panel: available[0] is the lag depth
+    n_lags = int(available[0]) if available.ndim == 1 and available.size and available.dtype.kind in "iu" else 0
+    if n_lags < 1 or not np.array_equal(available, np.arange(n_lags, n_lags + available.size)):
+        raise ValueError("ensemble array available must be the consecutive times n_lags, n_lags + 1, ... from 1 on")
+    if lag_rows.shape != (n_lags, n_sensors) or lag_rows.dtype.kind != "f" or not np.isfinite(lag_rows).all():
+        raise ValueError(
+            f"ensemble array lag_rows must be a finite {(n_lags, n_sensors)} array, got shape {lag_rows.shape}"
+        )
+    if in_bag.shape != (n_models, available.size) or not np.isin(in_bag, available).all():
+        raise ValueError(
+            f"ensemble array in_bag must be a {(n_models, available.size)} "
+            f"matrix of available times, got shape {in_bag.shape}"
+        )
+    plan = BootstrapPlan(n_models, available, in_bag, seed=seed)
+    # the score members are the rows of the usable-time x sensor grid, flat
+    n_usable = int(np.count_nonzero(plan.usable))
+    if n_usable == 0:
+        raise ValueError("the ensemble holds no training score: every available time lies in every bag")
+    for key, want in zip(("score_times", "score_sensors"), grid_rows(available[plan.usable], n_sensors)):
+        if not np.array_equal(member(key), want):
+            raise ValueError(
+                f"ensemble array {key} does not hold the grid rows of the "
+                f"{n_usable} usable times x {n_sensors} sensors"
+            )
+    values = member("score_values")
+    if values.shape != (n_usable * n_sensors,):
+        raise ValueError(
+            f"ensemble array score_values has shape {values.shape}, expected {(n_usable * n_sensors,)}"
+        )
+    if not np.isfinite(values).all():
+        raise ValueError("ensemble array score_values holds non-finite values")
+    if (values < 0).any():
+        raise ValueError("ensemble array score_values holds negative scores")
+
+    # every model's parameters must have the shapes the backend's table gives
+    # for the input width of model 0, n_lags features per neighbour
+    width = member("model0_x_mean").shape
+    if len(width) != 1 or width[0] % n_lags:
+        raise ValueError(f"ensemble array model0_x_mean must be 1-D of n_lags {n_lags} x m, got shape {width}")
+    model_type = MODEL_TYPES[backend.kind]
+    shapes = model_type.param_shapes(backend, width[0])
+    params = {name: np.empty((n_models, *shape)) for name, shape in shapes.items()}
+    for b in range(n_models):
+        for name, shape in shapes.items():
+            key = f"model{b}_{name}"
+            value = member(key)
+            if value.shape != shape:
+                raise ValueError(f"ensemble array {key} has shape {value.shape}, expected {shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"ensemble array {key} holds non-finite values")
+            params[name][b] = value
+    ensemble = Ensemble(plan, model_type(backend, params), aggregator, values.reshape(n_usable, n_sensors))
+    return ensemble, lag_rows, inputs

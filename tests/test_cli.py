@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ecad.cli
+import ecad.panel
 from ecad.cli import (
     ARTIFACTS,
     StageError,
@@ -90,7 +91,7 @@ def test_detect_before_train_reports_missing_ensemble(tmp_path):
     assert "ensemble" in str(err.value)
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["generate", "--out", str(out), "--seed", "1"]) == 0
     # detect without a trained ensemble: missing-artifact exit code
@@ -101,6 +102,12 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run-all", "--config", str(bad)]) == 2
     missing = tmp_path / "nope.json"
     assert main(["run-all", "--config", str(missing)]) == 2
+    # a config path that names a directory
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "category=config" in err and f"config file {tmp_path} cannot be read" in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_on_perfect_flags_scores_one(tmp_path):
@@ -217,7 +224,7 @@ def test_detect_features_equal_full_panel_rows(tmp_path, monkeypatch):
         assert np.array_equal(np.concatenate([block[i] for block in seen]), whole)
 
     # the blocks, sharing one score store, write what one call over every test row gives
-    ensemble = load_ensemble(run / ARTIFACTS["ensemble"])
+    ensemble = load_ensemble(run / ARTIFACTS["ensemble"])[0]
     whole = detect_stream(ensemble, times[test_rows], X[test_rows], y[test_rows], cfg.detector.alpha)
     columns = {"t": np.int64, "k": np.int64, "test_score": float, "p_value": float, "flagged": bool}
     for name, written in zip(columns, read_csv(run / ARTIFACTS["detections"], columns)):
@@ -328,7 +335,8 @@ def test_corrupt_csv_artifact_is_a_config_error(tmp_path, capsys, stage, artifac
     [("train", "completed_panel"), ("detect", "completed_panel"), ("detect", "test_panel")],
 )
 def test_panel_with_a_missing_cell_is_a_config_error(tmp_path, capsys, stage, artifact):
-    # the last row of the completed panel is one the test rows' lags read
+    # the last row of the completed panel is one the test rows' lags read;
+    # detect takes that row from the ensemble, so to it the panel has changed
     cfg = _small_cfg(tmp_path / "run")
     run_all(cfg)
     path = tmp_path / "run" / ARTIFACTS[artifact]
@@ -338,7 +346,10 @@ def test_panel_with_a_missing_cell_is_a_config_error(tmp_path, capsys, stage, ar
     capsys.readouterr()
     assert main([stage, "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert "category=config" in err and f"panel {path} has missing entries" in err
+    if (stage, artifact) == ("detect", "completed_panel"):
+        assert "category=config" in err and f"{path} has changed since ensemble" in err and "rerun train" in err
+    else:
+        assert "category=config" in err and f"panel {path} has missing entries" in err
 
 
 def test_detect_rejects_ensemble_that_is_not_an_archive(tmp_path, capsys):
@@ -358,15 +369,15 @@ def test_detect_rejects_ensemble_of_other_feature_config(tmp_path, capsys):
     code, err = _detect_exit(other, tmp_path, capsys)
     assert code == 2
     assert "category=config" in err
-    assert "takes 6 features per point" in err and "gives 9" in err
+    assert "trained at features.n_lags 2 and neighbor_size 3, but the config gives 3 and 3" in err
     # lag depth and neighbourhood swapped: as many features per point, but
     # other training times (3..119, not 2..119) and other features
     detections = (tmp_path / "run" / ARTIFACTS["detections"]).read_bytes()
     swapped = dataclasses.replace(cfg, features=FeatureConfig(n_lags=3, neighbor_size=2))
     code, err = _detect_exit(swapped, tmp_path, capsys)
     assert code == 2
-    assert "category=config" in err and "the 118 times 2..119" in err and "the 117 times 3..119" in err
-    assert ARTIFACTS["ensemble"] in err and ARTIFACTS["completed_panel"] in err and "retrain" in err
+    assert "category=config" in err and "n_lags 2 and neighbor_size 3, but the config gives 3 and 2" in err
+    assert ARTIFACTS["ensemble"] in err and "rerun train" in err
     assert (tmp_path / "run" / ARTIFACTS["detections"]).read_bytes() == detections
 
 
@@ -375,15 +386,15 @@ def test_detect_rejects_ensemble_of_other_horizon(tmp_path, capsys):
     run_all(cfg)
     # a shorter training panel in the same directory: the ensemble's scores reach
     # past it; a longer one: its last 30 rows would never have been scored
-    for n_train, times in ((100, "the 98 times 2..99"), (150, "the 148 times 2..149")):
+    for n_train in (100, 150):
         regenerated = _small_cfg(tmp_path / "run", n_train=n_train)
         generate_stage(regenerated)
         impute_stage(regenerated)
         code, err = _detect_exit(regenerated, tmp_path, capsys)
         assert code == 2
         assert "category=config" in err
-        assert "trained on the 118 times 2..119" in err and f"of {n_train} rows gives {times}" in err
-        assert ARTIFACTS["ensemble"] in err and ARTIFACTS["completed_panel"] in err and "retrain" in err
+        assert f"{tmp_path / 'run' / ARTIFACTS['completed_panel']} has changed since ensemble" in err
+        assert ARTIFACTS["ensemble"] in err and "rerun train" in err
 
 
 def test_detect_rejects_ensemble_of_other_sensor_count(tmp_path, capsys):
@@ -397,7 +408,7 @@ def test_detect_rejects_ensemble_of_other_sensor_count(tmp_path, capsys):
     code, err = _detect_exit(cfg, tmp_path, capsys)
     assert code == 2
     assert "category=config" in err
-    assert "trained on 5 sensors" in err and "has 4" in err
+    assert f"{ARTIFACTS['completed_panel']} has changed since ensemble" in err and "rerun train" in err
 
 
 def _rewrite_ensemble(path, corrupt):
@@ -467,6 +478,9 @@ def _replace_meta(record):
         (_edit_meta(lambda m: m.update(seed=1.5)), "seed must be an integer, got 1.5"),
         (_edit_meta(lambda m: m.update(n_models="x")), "n_models must be an integer, got 'x'"),
         (_edit_meta(lambda m: m.update(n_sensors=True)), "n_sensors must be an integer, got True"),
+        (_edit_meta(lambda m: m.pop("inputs")), "lacks the key 'inputs'"),
+        (_edit_meta(lambda m: m.update(inputs=["sensors.csv"])), "inputs must map file names to digests"),
+        (_edit_meta(lambda m: m["inputs"].update({"sensors.csv": 5})), "inputs must map file names to digests"),
     ],
     ids=[
         "unknown-backend-key",
@@ -481,6 +495,9 @@ def _replace_meta(record):
         "float-seed",
         "string-n-models",
         "bool-n-sensors",
+        "no-inputs",
+        "list-inputs",
+        "number-digest",
     ],
 )
 def test_detect_rejects_ensemble_with_corrupt_meta(tmp_path, capsys, corrupt, message):
@@ -512,7 +529,7 @@ def test_detect_rejects_ensemble_with_unordered_available_times(tmp_path, capsys
     code, err = _detect_exit(cfg, tmp_path, capsys)
     assert code == 2
     assert "category=config" in err and f"artifact {path}:" in err
-    assert "available must be a strictly increasing" in err
+    assert "available must be the consecutive times" in err
 
 
 def test_detect_rejects_training_panel_of_other_sensor_count(tmp_path, capsys):
@@ -528,7 +545,7 @@ def test_detect_rejects_training_panel_of_other_sensor_count(tmp_path, capsys):
     code, err = _detect_exit(cfg, tmp_path, capsys)
     assert code == 2
     assert "category=config" in err
-    assert ARTIFACTS["completed_panel"] in err and "has 5 sensors" in err and "has 4" in err
+    assert f"{ARTIFACTS['completed_panel']} has changed since ensemble" in err and "rerun train" in err
 
 
 def test_detect_rejects_sensor_file_of_other_sensor_count(tmp_path, capsys):
@@ -540,7 +557,77 @@ def test_detect_rejects_sensor_file_of_other_sensor_count(tmp_path, capsys):
     code, err = _detect_exit(cfg, tmp_path, capsys)
     assert code == 2
     assert "category=config" in err
-    assert ARTIFACTS["sensors"] in err and "lists 5 sensors" in err and "has 4" in err
+    assert f"{ARTIFACTS['sensors']} has changed since ensemble" in err and "rerun train" in err
+
+
+def _reverse_coordinates(run):
+    """Rewrite the sensor file with its coordinates in reverse order: as many sensors, other neighbours."""
+    path = run / ARTIFACTS["sensors"]
+    header, *rows = path.read_text().splitlines()
+    ids, coords = zip(*(row.split(",", 1) for row in rows))
+    path.write_text("\n".join([header, *(f"{k},{xy}" for k, xy in zip(ids, reversed(coords)))]) + "\n")
+
+
+def _regenerate_with_seed_8(run):
+    other = _small_cfg(run, seed=8)
+    generate_stage(other)
+    impute_stage(other)
+
+
+@pytest.mark.parametrize(
+    "change, changed",
+    [(_reverse_coordinates, "sensors"), (_regenerate_with_seed_8, "completed_panel")],
+    ids=["reversed-coordinates", "regenerated-without-train"],
+)
+def test_detect_rejects_training_inputs_changed_since_train(tmp_path, capsys, change, changed):
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    detections = (tmp_path / "run" / ARTIFACTS["detections"]).read_bytes()
+    change(tmp_path / "run")
+    code, err = _detect_exit(cfg, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err and "rerun train" in err
+    assert f"{tmp_path / 'run' / ARTIFACTS[changed]} has changed since ensemble" in err
+    assert (tmp_path / "run" / ARTIFACTS["detections"]).read_bytes() == detections
+
+
+def test_detect_does_not_parse_the_training_panel(tmp_path, monkeypatch):
+    # the ensemble carries the training panel's last rows; detect only hashes the file
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    parsed = []
+
+    def recording(reader):
+        def read(path, *args, **kwargs):
+            parsed.append(Path(path).name)
+            return reader(path, *args, **kwargs)
+
+        return read
+
+    for module in (ecad.cli, ecad.panel):
+        monkeypatch.setattr(module, "read_csv", recording(module.read_csv))
+    monkeypatch.setattr(ecad.cli, "load_panel", recording(ecad.cli.load_panel))
+    detections = (tmp_path / "run" / ARTIFACTS["detections"]).read_bytes()
+    detect_stage(cfg)
+    assert ARTIFACTS["test_panel"] in parsed and ARTIFACTS["completed_panel"] not in parsed
+    assert (tmp_path / "run" / ARTIFACTS["detections"]).read_bytes() == detections
+
+
+def test_detect_rejects_ensemble_with_a_damaged_byte(tmp_path, capsys):
+    # one flipped byte inside a member fails the archive's CRC-32 check of that member
+    cfg = _small_cfg(tmp_path / "run")
+    run_all(cfg)
+    path = tmp_path / "run" / ARTIFACTS["ensemble"]
+    with np.load(path) as data:
+        values = data["score_values"].tobytes()
+    blob = bytearray(path.read_bytes())
+    start = blob.find(values)
+    assert start > 0
+    blob[start + len(values) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    code, err = _detect_exit(cfg, tmp_path, capsys)
+    assert code == 2
+    assert "category=config" in err and f"artifact {path}:" in err and "score_values" in err
 
 
 def test_train_rejects_sensor_file_of_other_sensor_count(tmp_path, capsys):

@@ -37,6 +37,15 @@ def _features_from_matrix(values, n_lags=1):
     return np.arange(n_lags, T), X, values[n_lags:]
 
 
+# the training context of every ensemble these tests save: no file backs it
+_INPUTS = {"train_panel_completed.csv": "0" * 64, "sensors.csv": "1" * 64}
+
+
+def _save(ens, path, values):
+    """Save ``ens`` with the last ``n_lags`` rows of the T x K ``values`` it was trained on."""
+    save_ensemble(ens, path, values[len(values) - ens.plan.available[0] :], _INPUTS)
+
+
 def test_bootstrap_single_index_has_empty_loo():
     plan = bootstrap_indices([0], 3, seed=0)
     assert plan.in_bag.shape == (3, 1)
@@ -357,12 +366,13 @@ def test_loo_predict_empty_set_errors():
 
 
 def test_ensemble_roundtrip_through_disk(tmp_path):
-    rng = np.random.default_rng(5)
-    feats = _features_from_matrix(rng.normal(size=(30, 3)))
+    values = np.random.default_rng(5).normal(size=(30, 3))
+    feats = _features_from_matrix(values)
     ens = train_ensemble(*feats, BackendSpec(kind="ridge", ridge_lambda=0.7), 7, seed=9)
     path = tmp_path / "ensemble.npz"
-    save_ensemble(ens, path)
-    loaded = load_ensemble(path)
+    _save(ens, path, values)
+    loaded, lag_rows, inputs = load_ensemble(path)
+    assert np.array_equal(lag_rows, values[-1:]) and inputs == _INPUTS
     assert loaded.n_models == ens.n_models
     assert loaded.model.spec == ens.model.spec
     assert np.array_equal(loaded.plan.in_bag, ens.plan.in_bag)
@@ -373,11 +383,10 @@ def test_ensemble_roundtrip_through_disk(tmp_path):
 
 
 def test_ensemble_version_refusal(tmp_path):
-    rng = np.random.default_rng(6)
-    feats = _features_from_matrix(rng.normal(size=(12, 1)))
-    ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 3, seed=0)
+    values = np.random.default_rng(6).normal(size=(12, 1))
+    ens = train_ensemble(*_features_from_matrix(values), BackendSpec(kind="ridge"), 3, seed=0)
     path = tmp_path / "ensemble.npz"
-    save_ensemble(ens, path)
+    _save(ens, path, values)
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files}
     meta = json.loads(str(arrays["meta"]))
@@ -402,6 +411,13 @@ def _put_every_time_in_every_bag(arrays):
         arrays[key] = arrays[key][:0]
 
 
+def _deepen_the_lag_depth(arrays):
+    """Every time one later, so the lag depth reads 2 while each model still takes 1 feature."""
+    for key in ("available", "in_bag", "score_times"):
+        arrays[key] = arrays[key] + 1
+    arrays["lag_rows"] = np.zeros((2, arrays["lag_rows"].shape[1]))
+
+
 @pytest.mark.parametrize(
     "corrupt, name",
     [
@@ -421,14 +437,22 @@ def _put_every_time_in_every_bag(arrays):
         (lambda a: a.update(available=a["available"][::-1].copy()), "available"),
         (_duplicate_second_available_time, "available"),
         (_put_every_time_in_every_bag, "holds no training score"),
+        # the training times run on from the lag depth, which is at least 1
+        (lambda a: a.update(available=np.r_[a["available"][:-1], a["available"][-1] + 1]), "available must be"),
+        (lambda a: a.update(available=a["available"] - 1), "available must be"),
+        (lambda a: a.pop("lag_rows"), "lag_rows is missing"),
+        (lambda a: a.update(lag_rows=np.zeros((2, 2))), r"lag_rows must be a finite \(1, 2\) array"),
+        (lambda a: a.update(lag_rows=a["lag_rows"][:, :1]), r"lag_rows must be a finite \(1, 2\) array"),
+        (lambda a: a.update(lag_rows=np.full_like(a["lag_rows"], np.inf)), "lag_rows must be a finite"),
+        (lambda a: a.update(lag_rows=np.ones((1, 2), dtype=np.int64)), "lag_rows must be a finite"),
+        (_deepen_the_lag_depth, "model0_x_mean must be 1-D of n_lags 2"),
     ],
 )
 def test_ensemble_shape_refusal(tmp_path, corrupt, name):
-    rng = np.random.default_rng(6)
-    feats = _features_from_matrix(rng.normal(size=(12, 2)))
-    ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 3, seed=0)
+    values = np.random.default_rng(6).normal(size=(12, 2))
+    ens = train_ensemble(*_features_from_matrix(values), BackendSpec(kind="ridge"), 3, seed=0)
     path = tmp_path / "ensemble.npz"
-    save_ensemble(ens, path)
+    _save(ens, path, values)
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files}
     corrupt(arrays)
@@ -439,9 +463,9 @@ def test_ensemble_shape_refusal(tmp_path, corrupt, name):
 
 @pytest.mark.parametrize("key", ["model1_weights", "model0_x_mean", "model2_y_mean"])
 def test_ensemble_refuses_non_finite_model_arrays(tmp_path, key):
-    rng = np.random.default_rng(6)
-    feats = _features_from_matrix(rng.normal(size=(12, 2)))
-    save_ensemble(train_ensemble(*feats, BackendSpec(kind="ridge"), 3, seed=0), tmp_path / "e.npz")
+    values = np.random.default_rng(6).normal(size=(12, 2))
+    ens = train_ensemble(*_features_from_matrix(values), BackendSpec(kind="ridge"), 3, seed=0)
+    _save(ens, tmp_path / "e.npz", values)
     with np.load(tmp_path / "e.npz") as data:
         arrays = {name: data[name] for name in data.files}
     arrays[key] = np.full_like(arrays[key], np.nan)
@@ -450,7 +474,7 @@ def test_ensemble_refuses_non_finite_model_arrays(tmp_path, key):
         load_ensemble(tmp_path / "e.npz")
 
 
-_HEADER_MEMBERS = ["meta", "available", "in_bag", "score_times", "score_sensors", "score_values"]
+_HEADER_MEMBERS = ["meta", "available", "in_bag", "score_times", "score_sensors", "score_values", "lag_rows"]
 _MLP_42 = BackendSpec(kind="mlp", mlp_hidden=(4, 2), mlp_epochs=3, seed=0)
 
 
@@ -470,9 +494,9 @@ _MLP_42 = BackendSpec(kind="mlp", mlp_hidden=(4, 2), mlp_epochs=3, seed=0)
 )
 def test_ensemble_artifact_member_names_and_shapes(tmp_path, spec, members):
     # the benchmark's output checks read ensemble.npz by these member names and shapes
-    feats = _features_from_matrix(np.random.default_rng(3).normal(size=(12, 2)), n_lags=3)
-    ens = train_ensemble(*feats, spec, 2, seed=0)
-    save_ensemble(ens, tmp_path / "e.npz")
+    values = np.random.default_rng(3).normal(size=(12, 2))
+    ens = train_ensemble(*_features_from_matrix(values, n_lags=3), spec, 2, seed=0)
+    _save(ens, tmp_path / "e.npz", values)
     with np.load(tmp_path / "e.npz") as data:
         assert data.files == _HEADER_MEMBERS + [f"model{b}_{name}" for b in range(2) for name, _ in members]
         for b in range(2):
@@ -483,9 +507,9 @@ def test_ensemble_artifact_member_names_and_shapes(tmp_path, spec, members):
 
 
 def test_ensemble_refuses_mlp_layers_of_other_widths(tmp_path):
-    feats = _features_from_matrix(np.random.default_rng(3).normal(size=(12, 2)), n_lags=3)
+    values = np.random.default_rng(3).normal(size=(12, 2))
     path = tmp_path / "e.npz"
-    save_ensemble(train_ensemble(*feats, _MLP_42, 2, seed=0), path)
+    _save(train_ensemble(*_features_from_matrix(values, n_lags=3), _MLP_42, 2, seed=0), path, values)
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files}
     meta = json.loads(str(arrays["meta"]))
@@ -583,11 +607,10 @@ def test_save_ensemble_holds_less_than_the_artifact(tmp_path):
     # (the score rows' times and sensors, and one member's bytes as it is
     # written); an archive built in memory first and then copied out held the
     # file twice, about 1.68 of it
-    rng = np.random.default_rng(4)
-    feats = _features_from_matrix(rng.normal(size=(1001, 20)))
-    ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 25, seed=3)
+    values = np.random.default_rng(4).normal(size=(1001, 20))
+    ens = train_ensemble(*_features_from_matrix(values), BackendSpec(kind="ridge"), 25, seed=3)
     path = tmp_path / "ensemble.npz"
-    peak = _traced_peak(save_ensemble, ens, path)
+    peak = _traced_peak(save_ensemble, ens, path, values[-1:], _INPUTS)
     size = path.stat().st_size
     assert peak < size, peak / size
-    assert np.array_equal(load_ensemble(path).scores, ens.scores)
+    assert np.array_equal(load_ensemble(path)[0].scores, ens.scores)
