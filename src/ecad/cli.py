@@ -194,7 +194,10 @@ def impute_stage(cfg: PipelineConfig) -> dict:
     """Complete the training panel and write it with the imputation report."""
     path = _require(cfg, "train_panel", "generate")
     panel = _read_artifact(load_panel, path, cfg.missing_token)
-    completed, report = impute(panel)
+    try:
+        completed, report = impute(panel)
+    except ValueError as exc:  # a fully missing row, or a column with under 2 observed cells
+        raise StageError("config", f"artifact {path}: {exc}") from exc
     save_panel(completed, _artifact(cfg, "completed_panel"), cfg.missing_token)
     _write_json(_artifact(cfg, "impute_report"), dataclasses.asdict(report))
     return {
@@ -274,7 +277,8 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     panel = np.vstack([lag_rows, test])
     feature_neighbors = _neighbors(sensors, neighbor_size, "features.neighbor_size", sensors_path)
     locality_neighbors = None
-    if cfg.detector.locality.enabled:
+    # as_printed compares against every sensor, so it reads no neighbour array
+    if cfg.detector.locality.enabled and cfg.detector.locality.variant == "neighbor_sensors":
         locality_neighbors = _neighbors(
             sensors, cfg.detector.locality.neighbor_size, "detector.locality.neighbor_size", sensors_path
         )
@@ -309,10 +313,21 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     }
 
 
+def _key_order(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The order that sorts rows by (t, k), refusing a second row for one (t, k)."""
+    order = np.lexsort((k, t))
+    t, k = t[order], k[order]
+    dup = np.flatnonzero((t[1:] == t[:-1]) & (k[1:] == k[:-1]))
+    if dup.size:
+        raise ValueError(f"more than one row for (t={t[dup[0]]}, k={k[dup[0]]})")
+    return order
+
+
 def _read_detections(path: Path) -> list[np.ndarray]:
     t, k, p, flagged = read_csv(path, {"t": np.int64, "k": np.int64, "p_value": float, "flagged": bool})
     if ((p < 0.0) | (p > 1.0)).any():
         raise ValueError("a p_value outside [0, 1]")
+    _key_order(t, k)
     return [t, k, p, flagged]
 
 
@@ -326,12 +341,9 @@ def _read_truth(path: Path, t: np.ndarray, k: np.ndarray) -> np.ndarray:
     truth_t, truth_k, label = read_csv(path, {"t": np.int64, "k": np.int64, "label": bool})
     if (truth_t < 0).any() or (truth_k < 0).any():
         raise ValueError("a negative time or sensor index")
-    order = np.lexsort((truth_k, truth_t))
+    order = _key_order(truth_t, truth_k)
     truth_t, truth_k, label = truth_t[order], truth_k[order], label[order]
     new_t = np.r_[True, truth_t[1:] != truth_t[:-1]]
-    dup = np.flatnonzero(~new_t[1:] & (truth_k[1:] == truth_k[:-1]))
-    if dup.size:
-        raise ValueError(f"more than one row for (t={truth_t[dup[0]]}, k={truth_k[dup[0]]})")
     # a (t, k) key is (rank of t) * n_k + (rank of k) among the distinct truth times
     # and sensors: ascending along the sorted rows, and below rows**2
     times, ks = truth_t[new_t], distinct(truth_k)

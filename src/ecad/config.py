@@ -88,7 +88,7 @@ class PipelineConfig:
                 f"features.neighbor_size {self.features.neighbor_size} exceeds "
                 f"scenario.n_sensors {n_sensors}"
             )
-        if locality.enabled and locality.neighbor_size > n_sensors:
+        if locality.enabled and locality.variant == "neighbor_sensors" and locality.neighbor_size > n_sensors:
             raise ValueError(
                 f"detector.locality.neighbor_size {locality.neighbor_size} exceeds "
                 f"scenario.n_sensors {n_sensors}"

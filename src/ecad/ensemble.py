@@ -13,7 +13,10 @@ splitting; the scores form one ``(n_usable_times, K)`` grid, `Ensemble.scores`.
 They are predicted and aggregated one block of whole times at a time
 (``panel.time_blocks``, the package's one block rule), so beside the feature
 grid training holds one block's ``(B, block)`` predictions, never those of
-every row.
+every row.  Every aggregator takes one path there: the times whose LOO sets
+have one size are aggregated together by `_window_mean`, which sums each set
+in model order for the mean and runs a comparator network first for the
+median and trimmed mean.
 ``Ensemble.model.predict`` is the one source of per-model predictions,
 ``(B, n)``, for the training scores and for detection.  The artifact stores
 the score grid flat, as the ``score_times``, ``score_sensors`` and
@@ -121,16 +124,18 @@ def _selection_network(count: int, lo: int, hi: int) -> tuple[tuple[int, int, bo
     return tuple(reversed(kept))
 
 
-def _window_mean(wires: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Mean of ranks [lo, hi) over the leading axis of ``wires``, which it overwrites.
+def _window_mean(wires: np.ndarray, network: tuple, lo: int, hi: int) -> np.ndarray:
+    """Mean of wires [lo, hi) of ``wires`` after ``network`` runs on them; it overwrites them.
 
-    The comparator outputs are exactly the sorted values, and the window is
-    summed one rank at a time in ascending order, so the result is bit-identical
-    to sorting along axis 0 and summing ``sorted[lo:hi]`` in order.
+    ``network`` is a `_selection_network`, whose outputs are exactly the sorted
+    values along the leading axis, or ``()``, which keeps the wires in order.
+    The window is summed one wire at a time in ascending order, so with a
+    network the result is bit-identical to sorting along axis 0 and summing
+    ``sorted[lo:hi]`` in order.
     """
     w = list(wires)
     spare = np.empty_like(w[0])
-    for a, b, want_min, want_max in _selection_network(len(w), lo, hi):
+    for a, b, want_min, want_max in network:
         if not want_max:
             np.minimum(w[a], w[b], out=w[a])
         elif not want_min:
@@ -153,19 +158,23 @@ def _check_finite_predictions(preds: np.ndarray) -> None:
         raise ValueError("cannot aggregate non-finite model predictions")
 
 
-def _size_groups(excluded: np.ndarray, agg: AggregatorSpec) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+def _size_groups(excluded: np.ndarray, agg: AggregatorSpec) -> list[tuple]:
     """The LOO sets of ``excluded`` (an (m, B) boolean matrix) grouped by size.
 
-    One ``(rows, members, lo, hi)`` per distinct set size: the rows of
-    ``excluded`` whose set has that size, their ``(count, g)`` member models
-    (column j lists the models of set ``rows[j]``) and ``agg.rank_window(count)``.
+    One ``(rows, members, network, lo, hi)`` per distinct set size: the rows of
+    ``excluded`` whose set has that size, their ``(count, g)`` member models in
+    ascending order (column j lists set ``rows[j]``), and the
+    `_selection_network` of the window ``agg.rank_window(count)``.  The mean
+    has no network, so `_window_mean` sums each set in model order.
     """
     counts = excluded.sum(axis=1)
     groups = []
     for count in distinct(counts).tolist():
         rows = np.flatnonzero(counts == count)
         members = np.nonzero(excluded[rows])[1].reshape(rows.size, count).T
-        groups.append((rows, members, *agg.rank_window(count)))
+        lo, hi = agg.rank_window(count)
+        network = () if agg.kind == "mean" else _selection_network(count, lo, hi)
+        groups.append((rows, members, network, lo, hi))
     return groups
 
 
@@ -197,8 +206,8 @@ def loo_aggregate(preds: np.ndarray, excluded: np.ndarray, agg: AggregatorSpec) 
     groups = _size_groups(excluded, agg)
     for start in range(0, n, _NETWORK_TILE):
         tile = preds[:, start : start + _NETWORK_TILE]
-        for idx, members, lo, hi in groups:
-            out[start : start + _NETWORK_TILE, idx] = _window_mean(tile[members], lo, hi).T
+        for idx, members, network, lo, hi in groups:
+            out[start : start + _NETWORK_TILE, idx] = _window_mean(tile[members], network, lo, hi).T
     return out
 
 
@@ -225,24 +234,14 @@ class BootstrapPlan:
         return counts.reshape(self.n_models, n_available)
 
     @cached_property
-    def membership(self) -> np.ndarray:
-        """(n_models, n_available) boolean matrix: bag b contains available[i]."""
-        return self.multiplicity > 0
-
-    @cached_property
-    def excluded(self) -> np.ndarray:
-        """(n_available, n_models) boolean matrix: row i is the LOO model set of available[i]."""
-        return ~self.membership.T
-
-    @cached_property
     def usable(self) -> np.ndarray:
         """Mask over ``available`` of the times whose leave-one-out set is nonempty."""
-        return ~self.membership.all(axis=0)
+        return (self.multiplicity == 0).any(axis=0)
 
     @cached_property
     def usable_excluded(self) -> np.ndarray:
-        """(n_usable, n_models) boolean matrix: the LOO model sets of the usable times."""
-        return self.excluded[self.usable]
+        """(n_usable, n_models) boolean matrix: row i marks the models whose bag lacks usable time i."""
+        return self.multiplicity.T[self.usable] == 0
 
 
 def bootstrap_indices(available: Iterable[int], n_models: int, seed: int) -> BootstrapPlan:
@@ -321,7 +320,7 @@ def train_ensemble(
         raise ValueError("no feature rows to train on")
     n_sensors = y.shape[1]
     plan = bootstrap_indices(times, n_models, seed)
-    usable, excluded = plan.usable, plan.excluded
+    usable = plan.usable
     if not usable.any():
         raise ValueError(
             f"no training time has a leave-one-out model set: each of the {usable.size} times "
@@ -339,29 +338,16 @@ def train_ensemble(
         )
     times_used = np.flatnonzero(usable)
     loo = np.empty((times_used.size, n_sensors))
-    if aggregator.kind == "mean":
-        counts = excluded.sum(axis=1)
-    else:
-        # one selection network per LOO set size and block: wire r of (i, k) is
-        # the prediction of i's r-th LOO member; a group's rows ascend in time
-        groups = [
-            (rows, members, lo, hi, times_used[rows])
-            for rows, members, lo, hi in _size_groups(plan.usable_excluded, aggregator)
-        ]
+    # each LOO set size's group, with its rows' grid times, runs once per block:
+    # wire r of (i, k) is the prediction of i's r-th LOO member; rows ascend in time
+    groups = [(*group, times_used[group[0]]) for group in _size_groups(plan.usable_excluded, aggregator)]
     for block in time_blocks(len(y), n_sensors):
         predictions = model.predict(X[block].reshape(-1, X.shape[2]))  # (B, block points)
         _check_finite_predictions(predictions)
-        if aggregator.kind == "mean":
-            # every row's sum over its time's LOO set in one pass over the block's rows
-            sums = np.einsum("bj,bj->j", predictions, np.repeat(excluded[block].T, n_sensors, axis=1))
-            in_use = usable[block]
-            first, stop = np.searchsorted(times_used, (block.start, block.stop))
-            loo[first:stop] = sums.reshape(-1, n_sensors)[in_use] / counts[block][in_use, None]
-        else:
-            grid = predictions.reshape(len(predictions), -1, n_sensors)  # (B, block times, K)
-            for rows, members, lo, hi, at in groups:
-                i, j = np.searchsorted(at, (block.start, block.stop))
-                loo[rows[i:j]] = _window_mean(grid[members[:, i:j], at[i:j] - block.start], lo, hi)
+        grid = predictions.reshape(len(predictions), -1, n_sensors)  # (B, block times, K)
+        for rows, members, network, lo, hi, at in groups:
+            i, j = np.searchsorted(at, (block.start, block.stop))
+            loo[rows[i:j]] = _window_mean(grid[members[:, i:j], at[i:j] - block.start], network, lo, hi)
     return Ensemble(
         plan=plan,
         model=model,

@@ -124,8 +124,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario model {self.model!r}")
         if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not 0.0 <= self.missing_fraction < 1.0:
-            raise ValueError(f"missing_fraction must be in [0, 1), got {self.missing_fraction}")
+        # the generate stage masks the training panel, so a fraction it cannot mask is refused here
+        _masked_per_column(self.n_train, self.n_sensors, self.missing_fraction)
         if self.truth.neighborhood_size > self.n_sensors:
             raise ValueError("truth neighborhood size exceeds sensor count")
         if self.truth.lag_depth >= self.n_train + self.n_test:
@@ -271,6 +271,24 @@ def label_ground_truth(
     return labels
 
 
+def _masked_per_column(rows: int, n_sensors: int, fraction: float) -> int:
+    """Cells ``inject_missing`` masks in each of ``n_sensors`` columns of ``rows`` cells.
+
+    Refused unless every column keeps 2 observed cells and the observed cells
+    are enough to leave one in every row.
+    """
+    if not 0.0 <= fraction < 1.0:
+        raise ValueError(f"missing fraction must be in [0, 1), got {fraction}")
+    n_mask = int(round(fraction * rows))
+    if rows - n_mask < 2:
+        raise ValueError(
+            f"masking {n_mask} of {rows} training rows leaves fewer than 2 observed per column"
+        )
+    if n_mask and n_sensors * (rows - n_mask) < rows:
+        raise ValueError(f"{n_sensors} columns of {rows - n_mask} cells cannot cover every row")
+    return n_mask
+
+
 def inject_missing(values: np.ndarray, fraction: float, seed: int) -> np.ndarray:
     """A copy of the complete panel ``values`` with round(fraction * T) cells per column set to NaN.
 
@@ -279,17 +297,9 @@ def inject_missing(values: np.ndarray, fraction: float, seed: int) -> np.ndarray
     fully missing swaps one cell, within its column, with an observed cell of
     a row that keeps another, so per-column counts stay exact.
     """
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError(f"missing fraction must be in [0, 1), got {fraction}")
     values = as_panel(values)
     rows, n_sensors = values.shape
-    n_mask = int(round(fraction * rows))
-    if rows - n_mask < 2:
-        raise ValueError(
-            f"masking {n_mask} of {rows} training rows leaves fewer than 2 observed per column"
-        )
-    if n_mask and n_sensors * (rows - n_mask) < rows:
-        raise ValueError(f"{n_sensors} columns of {rows - n_mask} cells cannot cover every row")
+    n_mask = _masked_per_column(rows, n_sensors, fraction)
     rng = np.random.default_rng(seed)
     observed = ~np.isnan(values)
     for k in range(n_sensors):

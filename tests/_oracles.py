@@ -38,7 +38,7 @@ def loo_set(plan: BootstrapPlan, t: int) -> np.ndarray:
     pos = int(np.searchsorted(plan.available, t))
     if pos >= plan.available.size or plan.available[pos] != t:
         raise ValueError(f"time index {t} is not in the available set")
-    return plan.excluded[pos]
+    return plan.multiplicity[:, pos] == 0
 
 
 def loo_predict(ensemble: Ensemble, t: int, x: np.ndarray) -> float:

@@ -277,6 +277,24 @@ def _drop_column(path, column):
     path.write_text("".join(",".join(row[:column] + row[column + 1 :]) + "\n" for row in rows))
 
 
+def _blank_row(path, line_no):
+    lines = path.read_text().splitlines()
+    lines[line_no] = ",".join(["NA"] * len(lines[line_no].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _blank_column(path, column):
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    for row in rows[1:]:
+        row[column] = "NA"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+def _repeat_last_row(path):
+    text = path.read_text()
+    path.write_text(text + text.splitlines()[-1] + "\n")
+
+
 def _truncate_mid_row(path):
     lines = path.read_text().splitlines()
     middle = lines[len(lines) // 2]
@@ -300,6 +318,9 @@ def _truncate_mid_row(path):
         ("impute", "train_panel", lambda p: _replace_cell(p, 3, 1, "nan")),
         ("detect", "test_panel", lambda p: _replace_cell(p, 3, 1, "inf")),
         ("train", "sensors", lambda p: _drop_column(p, 1)),
+        ("impute", "train_panel", lambda p: _blank_row(p, 5)),
+        ("impute", "train_panel", lambda p: _blank_column(p, 3)),
+        ("evaluate", "detections", _repeat_last_row),
     ],
     ids=[
         "non-numeric-panel",
@@ -315,6 +336,9 @@ def _truncate_mid_row(path):
         "nan-panel",
         "inf-panel",
         "sensors-without-lat",
+        "fully-missing-row",
+        "column-without-observations",
+        "duplicate-detection",
     ],
 )
 def test_corrupt_csv_artifact_is_a_config_error(tmp_path, capsys, stage, artifact, corrupt):
@@ -664,6 +688,10 @@ def test_locality_neighborhood_larger_than_the_network_is_a_config_error(tmp_pat
     payload["detector"]["locality"]["enabled"] = False
     config.write_text(json.dumps(payload))
     assert load_config(config).detector.locality.neighbor_size == 9
+    # nor is that of as_printed, which compares against every sensor
+    payload["detector"]["locality"].update(enabled=True, variant="as_printed")
+    config.write_text(json.dumps(payload))
+    assert main(["run-all", "--config", str(config)]) == 0
 
 
 def test_detect_rejects_locality_neighborhood_larger_than_the_sensor_file(tmp_path, capsys):
@@ -887,6 +915,9 @@ def test_load_config_overrides_and_validation(tmp_path, capsys):
         (lambda: InjectionSpec(region="bogus"), "unknown injection region"),
         (lambda: TruthSpec(lag_depth=0), "truth lag depth must be >= 1"),
         (lambda: ScenarioConfig(model="chaos"), "unknown scenario model"),
+        (lambda: ScenarioConfig(n_sensors=1), "1 columns of 600 cells cannot cover every row"),
+        (lambda: ScenarioConfig(n_sensors=2, missing_fraction=0.6), "2 columns of 400 cells cannot"),
+        (lambda: ScenarioConfig(n_train=3, missing_fraction=0.5), "leaves fewer than 2 observed per column"),
         (lambda: EnsembleConfig(n_models=0), "n_models must be >= 1"),
         (lambda: FeatureConfig(n_lags=0), "feature lag depth must be >= 1"),
         (lambda: DetectorConfig(alpha=2.0), r"alpha must be in \(0, 1\)"),
@@ -900,6 +931,9 @@ def test_load_config_overrides_and_validation(tmp_path, capsys):
         "injection",
         "truth",
         "scenario",
+        "scenario-one-sensor",
+        "scenario-two-sensors",
+        "scenario-short-panel",
         "ensemble",
         "features",
         "detector",

@@ -60,7 +60,7 @@ def test_bootstrap_shapes_and_membership():
     for b in range(4):
         in_bag = set(plan.in_bag[b].tolist())
         for i, t in enumerate(plan.available):
-            assert plan.membership[b, i] == (int(t) in in_bag)
+            assert (plan.multiplicity[b, i] > 0) == (int(t) in in_bag)
 
 
 def test_bootstrap_deterministic():
@@ -84,7 +84,7 @@ def test_bootstrap_nonempty_loo_fraction_monte_carlo():
     nonempty = 0
     for seed in range(1000):
         plan = bootstrap_indices(range(100), 25, seed=seed)
-        counts = (~plan.membership).sum(axis=0)
+        counts = (plan.multiplicity == 0).sum(axis=0)
         total += 100
         nonempty += int((counts > 0).sum())
     assert nonempty / total >= 0.999
@@ -96,7 +96,7 @@ def test_empty_loo_rare_at_operating_scale():
     total = 0
     for seed in range(100):
         plan = bootstrap_indices(range(120), 25, seed=seed)
-        empty += int(((~plan.membership).sum(axis=0) == 0).sum())
+        empty += int((plan.multiplicity > 0).all(axis=0).sum())
         total += 120
     assert empty / total < 0.001
 
@@ -320,17 +320,24 @@ def test_training_scores_equal_per_time_reference(agg):
     # 8 sensors: the scores of 200 times are aggregated in blocks of 64, 64 and 72 times
     rng = np.random.default_rng(12)
     times, X, y = _features_from_matrix(rng.normal(size=(202, 8)), n_lags=2)
-    ens = train_ensemble(times, X, y, BackendSpec(kind="ridge"), 9, aggregator=agg, seed=3)
-    preds = ens.model.predict(X.reshape(-1, 2)).reshape(-1, *y.shape)  # (B, T', K)
-    want = []
-    for t in ens.usable_times:
-        i = int(np.searchsorted(times, t))
-        loo = _reference_loo_aggregate(preds[:, i], loo_set(ens.plan, int(t))[None, :], agg)[0]
-        want.append(np.abs(y[i] - loo))
-    if agg.kind == "mean":
-        assert np.allclose(ens.scores, want, rtol=0.0, atol=1e-12)
-    else:
-        assert np.array_equal(ens.scores, want)
+    # B = 1 and 3 drop times, so group rows map to grid times with gaps
+    for n_models in (1, 3, 9, 25):
+        ens = train_ensemble(times, X, y, BackendSpec(kind="ridge"), n_models, aggregator=agg, seed=3)
+        preds = ens.model.predict(X.reshape(-1, 2)).reshape(-1, *y.shape)  # (B, T', K)
+        want = []
+        for t in ens.usable_times:
+            i = int(np.searchsorted(times, t))
+            members = loo_set(ens.plan, int(t))
+            if agg.kind == "mean":
+                # the set's predictions summed in model order, then divided by its size
+                loo = preds[members, i]
+                for row in loo[1:]:
+                    loo[0] += row
+                loo = loo[0] / len(loo)
+            else:
+                loo = _reference_loo_aggregate(preds[:, i], members[None, :], agg)[0]
+            want.append(np.abs(y[i] - loo))
+        assert np.array_equal(ens.scores, want), n_models
 
 
 @pytest.mark.parametrize(
@@ -561,7 +568,10 @@ def test_bootstrap_multiplicity_counts_duplicate_draws():
     for b in range(plan.n_models):
         want = [np.count_nonzero(plan.in_bag[b] == t) for t in plan.available]
         assert plan.multiplicity[b].tolist() == want
-    assert np.array_equal(plan.membership, plan.multiplicity > 0)
+    # a time's LOO set is the models that never drew it; usable times have one
+    out_of_bag = [[t not in plan.in_bag[b] for b in range(plan.n_models)] for t in plan.available]
+    assert plan.usable.tolist() == [any(row) for row in out_of_bag]
+    assert plan.usable_excluded.tolist() == [row for row in out_of_bag if any(row)]
 
 
 def _traced_peak(fn, *args, **kwargs):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,10 +76,9 @@ def test_average_pairwise_distance_matches_uniform_square():
 
 def test_ar1_errors_are_autocorrelated():
     truth = TruthSpec(neighborhood_size=1)
-    iid_cfg = ScenarioConfig(n_sensors=1, n_train=4000, n_test=0, truth=truth, seed=4)
-    ar_cfg = ScenarioConfig(
-        n_sensors=1, n_train=4000, n_test=0, error=ErrorSpec("ar1", 0.8), truth=truth, seed=4
-    )
+    # one sensor cannot be masked so that every row keeps a cell, and this test masks none
+    iid_cfg = ScenarioConfig(n_sensors=1, n_train=4000, n_test=0, missing_fraction=0.0, truth=truth, seed=4)
+    ar_cfg = dataclasses.replace(iid_cfg, error=ErrorSpec("ar1", 0.8))
     # compare residual autocorrelation of the two error processes
     def lag1_corr(cfg):
         values = generate(cfg)[0][:, 0]
