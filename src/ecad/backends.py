@@ -4,16 +4,20 @@ A fitted model holds the B models of one backend, each parameter stacked on
 a leading axis of length B, and ``predict(X)`` returns their ``(B, n)``
 predictions.  `fit` is the only way to fit: without counts it fits one model
 (B = 1) on the rows of an ``(n, d)`` X; with a ``(B, n_blocks)`` count matrix
-it fits one model per bootstrap bag over the ``(n_blocks, rows, d)`` blocks of
-X, bag b holding block i ``counts[b, i]`` times.  A ridge ensemble needs no
-per-model pass over its rows: each block is read once into its sufficient
-statistics, and every bag is fitted from the count-weighted sums of those
-statistics, so a bag is a count per block rather than a copy of its rows;
-all B ridge models predict with one matrix product.  The MLP fits the bags
-one at a time, each on the blocks it drew (in ascending order) with every row
-weighted by its block's draw count, so an epoch runs over each drawn row once
-however often the bag drew it.  Each model type's ``param_shapes`` is the
-table of its parameter names and per-model shapes.
+it fits one model per bootstrap bag over the blocks of a `panel.FeatureGrid`
+X, block i being the K rows of time i, and bag b holding block i
+``counts[b, i]`` times.  The grid is never built whole: each consumer gathers
+only the blocks it is about to use from the panel.  A ridge ensemble needs no
+per-model pass over its rows: the grid is built one chunk of blocks at a time,
+once for the global means and once into each block's sufficient statistics,
+and every bag is fitted from the count-weighted sums of those statistics, so
+a bag is a count per block rather than a copy of its rows; all B ridge models
+predict with one matrix product.  The MLP fits the bags one at a time, each
+on the blocks it drew (built in ascending order, and whole, as full-batch
+descent needs them) with every row weighted by its block's draw count, so an
+epoch runs over each drawn row once however often the bag drew it.  Each model
+type's ``param_shapes`` is the table of its parameter names and per-model
+shapes.
 
 Fitted models are immutable after ``fit`` and safe to share across concurrent
 ``predict`` calls.  Both backends are deterministic given the spec's seed.
@@ -26,6 +30,8 @@ from functools import cached_property
 from typing import Iterator
 
 import numpy as np
+
+from .panel import FeatureGrid
 
 __all__ = [
     "BackendSpec",
@@ -80,14 +86,23 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def _check_training_inputs(
-    X: np.ndarray, y: np.ndarray, counts: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """X and y as float64, refused unless they hold finite rows of the layout ``fit`` documents."""
-    X = np.asarray(X, dtype=np.float64)
+    X: np.ndarray | FeatureGrid, y: np.ndarray, counts: np.ndarray | None
+) -> tuple[np.ndarray | FeatureGrid, np.ndarray]:
+    """X and y, refused unless they hold finite rows of the layout ``fit`` documents.
+
+    Without counts X and y come back as float64 arrays.  With counts X must be
+    a `FeatureGrid`, whose panel is the one tested for finite values.
+    """
     y = np.asarray(y, dtype=np.float64)
+    if counts is None:
+        X = panel = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    elif isinstance(X, FeatureGrid):
+        panel = X.values
+    else:
+        raise ValueError(f"with bag counts X must be a panel.FeatureGrid, got {type(X).__name__}")
     y_dims = 1 if counts is None else 2
-    if X.ndim != y_dims + 1:
-        raise ValueError(f"X must be {y_dims + 1}-D, got shape {X.shape}")
     if y.ndim != y_dims:
         raise ValueError(f"y must be {y_dims}-D, got shape {y.shape}")
     if X.shape[:-1] != y.shape:
@@ -96,7 +111,7 @@ def _check_training_inputs(
         raise ValueError(f"bag counts of shape {counts.shape} for {len(y)} blocks")
     if y.size < 1 or X.shape[-1] < 1:
         raise ValueError(f"need at least one sample and one feature, got X shape {X.shape}")
-    if not _all_finite(X) or not _all_finite(y):
+    if not _all_finite(panel) or not _all_finite(y):
         raise ValueError("non-finite values in training data")
     return X, y
 
@@ -178,37 +193,51 @@ _STATS_CHUNK_BYTES = 1 << 20
 
 
 def _fit_ridge_bags(
-    spec: BackendSpec, X: np.ndarray, y: np.ndarray, counts: np.ndarray
+    spec: BackendSpec, X: FeatureGrid, y: np.ndarray, counts: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Stacked ridge parameters of every bag, fitted from per-block sufficient statistics.
 
-    X is ``(n_blocks, rows, d)`` and bag b holds block i ``counts[b, i]``
+    X is a `FeatureGrid` of ``n_blocks`` times of K rows each, y its
+    ``(n_blocks, K)`` targets, and bag b holds block i ``counts[b, i]``
     times; model b equals ``_fit_ridge`` on its bag's rows, duplicates
-    repeated, up to rounding.  X and y are centred once on their global means,
-    block by block; each block's statistics are the Gram matrix of its rows
+    repeated, up to rounding.  X and y are centred once on their global means;
+    each block's statistics are the Gram matrix of its rows
     ``[1, x - mean(X), y - mean(y)]``, which holds its row count, sums,
     ``X'X`` and ``X'y``.  A bag's statistics are the count-weighted sum of its
     blocks' statistics, and its centred normal equations follow from them by
     the bag-mean correction; all bags are then solved at once.
     ``lambda = 0`` takes the least-squares solution of each bag's normal
-    equations.
+    equations.  The grid is built one chunk of blocks at a time, twice: once
+    for the mean of X and once for the statistics.
     """
     counts = counts.astype(np.float64)
     n_blocks, rows, d = X.shape
-    # the means of the flat rows, summed in the order of an (n, d) X
-    x_center, y_center = X.reshape(-1, d).mean(axis=0), float(y.reshape(-1).mean())
     stats = np.zeros((counts.shape[0], d + 2, d + 2))
     step = max(1, _STATS_CHUNK_BYTES // stats[0].nbytes)
+    chunks = [slice(lo, min(lo + step, n_blocks)) for lo in range(0, n_blocks, step)]
+    # the column sums of the flat rows, added row after row across the chunks: a
+    # chunk's first row takes the sum so far.  numpy sums the columns of an
+    # (n, d >= 2) array in row order too, so this is its mean bit for bit; a
+    # single column it sums pairwise, which can differ in the last bits
+    x_sum = None
+    for chunk in chunks:
+        flat = X[chunk].reshape(-1, d)
+        if x_sum is not None:
+            flat[0] += x_sum
+        x_sum = np.add.reduce(flat, axis=0)
+        del flat  # before the next chunk is built, as below
+    x_center, y_center = x_sum / (n_blocks * rows), float(y.reshape(-1).mean())
     Z = np.empty((rows, d + 2))
     Z[:, 0] = 1.0
-    for lo in range(0, n_blocks, step):
-        hi = min(lo + step, n_blocks)
-        chunk = np.empty((hi - lo, d + 2, d + 2))
-        for i in range(lo, hi):
-            np.subtract(X[i], x_center, out=Z[:, 1:-1])
-            np.subtract(y[i], y_center, out=Z[:, -1])
-            np.matmul(Z.T, Z, out=chunk[i - lo])
-        stats += (counts[:, lo:hi] @ chunk.reshape(hi - lo, -1)).reshape(stats.shape)
+    for chunk in chunks:
+        blocks = X[chunk]
+        block_stats = np.empty((len(blocks), d + 2, d + 2))
+        for i in range(len(blocks)):
+            np.subtract(blocks[i], x_center, out=Z[:, 1:-1])
+            np.subtract(y[chunk.start + i], y_center, out=Z[:, -1])
+            np.matmul(Z.T, Z, out=block_stats[i])
+        stats += (counts[:, chunk] @ block_stats.reshape(len(blocks), -1)).reshape(stats.shape)
+        del blocks, block_stats
     n_rows = stats[:, 0, 0]
     x_shift = stats[:, 0, 1:-1] / n_rows[:, None]  # bag mean minus global mean
     y_shift = stats[:, 0, -1] / n_rows
@@ -403,11 +432,13 @@ def _fit_mlp(spec: BackendSpec, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> 
 
 
 def _bag_rows(
-    X: np.ndarray, y: np.ndarray, counts: np.ndarray | None
+    X: np.ndarray | FeatureGrid, y: np.ndarray, counts: np.ndarray | None
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Each bag's (X, y, row weights) for ``_fit_mlp``: the rows of the blocks it drew.
 
     Without counts the one bag is every row of an ``(n, d)`` X, each weighted 1.
+    With counts a bag's rows are built from the `FeatureGrid` X when its fit
+    starts, all of them at once.
     """
     if counts is None:
         yield X, y, np.ones(len(y))
@@ -425,11 +456,13 @@ def fit(
 
     Without ``counts`` X is ``(n, d)``, y is ``(n,)`` and the result holds one
     model fitted on every row.  With a ``(B, n_blocks)`` integer ``counts``
-    matrix X is ``(n_blocks, rows, d)``, y is ``(n_blocks, rows)``, bag b holds
-    block i ``counts[b, i]`` times, and the result holds one model per bag,
-    model b equal up to rounding to a fit on bag b's rows with duplicates
-    repeated.  A fit whose state is not finite (an MLP step size too large
-    for the data) raises ValueError naming the bag.
+    matrix X is a `panel.FeatureGrid` of shape ``(n_blocks, K, d)``, y is its
+    ``(n_blocks, K)`` targets (``X.y``), block i is the K rows of time i, bag b
+    holds block i ``counts[b, i]`` times, and the result holds one model per
+    bag, model b equal up to rounding to a fit on bag b's rows with duplicates
+    repeated; only the blocks in use are built from X's panel at a time.  A
+    fit whose state is not finite (an MLP step size too large for the data)
+    raises ValueError naming the bag.
     """
     if counts is not None:
         counts = np.asarray(counts)

@@ -1,11 +1,15 @@
 """Command-line pipeline: generate -> impute -> train -> detect -> evaluate.
 
 Each stage reads its prerequisite artifacts from the output directory, writes
-its own, and prints a one-line key=value summary.  ``run-all`` chains every
-stage; rerunning ``train`` refits the ensemble from the completed panel, for
-use after a suspected change point; it saves the ensemble with its training
-context, which ``detect`` continues without parsing the training panel and
-refuses once an input file or the feature layout has changed.  All stages are
+its own, and prints a one-line key=value summary, which ends with the stage's
+wall time (``wall_s``) and the process's peak RSS so far (``rss_mb``).
+``run-all`` chains every stage; rerunning ``train`` refits the ensemble from the completed panel, for
+use after a suspected change point.  ``train`` hands the panel itself to
+``train_ensemble``, which builds the training features a chunk of times at a
+time, and saves the ensemble with its training context, which ``detect``
+continues without parsing the training panel and refuses once an input file
+or the feature layout has changed.  ``detect`` builds the test features and
+writes ``detections.csv`` one block of hours at a time.  All stages are
 idempotent and, for a fixed config and BLAS thread count, bit-reproducible
 (timestamps appear only in report metadata); another thread count can move the
 last bits of a BLAS result (see the README's Determinism section).  Every CSV
@@ -19,6 +23,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -220,36 +225,34 @@ def train_stage(cfg: PipelineConfig) -> dict:
     coords = _read_sensors(sensors_path, panel, panel_path)
     neighbors = _neighbors(coords, cfg.features.neighbor_size, "features.neighbor_size", sensors_path)
     try:
-        times, X, y = build_features(panel, neighbors, cfg.features.n_lags)
-    except ValueError as exc:  # a panel too short for the lag depth
-        raise StageError("config", f"training panel {panel_path}: {exc}") from exc
-    try:
         ensemble = train_ensemble(
-            times,
-            X,
-            y,
+            panel,
+            neighbors,
+            cfg.features.n_lags,
             cfg.backend,
             cfg.ensemble.n_models,
             cfg.ensemble.aggregator,
             seed=cfg.ensemble.seed or 0,
         )
-    except ValueError as exc:
-        raise StageError("config", str(exc)) from exc
-    rows = y.size
-    del times, X, y  # the feature grid is not needed while the artifact is written
+    except ValueError as exc:  # a panel too short for the lag depth, or one the ensemble cannot fit or score
+        raise StageError("config", f"training panel {panel_path}: {exc}") from exc
     lag_rows = panel[len(panel) - cfg.features.n_lags :]
     save_ensemble(ensemble, _artifact(cfg, "ensemble"), lag_rows, _input_digests(cfg))
     return {
         "stage": "train",
         "models": ensemble.n_models,
-        "rows": rows,
+        "rows": ensemble.plan.available.size * ensemble.n_sensors,
         "dropped_empty_loo": ensemble.dropped_empty_loo,
         "scores": int(ensemble.scores.size),
     }
 
 
 def detect_stage(cfg: PipelineConfig) -> dict:
-    """Stream the test panel through the detector a block of hours at a time; write detections.csv."""
+    """Stream the test panel through the detector a block of hours at a time; write detections.csv.
+
+    Each block's detections are written as the block is done, so neither the
+    test features nor the detection columns of the whole horizon exist at once.
+    """
     ensemble_path = _require(cfg, "ensemble", "train")
     test_path = _require(cfg, "test_panel", "generate")
     sensors_path = _require(cfg, "sensors", "generate")
@@ -274,7 +277,6 @@ def detect_stage(cfg: PipelineConfig) -> dict:
     test = _read_complete_panel(cfg, test_path)
     sensors = _read_sensors(sensors_path, test, test_path)
     n_train, n_sensors = int(ensemble.plan.available[-1]) + 1, test.shape[1]
-    panel = np.vstack([lag_rows, test])
     feature_neighbors = _neighbors(sensors, neighbor_size, "features.neighbor_size", sensors_path)
     locality_neighbors = None
     # as_printed compares against every sensor, so it reads no neighbour array
@@ -283,28 +285,34 @@ def detect_stage(cfg: PipelineConfig) -> dict:
             sensors, cfg.detector.locality.neighbor_size, "detector.locality.neighbor_size", sensors_path
         )
     # one block of test times at a time, so the (T, K, d) test feature grid
-    # never exists whole; the blocks share one score store
+    # never exists whole; the blocks share one score store.  A block's panel
+    # rows are its hours and the n_lags before them, the first block's from
+    # lag_rows.  The rows go to a partial file that replaces detections.csv
+    # once every block is written, so a failed run leaves no truncated one
     store = ScoreStore(ensemble.usable_times, ensemble.scores)
-    columns = {name: [] for name in ("t", "k", "test_score", "p_value", "flagged")}
-    for block in time_blocks(len(test), n_sensors):
-        times, X, y = build_features(panel[block.start : block.stop + n_lags], feature_neighbors, n_lags)
-        detections = detect_stream(
-            ensemble,
-            times + (n_train - n_lags + block.start),
-            X,
-            y,
-            cfg.detector.alpha,
-            locality=cfg.detector.locality,
-            neighbors=locality_neighbors,
-            exclude_flagged_from_window=cfg.detector.exclude_flagged_from_window,
-            store=store,
-        )
-        for name, parts in columns.items():
-            parts.append(getattr(detections, name))
-
-    columns = {name: np.concatenate(parts) for name, parts in columns.items()}
-    write_csv(_artifact(cfg, "detections"), columns)
-    n_points, n_flagged = len(columns["t"]), int(np.count_nonzero(columns["flagged"]))
+    n_points = n_flagged = 0
+    path = _artifact(cfg, "detections")
+    partial = path.with_name(path.name + ".partial")
+    with open(partial, "w") as fh:
+        for i, block in enumerate(time_blocks(len(test), n_sensors)):
+            rows = np.vstack([lag_rows[block.start :], test[max(0, block.start - n_lags) : block.stop]])
+            times, X, y = build_features(rows, feature_neighbors, n_lags)
+            detections = detect_stream(
+                ensemble,
+                times + (n_train - n_lags + block.start),
+                X,
+                y,
+                cfg.detector.alpha,
+                locality=cfg.detector.locality,
+                neighbors=locality_neighbors,
+                exclude_flagged_from_window=cfg.detector.exclude_flagged_from_window,
+                store=store,
+            )
+            names = ("t", "k", "test_score", "p_value", "flagged")
+            write_csv(fh, {name: getattr(detections, name) for name in names}, header=i == 0)
+            n_points += len(detections.t)
+            n_flagged += int(np.count_nonzero(detections.flagged))
+    partial.replace(path)
     return {
         "stage": "detect",
         "points": n_points,
@@ -413,9 +421,11 @@ def run_all(cfg: PipelineConfig) -> list[dict]:
     return [globals()[f"{name}_stage"](cfg) for name in _RUN_ALL]
 
 
-def _summary_line(summary: dict) -> str:
+def _summary_line(summary: dict, wall_s: float) -> str:
+    """The stage's summary, its wall time and this process's peak RSS so far, as key=value pairs."""
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     parts = [f"{key}={value}" for key, value in summary.items()]
-    return " ".join(parts + ["status=ok"])
+    return " ".join(parts + [f"wall_s={wall_s:.3f}", f"rss_mb={rss_mb:.1f}", "status=ok"])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -440,6 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     # run-all prints each stage's summary as it returns, and an error names the failing stage
     stages = _RUN_ALL if args.command == "run-all" else (args.command,)
     for stage in stages:
+        start = time.perf_counter()
         try:
             summary = globals()[f"{stage}_stage"](cfg)
         except StageError as exc:
@@ -448,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         except Exception as exc:  # pragma: no cover - defensive surface for the CLI
             print(f'stage={stage} status=error category=internal message="{exc}"', file=sys.stderr)
             return 1
-        print(_summary_line(summary), flush=True)
+        print(_summary_line(summary, time.perf_counter() - start), flush=True)
     return 0
 
 

@@ -1,22 +1,24 @@
 """Bootstrap leave-one-out ensemble training and the initial anomaly score set.
 
-Training takes the time x sensor grid ``(times, X, y)`` of
-``panel.build_features``.  Bootstrap sampling runs over time indices only:
-each model trains on every sensor's rows at its in-bag times, so a single
-ensemble serves all sensors.  A bag is a multiplicity vector over the
-available times (`BootstrapPlan.multiplicity`), and one `backends.fit` call
-fits all B bags into one stacked model, `Ensemble.model`, with the K rows of
-each time as one block.
+Training takes a complete panel, its neighbour array and the lag depth, and
+reads the time x sensor grid ``(times, X, y)`` of ``panel.build_features``
+through a `panel.FeatureGrid`, which builds the features of the times asked
+for and no others: the whole ``(T', K, d)`` grid never exists.  Bootstrap
+sampling runs over time indices only: each model trains on every sensor's
+rows at its in-bag times, so a single ensemble serves all sensors.  A bag is a
+multiplicity vector over the available times (`BootstrapPlan.multiplicity`),
+and one `backends.fit` call fits all B bags into one stacked model,
+`Ensemble.model`, with the K rows of each time as one block.
 A time's training score is aggregated exclusively from models whose bag
 excludes that time, which keeps the scores out-of-sample without any data
 splitting; the scores form one ``(n_usable_times, K)`` grid, `Ensemble.scores`.
 They are predicted and aggregated one block of whole times at a time
-(``panel.time_blocks``, the package's one block rule), so beside the feature
-grid training holds one block's ``(B, block)`` predictions, never those of
-every row.  Every aggregator takes one path there: the times whose LOO sets
-have one size are aggregated together by `_window_mean`, which sums each set
-in model order for the mean and runs a comparator network first for the
-median and trimmed mean.
+(``panel.time_blocks``, the package's one block rule), so training holds one
+block's features and ``(B, block)`` predictions, never those of every row.
+Every aggregator takes one path there: the times whose LOO sets have one size
+are aggregated together by `_window_mean`, which sums each set in model order
+for the mean and runs a comparator network first for the median and trimmed
+mean.
 ``Ensemble.model.predict`` is the one source of per-model predictions,
 ``(B, n)``, for the training scores and for detection.  The artifact stores
 the score grid flat, as the ``score_times``, ``score_sensors`` and
@@ -41,7 +43,7 @@ from typing import Iterable
 import numpy as np
 
 from .backends import MODEL_TYPES, BackendSpec, MLPModel, RidgeModel, fit
-from .panel import as_grid, distinct, grid_rows, time_blocks
+from .panel import FeatureGrid, distinct, grid_rows, time_blocks
 
 __all__ = [
     "AggregatorSpec",
@@ -295,9 +297,9 @@ class Ensemble:
 
 
 def train_ensemble(
-    times: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
+    values: np.ndarray,
+    neighbors: np.ndarray,
+    n_lags: int,
     spec: BackendSpec,
     n_models: int,
     aggregator: AggregatorSpec = AggregatorSpec(),
@@ -305,21 +307,23 @@ def train_ensemble(
 ) -> Ensemble:
     """Fit B bootstrap models over time indices and compute the LOO score grid.
 
-    ``(times, X, y)`` is a time x sensor grid as ``panel.build_features``
-    returns it (``panel.as_grid``): ``(X[i, k], y[i, k])`` is sensor k's
-    example at ``times[i]``, and K is ``y.shape[1]``.  Model b trains on all
-    rows (every sensor) whose time index lies in its bag, honoring duplicates.
-    The training score of (i, k) is
+    ``values`` is a complete ``(T, K)`` panel, ``neighbors`` its ``(K, m)``
+    neighbour array and ``n_lags`` the lag depth: the examples are those of
+    ``panel.build_features(values, neighbors, n_lags)``, ``(X[i, k], y[i, k])``
+    sensor k's at time ``n_lags + i``, and their features are built from the
+    panel (`panel.FeatureGrid`) only a chunk of times at a time.  Model b
+    trains on all rows (every sensor) whose time index lies in its bag,
+    honoring duplicates.  The training score of (i, k) is
     |y_ik - aggregate(predictions at x_ik of the models excluding time i)|;
     times whose LOO set is empty are dropped with a warning, and ValueError
-    is raised if that leaves no time.  A model that cannot be fitted on its
+    is raised if that leaves no time.  A panel that ``build_features``
+    refuses raises its ValueError, and a model that cannot be fitted on its
     data (for instance an MLP that diverges) raises ValueError naming the bag.
     """
-    times, X, y = as_grid(times, X, y)
-    if not y.size:
-        raise ValueError("no feature rows to train on")
+    X = FeatureGrid(values, neighbors, n_lags)
+    y = X.y
     n_sensors = y.shape[1]
-    plan = bootstrap_indices(times, n_models, seed)
+    plan = bootstrap_indices(X.times, n_models, seed)
     usable = plan.usable
     if not usable.any():
         raise ValueError(
@@ -342,7 +346,7 @@ def train_ensemble(
     # wire r of (i, k) is the prediction of i's r-th LOO member; rows ascend in time
     groups = [(*group, times_used[group[0]]) for group in _size_groups(plan.usable_excluded, aggregator)]
     for block in time_blocks(len(y), n_sensors):
-        predictions = model.predict(X[block].reshape(-1, X.shape[2]))  # (B, block points)
+        predictions = model.predict(X[block].reshape(-1, X.shape[2]))  # (B, block points), built here
         _check_finite_predictions(predictions)
         grid = predictions.reshape(len(predictions), -1, n_sensors)  # (B, block times, K)
         for rows, members, network, lo, hi, at in groups:

@@ -10,6 +10,8 @@ for sensor k, and ``check_neighbors`` is the one check of such an array.
 ``build_features`` turns a complete panel into the time x sensor grid every
 later stage consumes: ``(times, X, y)`` with ``X`` of shape ``(T', K, d)`` and
 ``y`` of shape ``(T', K)``, so sensor k is column k at every time.
+``FeatureGrid`` is that grid unbuilt: it gathers the rows of X of the times
+asked for from the panel, so training builds one chunk of times at a time.
 ``as_grid`` is the one check of those shapes, ``grid_rows`` flattens a
 grid into its ``(t, k)`` rows where an artifact stores one, and
 ``time_blocks``, the one block rule, cuts a grid's times into blocks of whole
@@ -24,8 +26,9 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
     "save_sensors",
     "neighbor_sets",
     "check_neighbors",
+    "FeatureGrid",
     "build_features",
     "as_grid",
     "grid_rows",
@@ -169,12 +173,17 @@ def _cell_text(a: np.ndarray) -> Callable[[slice], Iterable[str]]:
     return lambda rows: map(str, a[rows].tolist())
 
 
-def write_csv(path: str | Path, columns: Mapping[str, Sequence | np.ndarray]) -> None:
-    """Write equal-length columns under a header row of their names.
+def write_csv(
+    path: str | Path | TextIO, columns: Mapping[str, Sequence | np.ndarray], header: bool = True
+) -> None:
+    """Write equal-length columns, under a header row of their names unless ``header`` is false.
 
-    Every number is written as its shortest round-trip repr (``str`` of the
-    Python int or float), a flag as 0 or 1 and a string cell (a missing token)
-    as it is, so ``read_csv`` gives back the exact values.  A numeric column of
+    ``path`` is a file to create, or an open text file that the rows are
+    appended to; a file written in parts, the header with the first, holds
+    the bytes of one call over the joined columns.  Every number is written
+    as its shortest round-trip repr (``str`` of the Python int or float), a
+    flag as 0 or 1 and a string cell (a missing token) as it is, so
+    ``read_csv`` gives back the exact values.  A numeric column of
     few distinct values (times, sensor ids, flags, p-values) formats each
     distinct value once, with the same bytes.  Rows are joined a block of
     about ``_WRITE_BLOCK_CELLS`` cells at a time.  No columns, or columns of
@@ -187,8 +196,9 @@ def write_csv(path: str | Path, columns: Mapping[str, Sequence | np.ndarray]) ->
         raise ValueError(f"write_csv needs one or more columns of one length, got lengths {lengths}")
     block_rows = max(1, _WRITE_BLOCK_CELLS // len(arrays))
     texts = [_cell_text(a) for a in arrays]
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
+    with open(path, "w") if isinstance(path, (str, Path)) else nullcontext(path) as fh:
+        if header:
+            fh.write(",".join(columns) + "\n")
         for start in range(0, len(arrays[0]), block_rows):
             rows = slice(start, start + block_rows)
             fh.write("\n".join(map(",".join, zip(*(text(rows) for text in texts)))))
@@ -271,6 +281,54 @@ def check_neighbors(neighbors: np.ndarray, n_sensors: int) -> np.ndarray:
     return neighbors
 
 
+class FeatureGrid:
+    """The ``(T', K, d)`` feature grid of a complete panel, built a set of times at a time.
+
+    ``values`` is a ``(T, K)`` panel without NaN and ``neighbors`` a ``(K, m)``
+    array of sensor ids, row k for sensor k, as ``neighbor_sets`` returns it.
+    ``times`` is ``n_lags .. T-1``, ``y`` is ``values[n_lags:]`` (a view, so
+    ``y[i, k]`` is sensor k's value at ``times[i]``) and ``shape`` is
+    ``(T - n_lags, K, n_lags * m)``.  ``grid[rows]``, for a slice or an
+    integer array of grid positions, gathers ``X[rows]`` from the panel:
+    ``X[i, k]`` is neighbor-major, for each neighbor in the sensor's row the
+    lags from t-1 down to t-n_lags, so only strictly earlier values are
+    referenced.  Only the rows asked for are built; the same rows give
+    bit-identical arrays.  The grid reads ``values`` without copying it.
+    """
+
+    def __init__(self, values: np.ndarray, neighbors: np.ndarray, n_lags: int) -> None:
+        values = as_panel(values)
+        if np.isnan(values).any():
+            raise ValueError("panel has missing entries; impute before building features")
+        if n_lags < 1:
+            raise ValueError(f"lag depth must be >= 1, got {n_lags}")
+        T, K = values.shape
+        if n_lags >= T:
+            raise ValueError(f"lag depth {n_lags} must be smaller than panel length {T}")
+        self.values = values
+        self.neighbors = check_neighbors(neighbors, K)
+        self.n_lags = n_lags
+        self.times = np.arange(n_lags, T)
+        self.y = values[n_lags:]
+        self.shape = (T - n_lags, K, n_lags * self.neighbors.shape[1])
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice | np.ndarray) -> np.ndarray:
+        times = self.times[rows]
+        if not times.size:
+            return np.empty((0, *self.shape[1:]))
+        # the neighbour columns of the hours [lo, hi) that the rows' lags read,
+        # latest hour first, so that window w's lag l is hour hi - 1 - w - l:
+        # target time t is window hi - t.  One copy of (span, K, m) and one of
+        # the result, where indexing the panel by time and neighbour is slower
+        lo, hi = int(times.min()) - self.n_lags, int(times.max())
+        columns = self.values[lo:hi][:, self.neighbors][::-1]  # (hi - lo, K, m)
+        windows = np.lib.stride_tricks.sliding_window_view(columns, self.n_lags, axis=0)  # (., K, m, n_lags)
+        return windows[hi - times].reshape(len(times), *self.shape[1:])
+
+
 def build_features(
     values: np.ndarray,
     neighbors: np.ndarray,
@@ -278,30 +336,15 @@ def build_features(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lagged neighbor features of every (t, k) with t in [n_lags, T): (times, X, y).
 
-    ``values`` is a ``(T, K)`` panel and ``neighbors`` a ``(K, m)`` array of
-    sensor ids, row k for sensor k, as ``neighbor_sets`` returns it.
-    ``times`` is ``n_lags .. T-1``, and ``(X[i, k], y[i, k])`` is the
-    supervised example of sensor k at ``times[i]``, with
-    ``y[i, k] = values[times[i], k]``.  ``X[i, k]`` is neighbor-major: for
-    each neighbor in the sensor's row the lags appear from t-1 down to
-    t-n_lags, so only strictly earlier values are referenced and the width is
-    ``n_lags * m``.  Requires a complete panel (no NaN); run the imputer
-    first if there are missing entries.  Pure function: identical inputs give
-    bit-identical arrays.
+    The whole of ``FeatureGrid(values, neighbors, n_lags)``: ``times`` is
+    ``n_lags .. T-1``, and ``(X[i, k], y[i, k])`` is the supervised example
+    of sensor k at ``times[i]``, with ``y[i, k] = values[times[i], k]`` and
+    ``X[i, k]`` of width ``n_lags * m`` (see `FeatureGrid`).  Requires a
+    complete panel (no NaN); run the imputer first if there are missing
+    entries.  Pure function: identical inputs give bit-identical arrays.
     """
-    values = as_panel(values)
-    if np.isnan(values).any():
-        raise ValueError("panel has missing entries; impute before building features")
-    if n_lags < 1:
-        raise ValueError(f"lag depth must be >= 1, got {n_lags}")
-    T, K = values.shape
-    if n_lags >= T:
-        raise ValueError(f"lag depth {n_lags} must be smaller than panel length {T}")
-    neighbors = check_neighbors(neighbors, K)
-    # lag_rows[i, l] is the time l+1 steps before target time n_lags + i
-    lag_rows = np.arange(n_lags, T)[:, None] - np.arange(1, n_lags + 1)
-    X = values[lag_rows[:, None, None, :], neighbors[None, :, :, None]]  # (T - n_lags, K, m, n_lags)
-    return np.arange(n_lags, T), X.reshape(T - n_lags, K, -1), values[n_lags:]
+    grid = FeatureGrid(values, neighbors, n_lags)
+    return grid.times, grid[:], grid.y
 
 
 def as_grid(times: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -127,7 +127,10 @@ class ScenarioConfig:
         # the generate stage masks the training panel, so a fraction it cannot mask is refused here
         _masked_per_column(self.n_train, self.n_sensors, self.missing_fraction)
         if self.truth.neighborhood_size > self.n_sensors:
-            raise ValueError("truth neighborhood size exceeds sensor count")
+            raise ValueError(
+                f"scenario.truth.neighborhood_size {self.truth.neighborhood_size} exceeds "
+                f"scenario.n_sensors {self.n_sensors}"
+            )
         if self.truth.lag_depth >= self.n_train + self.n_test:
             raise ValueError(
                 f"truth lag depth {self.truth.lag_depth} must be smaller than the panel length "

@@ -5,6 +5,9 @@ of points, the ensemble aggregates every leave-one-out set at once, and an
 MLP fit reuses one workspace for all its epochs; each function here states
 the same quantity for one point, one time or one net, as plainly as it can.
 ``gauss_solve`` solves the ridge oracles' normal equations without numpy.linalg.
+``grid_train_ensemble`` is the one exception: it trains as the pipeline did
+when it built the whole feature grid first, operation for operation, so that
+the blockwise training can be held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import numpy as np
 
 from ecad import backends
 from ecad.detector import nearest_rank_index
-from ecad.ensemble import BootstrapPlan, Ensemble, loo_aggregate
+from ecad.ensemble import AggregatorSpec, BootstrapPlan, Ensemble, bootstrap_indices, loo_aggregate
+from ecad.panel import build_features, time_blocks
 
 
 def empirical_quantile(values: np.ndarray, level: float) -> float:
@@ -88,3 +92,74 @@ def gauss_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     for r in range(n - 1, -1, -1):
         x[r] = (b[r] - sum(A[r][c] * x[c] for c in range(r + 1, n))) / A[r][r]
     return np.array(x)
+
+
+def _grid_ridge_params(spec: backends.BackendSpec, X: np.ndarray, y: np.ndarray, counts: np.ndarray) -> dict:
+    """Every bag's ridge parameters from the sufficient statistics of a built ``(n_blocks, K, d)`` grid."""
+    counts = counts.astype(np.float64)
+    n_blocks, rows, d = X.shape
+    x_center, y_center = X.reshape(-1, d).mean(axis=0), float(y.reshape(-1).mean())
+    stats = np.zeros((counts.shape[0], d + 2, d + 2))
+    # the BLAS products over the same chunks of blocks as the fit's
+    step = max(1, backends._STATS_CHUNK_BYTES // stats[0].nbytes)
+    for lo in range(0, n_blocks, step):
+        hi = min(lo + step, n_blocks)
+        Z = np.concatenate(
+            [np.ones((hi - lo, rows, 1)), X[lo:hi] - x_center, (y[lo:hi] - y_center)[:, :, None]], axis=2
+        )
+        chunk = np.stack([z.T @ z for z in Z])
+        stats += (counts[:, lo:hi] @ chunk.reshape(hi - lo, -1)).reshape(stats.shape)
+    n_rows = stats[:, 0, 0]
+    x_shift = stats[:, 0, 1:-1] / n_rows[:, None]
+    y_shift = stats[:, 0, -1] / n_rows
+    gram = stats[:, 1:-1, 1:-1] - stats[:, 0, 1:-1, None] * x_shift[:, None, :]
+    rhs = stats[:, 1:-1, -1] - stats[:, 0, 1:-1] * y_shift[:, None]
+    if spec.ridge_lambda > 0:
+        weights = np.linalg.solve(gram + spec.ridge_lambda * np.eye(d), rhs[:, :, None])[:, :, 0]
+    else:
+        weights = np.stack([np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(gram, rhs)])
+    return {"weights": weights, "x_mean": x_center + x_shift, "y_mean": y_center + y_shift}
+
+
+def grid_train_ensemble(
+    values: np.ndarray,
+    neighbors: np.ndarray,
+    n_lags: int,
+    spec: backends.BackendSpec,
+    n_models: int,
+    aggregator: AggregatorSpec,
+    seed: int,
+) -> Ensemble:
+    """The ensemble of ``train_ensemble``, trained on the whole feature grid built first.
+
+    Each training score is aggregated per time: the mean sums its set's
+    predictions in model order and divides by the set size, the median and
+    trimmed mean sort the set and sum the window rank by rank.  The
+    predictions come over the blocks of ``time_blocks``, as the training's do.
+    """
+    times, X, y = build_features(values, neighbors, n_lags)
+    plan = bootstrap_indices(times, n_models, seed)
+    counts = plan.multiplicity
+    if spec.kind == "ridge":
+        params = _grid_ridge_params(spec, X, y, counts)
+    else:
+        fits = []
+        for bag in counts:
+            drawn = np.flatnonzero(bag)
+            weights = np.repeat(bag[drawn].astype(np.float64), y.shape[1])
+            fits.append(backends._fit_mlp(spec, X[drawn].reshape(-1, X.shape[2]), y[drawn].reshape(-1), weights))
+        params = {name: np.stack([f[name] for f in fits]) for name in fits[0]}
+    model = backends.MODEL_TYPES[spec.kind](spec, params)
+    preds = np.concatenate(
+        [model.predict(X[block].reshape(-1, X.shape[2])) for block in time_blocks(len(y), y.shape[1])], axis=1
+    ).reshape(n_models, *y.shape)
+    scores = []
+    for i in np.flatnonzero(plan.usable):
+        members = preds[counts[:, i] == 0, i]  # (count, K), in model order
+        lo, hi = aggregator.rank_window(len(members))
+        window = members if aggregator.kind == "mean" else np.sort(members, axis=0)[lo:hi]
+        total = window[0].copy()
+        for row in window[1:]:
+            total += row
+        scores.append(np.abs(y[i] - total / len(window)))
+    return Ensemble(plan, model, aggregator, np.array(scores))

@@ -52,9 +52,7 @@ def _calibration_flag_rate(seed: int, error: ErrorSpec, missing_fraction: float 
     neighbors = neighbor_sets(coords, 5)
     times, X, y = build_features(values, neighbors, 5)
     train_sel = times < cfg.n_train
-    ensemble = train_ensemble(
-        times[train_sel], X[train_sel], y[train_sel], BackendSpec(kind="ridge"), 25, seed=seed + 1000
-    )
+    ensemble = train_ensemble(values[: cfg.n_train], neighbors, 5, BackendSpec(kind="ridge"), 25, seed=seed + 1000)
     test_sel = ~train_sel
     detections = ecad.detect_stream(ensemble, times[test_sel], X[test_sel], y[test_sel], alpha=0.05)
     return float(np.mean([d.flagged for d in detections]))
@@ -110,14 +108,13 @@ def _loo_construction_oracle(name, spec, naive_fit):
     """
     rng = np.random.default_rng(77)
     n_times, n_sensors, n_models = 8, 2, 5
-    times = np.repeat(np.arange(1, n_times + 1), n_sensors)
-    sensors = np.tile(np.arange(n_sensors), n_times)
-    draws = [(rng.normal(size=3), float(rng.normal())) for _ in times]
-    X = np.array([x for x, _ in draws])
-    y = np.array([v for _, v in draws])
-    # the flat rows above, by time then sensor, as the time x sensor grid
-    grid = (np.arange(1, n_times + 1), X.reshape(n_times, n_sensors, 3), y.reshape(n_times, n_sensors))
-    ensemble = train_ensemble(*grid, spec, n_models, seed=123)
+    # 3 lags of each sensor's own values: the times 3..10, 3 features per point
+    feats = rng.normal(size=(n_times + 3, n_sensors)), np.arange(n_sensors)[:, None], 3
+    grid_times, X, y = build_features(*feats)
+    # the grid's rows, flat, by time then sensor
+    times, sensors = np.repeat(grid_times, n_sensors), np.tile(np.arange(n_sensors), n_times)
+    X, y = X.reshape(-1, 3), y.ravel()
+    ensemble = train_ensemble(*feats, spec, n_models, seed=123)
     assert (ensemble.plan.multiplicity > 1).any(), "no bag repeats a time"
 
     # naive oracle: refit every bootstrap model and re-aggregate from scratch

@@ -4,6 +4,7 @@ import pytest
 from ecad import backends
 from ecad.backends import BackendSpec, fit, init_mlp_params
 from ecad.ensemble import AggregatorSpec, train_ensemble
+from ecad.panel import FeatureGrid, build_features
 
 from _oracles import gauss_solve, mlp_loss, mlp_loss_and_gradients
 
@@ -74,13 +75,17 @@ def test_fit_rejects_bad_inputs():
         fit(spec, np.empty((0, 2)), np.empty(0))
     with pytest.raises(ValueError):
         fit(spec, np.ones((3, 2)), np.ones(4))
-    # with bag counts, X is (n_blocks, rows, d), y (n_blocks, rows) and counts (B, n_blocks)
-    with pytest.raises(ValueError, match="3-D"):
-        fit(spec, np.ones((6, 2)), np.ones((3, 2)), np.ones((2, 3), dtype=int))
+    # with bag counts, X is a FeatureGrid of n_blocks times, y its (n_blocks, K)
+    # targets and counts (B, n_blocks); a built grid is not taken
+    grid = FeatureGrid(np.ones((5, 2)), np.array([[0, 1], [1, 0]]), 2)
+    with pytest.raises(ValueError, match="X must be a panel.FeatureGrid"):
+        fit(spec, grid[:], grid.y, np.ones((2, 3), dtype=int))
     with pytest.raises(ValueError, match="one row per entry"):
-        fit(spec, np.ones((3, 2, 2)), np.ones((3, 3)), np.ones((2, 3), dtype=int))
+        fit(spec, grid, np.ones((3, 3)), np.ones((2, 3), dtype=int))
     with pytest.raises(ValueError, match="bag counts"):
-        fit(spec, np.ones((3, 2, 2)), np.ones((3, 2)), np.ones((2, 4), dtype=int))
+        fit(spec, grid, grid.y, np.ones((2, 4), dtype=int))
+    with pytest.raises(ValueError, match="non-finite"):
+        fit(spec, FeatureGrid(np.full((5, 2), np.inf), grid.neighbors, 2), grid.y, np.ones((2, 3), dtype=int))
     with pytest.raises(ValueError, match="unknown backend"):
         fit(BackendSpec(kind="forest"), np.ones((3, 2)), np.ones(3))
 
@@ -99,17 +104,16 @@ def test_fit_rejects_diverged_mlp():
 
 
 def test_bagged_mlp_fit_stops_at_the_first_diverged_bag(monkeypatch):
-    # 20 blocks of 10 rows, every bag drawing each block once
+    # 20 blocks of 10 rows (3 lags of 10 random walks), every bag drawing each block once
     rng = np.random.default_rng(0)
-    X = rng.normal(size=(20, 10, 3))
-    y = X @ np.array([1.0, 2.0, 3.0]) + rng.normal(size=(20, 10))
+    grid = FeatureGrid(rng.normal(size=(23, 10)).cumsum(axis=0), np.arange(10)[:, None], 3)
     spec = BackendSpec(
         kind="mlp", mlp_hidden=(64, 64), mlp_epochs=20, mlp_learning_rate=0.5, seed=0
     )
     fitted, fit_mlp = [], backends._fit_mlp
     monkeypatch.setattr(backends, "_fit_mlp", lambda *args: fitted.append(args) or fit_mlp(*args))
     with pytest.raises(ValueError, match="MLP fit of bag 0 diverged"):
-        fit(spec, X, y, np.ones((4, 20), dtype=np.int64))
+        fit(spec, grid, grid.y, np.ones((4, 20), dtype=np.int64))
     assert len(fitted) == 1
 
 
@@ -278,16 +282,16 @@ def test_mlp_loss_and_gradients_equal_reference_and_are_not_reused():
 
 
 def test_mlp_ensemble_models_share_no_memory_and_equal_standalone_fits(monkeypatch):
+    # 30 times of 3 sensors, 4 lags of each sensor's own values
     rng = np.random.default_rng(9)
     n_times, n_sensors = 30, 3
-    X = rng.normal(size=(n_times, n_sensors, 4))
-    y = rng.normal(size=(n_times, n_sensors))
+    values = rng.normal(size=(n_times + 4, n_sensors))
+    feats = values, np.arange(n_sensors)[:, None], 4
+    _, X, y = build_features(*feats)
     spec = BackendSpec(kind="mlp", mlp_hidden=(5, 3), mlp_epochs=15, mlp_learning_rate=0.05, seed=4)
     fitted, fit_mlp = [], backends._fit_mlp
     monkeypatch.setattr(backends, "_fit_mlp", lambda *args: fitted.append(args) or fit_mlp(*args))
-    ens = train_ensemble(
-        np.arange(n_times), X, y, spec, n_models=6, aggregator=AggregatorSpec("mean"), seed=2
-    )
+    ens = train_ensemble(*feats, spec, n_models=6, aggregator=AggregatorSpec("mean"), seed=2)
     assert (ens.plan.multiplicity > 1).any(), "no bag repeats a time"
     stacks = ens.model.weights + ens.model.biases
     arrays = [stack[b] for b in range(ens.n_models) for stack in stacks]
@@ -297,7 +301,7 @@ def test_mlp_ensemble_models_share_no_memory_and_equal_standalone_fits(monkeypat
     assert len(fitted) == ens.n_models
     for b, (_, X_fit, y_fit, draws) in enumerate(fitted):
         # each bag trains once over its distinct rows, a row weighted by its time's draws
-        distinct = np.unique(ens.plan.in_bag[b])
+        distinct = np.unique(ens.plan.in_bag[b]) - 4  # grid rows of the bag's times
         assert np.array_equal(X_fit, X[distinct].reshape(-1, 4))
         assert np.array_equal(y_fit, y[distinct].ravel())
         drawn = ens.plan.multiplicity[b]
@@ -306,7 +310,7 @@ def test_mlp_ensemble_models_share_no_memory_and_equal_standalone_fits(monkeypat
     monkeypatch.undo()
     for b in range(ens.n_models):
         # ... and equals a fit on its rows in ascending time order, duplicates repeated
-        bag = np.sort(ens.plan.in_bag[b])
+        bag = np.sort(ens.plan.in_bag[b]) - 4
         alone = fit(spec, X[bag].reshape(-1, 4), y[bag].ravel())
         for got, want in zip(stacks, alone.weights + alone.biases):
             assert np.max(np.abs(got[b] - want[0])) <= 1e-10 * np.max(np.abs(want[0])), b
@@ -314,14 +318,15 @@ def test_mlp_ensemble_models_share_no_memory_and_equal_standalone_fits(monkeypat
 
 @pytest.mark.parametrize("hidden, lr", [((5, 3), 0.05), ((16, 16), 1e-3), ((16, 16), 0.05)])
 def test_bagged_mlp_fits_equal_fits_on_gathered_bags(hidden, lr):
-    # 20 blocks of 3 rows, bags that draw some blocks repeatedly
+    # 20 blocks of 3 rows (2 lags of 3 sensors, each a neighbour of all), bags
+    # that draw some blocks repeatedly
     rng = np.random.default_rng(12)
-    X = rng.normal(size=(20, 3, 6))
-    y = np.sin(X[:, :, 0]) + 0.1 * rng.normal(size=(20, 3))
+    grid = FeatureGrid(np.sin(rng.normal(size=(22, 3)).cumsum(axis=0)), np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]]), 2)
+    X, y = grid[:], grid.y
     counts = rng.multinomial(20, np.full(20, 1 / 20), size=4)
     assert (counts > 1).any() and (counts == 0).any()
     spec = BackendSpec(kind="mlp", mlp_hidden=hidden, mlp_epochs=100, mlp_learning_rate=lr, seed=1)
-    model = fit(spec, X, y, counts)
+    model = fit(spec, grid, y, counts)
     for b in range(len(counts)):
         blocks = np.repeat(np.arange(20), counts[b])
         alone = fit(spec, X[blocks].reshape(-1, 6), y[blocks].ravel())

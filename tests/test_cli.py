@@ -255,6 +255,50 @@ def test_detect_memory_does_not_grow_with_the_test_horizon(tmp_path):
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+def test_detect_failing_mid_stream_leaves_the_previous_detections(tmp_path, monkeypatch):
+    # 300 test hours of 4 sensors are two detection blocks; the second one fails
+    cfg = _small_cfg(tmp_path / "run", n_test=300)
+    run_all(cfg)
+    path = tmp_path / "run" / ARTIFACTS["detections"]
+    before = path.read_bytes()
+    calls, detect_stream = [], ecad.cli.detect_stream
+
+    def failing_detect_stream(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("second block fails")
+        return detect_stream(*args, **kwargs)
+
+    monkeypatch.setattr(ecad.cli, "detect_stream", failing_detect_stream)
+    with pytest.raises(RuntimeError, match="second block fails"):
+        detect_stage(cfg)
+    assert path.read_bytes() == before
+
+
+def test_detect_writes_detections_without_holding_the_horizon(tmp_path):
+    # 20 sensors at the default 5 lags x 5 neighbours.  Detection columns held
+    # for one write at the end, and the test panel copied whole under its lag
+    # rows, made the peak grow by 72 bytes a point from 500 to 2000 test hours
+    # (2.08 to 4.24 MB); written a block at a time it grows by about 3 (2.00
+    # to 2.08 MB): the test panel itself and its parsing
+    peaks = []
+    for n_test in (500, 2000):
+        cfg = _small_cfg(tmp_path / str(n_test), n_sensors=20, n_train=100, n_test=n_test)
+        cfg = dataclasses.replace(cfg, features=FeatureConfig(n_lags=5, neighbor_size=5))
+        for stage in (generate_stage, impute_stage, train_stage):
+            stage(cfg)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            detect_stage(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    added_points = 1500 * 20
+    assert peaks[1] - peaks[0] <= 16 * added_points, peaks
+
+
 def _detect_exit(cfg, tmp_path, capsys):
     """Exit code and stderr of the ``detect`` command run with ``cfg`` as a config file."""
     path = tmp_path / "detect.json"
@@ -945,6 +989,15 @@ def test_every_spec_refuses_an_invalid_value_when_built(build, message):
         build()
 
 
+def test_truth_neighborhood_larger_than_the_network_names_both_keys(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"scenario": {"n_sensors": 2, "missing_fraction": 0.0}}))
+    assert main(["run-all", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "category=config" in err
+    assert "scenario.truth.neighborhood_size 4 exceeds scenario.n_sensors 2" in err
+
+
 @pytest.mark.parametrize(
     "section, key, build, message",
     [
@@ -989,6 +1042,9 @@ def test_summary_lines_are_machine_parsable(tmp_path, capsys):
     assert fields["stage"] == "generate"
     assert fields["status"] == "ok"
     assert int(fields["sensors"]) == 20
+    # the stage's wall time and the process's peak RSS, in seconds and MB
+    assert 0 < float(fields["wall_s"]) < 60
+    assert 1 < float(fields["rss_mb"]) < 1e5
 
 
 def test_run_all_prints_finished_stages_and_names_the_failing_one(tmp_path, capsys):

@@ -153,10 +153,9 @@ def test_loo_kernel_matches_loo_predict(kind):
     # training scores and the detection matrix both equal the scalar LOO predictor
     rng = np.random.default_rng(8)
     values = rng.normal(size=(30, 2))
-    times = np.arange(2, 30)
-    features = np.stack([values[times - 2], values[times - 1]], axis=2)  # (t, k) holds values[t-2:t, k]
-    targets = values[2:]
-    ens = train_ensemble(times, features, targets, BackendSpec(kind="ridge"), 6, AggregatorSpec(kind), seed=0)
+    feats = values, np.array([[0], [1]]), 2  # (t, k) holds values[t-1, k] and values[t-2, k]
+    times, features, targets = build_features(*feats)
+    ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 6, AggregatorSpec(kind), seed=0)
     sizes = set(ens.plan.usable_excluded.sum(axis=1).tolist())
     assert {1, 2, 3, 4} <= sizes
 
@@ -186,14 +185,11 @@ def test_test_score_rejects_bad_alpha():
 
 @pytest.fixture(scope="module", params=["mean", "median", "trimmed_mean"])
 def scoring_ensemble(request):
-    # about 700 usable times; with 25 models, scoring blocks not aligned to
-    # prediction chunks change some scores
+    # about 700 usable times of one sensor and 20 lags; with 25 models,
+    # scoring blocks not aligned to prediction chunks change some scores
     rng = np.random.default_rng(11)
-    values = rng.normal(size=(700, 10))
-    times = np.arange(2, 700)
-    X = np.stack([values[t - 2 : t].ravel() for t in times])
     return train_ensemble(
-        times, X[:, None], values[2:, :1], BackendSpec(kind="ridge"), 25, AggregatorSpec(request.param), seed=0
+        rng.normal(size=(718, 1)), np.array([[0]]), 20, BackendSpec(kind="ridge"), 25, AggregatorSpec(request.param), seed=0
     )
 
 
@@ -322,7 +318,7 @@ def _train_small_ensemble(seed=0, T=80, K=2):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(T, K)).cumsum(axis=0) * 0.05 + rng.normal(size=(T, K))
     # one feature per (t, k): the sensor's value at t-1
-    ens = train_ensemble(np.arange(1, T), values[:-1, :, None], values[1:], BackendSpec(kind="ridge"), 10, seed=seed)
+    ens = train_ensemble(values, np.arange(K)[:, None], 1, BackendSpec(kind="ridge"), 10, seed=seed)
     return ens, values
 
 
@@ -658,10 +654,10 @@ def blocked_stream(request):
     """An ensemble of 7 sensors and a 1300-hour test stream: two detection blocks of 512 and 788 hours."""
     rng = np.random.default_rng(17)
     neighbors = neighbor_sets(rng.random((7, 2)), 3)
-    times, X, y = build_features(rng.normal(size=(1402, 7)), neighbors, n_lags=2)
-    ens = train_ensemble(
-        times[:100], X[:100], y[:100], BackendSpec(kind="ridge"), 15, AggregatorSpec(request.param), seed=2
-    )
+    values = rng.normal(size=(1402, 7))
+    times, X, y = build_features(values, neighbors, n_lags=2)
+    # the first 100 times, 2..101, are the training grid
+    ens = train_ensemble(values[:102], neighbors, 2, BackendSpec(kind="ridge"), 15, AggregatorSpec(request.param), seed=2)
     spikes = np.where(rng.random((1300, 7)) < 0.05, 6.0, 0.0)
     return ens, times[100:], X[100:], y[100:] + spikes, neighbors
 

@@ -6,6 +6,7 @@ import pytest
 
 from ecad.backends import BackendSpec, _check_training_inputs, fit
 from ecad.ensemble import (
+    AGGREGATOR_KINDS,
     AggregatorSpec,
     bootstrap_indices,
     load_ensemble,
@@ -14,7 +15,9 @@ from ecad.ensemble import (
     train_ensemble,
 )
 
-from _oracles import loo_predict, loo_set
+from ecad.panel import FeatureGrid, build_features, neighbor_sets
+
+from _oracles import grid_train_ensemble, loo_predict, loo_set
 
 
 def _aggregate_all(values, agg):
@@ -30,11 +33,9 @@ def _trimmed_mean_oracle(values, fraction):
     return sum(kept) / len(kept)
 
 
-def _features_from_matrix(values, n_lags=1):
-    """Self-only lag features (times, X, y) of a T x K matrix: X[i, k] holds sensor k's lags 1..n_lags."""
-    T = len(values)
-    X = np.stack([values[n_lags - lag : T - lag] for lag in range(1, n_lags + 1)], axis=2)
-    return np.arange(n_lags, T), X, values[n_lags:]
+def _self_only(values, n_lags=1):
+    """(panel, neighbors, n_lags) of self-only lag features of a T x K panel: X[i, k] holds sensor k's lags 1..n_lags."""
+    return values, np.arange(values.shape[1])[:, None], n_lags
 
 
 # the training context of every ensemble these tests save: no file backs it
@@ -104,8 +105,7 @@ def test_empty_loo_rare_at_operating_scale():
 def test_single_bag_scores_only_out_of_bag_times():
     rng = np.random.default_rng(0)
     values = rng.normal(size=(40, 2))
-    feats = _features_from_matrix(values)
-    ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 1, seed=5)
+    ens = train_ensemble(*_self_only(values), BackendSpec(kind="ridge"), 1, seed=5)
     in_bag = set(ens.plan.in_bag[0].tolist())
     available = set(ens.plan.available.tolist())
     scored = set(ens.usable_times.tolist())
@@ -115,51 +115,53 @@ def test_single_bag_scores_only_out_of_bag_times():
 
 
 def test_train_ensemble_rejects_unequal_length_arrays():
-    times, X, y = _features_from_matrix(np.random.default_rng(8).normal(size=(10, 2)))
+    # a neighbour array with one row fewer, or one more, than the panel has sensors
+    values = np.random.default_rng(8).normal(size=(10, 2))
     spec = BackendSpec(kind="ridge")
-    for args in [(times[:-1], X, y), (times, X[:-1], y), (times, X, y[:-1])]:
-        with pytest.raises(ValueError, match="do not form a time x sensor grid"):
-            train_ensemble(*args, spec, 3, seed=0)
+    for neighbors in (np.array([[0]]), np.array([[0], [1], [2]])):
+        with pytest.raises(ValueError, match=r"neighbor array must be an integer \(2, m\) array"):
+            train_ensemble(values, neighbors, 1, spec, 3, seed=0)
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda t, X, y: (t, X[1:], y), "do not form a time x sensor grid"),
-        (lambda t, X, y: (t, X[:, :1], y), "do not form a time x sensor grid"),
-        (lambda t, X, y: (np.r_[t[0], t[:-1]], X, y), "strictly increase"),
-        (lambda t, X, y: (np.r_[t[1], t[0], t[2:]], X, y), "strictly increase"),
+        (lambda v, nb, n: (np.where(np.arange(len(v))[:, None] == 4, np.nan, v), nb, n), "missing entries"),
+        (lambda v, nb, n: (v[:, :1], nb, n), "neighbor array must be"),
+        (lambda v, nb, n: (v, np.array([[0, 0], [1, 0]]), n), "distinct sensor ids"),
+        (lambda v, nb, n: (v, nb, len(v)), "lag depth 10 must be smaller than panel length 10"),
     ],
-    ids=["missing-row", "sensor-mismatch", "repeated-time", "time-going-back"],
+    ids=["missing-cell", "sensor-mismatch", "repeated-neighbor", "lag-too-deep"],
 )
-def test_train_ensemble_refuses_rows_that_are_not_the_grid(edit, message):
-    # X lacking the row of one time, X with a sensor fewer than y, a time
-    # repeated, or the first two times swapped
-    feats = edit(*_features_from_matrix(np.random.default_rng(8).normal(size=(10, 2))))
+def test_train_ensemble_refuses_a_panel_it_cannot_build_features_from(edit, message):
+    # a missing cell, a panel of a sensor fewer than the neighbour array, a
+    # neighbour listed twice, or no time with n_lags earlier rows
+    args = edit(*_self_only(np.random.default_rng(8).normal(size=(10, 2))))
     with pytest.raises(ValueError, match=message):
-        train_ensemble(*feats, BackendSpec(kind="ridge"), 3, seed=0)
+        train_ensemble(*args, BackendSpec(kind="ridge"), 3, seed=0)
 
 
 def test_train_ensemble_rejects_empty_arrays():
-    times, X, y = _features_from_matrix(np.random.default_rng(8).normal(size=(10, 2)))
-    for args in [(times[:0], X[:0], y[:0]), (times, X[:, :0], y[:, :0])]:
-        with pytest.raises(ValueError, match="no feature rows"):
-            train_ensemble(*args, BackendSpec(kind="ridge"), 3, seed=0)
+    # a panel without rows has no time after the lag depth, one without sensors no neighbour row
+    spec = BackendSpec(kind="ridge")
+    with pytest.raises(ValueError, match="lag depth 1 must be smaller than panel length 0"):
+        train_ensemble(np.empty((0, 2)), np.array([[0], [1]]), 1, spec, 3, seed=0)
+    with pytest.raises(ValueError, match=r"neighbor array must be an integer \(0, m\) array"):
+        train_ensemble(np.empty((10, 0)), np.empty((0, 1), dtype=np.int64), 1, spec, 3, seed=0)
 
 
 def test_train_ensemble_refuses_when_no_time_has_a_loo_set():
     # a single training time lies in every bag, so no model can score it
-    feats = _features_from_matrix(np.random.default_rng(8).normal(size=(2, 3)))
+    values = np.random.default_rng(8).normal(size=(2, 3))
     with pytest.raises(ValueError, match="no training time has a leave-one-out model set"):
-        train_ensemble(*feats, BackendSpec(kind="ridge"), 3, seed=0)
+        train_ensemble(*_self_only(values), BackendSpec(kind="ridge"), 3, seed=0)
 
 
 def test_noiseless_linear_scores_are_zero():
     t = np.arange(60, dtype=float)
     values = np.column_stack([2.0 * t + 1.0, 2.0 * t + 5.0])
     # both sensors satisfy y_t = y_{t-1} + 2, so one lag feature fits exactly
-    feats = _features_from_matrix(values)
-    ens = train_ensemble(*feats, BackendSpec(kind="ridge", ridge_lambda=0.0), 10, seed=2)
+    ens = train_ensemble(*_self_only(values), BackendSpec(kind="ridge", ridge_lambda=0.0), 10, seed=2)
     assert ens.scores.size > 0
     assert np.max(ens.scores) < 1e-6
 
@@ -168,8 +170,7 @@ def test_no_training_score_uses_in_bag_model():
     # construction audit: the LOO model set of every scored time must be
     # disjoint from the bags containing that time
     rng = np.random.default_rng(1)
-    feats = _features_from_matrix(rng.normal(size=(30, 2)))
-    ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 8, seed=3)
+    ens = train_ensemble(*_self_only(rng.normal(size=(30, 2))), BackendSpec(kind="ridge"), 8, seed=3)
     for t in ens.usable_times:
         loo = set(np.flatnonzero(loo_set(ens.plan, int(t))).tolist())
         for b in range(ens.n_models):
@@ -179,7 +180,8 @@ def test_no_training_score_uses_in_bag_model():
 
 def test_loo_predict_mean_and_median():
     rng = np.random.default_rng(2)
-    feats = _features_from_matrix(rng.normal(size=(25, 2)))
+    feats = _self_only(rng.normal(size=(25, 2)))
+    X = build_features(*feats)[1]
     for agg, combine in [
         (AggregatorSpec("mean"), np.mean),
         (AggregatorSpec("median"), np.median),
@@ -188,7 +190,7 @@ def test_loo_predict_mean_and_median():
     ]:
         ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 6, aggregator=agg, seed=4)
         t = int(ens.usable_times[0])
-        x = feats[1][0, 0]
+        x = X[0, 0]
         preds = ens.model.predict(x[None, :])[:, 0]
         expected = combine(list(preds[np.flatnonzero(loo_set(ens.plan, t))]))
         assert loo_predict(ens, t, x) == pytest.approx(float(expected), abs=1e-12)
@@ -319,10 +321,11 @@ def test_loo_aggregate_network_on_every_zero_one_input(agg):
 def test_training_scores_equal_per_time_reference(agg):
     # 8 sensors: the scores of 200 times are aggregated in blocks of 64, 64 and 72 times
     rng = np.random.default_rng(12)
-    times, X, y = _features_from_matrix(rng.normal(size=(202, 8)), n_lags=2)
+    feats = _self_only(rng.normal(size=(202, 8)), n_lags=2)
+    times, X, y = build_features(*feats)
     # B = 1 and 3 drop times, so group rows map to grid times with gaps
     for n_models in (1, 3, 9, 25):
-        ens = train_ensemble(times, X, y, BackendSpec(kind="ridge"), n_models, aggregator=agg, seed=3)
+        ens = train_ensemble(*feats, BackendSpec(kind="ridge"), n_models, aggregator=agg, seed=3)
         preds = ens.model.predict(X.reshape(-1, 2)).reshape(-1, *y.shape)  # (B, T', K)
         want = []
         for t in ens.usable_times:
@@ -355,7 +358,7 @@ def test_mean_over_identical_models_equals_single_model():
     from ecad.backends import fit as fit_backend
 
     values = np.cumsum(np.ones((20, 1)), axis=0) + 0.25
-    _, X, y = _features_from_matrix(values)
+    _, X, y = build_features(*_self_only(values))
     model = fit_backend(BackendSpec(kind="ridge"), X.reshape(-1, 1), y.ravel())
     x = X[5]
     single = model.predict(x)[0, 0]
@@ -364,17 +367,17 @@ def test_mean_over_identical_models_equals_single_model():
 
 
 def test_loo_predict_empty_set_errors():
-    feats = _features_from_matrix(np.random.default_rng(4).normal(size=(6, 1)))
+    feats = _self_only(np.random.default_rng(4).normal(size=(6, 1)))
     ens = train_ensemble(*feats, BackendSpec(kind="ridge"), 1, seed=1)
     in_bag_times = set(ens.plan.in_bag[0].tolist())
     t = next(iter(in_bag_times))
     with pytest.raises(ValueError, match="empty leave-one-out"):
-        loo_predict(ens, int(t), feats[1][0, 0])
+        loo_predict(ens, int(t), build_features(*feats)[1][0, 0])
 
 
 def test_ensemble_roundtrip_through_disk(tmp_path):
     values = np.random.default_rng(5).normal(size=(30, 3))
-    feats = _features_from_matrix(values)
+    feats = _self_only(values)
     ens = train_ensemble(*feats, BackendSpec(kind="ridge", ridge_lambda=0.7), 7, seed=9)
     path = tmp_path / "ensemble.npz"
     _save(ens, path, values)
@@ -385,13 +388,13 @@ def test_ensemble_roundtrip_through_disk(tmp_path):
     assert np.array_equal(loaded.plan.in_bag, ens.plan.in_bag)
     assert np.array_equal(loaded.scores, ens.scores)
     assert np.array_equal(loaded.usable_times, ens.usable_times)
-    x = feats[1][0]
+    x = build_features(*feats)[1][0]
     assert np.array_equal(loaded.model.predict(x), ens.model.predict(x))
 
 
 def test_ensemble_version_refusal(tmp_path):
     values = np.random.default_rng(6).normal(size=(12, 1))
-    ens = train_ensemble(*_features_from_matrix(values), BackendSpec(kind="ridge"), 3, seed=0)
+    ens = train_ensemble(*_self_only(values), BackendSpec(kind="ridge"), 3, seed=0)
     path = tmp_path / "ensemble.npz"
     _save(ens, path, values)
     with np.load(path) as data:
@@ -457,7 +460,7 @@ def _deepen_the_lag_depth(arrays):
 )
 def test_ensemble_shape_refusal(tmp_path, corrupt, name):
     values = np.random.default_rng(6).normal(size=(12, 2))
-    ens = train_ensemble(*_features_from_matrix(values), BackendSpec(kind="ridge"), 3, seed=0)
+    ens = train_ensemble(*_self_only(values), BackendSpec(kind="ridge"), 3, seed=0)
     path = tmp_path / "ensemble.npz"
     _save(ens, path, values)
     with np.load(path) as data:
@@ -471,7 +474,7 @@ def test_ensemble_shape_refusal(tmp_path, corrupt, name):
 @pytest.mark.parametrize("key", ["model1_weights", "model0_x_mean", "model2_y_mean"])
 def test_ensemble_refuses_non_finite_model_arrays(tmp_path, key):
     values = np.random.default_rng(6).normal(size=(12, 2))
-    ens = train_ensemble(*_features_from_matrix(values), BackendSpec(kind="ridge"), 3, seed=0)
+    ens = train_ensemble(*_self_only(values), BackendSpec(kind="ridge"), 3, seed=0)
     _save(ens, tmp_path / "e.npz", values)
     with np.load(tmp_path / "e.npz") as data:
         arrays = {name: data[name] for name in data.files}
@@ -502,7 +505,7 @@ _MLP_42 = BackendSpec(kind="mlp", mlp_hidden=(4, 2), mlp_epochs=3, seed=0)
 def test_ensemble_artifact_member_names_and_shapes(tmp_path, spec, members):
     # the benchmark's output checks read ensemble.npz by these member names and shapes
     values = np.random.default_rng(3).normal(size=(12, 2))
-    ens = train_ensemble(*_features_from_matrix(values, n_lags=3), spec, 2, seed=0)
+    ens = train_ensemble(*_self_only(values, n_lags=3), spec, 2, seed=0)
     _save(ens, tmp_path / "e.npz", values)
     with np.load(tmp_path / "e.npz") as data:
         assert data.files == _HEADER_MEMBERS + [f"model{b}_{name}" for b in range(2) for name, _ in members]
@@ -516,7 +519,7 @@ def test_ensemble_artifact_member_names_and_shapes(tmp_path, spec, members):
 def test_ensemble_refuses_mlp_layers_of_other_widths(tmp_path):
     values = np.random.default_rng(3).normal(size=(12, 2))
     path = tmp_path / "e.npz"
-    _save(train_ensemble(*_features_from_matrix(values, n_lags=3), _MLP_42, 2, seed=0), path, values)
+    _save(train_ensemble(*_self_only(values, n_lags=3), _MLP_42, 2, seed=0), path, values)
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files}
     meta = json.loads(str(arrays["meta"]))
@@ -529,9 +532,8 @@ def test_ensemble_refuses_mlp_layers_of_other_widths(tmp_path):
 
 def test_mlp_backend_trains_in_ensemble():
     rng = np.random.default_rng(7)
-    feats = _features_from_matrix(rng.normal(size=(20, 2)))
     spec = BackendSpec(kind="mlp", mlp_hidden=(4,), mlp_epochs=20, mlp_learning_rate=0.05, seed=0)
-    ens = train_ensemble(*feats, spec, 3, seed=1)
+    ens = train_ensemble(*_self_only(rng.normal(size=(20, 2))), spec, 3, seed=1)
     assert ens.scores.size > 0
     assert np.isfinite(ens.scores).all()
 
@@ -539,13 +541,14 @@ def test_mlp_backend_trains_in_ensemble():
 @pytest.mark.parametrize("lam", [0.0, 0.7, 1.0])
 @pytest.mark.parametrize("n_models", [1, 25])
 def test_bagged_ridge_models_equal_fits_on_gathered_bags(lam, n_models):
-    # 40 blocks of 3 rows, features and targets far from zero, and bags that repeat blocks
+    # 40 blocks of 3 rows (4 lags of 3 random walks), features and targets far
+    # from zero, and bags that repeat blocks
     rng = np.random.default_rng(21)
-    X = rng.normal(size=(40, 3, 4)) + 1e4
-    y = X @ rng.normal(size=4) + rng.normal(size=(40, 3))
+    grid = FeatureGrid(*_self_only(1e4 + rng.normal(size=(44, 3)).cumsum(axis=0), n_lags=4))
+    X, y = grid[:], grid.y
     spec = BackendSpec(kind="ridge", ridge_lambda=lam)
     plan = bootstrap_indices(np.arange(len(X)), n_models, seed=5)
-    model = fit(spec, X, y, plan.multiplicity)
+    model = fit(spec, grid, y, plan.multiplicity)
     assert (plan.multiplicity > 1).any(), "no bag repeats a time"
     params = model.params
     assert list(params) == ["weights", "x_mean", "y_mean"]
@@ -561,6 +564,47 @@ def test_bagged_ridge_models_equal_fits_on_gathered_bags(lam, n_models):
     for b in range(n_models):
         alone = (rows - params["x_mean"][b]) @ params["weights"][b] + params["y_mean"][b]
         assert np.max(np.abs(stacked[b] - alone)) <= 1e-12 * np.max(np.abs(alone)), b
+
+
+# (K, m, n_lags, times): d = 25 features, so a ridge statistics chunk is 179
+# times, and time_blocks cuts 512 times at K = 1 and 7 and 64 at K = 40; each
+# horizon crosses both
+_GRID_CASES = [(1, 1, 25, 600), (7, 5, 5, 600), (40, 5, 5, 200)]
+
+
+def _grid_case(n_sensors, m, n_lags, n_times):
+    rng = np.random.default_rng(n_sensors)
+    values = rng.normal(size=(n_times + n_lags, n_sensors)).cumsum(axis=0)
+    return values, neighbor_sets(rng.random((n_sensors, 2)), m), n_lags
+
+
+def _artifact_bytes(ens, path, values):
+    _save(ens, path, values)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("case", _GRID_CASES, ids=lambda c: f"K{c[0]}")
+@pytest.mark.parametrize(
+    "spec, agg",
+    [
+        *[
+            (BackendSpec(kind="ridge", ridge_lambda=lam), AggregatorSpec(kind))
+            for lam in (0.0, 1.0)
+            for kind in AGGREGATOR_KINDS
+        ],
+        (BackendSpec(kind="mlp", mlp_hidden=(6, 3), mlp_epochs=4, mlp_learning_rate=0.01, seed=2), AggregatorSpec()),
+    ],
+    ids=[f"ridge{lam:g}-{kind}" for lam in (0.0, 1.0) for kind in AGGREGATOR_KINDS] + ["mlp"],
+)
+def test_blockwise_training_equals_the_grid_reference(tmp_path, case, spec, agg):
+    # every ensemble.npz member, byte for byte, against training on the whole
+    # feature grid built first
+    feats = _grid_case(*case)
+    n_models = 5 if spec.kind == "mlp" else 25
+    got = train_ensemble(*feats, spec, n_models, agg, seed=4)
+    want = grid_train_ensemble(*feats, spec, n_models, agg, seed=4)
+    values = feats[0]
+    assert _artifact_bytes(got, tmp_path / "got.npz", values) == _artifact_bytes(want, tmp_path / "want.npz", values)
 
 
 def test_bootstrap_multiplicity_counts_duplicate_draws():
@@ -587,28 +631,30 @@ def _traced_peak(fn, *args, **kwargs):
 
 
 def test_ridge_training_memory_stays_near_one_prediction_matrix():
-    # 40 sensors x 2000 times x 25 features, B = 25: a (B, n) prediction matrix
-    # over every row would be as large as X.  Measured peaks: the input check
-    # about 0.008 X.nbytes (one block of rows at a time), the fit about 0.17
-    # (the per-block statistics of one chunk of times), and train_ensemble
-    # about 0.22 with the mean and 0.25 with the median (the fit, then one
-    # block of times' predictions and the score grid).  A boolean copy of X in
-    # the check, a centred copy of X during the fit, a copy of X to flatten
-    # it, or the predictions of every row at once, exceeds them.
+    # 40 sensors x 2000 times x 25 features (5 lags of 5 neighbours), B = 25:
+    # the (T', K, d) feature grid is 16 MB, and a (B, n) prediction matrix over
+    # every row would be as large.  Measured peaks, as fractions of the grid's
+    # bytes: the input check about 0.005 (the panel a block of rows at a
+    # time), the fit about 0.20 (one chunk of times' features, then one
+    # chunk's features and per-block statistics), and train_ensemble about
+    # 0.25 with every aggregator (the fit, then one block of times' features
+    # and predictions and the score grid).  Building the grid whole, as
+    # training did before it built features a chunk at a time, peaked at 1.24.
     rng = np.random.default_rng(3)
-    n_times, n_sensors, d, n_models = 2000, 40, 25, 25
-    X = rng.normal(size=(n_times, n_sensors, d))
-    y = X @ rng.normal(size=d) + rng.normal(size=(n_times, n_sensors))
+    n_times, n_sensors, n_lags, n_models = 2000, 40, 5, 25
+    values = rng.normal(size=(n_times + n_lags, n_sensors)).cumsum(axis=0)
+    neighbors = neighbor_sets(rng.random((n_sensors, 2)), 5)
+    grid = FeatureGrid(values, neighbors, n_lags)
+    grid_bytes = 8 * np.prod(grid.shape)
     spec = BackendSpec(kind="ridge")
-    times = np.arange(n_times)
-    plan = bootstrap_indices(times, n_models, seed=1)
-    check_peak = _traced_peak(_check_training_inputs, X, y, plan.multiplicity)
-    assert check_peak < 0.02 * X.nbytes, check_peak / X.nbytes
-    fit_peak = _traced_peak(fit, spec, X, y, plan.multiplicity)
-    assert fit_peak < 0.25 * X.nbytes, fit_peak / X.nbytes
-    for kind in ("mean", "median"):
-        train_peak = _traced_peak(train_ensemble, times, X, y, spec, n_models, AggregatorSpec(kind), seed=1)
-        assert train_peak < 0.35 * X.nbytes, (kind, train_peak / X.nbytes)
+    plan = bootstrap_indices(grid.times, n_models, seed=1)
+    check_peak = _traced_peak(_check_training_inputs, grid, grid.y, plan.multiplicity)
+    assert check_peak < 0.01 * grid_bytes, check_peak / grid_bytes
+    fit_peak = _traced_peak(fit, spec, grid, grid.y, plan.multiplicity)
+    assert fit_peak < 0.25 * grid_bytes, fit_peak / grid_bytes
+    for kind in ("mean", "median", "trimmed_mean"):
+        train_peak = _traced_peak(train_ensemble, values, neighbors, n_lags, spec, n_models, AggregatorSpec(kind), seed=1)
+        assert train_peak < 0.3 * grid_bytes, (kind, train_peak / grid_bytes)
 
 
 def test_save_ensemble_holds_less_than_the_artifact(tmp_path):
@@ -618,7 +664,7 @@ def test_save_ensemble_holds_less_than_the_artifact(tmp_path):
     # written); an archive built in memory first and then copied out held the
     # file twice, about 1.68 of it
     values = np.random.default_rng(4).normal(size=(1001, 20))
-    ens = train_ensemble(*_features_from_matrix(values), BackendSpec(kind="ridge"), 25, seed=3)
+    ens = train_ensemble(*_self_only(values), BackendSpec(kind="ridge"), 25, seed=3)
     path = tmp_path / "ensemble.npz"
     peak = _traced_peak(save_ensemble, ens, path, values[-1:], _INPUTS)
     size = path.stat().st_size

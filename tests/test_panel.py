@@ -205,6 +205,12 @@ def test_write_csv_equals_per_cell_str(tmp_path, case):
     path = tmp_path / "out.csv"
     write_csv(path, columns)
     assert path.read_text() == _per_cell_csv(columns)
+    # the same rows appended to an open file in three parts, the header with the first
+    n = len(next(iter(columns.values())))
+    with open(path, "w") as fh:
+        for i, rows in enumerate((slice(0, n // 3), slice(n // 3, n - 1), slice(n - 1, n))):
+            write_csv(fh, {name: np.asarray(c)[rows] for name, c in columns.items()}, header=i == 0)
+    assert path.read_text() == _per_cell_csv(columns)
 
 
 def test_write_csv_refuses_unequal_or_no_columns(tmp_path):
