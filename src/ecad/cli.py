@@ -285,16 +285,17 @@ def detect_stage(cfg: PipelineConfig) -> dict:
             sensors, cfg.detector.locality.neighbor_size, "detector.locality.neighbor_size", sensors_path
         )
     # one block of test times at a time, so the (T, K, d) test feature grid
-    # never exists whole; the blocks share one score store.  A block's panel
-    # rows are its hours and the n_lags before them, the first block's from
-    # lag_rows.  The rows go to a partial file that replaces detections.csv
-    # once every block is written, so a failed run leaves no truncated one
+    # never exists whole; the blocks share one score store, and write_csv takes
+    # each block's detections as it is made.  A block's panel rows are its
+    # hours and the n_lags before them, the first block's from lag_rows.  The
+    # rows go to a partial file that replaces detections.csv once every block
+    # is written, so a failed run leaves no truncated one
     store = ScoreStore(ensemble.usable_times, ensemble.scores)
     n_points = n_flagged = 0
-    path = _artifact(cfg, "detections")
-    partial = path.with_name(path.name + ".partial")
-    with open(partial, "w") as fh:
-        for i, block in enumerate(time_blocks(len(test), n_sensors)):
+
+    def blocks():
+        nonlocal n_points, n_flagged
+        for block in time_blocks(len(test), n_sensors):
             rows = np.vstack([lag_rows[block.start :], test[max(0, block.start - n_lags) : block.stop]])
             times, X, y = build_features(rows, feature_neighbors, n_lags)
             detections = detect_stream(
@@ -308,10 +309,13 @@ def detect_stage(cfg: PipelineConfig) -> dict:
                 exclude_flagged_from_window=cfg.detector.exclude_flagged_from_window,
                 store=store,
             )
-            names = ("t", "k", "test_score", "p_value", "flagged")
-            write_csv(fh, {name: getattr(detections, name) for name in names}, header=i == 0)
             n_points += len(detections.t)
             n_flagged += int(np.count_nonzero(detections.flagged))
+            yield {name: getattr(detections, name) for name in ("t", "k", "test_score", "p_value", "flagged")}
+
+    path = _artifact(cfg, "detections")
+    partial = path.with_name(path.name + ".partial")
+    write_csv(partial, blocks())
     partial.replace(path)
     return {
         "stage": "detect",

@@ -13,13 +13,21 @@ and the window then slides unconditionally (the flagged score still enters)
 unless configured otherwise.
 
 The test stream is the time x sensor grid ``(times, X, y)`` of
-``panel.build_features``, as the training data is, and detection runs one
-numpy step per timestamp: every sensor's point at time t is ranked against
-the score store as it stood at the end of t-1, then all of t is pushed at
-once.  Sensor k is column k of the stream, row k of the store's (K, W) score
-and time grids (which start as the transpose of the ensemble's (W, K)
-training score grid) and row k of the (K, m) neighbor id array that locality
-reads.  A comparison set therefore never holds a score of its own timestamp.
+``panel.build_features``, as the training data is: every sensor's point at
+time t is ranked against the score store as it stood at the end of t-1, then
+all of t is pushed at once.  Sensor k is column k of the stream, row k of the
+store's (K, W) score and time grids (which start as the transpose of the
+ensemble's (W, K) training score grid) and row k of the (K, m) neighbor id
+array that locality reads.  A comparison set therefore never holds a score of
+its own timestamp.
+
+The rank counts are made a chunk of ``CHUNK_HOURS`` timestamps at a time.  A
+chunk can evict only the oldest slots of a store row, one per push, so the
+row's other slots are settled: they are sorted once per chunk and each score
+is counted against them by a binary search.  Only the volatile slots, the
+ones the chunk can evict and its own pushes, are compared with each hour's
+scores, for the whole chunk at once when every score is pushed.  The counts
+are the same integers as a compare with the whole store at every timestamp.
 
 A stream can be detected in parts: ``detect_stream`` continues a
 ``ScoreStore`` passed to it, and the blocks of ``panel.time_blocks`` fill whole
@@ -120,25 +128,26 @@ class ScoreStore:
     head starts at 0; each push drops the sensor's oldest retained score and
     appends the new one, keeping the window length constant at
     ``window_len``.  Heads move per sensor, because a timestamp may push only
-    some sensors (see ``exclude_flagged_from_window``).
+    some sensors (see ``exclude_flagged_from_window``).  Seed times that do
+    not strictly increase, or scores of another shape than ``(len(times), K)``,
+    raise ValueError.
     """
 
     def __init__(self, times: np.ndarray, scores: np.ndarray):
-        if not len(times):
+        times = np.asarray(times, dtype=np.int64)
+        scores = np.asarray(scores, dtype=np.float64)
+        if not times.size:
             raise ValueError("score store is cold: no retained scores at all")
+        if times.ndim != 1 or scores.ndim != 2 or len(scores) != len(times):
+            raise ValueError(
+                f"a score store is seeded with (W,) times and a (W, K) score grid, got {times.shape} and {scores.shape}"
+            )
+        if (times[1:] <= times[:-1]).any():
+            raise ValueError("the times of a score store must strictly increase")
         self.window_len = len(times)
-        self.score_grid = np.asarray(scores, dtype=np.float64).T.copy()
-        self.time_grid = np.tile(np.asarray(times, dtype=np.int64), (len(self.score_grid), 1))
+        self.score_grid = scores.T.copy()
+        self.time_grid = np.tile(times, (len(self.score_grid), 1))
         self.head = np.zeros(len(self.score_grid), dtype=np.intp)
-
-    def push_rows(self, rows: np.ndarray, t: int, scores: np.ndarray) -> None:
-        """Push ``scores[i]`` at time t onto row ``rows[i]``; the rows must be distinct."""
-        head = self.head[rows]
-        self.score_grid[rows, head] = scores
-        self.time_grid[rows, head] = t
-        head += 1
-        head[head == self.window_len] = 0
-        self.head[rows] = head
 
 
 def local_window(
@@ -236,34 +245,163 @@ class Detections:
         return map(Detection, *(c.tolist() for c in columns))
 
 
-class _NeighborSets:
-    """Rank counts against the ``neighbor_sensors`` comparison sets.
+# hours ranked against one sort of the score store: a chunk of L hours pushes
+# at most L scores onto a store row, so every slot but its L oldest stays for
+# the whole chunk.  One CLI detect block (64 hours at K = 40) is one chunk
+CHUNK_HOURS = 64
+# cells of one compare of the volatile slots, so that a chunk's compare stays
+# small next to the scoring chunk's LOO block at any K
+_COMPARE_CELLS = 1 << 18
 
-    The set of sensor k at time t is every score of the sensors in row k of the
-    ``(K, m)`` neighbor array plus the other sensors' scores at times
-    t-n_lags..t-1, read from a store whose row k is sensor k.  Each store row
-    holds strictly increasing times from its head onwards, so those recent
-    scores lie in the last min(n_lags, W) slots before the head.
+
+class _RankCounter:
+    """Exact rank counts against the comparison sets of a ``ScoreStore``, a chunk of hours at a time.
+
+    Sensor k's set is its own store row, every row (``merged``, the
+    ``as_printed`` variant), or for ``neighbor_sensors`` the store rows in row
+    k of ``rows``, the ``(K, m)`` neighbor array, plus the other rows' scores
+    at times t-n_lags..t-1.  At the start of a chunk of n hours each store row
+    is read oldest first.  A push evicts its row's oldest slot, so only the
+    V = min(n, W) oldest slots are volatile, and the other W - V are settled
+    for the whole chunk.  They are sorted once per chunk, row by row or, for
+    ``merged``, all rows together, and a score s counts those from
+    ``searchsorted(sorted, s, side="left")`` on: the slots >= s, ties
+    included.  The volatile slots go into a buffer followed by the
+    chunk's pushes onto the row, so that after p pushes the live volatile
+    slots are buffer positions p .. p + V - 1.  The recent slots, read by
+    position and time, are a row's newest min(n_lags, W), kept likewise in a
+    buffer of the newest slots followed by the pushes.  The counts are the
+    integers that a compare with the whole store at every hour gives.
     """
 
-    def __init__(self, window: int, n_lags: int, neighbors: np.ndarray):
-        n_sensors, self.width = neighbors.shape
-        self.n_lags = n_lags
-        self.rows = neighbors
-        self.outside = np.ones((n_sensors, n_sensors), dtype=bool)
-        self.outside[np.arange(n_sensors)[:, None], neighbors] = False
-        self.back = np.arange(1, min(n_lags, window) + 1)
-        self.all_rows = np.arange(n_sensors)[:, None]
+    def __init__(self, n_sensors: int, merged: bool, rows: np.ndarray | None, n_lags: int):
+        self.merged = merged
+        self.rows = rows
+        self.n_lags = 0 if rows is None else n_lags
+        # the sensors whose set holds store row j, or all rows if merged, count its settled slots
+        if merged:
+            self.queriers = [slice(None)]
+        elif rows is None:
+            self.queriers = range(n_sensors)
+        else:
+            member = np.zeros((n_sensors, n_sensors), dtype=bool)
+            member[np.arange(n_sensors)[:, None], rows] = True
+            self.queriers = [np.flatnonzero(column) for column in member.T]
+            self.outside = ~member
 
-    def counts(self, store: ScoreStore, t: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rank count, comparison-set size) of the scores s[k] of every sensor k at time t."""
-        grid, window = store.score_grid, store.window_len
-        count = np.count_nonzero(grid[self.rows] >= s[:, None, None], axis=(1, 2))
-        slots = (store.head[:, None] - self.back) % window
-        recent = store.time_grid[self.all_rows, slots] >= t - self.n_lags  # (K, lags)
-        recent_hits = (grid[self.all_rows, slots] >= s[:, None, None]) & recent
-        count += np.count_nonzero(recent_hits & self.outside[:, :, None], axis=(1, 2))
-        return count, self.width * window + self.outside @ recent.sum(axis=1)
+    def count(
+        self, store: ScoreStore, times: np.ndarray, s: np.ndarray, exclude_alpha: float | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(rank count, comparison-set size) of each score ``s[i, k]`` of the chunk's hours ``times``.
+
+        Hour i ranks against the store as it stood at the end of hour i-1; then
+        every score of hour i is pushed, or with ``exclude_alpha`` only those
+        whose p-value exceeds it.  The store ends as those pushes, made one
+        hour at a time, would leave it.
+        """
+        n, n_sensors = s.shape
+        window = store.window_len
+        n_volatile, n_recent = min(n, window), min(self.n_lags, window)
+        sensors = np.arange(n_sensors)
+        oldest = (store.head[:, None] + np.arange(n_volatile)) % window
+        newest = (store.head[:, None] - np.arange(n_recent, 0, -1)) % window
+        # a row's oldest slots, or its newest ones and their times, then its pushes
+        volatile = np.empty((n_sensors, n_volatile + n))
+        recent = np.empty((n_sensors, n_recent + n))
+        recent_t = np.empty(recent.shape, dtype=np.int64)
+        volatile[:, :n_volatile] = store.score_grid[sensors[:, None], oldest]
+        recent[:, :n_recent] = store.score_grid[sensors[:, None], newest]
+        recent_t[:, :n_recent] = store.time_grid[sensors[:, None], newest]
+        count = self._settled_counts(store.score_grid, oldest, s)
+        size = np.empty(s.shape, dtype=np.int64)
+        views = [
+            np.lib.stride_tricks.sliding_window_view(b, width, axis=1)
+            for b, width in ((volatile, n_volatile), (recent, n_recent), (recent_t, n_recent))
+        ]
+        if exclude_alpha is None:
+            # every hour pushes onto every row, so the chunk's live slots are all known
+            volatile[:, n_volatile:] = recent[:, n_recent:] = s.T
+            recent_t[:, n_recent:] = times
+            live = [v[:, :n].swapaxes(0, 1) for v in views]
+            step = max(1, _COMPARE_CELLS // (n_sensors * self._compare_width(n_sensors, n_volatile, n_recent)))
+            for start in range(0, n, step):
+                hours = slice(start, start + step)
+                more, size[hours] = self._live_counts(*(v[hours] for v in live), s[hours], times[hours], window)
+                count[hours] += more
+            pushes = np.full(n_sensors, n)
+        else:
+            # a push depends on the count before it, so the chunk goes an hour at a time
+            pushes = np.zeros(n_sensors, dtype=np.intp)
+            for i in range(n):
+                live = (v[sensors, pushes][None] for v in views)
+                more, size[i] = self._live_counts(*live, s[i : i + 1], times[i : i + 1], window)
+                count[i] += more[0]
+                pushed = np.flatnonzero(count[i] / size[i] > exclude_alpha)
+                at = pushes[pushed]
+                volatile[pushed, n_volatile + at] = recent[pushed, n_recent + at] = s[i, pushed]
+                recent_t[pushed, n_recent + at] = times[i]
+                pushes[pushed] += 1
+
+        # the pushes a row's ring buffer still holds, in the slots the pushes one by one would take
+        q = np.arange(n)
+        row, q = np.nonzero((q < pushes[:, None]) & (q >= pushes[:, None] - window))
+        slot = (store.head[row] + q) % window
+        store.score_grid[row, slot] = volatile[row, n_volatile + q]
+        store.time_grid[row, slot] = recent_t[row, n_recent + q]
+        store.head[:] = (store.head + pushes) % window
+        return count, size
+
+    def _settled_counts(self, grid: np.ndarray, oldest: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """How many settled slots of each sensor's set are >= each of its scores s (n, K).
+
+        The settled slots of a store row are all but its ``oldest`` (K, V)
+        slots, which are set to NaN in a copy of the (K, W) grid.  NaN sorts
+        last and is >= no score, so in a sorted row, or in all rows sorted
+        together for ``merged``, the slots >= s run from
+        ``searchsorted(s, side="left")``, ties included, to the first NaN.
+        """
+        settled = grid.copy()
+        settled[np.arange(len(grid))[:, None], oldest] = np.nan
+        if self.merged:
+            settled = settled.reshape(1, -1)
+        settled.sort(axis=1)
+        by_sensor = np.ascontiguousarray(s.T)
+        count = np.zeros(by_sensor.shape, dtype=np.int64)
+        for row, sensors in zip(settled, self.queriers):
+            count[sensors] += row.searchsorted(np.nan) - row.searchsorted(by_sensor[sensors])
+        return count.T
+
+    def _compare_width(self, n_sensors: int, n_volatile: int, n_recent: int) -> int:
+        """How many slots ``_live_counts`` compares one score with."""
+        if self.merged:
+            return n_sensors * n_volatile
+        if self.rows is None:
+            return n_volatile
+        return self.rows.shape[1] * n_volatile + n_sensors * n_recent
+
+    def _live_counts(
+        self, live: np.ndarray, recent: np.ndarray, recent_t: np.ndarray, s: np.ndarray, t: np.ndarray, window: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(count over the live volatile and recent slots, set size) of scores s (h, K) at hours t (h,).
+
+        ``live`` (h, K, V) holds each row's live volatile slots at each hour,
+        and ``recent`` and ``recent_t`` (h, K, min(n_lags, W)) its newest
+        slots and their times.
+        """
+        h, n_sensors, n_volatile = live.shape
+        if self.merged:
+            sets = live.reshape(h, 1, n_sensors * n_volatile)
+        elif self.rows is None:
+            sets = live
+        else:
+            sets = live[:, self.rows].reshape(h, n_sensors, -1)
+        count = np.count_nonzero(sets >= s[:, :, None], axis=2)
+        if self.rows is None:
+            return count, window * (n_sensors if self.merged else 1)
+        lagged = recent_t >= (t - self.n_lags)[:, None, None]  # (h, K, lags)
+        hits = (recent[:, None] >= s[:, :, None, None]) & lagged[:, None] & self.outside[:, :, None]
+        count += np.count_nonzero(hits, axis=(2, 3))
+        return count, self.rows.shape[1] * window + lagged.sum(axis=2) @ self.outside.T
 
 
 def detect_stream(
@@ -299,12 +437,11 @@ def detect_stream(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     locality = locality or LocalityConfig()
     n_sensors = ensemble.n_sensors
-    if locality.enabled and locality.variant == "as_printed":
-        neighbors = np.broadcast_to(np.arange(n_sensors), (n_sensors, n_sensors))
-    elif locality.enabled:
+    rows = None
+    if locality.enabled and locality.variant == "neighbor_sensors":
         if neighbors is None:
             raise ValueError("locality with neighbor_sensors variant requires the (K, m) neighbor array")
-        neighbors = check_neighbors(neighbors, n_sensors)
+        rows = check_neighbors(neighbors, n_sensors)
 
     times, X, y = as_grid(times, X, y)
     if y.shape[1] != n_sensors:
@@ -319,22 +456,15 @@ def detect_stream(
     last = int(store.time_grid.max())
     if times.size and times[0] <= last:
         raise ValueError(f"out-of-order timestamp {times[0]}: the score store already holds time {last}")
-    scores = batch_test_scores(ensemble, X.reshape(-1, X.shape[2]), y.reshape(-1), alpha)
-    grid, window = store.score_grid, store.window_len
-    counter = _NeighborSets(window, locality.n_lags, neighbors) if locality.enabled else None
-
+    scores = batch_test_scores(ensemble, X.reshape(-1, X.shape[2]), y.reshape(-1), alpha).reshape(y.shape)
+    counter = _RankCounter(n_sensors, locality.enabled and locality.variant == "as_printed", rows, locality.n_lags)
     count = np.empty(y.shape, dtype=np.int64)
-    size = np.full(count.shape, window, dtype=np.int64)
-    every_sensor = np.arange(n_sensors)
-    for i, (t, s) in enumerate(zip(times.tolist(), scores.reshape(y.shape))):
-        if counter is not None:
-            count[i], size[i] = counter.counts(store, t, s)
-        else:
-            count[i] = np.count_nonzero(grid >= s[:, None], axis=1)
-        pushed = every_sensor
-        if exclude_flagged_from_window:
-            pushed = np.flatnonzero(count[i] / size[i] > alpha)
-        store.push_rows(pushed, t, s[pushed])
+    size = np.empty(y.shape, dtype=np.int64)
+    for start in range(0, len(times), CHUNK_HOURS):
+        hours = slice(start, start + CHUNK_HOURS)
+        count[hours], size[hours] = counter.count(
+            store, times[hours], scores[hours], alpha if exclude_flagged_from_window else None
+        )
 
     p = (count / size).ravel()
-    return Detections(*grid_rows(times, n_sensors), scores, p, p <= alpha, size.ravel())
+    return Detections(*grid_rows(times, n_sensors), scores.ravel(), p, p <= alpha, size.ravel())

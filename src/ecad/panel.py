@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 import re
-from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -147,62 +146,105 @@ def _with_file_line(message: str, path: str | Path) -> str:
 _WRITE_BLOCK_CELLS = 4096
 
 
-def _cell_text(a: np.ndarray) -> Callable[[slice], Iterable[str]]:
-    """The function from a slice of rows of column ``a`` to the text of its cells.
+class _CellText:
+    """The text of one column's cells, over the blocks of one file.
 
-    A numeric column of at most ``_WRITE_BLOCK_CELLS`` distinct values formats
-    each of them once and looks the rest up.  A float's key is its bit
-    pattern, so values that compare equal but print differently (0.0 and
-    -0.0) keep their own text.
+    A numeric column formats each distinct value of a block once and looks
+    the rest up, taking the text of the values the block before it also held
+    from that block's table, so a value that recurs from block to block is
+    formatted once.  A column whose first block holds no value twice, or a
+    block of more than ``_WRITE_BLOCK_CELLS`` distinct values, is formatted
+    cell by cell from then on.  A float's key is its bit pattern, so values
+    that compare equal but print differently (0.0 and -0.0) keep their own
+    text.
     """
-    keys = None
-    if a.dtype.kind in "iu":
-        keys = a
-    elif a.dtype.kind == "f" and a.dtype.itemsize in (2, 4, 8):
-        keys = a.view(f"u{a.dtype.itemsize}")
-    if keys is not None:
-        # gathered a block at a time, so a column of many distinct values stops early
-        table = keys[:0]
+
+    def __init__(self, a: np.ndarray) -> None:
+        """The column's text, from its first block ``a``."""
+        self.dtype = a.dtype
+        keys = self._keys(a)
+        self.table = None if keys is None else keys[:0]  # sorted distinct keys; None: cell by cell
+        self.text = np.empty(0, dtype=object)
+        self.first = True
+
+    @staticmethod
+    def _keys(a: np.ndarray) -> np.ndarray | None:
+        """The integer keys of a numeric column's cells, or None for another column."""
+        if a.dtype.kind in "iu":
+            return a
+        if a.dtype.kind == "f" and a.dtype.itemsize in (2, 4, 8):
+            return a.view(f"u{a.dtype.itemsize}")
+        return None
+
+    def __call__(self, a: np.ndarray) -> Callable[[slice], Iterable[str]]:
+        """The function from a slice of rows of this column's next block ``a`` to the text of its cells."""
+        keys = self._keys(a)
+        if self.table is not None and (a.dtype != self.dtype or not self._enter(keys)):
+            self.table = None
+        self.first = False
+        if self.table is None:
+            return lambda rows: map(str, a[rows].tolist())
+        table, text = self.table, self.text
+        return lambda rows: text[np.searchsorted(table, keys[rows])].tolist()
+
+    def _enter(self, keys: np.ndarray) -> bool:
+        """Make a block's distinct keys the table, with their text; False when it should not have one."""
+        # gathered a part at a time, so a column of many distinct values stops early
+        found = keys[:0]
         for start in range(0, len(keys), _WRITE_BLOCK_CELLS):
-            table = distinct(np.concatenate((table, keys[start : start + _WRITE_BLOCK_CELLS])))
-            if table.size > _WRITE_BLOCK_CELLS:
-                break
-        else:
-            text = np.array(list(map(str, table.view(a.dtype).tolist())), dtype=object)
-            return lambda rows: text[np.searchsorted(table, keys[rows])].tolist()
-    return lambda rows: map(str, a[rows].tolist())
+            found = distinct(np.concatenate((found, keys[start : start + _WRITE_BLOCK_CELLS])))
+            if found.size > _WRITE_BLOCK_CELLS:
+                return False
+        if self.first and found.size == len(keys):
+            return False
+        text = np.empty(found.size, dtype=object)
+        at = np.searchsorted(self.table, found).clip(max=max(0, self.table.size - 1))
+        known = self.table[at] == found if self.table.size else np.zeros(found.size, dtype=bool)
+        text[known] = self.text[at[known]]
+        text[~known] = list(map(str, found[~known].view(self.dtype).tolist()))
+        self.table, self.text = found, text
+        return True
 
 
 def write_csv(
-    path: str | Path | TextIO, columns: Mapping[str, Sequence | np.ndarray], header: bool = True
+    path: str | Path, columns: Mapping[str, Sequence | np.ndarray] | Iterable[Mapping[str, Sequence | np.ndarray]]
 ) -> None:
-    """Write equal-length columns, under a header row of their names unless ``header`` is false.
+    """Write equal-length columns to a new file, under a header row of their names.
 
-    ``path`` is a file to create, or an open text file that the rows are
-    appended to; a file written in parts, the header with the first, holds
-    the bytes of one call over the joined columns.  Every number is written
-    as its shortest round-trip repr (``str`` of the Python int or float), a
-    flag as 0 or 1 and a string cell (a missing token) as it is, so
-    ``read_csv`` gives back the exact values.  A numeric column of
-    few distinct values (times, sensor ids, flags, p-values) formats each
-    distinct value once, with the same bytes.  Rows are joined a block of
-    about ``_WRITE_BLOCK_CELLS`` cells at a time.  No columns, or columns of
-    unequal lengths, raise ValueError.
+    ``columns`` maps names to columns, or is an iterable of such mappings with
+    the same names: the blocks of one file, taken one at a time, so that only
+    one need exist at once.  The file holds the bytes of one call over the
+    joined columns.  Every number is written as its shortest round-trip repr
+    (``str`` of the Python int or float), a flag as 0 or 1 and a string cell
+    (a missing token) as it is, so ``read_csv`` gives back the exact values.
+    A numeric column of few distinct values (times, sensor ids, flags,
+    p-values) formats each distinct value of a block once, and a value the
+    block before also held not again, with the same bytes.  Rows are joined a
+    block of about ``_WRITE_BLOCK_CELLS`` cells at a time.  A block of no
+    columns, of columns of unequal lengths or of other names than the first
+    raises ValueError.
     """
-    arrays = [np.asarray(c) for c in columns.values()]
-    arrays = [a.astype(np.uint8) if a.dtype == bool else a for a in arrays]
-    lengths = {name: len(a) for name, a in zip(columns, arrays)}
-    if len(set(lengths.values())) != 1:
-        raise ValueError(f"write_csv needs one or more columns of one length, got lengths {lengths}")
-    block_rows = max(1, _WRITE_BLOCK_CELLS // len(arrays))
-    texts = [_cell_text(a) for a in arrays]
-    with open(path, "w") if isinstance(path, (str, Path)) else nullcontext(path) as fh:
-        if header:
-            fh.write(",".join(columns) + "\n")
-        for start in range(0, len(arrays[0]), block_rows):
-            rows = slice(start, start + block_rows)
-            fh.write("\n".join(map(",".join, zip(*(text(rows) for text in texts)))))
-            fh.write("\n")
+    blocks = [columns] if isinstance(columns, Mapping) else columns
+    names: list[str] = []
+    texts: list[_CellText] = []
+    with open(path, "w") as fh:
+        for block in blocks:
+            arrays = [np.asarray(c) for c in block.values()]
+            arrays = [a.astype(np.uint8) if a.dtype == bool else a for a in arrays]
+            lengths = {name: len(a) for name, a in zip(block, arrays)}
+            if len(set(lengths.values())) != 1:
+                raise ValueError(f"write_csv needs one or more columns of one length, got lengths {lengths}")
+            if not names:
+                names, texts = list(block), [_CellText(a) for a in arrays]
+                fh.write(",".join(names) + "\n")
+            elif list(block) != names:
+                raise ValueError(f"a block of columns {list(block)} in a file of columns {names}")
+            block_rows = max(1, _WRITE_BLOCK_CELLS // len(arrays))
+            cells = [text(a) for text, a in zip(texts, arrays)]
+            for start in range(0, len(arrays[0]), block_rows):
+                rows = slice(start, start + block_rows)
+                fh.write("\n".join(map(",".join, zip(*(cell(rows) for cell in cells)))))
+                fh.write("\n")
 
 
 def load_panel(path: str | Path, missing_token: str = "NA") -> np.ndarray:

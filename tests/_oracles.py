@@ -1,9 +1,10 @@
 """Scalar reference definitions that the tests hold the pipeline's kernels to.
 
-No pipeline stage runs these.  The detector ranks and partitions whole blocks
-of points, the ensemble aggregates every leave-one-out set at once, and an
-MLP fit reuses one workspace for all its epochs; each function here states
-the same quantity for one point, one time or one net, as plainly as it can.
+No pipeline stage runs these.  The detector ranks, pushes and partitions
+whole blocks of points, the ensemble aggregates every leave-one-out set at
+once, and an MLP fit reuses one workspace for all its epochs; each function
+here states the same quantity for one point, one time or one net, as plainly
+as it can.
 ``gauss_solve`` solves the ridge oracles' normal equations without numpy.linalg.
 ``grid_train_ensemble`` is the one exception: it trains as the pipeline did
 when it built the whole feature grid first, operation for operation, so that
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ecad import backends
-from ecad.detector import nearest_rank_index
+from ecad.detector import ScoreStore, nearest_rank_index
 from ecad.ensemble import AggregatorSpec, BootstrapPlan, Ensemble, bootstrap_indices, loo_aggregate
 from ecad.panel import build_features, time_blocks
 
@@ -35,6 +36,21 @@ def p_value(window: np.ndarray, score: float) -> float:
     if window.size == 0:
         raise ValueError("cannot compute a p-value against an empty score window")
     return int(np.count_nonzero(window >= score)) / window.size
+
+
+def push_rows(store: ScoreStore, rows: np.ndarray, t: int, scores: np.ndarray) -> None:
+    """Push ``scores[i]`` at time t onto store row ``rows[i]``; the rows must be distinct.
+
+    Each push overwrites its row's oldest slot, the one at its head, and moves
+    the head on.  ``detect_stream`` leaves a store as these pushes, made one
+    timestamp at a time, would.
+    """
+    head = store.head[rows]
+    store.score_grid[rows, head] = scores
+    store.time_grid[rows, head] = t
+    head += 1
+    head[head == store.window_len] = 0
+    store.head[rows] = head
 
 
 def loo_set(plan: BootstrapPlan, t: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from ecad.detector import (
 from ecad.ensemble import AggregatorSpec, BootstrapPlan, Ensemble, train_ensemble
 from ecad.panel import PREDICT_CHUNK, build_features, neighbor_sets, time_blocks
 
-from _oracles import empirical_quantile, loo_predict, p_value
+from _oracles import empirical_quantile, loo_predict, p_value, push_rows
 
 
 def _constant_models(values, dim=2):
@@ -289,13 +289,13 @@ def test_local_window_matches_set_comprehension_oracle():
 def test_score_store_push_evicts_oldest():
     seed = np.array([[1.0], [2.0], [3.0]])
     store = ScoreStore(np.arange(3), seed)
-    store.push_rows(np.array([0]), 10, np.array([9.0]))
+    push_rows(store, np.array([0]), 10, np.array([9.0]))
     # the store writes into its own copy, never into the training grid
     assert seed.ravel().tolist() == [1.0, 2.0, 3.0]
     assert sorted(zip(store.time_grid[0].tolist(), store.score_grid[0].tolist())) == [
         (1, 2.0), (2, 3.0), (10, 9.0)
     ]
-    store.push_rows(np.array([0]), 11, np.array([8.0]))
+    push_rows(store, np.array([0]), 11, np.array([8.0]))
     assert sorted(zip(store.time_grid[0].tolist(), store.score_grid[0].tolist())) == [
         (2, 3.0), (10, 9.0), (11, 8.0)
     ]
@@ -312,6 +312,21 @@ def test_score_store_row_k_is_sensor_k_time_ascending():
 def test_score_store_rejects_cold_input():
     with pytest.raises(ValueError, match="cold"):
         ScoreStore(np.array([], dtype=np.int64), np.empty((0, 1)))
+
+
+@pytest.mark.parametrize(
+    "times, scores, message",
+    [
+        # five rows of scores for three times: pushes would wrap before slots 3 and 4
+        (np.arange(3), np.zeros((5, 2)), r"\(W, K\) score grid, got \(3,\) and \(5, 2\)"),
+        (np.arange(3), np.zeros(3), r"\(W, K\) score grid, got \(3,\) and \(3,\)"),
+        (np.array([3, 1, 2]), np.zeros((3, 2)), "must strictly increase"),
+    ],
+    ids=["rows-not-times", "one-dimensional", "times-out-of-order"],
+)
+def test_score_store_rejects_an_inconsistent_seed(times, scores, message):
+    with pytest.raises(ValueError, match=message):
+        ScoreStore(times, scores)
 
 
 def _train_small_ensemble(seed=0, T=80, K=2):
@@ -362,7 +377,7 @@ def test_detect_stream_eviction_audit():
     # after n steps at sensor 1, exactly the n oldest initial scores are gone
     replica = ScoreStore(ens.usable_times, ens.scores)
     for d in stream:
-        replica.push_rows(np.array([d.k]), d.t, np.array([d.test_score]))
+        push_rows(replica, np.array([d.k]), d.t, np.array([d.test_score]))
     remaining = sorted(zip(replica.time_grid[1].tolist(), replica.score_grid[1].tolist()))
     times, scores = ens.usable_times, ens.scores[:, 1]
     expected = sorted(
@@ -533,9 +548,10 @@ def test_detect_stream_rejects_time_inside_retained_window():
         detect_stream(ens, [last], np.zeros((1, 2, 1)), np.zeros((1, 2)), alpha=0.05)
 
 
-def _locality_stream(seed, n_times):
-    """12-sensor ensemble and a grid test stream of n_times timestamps, 1-2 steps apart, with spikes."""
-    ens, values = _train_small_ensemble(seed=seed, K=12)
+def _locality_stream(seed, n_times, T=80):
+    """12-sensor ensemble trained on T hours, and a grid test stream of n_times
+    timestamps, 1-2 steps apart, with spikes."""
+    ens, values = _train_small_ensemble(seed=seed, T=T, K=12)
     T = values.shape[0]
     rng = np.random.default_rng(seed)
     steps = rng.integers(1, 3, size=n_times)
@@ -569,10 +585,9 @@ def test_detect_stream_locality_ignores_scores_of_the_same_timestamp(variant):
     assert runs[0].flagged.any()
 
 
-def _replay(ens, stream_t, scores, alpha, locality, neighbors, exclude_flagged):
+def _replay(store, stream_t, scores, alpha, locality, neighbors, exclude_flagged):
     """(rank count, comparison-set size) per (t, k), ranked point by point against a
-    copy of the store taken at the end of the previous timestamp."""
-    store = ScoreStore(ens.usable_times, ens.scores)
+    copy of ``store`` taken at the end of the previous timestamp; ``store`` is advanced."""
     out = []
     for t, row in zip(stream_t.tolist(), scores.reshape(len(stream_t), -1).tolist()):
         snapshot = copy.deepcopy(store)
@@ -586,8 +601,33 @@ def _replay(ens, stream_t, scores, alpha, locality, neighbors, exclude_flagged):
             count = int(np.count_nonzero(window >= s))
             out.append((count, window.size))
             if not (exclude_flagged and count / window.size <= alpha):
-                store.push_rows(np.array([k]), t, np.array([s]))
+                push_rows(store, np.array([k]), t, np.array([s]))
     return out
+
+
+def _oracle_streams(monkeypatch):
+    """(name, ensemble, seed store, stream) cases for the point-by-point oracle.
+
+    ``model-15h`` scores a short stream with the ensemble.  The ``ties`` cases
+    take each test score to be its target, a multiple of 0.25 as every seeded
+    score is, so that each ties with retained scores among the oldest slots
+    of a store row, which a chunk of hours can evict, and among the others;
+    a few scores of each, seeded and streamed, are NaN, which is >= no score:
+    ``ties-150h`` runs past two chunks of ``detector.CHUNK_HOURS``, and
+    ``ties-window-under-a-chunk`` keeps fewer scores per sensor than a chunk
+    has hours.
+    """
+    ens, stream_t, stream_x, stream_y = _locality_stream(31, 15)
+    yield "model-15h", ens, ScoreStore(ens.usable_times, ens.scores), (stream_t, stream_x, stream_y)
+    monkeypatch.setattr(detector, "batch_test_scores", lambda ensemble, X, y, alpha: np.array(y))
+    for name, T, n_times in (("ties-150h", 80, 150), ("ties-window-under-a-chunk", 40, 100)):
+        ens, stream_t, stream_x, _ = _locality_stream(32, n_times, T=T)
+        rng = np.random.default_rng(T)
+        stream_y = rng.integers(0, 9, size=(n_times, 12)) / 4 + np.where(rng.random((n_times, 12)) < 0.1, 12.0, 0.0)
+        stream_y[rng.random(stream_y.shape) < 0.01] = np.nan
+        seed = np.round(ens.scores * 4) / 4
+        seed[rng.random(seed.shape) < 0.03] = np.nan
+        yield name, ens, ScoreStore(ens.usable_times, seed), (stream_t, stream_x, stream_y)
 
 
 @pytest.mark.parametrize("exclude_flagged", [False, True], ids=["slide", "exclude"])
@@ -601,19 +641,32 @@ def _replay(ens, stream_t, scores, alpha, locality, neighbors, exclude_flagged):
     ],
     ids=["plain", "neighbors", "neighbors-saturated", "as_printed"],
 )
-def test_detect_stream_matches_point_by_point_oracle(locality, exclude_flagged):
-    ens, stream_t, stream_x, stream_y = _locality_stream(31, 15)
+def test_detect_stream_matches_point_by_point_oracle(monkeypatch, locality, exclude_flagged):
     alpha = 0.1
-    dets = detect_stream(
-        ens, stream_t, stream_x, stream_y, alpha=alpha, locality=locality,
-        neighbors=_NEIGHBORS, exclude_flagged_from_window=exclude_flagged,
-    )
+    windows = []
+    for name, ens, store, (stream_t, stream_x, stream_y) in _oracle_streams(monkeypatch):
+        replayed = copy.deepcopy(store)
+        if name == "ties-150h":
+            # the first chunk's scores tie with slots it can evict and with slots it cannot
+            first = stream_y[: detector.CHUNK_HOURS]
+            assert np.isin(first, store.score_grid[:, : detector.CHUNK_HOURS]).any()
+            assert np.isin(first, store.score_grid[:, detector.CHUNK_HOURS :]).any()
+        dets = detect_stream(
+            ens, stream_t, stream_x, stream_y, alpha=alpha, locality=locality,
+            neighbors=_NEIGHBORS, exclude_flagged_from_window=exclude_flagged, store=store,
+        )
+        expected = _replay(replayed, stream_t, dets.test_score, alpha, locality, _NEIGHBORS, exclude_flagged)
+        assert dets.comparison_count.tolist() == [size for _, size in expected], name
+        assert dets.p_value.tolist() == [count / size for count, size in expected], name
+        assert dets.flagged.any() and not dets.flagged.all(), name
+        # the store ends as the point-by-point pushes leave it
+        for attr in ("score_grid", "time_grid", "head"):
+            assert np.array_equal(getattr(store, attr), getattr(replayed, attr), equal_nan=True), (name, attr)
+        windows.append((store.window_len, len(stream_t)))
     # the saturated case reaches back past every retained score
-    assert locality.n_lags < 500 or locality.n_lags > len(ens.scores)
-    expected = _replay(ens, stream_t, dets.test_score, alpha, locality, _NEIGHBORS, exclude_flagged)
-    assert dets.comparison_count.tolist() == [size for _, size in expected]
-    assert dets.p_value.tolist() == [count / size for count, size in expected]
-    assert dets.flagged.any() and not dets.flagged.all()
+    assert locality.n_lags < 500 or locality.n_lags > max(w for w, _ in windows)
+    assert [w < detector.CHUNK_HOURS < n for w, n in windows] == [False, False, True]
+    assert windows[1][1] > 2 * detector.CHUNK_HOURS
 
 
 def _division_loo_aggregate(preds, excluded, agg):

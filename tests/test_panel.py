@@ -191,6 +191,14 @@ def _writer_cases():
         # an object column holding the missing token, as save_panel passes it
         "missing-token": {f"sensor_{k}": panel[:, k] for k in range(3)},
         "no-rows": {"t": np.array([], dtype=np.int64), "x": np.array([]), "flag": np.array([], dtype=bool)},
+        # written in three blocks: -0.0 first shows up in the second, whose table holds 0.0
+        "signed-zero-later": {"x": np.array([0.0] * 150 + [-0.0, 2.5] * 75)},
+        # written in three blocks: each block's first time is the last of the block before
+        "values-recur-across-blocks": {"t": np.repeat(np.arange(3000), 2)},
+        # written in three blocks: the second holds more distinct values than a table
+        "block-outgrows-the-table": {
+            "t": np.concatenate([np.repeat(np.arange(2100), 2), 10**6 + np.arange(4200), np.repeat(np.arange(2100), 2)])
+        },
     }
     for n in (block - 1, block, block + 1):
         cases[f"{n}-rows"] = {
@@ -205,11 +213,10 @@ def test_write_csv_equals_per_cell_str(tmp_path, case):
     path = tmp_path / "out.csv"
     write_csv(path, columns)
     assert path.read_text() == _per_cell_csv(columns)
-    # the same rows appended to an open file in three parts, the header with the first
+    # the same rows written as three blocks of one file
     n = len(next(iter(columns.values())))
-    with open(path, "w") as fh:
-        for i, rows in enumerate((slice(0, n // 3), slice(n // 3, n - 1), slice(n - 1, n))):
-            write_csv(fh, {name: np.asarray(c)[rows] for name, c in columns.items()}, header=i == 0)
+    parts = (slice(0, n // 3), slice(n // 3, n - 1), slice(n - 1, n))
+    write_csv(path, ({name: np.asarray(c)[rows] for name, c in columns.items()} for rows in parts))
     assert path.read_text() == _per_cell_csv(columns)
 
 
@@ -219,6 +226,8 @@ def test_write_csv_refuses_unequal_or_no_columns(tmp_path):
         write_csv(path, {"a": np.arange(5), "b": np.arange(3)})
     with pytest.raises(ValueError, match=r"one or more columns.*got lengths \{\}"):
         write_csv(path, {})
+    with pytest.raises(ValueError, match=r"a block of columns \['b'\] in a file of columns \['a'\]"):
+        write_csv(path, iter([{"a": np.arange(2)}, {"b": np.arange(2)}]))
 
 
 def test_write_csv_memory_is_bounded(tmp_path):
